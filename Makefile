@@ -42,11 +42,8 @@ race:
 	$(GO) test -race ./...
 
 # Pinned to -cpu=1 so benchmark names stay suffix-free (comparable
-# against BENCH_baseline.json) and the default replay path resolves to
-# the serial kernel; the parallel engine's worker counts are explicit
-# workers=N sub-benchmarks. For real parallel scaling numbers run
-# `go test -bench='Parallel$' -benchmem .` without -cpu on a multi-core
-# machine.
+# against BENCH_baseline.json) and no number depends on the host's core
+# count.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ -cpu=1 ./...
 

@@ -15,7 +15,6 @@ package dcg_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"dcg/internal/config"
@@ -404,10 +403,6 @@ func BenchmarkReplayFusedN(b *testing.B) {
 // to both scalar paths (TestPackedReplayMatchesScalarBitForBit).
 func BenchmarkReplayPackedN(b *testing.B) {
 	sim := core.NewSimulator(core.DefaultMachine())
-	// Pin the serial kernel: this is the single-threaded packed baseline
-	// that BenchmarkReplayPackedParallel's speedups are measured against,
-	// and the allocs/op CI gate relies on it not taking the sharded path.
-	sim.ReplayWorkers = 1
 	tm, err := sim.CaptureBenchmark("swim", benchInsts)
 	if err != nil {
 		b.Fatal(err)
@@ -419,34 +414,6 @@ func BenchmarkReplayPackedN(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(100*results[1].Saving, "dcg-save%")
-	}
-}
-
-// BenchmarkReplayPackedParallel is BenchmarkReplayPackedN on the
-// cycle-sharded engine, one sub-benchmark per worker count so the names
-// stay deterministic under the CI harness's -cpu=1 pin (a -cpu sweep at
-// -benchtime=1x misattributes its first variant to the discovery run's
-// GOMAXPROCS). The workers=1 variant is the serial kernel by
-// construction — its allocs/op is CI-gated against regression. Real
-// speedups need real cores: run `go test -bench='Parallel$' -benchmem`
-// without -cpu on a multi-core box.
-func BenchmarkReplayPackedParallel(b *testing.B) {
-	sim := core.NewSimulator(core.DefaultMachine())
-	tm, err := sim.CaptureBenchmark("swim", benchInsts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sim.ReplayWorkers = workers
-			for i := 0; i < b.N; i++ {
-				results, err := sim.EvaluateTimingPacked(tm, replayKinds)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(100*results[1].Saving, "dcg-save%")
-			}
-		})
 	}
 }
 
@@ -476,7 +443,6 @@ func BenchmarkCaptureTimingChannels(b *testing.B) {
 // BenchmarkReplayPackedN.
 func BenchmarkReplayPackedNChannelized(b *testing.B) {
 	sim := core.NewSimulator(core.DefaultMachine())
-	sim.ReplayWorkers = 1 // serial kernel, comparable to ReplayPackedN
 	tm, err := sim.CaptureBenchmark("swim", benchInsts, usagetrace.ChannelLatchValue)
 	if err != nil {
 		b.Fatal(err)

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"dcg/internal/cluster"
-	"dcg/internal/core"
 	"dcg/internal/obs"
 	"dcg/internal/server"
 	"dcg/internal/simrun"
@@ -88,11 +87,9 @@ func main() {
 		clusterWkrs  = flag.Int("cluster-workers", -1, "embedded cluster worker loops (-1 = GOMAXPROCS, 0 = pure coordinator)")
 		leaseTTL     = flag.Duration("lease-ttl", 10*time.Second, "cluster work-lease TTL; a silent worker's items requeue after this")
 		sweepRetries = flag.Int("sweep-retries", 0, "re-attempts for failed cluster sweep items")
-		replayPar    = flag.Int("replay-par", runtime.GOMAXPROCS(0), "replay/decode worker goroutines per evaluation (1 = serial kernel; see docs/PERFORMANCE.md for the request- vs shard-level parallelism trade-off)")
 		version      = flag.Bool("version", false, "print build version and exit")
 	)
 	flag.Parse()
-	core.SetReplayParallelism(*replayPar)
 
 	if *version {
 		v, rev := obs.BuildInfo()

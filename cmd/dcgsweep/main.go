@@ -26,12 +26,10 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
-	"dcg/internal/core"
 	"dcg/internal/obs"
 	"dcg/internal/simrun"
 	"dcg/internal/store"
@@ -66,7 +64,6 @@ type runFlags struct {
 	traceOut    *string
 	cpuprofile  *string
 	memprofile  *string
-	replayPar   *int
 
 	tracer *obs.Tracer // built by engine() when span tracing is enabled
 }
@@ -88,7 +85,6 @@ func newRunFlags(name string) *runFlags {
 		traceOut:    fs.String("trace-out", "", "write the job's spans as JSONL to this file on exit (implies tracing)"),
 		cpuprofile:  fs.String("cpuprofile", "", "write a CPU profile to this file"),
 		memprofile:  fs.String("memprofile", "", "write a heap (allocation) profile to this file on exit"),
-		replayPar:   fs.Int("replay-par", runtime.GOMAXPROCS(0), "replay/decode worker goroutines per evaluation (1 = serial kernel)"),
 	}
 	if name == "run" {
 		f.spec = fs.String("spec", "", "sweep spec JSON file (required)")
@@ -149,7 +145,6 @@ func (f *runFlags) engine() (*sweep.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	core.SetReplayParallelism(*f.replayPar)
 	exec := simrun.NewExec(0, 0)
 	if *f.storeDir != "" {
 		st, err := store.Open(*f.storeDir, *f.storeMax, log)

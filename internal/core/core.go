@@ -210,13 +210,6 @@ type Simulator struct {
 	// benchmarks that target the scalar engine specifically; production
 	// callers leave it false and get the packed kernel automatically.
 	DisablePackedReplay bool
-
-	// ReplayWorkers overrides the process-wide replay parallelism
-	// (SetReplayParallelism) for this simulator: how many word-range
-	// shards each packed evaluation splits into and how many goroutines
-	// serve them. 0 means the process default; 1 forces the serial
-	// kernel.
-	ReplayWorkers int
 }
 
 // RunTelemetry observes a run: the usage stream plus each cycle's gating

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 
 	"dcg/internal/gating"
+	"dcg/internal/power"
 )
 
 // Package-wide packed-replay accounting, exported for the service's
@@ -66,12 +67,20 @@ func (s *Simulator) EvaluateTimingPacked(t *Timing, kinds []SchemeKind) ([]*Resu
 	return results, nil
 }
 
-// planPackedSchemes builds one gating.PackedPlan per scheme, returning
-// the plans and how many are valid. plans is nil (with npacked 0) when
-// the simulator cannot take the packed route at all — telemetry
-// attached or packed replay disabled. A decode failure or a
-// trace/timing cycle disagreement is an error on any path.
-func (s *Simulator) planPackedSchemes(t *Timing, schemes []gating.Scheme) (plans []gating.PackedPlan, npacked int, err error) {
+// packedTally is one scheme's packed-kernel outcome; ok is false when
+// the scheme must be evaluated by the scalar engine instead.
+type packedTally struct {
+	tally power.Tally
+	lead  uint64
+	ok    bool
+}
+
+// packedTallies runs the packed kernel over each scheme of the set and
+// reports how many it could evaluate. tallies is nil when the simulator
+// cannot take the packed route at all — telemetry attached or packed
+// replay disabled. A decode failure or a trace/timing cycle disagreement
+// is an error on any path.
+func (s *Simulator) packedTallies(t *Timing, schemes []gating.Scheme) (tallies []packedTally, npacked int, err error) {
 	if s.Telemetry != nil || s.DisablePackedReplay {
 		return nil, 0, nil
 	}
@@ -83,13 +92,15 @@ func (s *Simulator) planPackedSchemes(t *Timing, schemes []gating.Scheme) (plans
 		return nil, 0, fmt.Errorf("core: trace replays %d cycles but timing ran %d",
 			d.Cycles(), t.CPUStats.Cycles)
 	}
-	plans = make([]gating.PackedPlan, len(schemes))
+	tallies = make([]packedTally, len(schemes))
 	for i, scheme := range schemes {
-		if gating.PackedTallyPlan(d, scheme, t.Machine, &plans[i]) {
+		pt := &tallies[i]
+		pt.tally, pt.lead, pt.ok = gating.PackedTally(d, scheme, t.Machine)
+		if pt.ok {
 			npacked++
 		}
 	}
-	return plans, npacked, nil
+	return tallies, npacked, nil
 }
 
 // evalPackedSchemes attempts the packed evaluation of a whole scheme
@@ -100,23 +111,45 @@ func (s *Simulator) planPackedSchemes(t *Timing, schemes []gating.Scheme) (plans
 // automatic route (EvaluateTimingSchemes) splits mixed sets per scheme
 // instead of calling this.
 func (s *Simulator) evalPackedSchemes(t *Timing, schemes []gating.Scheme) ([]*Result, bool, error) {
-	plans, npacked, err := s.planPackedSchemes(t, schemes)
+	tallies, npacked, err := s.packedTallies(t, schemes)
 	if err != nil {
 		return nil, false, err
 	}
-	if plans == nil || npacked != len(schemes) {
-		if plans != nil {
+	if tallies == nil || npacked != len(schemes) {
+		if tallies != nil {
 			packedFallbackCount.Add(uint64(len(schemes)))
 		}
 		return nil, false, nil
 	}
-	idx := make([]int, len(schemes))
-	for i := range idx {
-		idx[i] = i
-	}
 	results := make([]*Result, len(schemes))
-	if err := s.runPackedPlans(t, schemes, idx, plans, results); err != nil {
-		return nil, false, err
+	for i, scheme := range schemes {
+		res, err := s.packedResult(t, scheme, tallies[i])
+		if err != nil {
+			return nil, false, err
+		}
+		results[i] = res
 	}
+	packedSchemeCount.Add(uint64(len(schemes)))
 	return results, true, nil
+}
+
+// packedResult turns a packed-kernel tally into the scheme's Result —
+// the same model/accountant construction the scalar engine performs,
+// with the kernel's tally installed in place of a replayed one.
+func (s *Simulator) packedResult(t *Timing, scheme gating.Scheme, pt packedTally) (*Result, error) {
+	model, err := power.NewModel(t.Machine)
+	if err != nil {
+		return nil, err
+	}
+	acct := power.NewAccountant(model, scheme)
+	acct.LeakageFrac = s.LeakageFrac
+	acct.Tally = pt.tally
+	if err := acct.Validate(); err != nil {
+		return nil, fmt.Errorf("core: scheme %s: %w", scheme.Name(), err)
+	}
+	res := resultFor(t, scheme, model, acct)
+	// The scheme instance was never fed, so resultFor's type switch
+	// read zero lead violations; install the packed kernel's count.
+	res.LeadViolations = pt.lead
+	return res, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func allDCGSubsets() []gating.Scheme {
 // produces — bit for bit.
 func TestPackedReplayMatchesScalarBitForBit(t *testing.T) {
 	const insts = 40_000
-	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle}
+	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector}
 	for _, bench := range []string{"gzip", "swim"} {
 		scalar := scalarSim()
 		scalar.Warmup = 20_000
@@ -120,16 +121,49 @@ func craftTiming(t *testing.T, usages []cpu.Usage, events map[int][]cpu.IssueEve
 	return tm
 }
 
+// varyingTrace crafts an n-cycle trace with every usage column varying
+// and a scheduled issue event every 13 cycles.
+func varyingTrace(t *testing.T, n int) *Timing {
+	usages := make([]cpu.Usage, n)
+	for c := range usages {
+		usages[c] = cpu.Usage{
+			IssueCount: c % 4, CommitCount: c % 5, FetchCount: c % 9,
+			IntALUBusy: uint32(c) & 0x3f, DPortUsed: c % 3, ResultBus: c % 5,
+			WindowOccupancy: c % 129,
+			BackLatch:       []int{c % 3, c % 4, c % 5, c % 2, c % 7},
+		}
+	}
+	events := map[int][]cpu.IssueEvent{}
+	for c := 0; c+4 < n; c += 13 {
+		events[c] = []cpu.IssueEvent{{
+			FUIdx: c % 4, FUType: cpu.FUType(c % int(cpu.NumFUTypes)),
+			FUStart: uint64(c + 2), FULat: 1 + c%3,
+			IsLoad: true, DPortCycle: uint64(c + 3),
+			WritesReg: true, ResultBusCycle: uint64(c + 4),
+		}}
+	}
+	return craftTiming(t, usages, events)
+}
+
 // TestPackedReplayAdversarialTraces golden-tests the packed kernel
 // against the scalar engine on crafted traces that hit the
 // representation's edges: all-zero usage, saturated FU masks with
 // over-capacity ports/buses/latches (gate violations on every class),
-// a single-cycle trace, and a cycle count indivisible by 64 carrying
+// empty and single-cycle traces, lengths one short of a word and many
+// words long, and a cycle count indivisible by 64 carrying
 // lead-violating, ring-wrapping, and schedule-escaping events.
 func TestPackedReplayAdversarialTraces(t *testing.T) {
-	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle}
+	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector}
 
 	traces := map[string]*Timing{}
+
+	// Zero cycles: both engines return results on the empty trace.
+	traces["zero-cycle"] = craftTiming(t, nil, nil)
+
+	// Lengths that end one bit short of a word and that span many words.
+	for _, n := range []int{63, 1000} {
+		traces[fmt.Sprintf("%d-cycle", n)] = varyingTrace(t, n)
+	}
 
 	// All-zero usage, partial tail word.
 	traces["all-zero"] = craftTiming(t, make([]cpu.Usage, 100), nil)
@@ -242,8 +276,8 @@ func TestPackedReplayAdversarialTraces(t *testing.T) {
 // TestPackedReplayRouting pins the automatic routing and its counters:
 // eligible sets ride the packed kernel, a machine-mismatched scheme in a
 // mixed set falls back to the scalar engine alone (split-set routing)
-// with identical results, and the strict entry refuses what it cannot
-// pack.
+// while the eligible schemes around it stay packed, and the strict entry
+// refuses what it cannot pack.
 func TestPackedReplayRouting(t *testing.T) {
 	sim := NewSimulator(DefaultMachine())
 	sim.Warmup = 10_000
@@ -270,26 +304,24 @@ func TestPackedReplayRouting(t *testing.T) {
 		t.Fatalf("eligible set recorded %d fallbacks, want 0", got)
 	}
 
-	// A scheme built for a foreign machine: ineligible, so the automatic
-	// route splits the set — the eligible scheme still rides the packed
-	// kernel while only the mismatched one takes the scalar engine — and
-	// both return correct results.
-	other := DefaultMachine()
-	other.IssueWidth = 4
-	mixed := []gating.Scheme{gating.NewDCG(DefaultMachine()), gating.NewDCG(other)}
+	// A scheme built for a foreign machine between two eligible ones:
+	// ineligible, so the automatic route splits the set — the eligible
+	// schemes still ride the packed kernel while only the mismatched one
+	// takes the scalar engine.
+	mixed := mixedSchemes()
 	results, err := sim.EvaluateTimingSchemes(tm, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("fallback evaluation returned %d results, want 2", len(results))
+	if len(results) != len(mixed) {
+		t.Fatalf("fallback evaluation returned %d results, want %d", len(results), len(mixed))
 	}
 	if got := PackedReplayFallbacks() - fallback0; got != 1 {
 		t.Fatalf("fallback counter advanced %d, want 1 (only the mismatched scheme)", got)
 	}
-	if got := PackedReplaySchemes() - packed0; got != uint64(len(kinds))+1 {
-		t.Fatalf("packed-scheme counter advanced %d, want %d (eligible half of the mixed set)",
-			got, len(kinds)+1)
+	if got := PackedReplaySchemes() - packed0; got != uint64(len(kinds))+2 {
+		t.Fatalf("packed-scheme counter advanced %d, want %d (eligible two of the mixed set)",
+			got, len(kinds)+2)
 	}
 	if got := usagetrace.FusedSchemes() - fused0; got != 1 {
 		t.Fatalf("fallback fed %d scalar sinks, want 1", got)
@@ -313,5 +345,81 @@ func TestPackedReplayRouting(t *testing.T) {
 	}
 	if _, err := sim.EvaluateTimingPacked(&Timing{}, kinds); err == nil {
 		t.Error("strict packed entry accepted a timing with no trace")
+	}
+}
+
+// mixedSchemes builds a mixed set: a scheme built for a foreign machine
+// between two packed-eligible ones.
+func mixedSchemes() []gating.Scheme {
+	other := DefaultMachine()
+	other.IssueWidth = 4
+	return []gating.Scheme{
+		gating.NewDCG(DefaultMachine()),
+		gating.NewDCG(other),
+		gating.NewOracle(DefaultMachine()),
+	}
+}
+
+// TestParallelReplayMixedSetSplit drives the split-set routing with a
+// genuinely mixed set — packed-eligible schemes around a
+// machine-mismatched one — checking every result stays identical to the
+// scalar engine's.
+func TestParallelReplayMixedSetSplit(t *testing.T) {
+	sim := NewSimulator(DefaultMachine())
+	tm, err := sim.CaptureBenchmark("gzip", 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference, err := scalarSim().EvaluateTimingSchemes(tm, mixedSchemes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.EvaluateTimingSchemes(tm, mixedSchemes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range reference {
+		assertBitIdentical(t, fmt.Sprintf("mixed[%d]", i), reference[i], res[i])
+	}
+}
+
+// TestParallelReplayShardBoundaries sweeps trace lengths that land on
+// every edge of the packed planes' 64-cycle words — single cycle, one bit
+// short of a word, one full word, partial tails, many words — through the
+// automatic route, against the scalar engine.
+func TestParallelReplayShardBoundaries(t *testing.T) {
+	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector}
+	for _, n := range []int{1, 63, 64, 100, 131, 1000} {
+		tm := varyingTrace(t, n)
+		reference, err := scalarSim().EvaluateTimingAll(tm, kinds)
+		if err != nil {
+			t.Fatalf("n=%d: scalar: %v", n, err)
+		}
+		res, err := NewSimulator(DefaultMachine()).EvaluateTimingAll(tm, kinds)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for i, k := range kinds {
+			assertBitIdentical(t, fmt.Sprintf("n=%d/%s", n, k), reference[i], res[i])
+		}
+	}
+}
+
+// TestParallelReplayZeroCycleTrace pins agreement on the degenerate
+// empty trace: whatever the scalar engine does (error or zero results),
+// the automatic route must do the same.
+func TestParallelReplayZeroCycleTrace(t *testing.T) {
+	tm := craftTiming(t, nil, nil)
+	kinds := []SchemeKind{SchemeNone, SchemeDCG}
+	refRes, refErr := scalarSim().EvaluateTimingAll(tm, kinds)
+	res, err := NewSimulator(DefaultMachine()).EvaluateTimingAll(tm, kinds)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("err = %v, scalar err = %v", err, refErr)
+	}
+	if err != nil {
+		return
+	}
+	for i, k := range kinds {
+		assertBitIdentical(t, "zero-cycle/"+k.String(), refRes[i], res[i])
 	}
 }

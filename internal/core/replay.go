@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"dcg/internal/gating"
 	"dcg/internal/power"
@@ -87,51 +86,34 @@ func (s *Simulator) EvaluateTimingSchemes(t *Timing, schemes []gating.Scheme) ([
 		return results, nil
 	}
 
-	// Split-set routing: every packed-capable scheme rides the
-	// scheme×shard kernel pool (bit-identical results, golden-tested);
-	// the rest share one scalar fused pass. A mixed set runs both engines
-	// concurrently — the scalar subset on its own goroutine — since both
-	// only read the immutable decoded trace.
-	plans, _, err := s.planPackedSchemes(t, schemes)
+	// Split-set routing: every packed-capable scheme is derived from the
+	// decode-time bit-planes (bit-identical results, golden-tested); the
+	// rest share one scalar fused pass.
+	tallies, _, err := s.packedTallies(t, schemes)
 	if err != nil {
 		return nil, err
 	}
-	var packedIdx, scalarIdx []int
-	for i := range schemes {
-		if plans != nil && plans[i].Valid() {
-			packedIdx = append(packedIdx, i)
-		} else {
+	results := make([]*Result, len(schemes))
+	var scalarIdx []int
+	for i, scheme := range schemes {
+		if tallies == nil || !tallies[i].ok {
 			scalarIdx = append(scalarIdx, i)
+			continue
 		}
+		res, err := s.packedResult(t, scheme, tallies[i])
+		if err != nil {
+			return nil, err
+		}
+		results[i] = res
 	}
-	if plans != nil && len(scalarIdx) > 0 {
+	if tallies != nil {
+		packedSchemeCount.Add(uint64(len(schemes) - len(scalarIdx)))
 		packedFallbackCount.Add(uint64(len(scalarIdx)))
 	}
-
-	results := make([]*Result, len(schemes))
-	if len(packedIdx) == 0 {
+	if len(scalarIdx) > 0 {
 		if err := s.evalScalarSubset(t, schemes, scalarIdx, results); err != nil {
 			return nil, err
 		}
-		return results, nil
-	}
-
-	var scalarErr error
-	var wg sync.WaitGroup
-	if len(scalarIdx) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scalarErr = s.evalScalarSubset(t, schemes, scalarIdx, results)
-		}()
-	}
-	packedErr := s.runPackedPlans(t, schemes, packedIdx, plans, results)
-	wg.Wait()
-	if packedErr != nil {
-		return nil, packedErr
-	}
-	if scalarErr != nil {
-		return nil, scalarErr
 	}
 	return results, nil
 }

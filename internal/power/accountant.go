@@ -99,11 +99,9 @@ type Tally struct {
 	// IssueQueueFracSum is the per-cycle issue-queue enabled fraction,
 	// accumulated in cycle order. This is the only float in the tally:
 	// the oracle's occupancy/window series is not integer-valued, so both
-	// accounting paths accumulate it with the identical sequential adds —
-	// except when every term is provably exact (power-of-two window,
-	// cycles x max|occupancy| < 2^52: usagetrace.IssueQueueFracExact), in
-	// which case the packed kernel may sum it sharded in any order and
-	// still land on the same bits.
+	// accounting paths — the scalar accountant and the packed kernel's
+	// single pass over the occupancy column — accumulate it with the
+	// identical sequential adds and land on the same bits.
 	IssueQueueFracSum float64
 
 	// ControlCycles counts cycles charged the DCG control-latch overhead.

@@ -229,16 +229,24 @@ func newServer(cfg Config, exec *simrun.Exec) *Server {
 func (s *Server) acquireWorker(ctx context.Context) (release func(), err error) {
 	s.m.queueDepth.Add(1)
 	start := time.Now()
+	acquired := false
 	select {
 	case s.sem <- struct{}{}:
-		s.m.queueDepth.Add(-1)
-		s.m.queueWait.Observe(time.Since(start).Seconds())
-		return func() { <-s.sem }, nil
+		acquired = true
 	case <-ctx.Done():
-		s.m.queueDepth.Add(-1)
-		s.m.queueWait.Observe(time.Since(start).Seconds())
-		return nil, fmt.Errorf("server: queued waiting for a worker: %w", ctx.Err())
 	}
+	s.m.queueDepth.Add(-1)
+	s.m.queueWait.Observe(time.Since(start).Seconds())
+	// select picks at random when a slot frees just as the context ends,
+	// so re-check: a canceled caller hands a won slot straight back
+	// instead of starting a simulation.
+	if err := ctx.Err(); err != nil {
+		if acquired {
+			<-s.sem
+		}
+		return nil, fmt.Errorf("server: queued waiting for a worker: %w", err)
+	}
+	return func() { <-s.sem }, nil
 }
 
 // instrument wraps the executor's simulation hooks with the bounded

@@ -7,7 +7,6 @@ import (
 
 	"dcg/internal/core"
 	"dcg/internal/obs"
-	"dcg/internal/usagetrace"
 )
 
 // Exec is the two-level simulation executor:
@@ -202,7 +201,6 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 			// records the route without racing on the global counters.
 			sp.SetAttr("engine", info.Replay.String())
 		}
-		sp.SetAttrInt("replay_par", int64(core.ReplayParallelism()))
 		if sp != nil && tm.Trace != nil {
 			// Decode is memoized per trace, so forcing it here only moves
 			// the work under its own span: a fresh decode shows up as
@@ -210,7 +208,6 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 			// tracing is off.
 			_, dsp := obs.StartSpan(rctx, "trace.decode")
 			dsp.SetAttrInt("trace_bytes", int64(tm.Trace.SizeBytes()))
-			dsp.SetAttrInt("decode_par", int64(usagetrace.DecodeParallelism()))
 			_, derr := tm.Trace.Decode()
 			dsp.SetError(derr)
 			dsp.Finish()

@@ -73,11 +73,6 @@ type Record struct {
 	Attempts int         `json:"attempts,omitempty"`
 	Error    string      `json:"error,omitempty"`
 	Result   *ItemResult `json:"result,omitempty"`
-
-	// ReplayPar records the replay worker count in effect when the item
-	// ran (execution provenance, like Outcome — deliberately not part of
-	// ItemResult, which stays configuration-independent).
-	ReplayPar int `json:"replay_par,omitempty"`
 }
 
 // Manifest appends fsynced checkpoint records to a job's manifest file.

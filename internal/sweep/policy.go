@@ -57,8 +57,7 @@ func OKRecord(it Item, attempts int, outcome string, res *core.Result) Record {
 	return Record{
 		Type: "item", Index: it.Index, Status: "ok",
 		Outcome: outcome, Attempts: attempts,
-		Result:    NewItemResult(it, res),
-		ReplayPar: core.ReplayParallelism(),
+		Result: NewItemResult(it, res),
 	}
 }
 

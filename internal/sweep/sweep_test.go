@@ -164,7 +164,11 @@ func interruptAfter(e *Engine, n int32) (context.Context, *atomic.Int32) {
 // TestKillAndResumeByteIdentical is the tentpole acceptance test: an
 // interrupted sweep resumed from its manifest (with a FRESH executor, so
 // nothing is served from memory) re-executes zero completed items and
-// produces a results.jsonl byte-identical to an uninterrupted run.
+// produces a results.jsonl byte-identical to an uninterrupted run. The
+// legacy input resumes a manifest whose ok records carry the
+// "replay_par" provenance field earlier builds appended to every ok
+// record: manifests outlive the binary that wrote them, and the field
+// must be ignored.
 func TestKillAndResumeByteIdentical(t *testing.T) {
 	spec := testSpec()
 
@@ -179,51 +183,88 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: cancel mid-flight.
-	dir := t.TempDir()
-	engA, _, _, _ := countingEngine()
-	ctx, _ := interruptAfter(engA, 3)
-	sumA, err := engA.Start(ctx, spec, dir)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
-	}
-	if sumA.Completed == 0 || sumA.Completed == sumA.Total {
-		t.Fatalf("interruption completed %d/%d items; the test needs a strict subset",
-			sumA.Completed, sumA.Total)
-	}
-	if _, err := os.Stat(filepath.Join(dir, ResultsFile)); !os.IsNotExist(err) {
-		t.Fatal("interrupted run wrote results.jsonl")
-	}
+	for _, tc := range []struct {
+		name   string
+		legacy bool
+	}{{"current", false}, {"legacy-replay-par", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Interrupted run: cancel mid-flight.
+			dir := t.TempDir()
+			engA, _, _, _ := countingEngine()
+			ctx, _ := interruptAfter(engA, 3)
+			sumA, err := engA.Start(ctx, spec, dir)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+			}
+			if sumA.Completed == 0 || sumA.Completed == sumA.Total {
+				t.Fatalf("interruption completed %d/%d items; the test needs a strict subset",
+					sumA.Completed, sumA.Total)
+			}
+			if _, err := os.Stat(filepath.Join(dir, ResultsFile)); !os.IsNotExist(err) {
+				t.Fatal("interrupted run wrote results.jsonl")
+			}
+			if tc.legacy {
+				injectReplayPar(t, dir)
+			}
 
-	// Resume with a FRESH engine: empty in-memory caches, so any redone
-	// item would hit the counting seams.
-	engB, fulls, captures, evals := countingEngine()
-	sumB, err := engB.Resume(context.Background(), dir)
+			// Resume with a FRESH engine: empty in-memory caches, so any
+			// redone item would hit the counting seams.
+			engB, fulls, captures, evals := countingEngine()
+			sumB, err := engB.Resume(context.Background(), dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sumB.Done {
+				t.Fatalf("resume did not finish: %+v", sumB)
+			}
+			if sumB.Skipped != sumA.Completed {
+				t.Errorf("resume skipped %d items, want the %d completed before the kill",
+					sumB.Skipped, sumA.Completed)
+			}
+			if sumB.Skipped+sumB.Completed != sumB.Total {
+				t.Errorf("skipped %d + completed %d != total %d", sumB.Skipped, sumB.Completed, sumB.Total)
+			}
+			executed := int(fulls.Load() + captures.Load() + evals.Load())
+			if executed != sumB.Completed {
+				t.Errorf("resume executed %d simulations for %d pending items — completed work was redone",
+					executed, sumB.Completed)
+			}
+
+			got, err := os.ReadFile(filepath.Join(dir, ResultsFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("resumed results.jsonl differs from uninterrupted run:\n--- resumed\n%s--- reference\n%s", got, want)
+			}
+		})
+	}
+}
+
+// injectReplayPar rewrites a job's manifest so every ok item record ends
+// with a "replay_par" field, byte for byte as earlier builds wrote it.
+func injectReplayPar(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, ManifestFile)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sumB.Done {
-		t.Fatalf("resume did not finish: %+v", sumB)
+	lines := strings.SplitAfter(string(raw), "\n")
+	injected := 0
+	for i, line := range lines {
+		body := strings.TrimSuffix(line, "\n")
+		if strings.HasPrefix(body, `{"type":"item"`) && strings.Contains(body, `"status":"ok"`) &&
+			strings.HasSuffix(body, "}") {
+			lines[i] = strings.TrimSuffix(body, "}") + `,"replay_par":2}` + "\n"
+			injected++
+		}
 	}
-	if sumB.Skipped != sumA.Completed {
-		t.Errorf("resume skipped %d items, want the %d completed before the kill",
-			sumB.Skipped, sumA.Completed)
+	if injected == 0 {
+		t.Fatal("no ok item records to inject replay_par into")
 	}
-	if sumB.Skipped+sumB.Completed != sumB.Total {
-		t.Errorf("skipped %d + completed %d != total %d", sumB.Skipped, sumB.Completed, sumB.Total)
-	}
-	executed := int(fulls.Load() + captures.Load() + evals.Load())
-	if executed != sumB.Completed {
-		t.Errorf("resume executed %d simulations for %d pending items — completed work was redone",
-			executed, sumB.Completed)
-	}
-
-	got, err := os.ReadFile(filepath.Join(dir, ResultsFile))
-	if err != nil {
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("resumed results.jsonl differs from uninterrupted run:\n--- resumed\n%s--- reference\n%s", got, want)
 	}
 }
 

@@ -188,7 +188,7 @@ func decodeColumns(r *Reader, cyclesHint uint64) (*Decoded, error) {
 		return nil, fmt.Errorf("usagetrace: decoded %d cycles but trace header declares %d",
 			d.cycles, cyclesHint)
 	}
-	d.packed = buildPackedAuto(d)
+	d.packed = buildPacked(d)
 	return d, nil
 }
 

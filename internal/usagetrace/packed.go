@@ -85,14 +85,6 @@ type Packed struct {
 	maxDPort int32
 	maxBus   int32
 	maxLatch int32
-
-	// maxAbsOcc is the largest |window occupancy| in the trace. It backs
-	// IssueQueueFracExact's no-rounding proof: when the issue window is a
-	// power of two and cycles*maxAbsOcc stays below 2^52, every partial
-	// sum of occ/window is an exact dyadic rational, so the float series
-	// may be summed in any order — including sharded across workers —
-	// and still equal the sequential sum bit for bit.
-	maxAbsOcc int32
 }
 
 // schedMirror replicates the DCG controller's schedule rings
@@ -252,13 +244,6 @@ func buildPacked(d *Decoded) *Packed {
 			}
 		}
 		p.fetchSum += int64(d.fetchN[c])
-		occ := d.occ[c]
-		if occ < 0 {
-			occ = -occ
-		}
-		if occ > p.maxAbsOcc {
-			p.maxAbsOcc = occ
-		}
 	}
 	return p
 }
@@ -402,54 +387,6 @@ func (p *Packed) IssueQueueFracSum(window int) float64 {
 	return sum
 }
 
-// IssueQueueFracSumRange is IssueQueueFracSum restricted to cycles
-// [lo, hi): the same left-to-right float accumulation over the
-// occupancy column, starting from 0. hi is clamped to the cycle count,
-// so callers may pass word-aligned bounds (shard*64) unclamped.
-func (p *Packed) IssueQueueFracSumRange(window int, lo, hi uint64) float64 {
-	if hi > p.cycles {
-		hi = p.cycles
-	}
-	if lo >= hi {
-		return 0
-	}
-	if window <= 0 {
-		return float64(hi - lo)
-	}
-	w := float64(window)
-	var sum float64
-	for _, occ := range p.d.occ[lo:hi] {
-		sum += float64(occ) / w
-	}
-	return sum
-}
-
-// IssueQueueFracExact reports whether IssueQueueFracSum(window) is
-// summation-order independent — i.e. whether range sums computed by
-// IssueQueueFracSumRange over a partition of the cycles, added together
-// in any order, are bit-identical to the sequential sum. True when no
-// float operation in any ordering can round:
-//
-//   - window <= 0: the terms are 1.0 per cycle and every partial sum is
-//     an integer below 2^53;
-//   - window a power of two with cycles*maxAbsOcc < 2^52: each term
-//     occ/window is an exact multiple of 2^-log2(window), and every
-//     partial sum is a multiple of the same ulp whose numerator stays
-//     below 2^53, hence exactly representable.
-//
-// A non-power-of-two window makes the per-term division itself round,
-// after which association order matters; callers must then fall back to
-// a single sequential sum to stay bit-identical to scalar replay.
-func (p *Packed) IssueQueueFracExact(window int) bool {
-	if window <= 0 {
-		return true
-	}
-	if window&(window-1) != 0 {
-		return false
-	}
-	return uint64(p.maxAbsOcc)*p.cycles < 1<<52
-}
-
 // maskN mirrors gating's unit-mask construction: n low bits set,
 // saturating at the 32-bit mask width.
 func maskN(n int) uint32 {
@@ -546,7 +483,10 @@ func (p *Packed) OverFullLatch(width int) []uint64 {
 // misfired. nil planes (the "no violation possible" result of the lazy
 // builders) are skipped.
 func (p *Packed) ViolationCycles(planes ...[]uint64) uint64 {
-	live := planes[:0:0]
+	// Callers pass at most five planes, so filtering into a stack
+	// buffer keeps the kernel allocation-free.
+	var buf [8][]uint64
+	live := buf[:0]
 	for _, pl := range planes {
 		if pl != nil {
 			live = append(live, pl)
