@@ -373,9 +373,9 @@ func BenchmarkReplaySingle(b *testing.B) {
 }
 
 // BenchmarkReplayFusedN measures the fused engine on the same work as
-// BenchmarkReplaySingle: all k schemes evaluated in one pass over the
-// memoized columnar decode (one decode per capture, ever — see
-// docs/PERFORMANCE.md). Results are bit-identical to the sequential path
+// BenchmarkReplaySingle: all k schemes evaluated in one streaming pass
+// over the encoded trace instead of k (see docs/PERFORMANCE.md).
+// Results are bit-identical to the sequential path
 // (TestFusedReplayMatchesSequentialBitForBit). The packed kernel is
 // disabled so this measures the scalar fused engine specifically;
 // BenchmarkReplayPackedN is the packed counterpart.
@@ -501,7 +501,7 @@ func BenchmarkExecReplayUntraced(b *testing.B) {
 		{Bench: "swim", Scheme: core.SchemeNone, Insts: benchInsts},
 		{Bench: "swim", Scheme: core.SchemeOracle, Insts: benchInsts},
 	}
-	// One replay outside the timer performs the one-time columnar decode,
+	// One replay outside the timer builds the trace's packed view once,
 	// so the timed ops measure steady-state replay cost only.
 	if _, _, err := exec.Do(ctx, keys[1]); err != nil {
 		b.Fatal(err)

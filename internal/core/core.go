@@ -619,7 +619,7 @@ func (s *Simulator) EvaluateTimingScheme(t *Timing, scheme gating.Scheme) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	cycles, err := usagetrace.Replay(rd, scheme, obsChain)
+	cycles, err := usagetrace.ReplayAll(rd, usagetrace.Sink{Issue: scheme, Cycle: obsChain})
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,7 @@ package core
 
 // This file routes replay evaluations through the bit-packed columnar
 // kernel (usagetrace.Packed + gating.PackedTally): for eligible scheme
-// sets, per-scheme results are derived from decode-time bit-planes and
+// sets, per-scheme results are derived from the trace's bit-planes and
 // aggregates in O(cycles/64)-ish work instead of a full per-cycle
 // callback replay, with Results bit-identical to the scalar fused
 // engine. Ineligible schemes (PLB is timing-changing and never gets
@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"dcg/internal/gating"
@@ -78,24 +79,29 @@ type packedTally struct {
 // packedTallies runs the packed kernel over each scheme of the set and
 // reports how many it could evaluate. tallies is nil when the simulator
 // cannot take the packed route at all — telemetry attached or packed
-// replay disabled. A decode failure or a trace/timing cycle disagreement
-// is an error on any path.
+// replay disabled. The trace's packed view is built (or reused) only
+// when the set holds a scheme the kernel knows; a scalar-only set gets
+// all-fallback tallies without one. A decode failure or a trace/timing
+// cycle disagreement is an error on any path.
 func (s *Simulator) packedTallies(t *Timing, schemes []gating.Scheme) (tallies []packedTally, npacked int, err error) {
 	if s.Telemetry != nil || s.DisablePackedReplay {
 		return nil, 0, nil
 	}
-	d, err := t.Trace.Decode()
+	tallies = make([]packedTally, len(schemes))
+	if !slices.ContainsFunc(schemes, gating.Packable) {
+		return tallies, 0, nil
+	}
+	p, err := t.Trace.Decode()
 	if err != nil {
 		return nil, 0, err
 	}
-	if d.Cycles() != t.CPUStats.Cycles {
+	if p.Cycles() != t.CPUStats.Cycles {
 		return nil, 0, fmt.Errorf("core: trace replays %d cycles but timing ran %d",
-			d.Cycles(), t.CPUStats.Cycles)
+			p.Cycles(), t.CPUStats.Cycles)
 	}
-	tallies = make([]packedTally, len(schemes))
 	for i, scheme := range schemes {
 		pt := &tallies[i]
-		pt.tally, pt.lead, pt.ok = gating.PackedTally(d, scheme, t.Machine)
+		pt.tally, pt.lead, pt.ok = gating.PackedTally(p, scheme, t.Machine)
 		if pt.ok {
 			npacked++
 		}

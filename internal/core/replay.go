@@ -1,12 +1,13 @@
 package core
 
-// This file is the fused multi-scheme replay engine: one decoded trace
-// pass evaluates any number of timing-neutral schemes at once. The
-// sequential EvaluateTiming path in core.go re-decodes the encoded
-// stream per scheme; the entry points here decode at most once per
-// Timing (usagetrace.Trace.Decode is memoized) and fan each cycle out
-// to every scheme's gating controller and power accountant, producing
-// Results bit-identical to sequential replays (golden-tested).
+// This file is the fused multi-scheme replay engine: one streaming pass
+// over the encoded trace evaluates any number of timing-neutral schemes
+// at once. The sequential EvaluateTiming path in core.go streams the
+// trace once per scheme; the entry points here send the packed-capable
+// schemes to the bit-packed kernel and fan each cycle of one shared pass
+// out to every remaining scheme's gating controller and power
+// accountant, producing Results bit-identical to sequential replays
+// (golden-tested).
 
 import (
 	"fmt"
@@ -16,28 +17,27 @@ import (
 	"dcg/internal/usagetrace"
 )
 
-// ReplayMulti replays this timing's captured trace through every sink in
-// a single pass. The trace is decoded into columnar form at most once
-// per Timing — concurrent and repeated callers share the memoized
-// decode — and each sink observes exactly the cycle stream a sequential
-// usagetrace.Replay would deliver. Returns the replayed cycle count.
+// ReplayMulti streams this timing's captured trace through every sink in
+// a single pass; each sink observes exactly the cycle stream the live
+// core delivered. No decoded form is built. Returns the replayed cycle
+// count.
 func (t *Timing) ReplayMulti(sinks ...usagetrace.Sink) (uint64, error) {
 	if t == nil || t.Trace == nil {
 		return 0, fmt.Errorf("core: fused replay requires a captured timing trace")
 	}
-	d, err := t.Trace.Decode()
+	rd, err := t.Trace.Reader()
 	if err != nil {
 		return 0, err
 	}
-	return usagetrace.ReplayAll(d, sinks...), nil
+	return usagetrace.ReplayAll(rd, sinks...)
 }
 
 // EvaluateTimingAll evaluates every given timing-neutral scheme kind
 // against one captured timing in a single fused replay pass, returning
 // one Result per kind in order. Equivalent to — and bit-identical with —
-// calling EvaluateTiming once per kind, but the trace is decoded at most
-// once and scanned exactly once regardless of how many schemes ride the
-// pass.
+// calling EvaluateTiming once per kind, but the packed-capable kinds
+// read the trace's memoized packed view and the rest share one
+// streaming pass, regardless of how many schemes ride it.
 func (s *Simulator) EvaluateTimingAll(t *Timing, kinds []SchemeKind) ([]*Result, error) {
 	schemes := make([]gating.Scheme, len(kinds))
 	for i, k := range kinds {
@@ -87,8 +87,8 @@ func (s *Simulator) EvaluateTimingSchemes(t *Timing, schemes []gating.Scheme) ([
 	}
 
 	// Split-set routing: every packed-capable scheme is derived from the
-	// decode-time bit-planes (bit-identical results, golden-tested); the
-	// rest share one scalar fused pass.
+	// trace's bit-planes (bit-identical results, golden-tested); the rest
+	// share one scalar fused pass.
 	tallies, _, err := s.packedTallies(t, schemes)
 	if err != nil {
 		return nil, err

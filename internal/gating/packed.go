@@ -4,9 +4,10 @@ package gating
 // schemes: instead of replaying a trace cycle by cycle through
 // OnIssue/Gates/OnCycle callbacks, it derives each scheme's complete
 // power.Tally — the order-free integral the accountant would have
-// accumulated — directly from the bit-packed columns and schedule-mirror
-// aggregates usagetrace builds at decode time. The scheme semantics are
-// closed-form here because each structure class is independent:
+// accumulated — directly from the bit-planes and schedule-mirror
+// aggregates of the trace's packed view (usagetrace.Packed). The scheme
+// semantics are closed-form here because each structure class is
+// independent:
 //
 //   - a gated class's enabled-instance sum is a decode-time aggregate of
 //     the mirrored DCG schedule (popcounts of schedule masks, summed
@@ -29,17 +30,28 @@ import (
 	"dcg/internal/usagetrace"
 )
 
+// Packable reports whether PackedTally knows the scheme's type. A
+// caller with no packable scheme in its set need not build the packed
+// view at all.
+func Packable(s Scheme) bool {
+	switch s.(type) {
+	case *None, *DCG, *Oracle, *Lector:
+		return true
+	}
+	return false
+}
+
 // PackedTally derives the power.Tally a full scalar replay of the scheme
-// over the decoded trace would produce, plus the scheme's lead-violation
-// count, without feeding the scheme a single cycle. ok is false when the
-// scheme cannot be packed-evaluated and the caller must fall back to
-// scalar replay: an unrecognized or wrapped scheme type (PLB throttles,
-// Observed carries a telemetry recorder), a scheme built for a different
+// over the trace would produce, plus the scheme's lead-violation count,
+// from the trace's packed view, without feeding the scheme a single
+// cycle. ok is false when the scheme cannot be packed-evaluated and the
+// caller must fall back to scalar replay: a type Packable rejects (PLB
+// throttles, Observed carries a telemetry recorder, the value-dependent
+// family needs the per-cycle stream), a scheme built for a different
 // machine than the trace's, or a bus schedule exceeding the histogram's
 // exact range. The scheme instance is never mutated.
-func PackedTally(d *usagetrace.Decoded, s Scheme, machine config.Config) (t power.Tally, lead uint64, ok bool) {
-	p := d.Packed()
-	if p == nil || d.BackLatchStages() != machine.BackEndLatchStages() {
+func PackedTally(p *usagetrace.Packed, s Scheme, machine config.Config) (t power.Tally, lead uint64, ok bool) {
+	if p.BackLatchStages() != machine.BackEndLatchStages() {
 		return power.Tally{}, 0, false
 	}
 	switch sc := s.(type) {

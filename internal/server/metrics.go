@@ -122,19 +122,20 @@ func (s *Server) newInstruments() *instruments {
 	cacheFuncs("dcgserve_timing_cache", "timing-trace cache",
 		func() simrun.Stats { return s.exec.TimingStats() })
 
-	// Fused-replay counters (process-wide, maintained by the trace layer):
-	// how often an encoded usage trace was decoded into its columnar form,
-	// how often an existing decode was reused, and how many scheme lanes
-	// rode fused replay passes. decodes ≪ fused_schemes is the signature of
+	// Replay counters (process-wide, maintained by the trace layer): how
+	// often a pass over an encoded usage trace built its packed view (a
+	// stored trace's load is that pass), how often packed evaluations
+	// reused an existing view, and how many scheme lanes rode streaming
+	// scalar replay passes. decodes ≪ packed schemes is the signature of
 	// the decode-once/evaluate-many path working.
 	reg.CounterFunc("dcg_trace_decodes_total",
-		"Columnar decodes of captured usage traces.",
+		"Passes over encoded usage traces that built their packed view.",
 		func() float64 { return float64(usagetrace.Decodes()) })
 	reg.CounterFunc("dcg_trace_decode_reuses_total",
-		"Replays that reused an already-decoded trace instead of decoding again.",
+		"Packed evaluations that reused a trace's packed view instead of decoding again.",
 		func() float64 { return float64(usagetrace.DecodeReuses()) })
 	reg.CounterFunc("dcg_replay_fused_schemes_total",
-		"Scheme lanes evaluated by fused multi-scheme replay passes.",
+		"Scheme lanes fed by streaming scalar replay passes.",
 		func() float64 { return float64(usagetrace.FusedSchemes()) })
 
 	// Packed-replay counters (process-wide, maintained by the core layer):

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -83,7 +84,8 @@ func spanNames(spans []traceSpanView) map[string]int {
 // tracing: a single curl'd /v1/sim answered by trace replay yields one
 // connected span tree covering the cache lookup, the store consults, the
 // replay, and the trace decode — retrievable from /v1/traces by the
-// X-Trace-Id the response carried.
+// X-Trace-Id the response carried. A scalar-route replay, which never
+// reads the decoded view, carries no decode span.
 func TestTracedSimRequestSpanTree(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0, nil)
 	if err != nil {
@@ -151,6 +153,43 @@ func TestTracedSimRequestSpanTree(t *testing.T) {
 		if !hasAttr(sp.Attrs, "outcome", "replayed") {
 			t.Errorf("lookup outcome attrs = %v, want outcome=replayed", sp.Attrs)
 		}
+	}
+
+	// A scalar-route replay streams the encoded trace: it has a replay
+	// span but no decode span, and decodes nothing. ddcg captures the
+	// latchvalue timing; dcg+ddcg then replays it.
+	get := func(query string) *http.Response {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/v1/sim?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d", query, resp.StatusCode)
+		}
+		return resp
+	}
+	decodes := func() float64 {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return parseExposition(t, resp.Body).values["dcg_trace_decodes_total"]
+	}
+	get("benchmark=gzip&scheme=ddcg&insts=2000")
+	decodes0 := decodes()
+	tid3 := get("benchmark=gzip&scheme=" + url.QueryEscape("dcg+ddcg") + "&insts=2000").Header.Get("X-Trace-Id")
+	spans3 := getTrace(t, ts, tid3)
+	assertConnectedTree(t, spans3)
+	names3 := spanNames(spans3)
+	if names3["sim.replay"] == 0 || names3["trace.decode"] != 0 {
+		t.Errorf("scalar-route replay spans %v, want sim.replay and no trace.decode", names3)
+	}
+	if got := decodes() - decodes0; got != 0 {
+		t.Errorf("scalar-route replay moved dcg_trace_decodes_total by %v, want 0", got)
 	}
 }
 

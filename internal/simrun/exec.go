@@ -195,15 +195,18 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 		rctx, sp := obs.StartSpan(ctx, "sim.replay")
 		sp.SetAttr("bench", k.Bench)
 		sp.SetAttr("scheme", k.Scheme.String())
-		if info, ok := core.SchemeInfoFor(k.Scheme); ok {
+		info, known := core.SchemeInfoFor(k.Scheme)
+		if known {
 			// The registry's replay capability is what routes the scheme
 			// (bit-packed kernel vs the scalar fused engine), so the span
 			// records the route without racing on the global counters.
 			sp.SetAttr("engine", info.Replay.String())
 		}
-		if sp != nil && tm.Trace != nil {
-			// Decode is memoized per trace, so forcing it here only moves
-			// the work under its own span: a fresh decode shows up as
+		if sp != nil && tm.Trace != nil && known && info.Replay == core.ReplayPacked {
+			// Only the packed kernel reads the decoded view (the scalar
+			// engine streams the encoded bytes), and Decode is memoized
+			// per trace, so forcing it here only moves the packed route's
+			// work under its own span: a fresh decode shows up as
 			// milliseconds, a reuse as nanoseconds. Skipped entirely when
 			// tracing is off.
 			_, dsp := obs.StartSpan(rctx, "trace.decode")

@@ -170,8 +170,8 @@ func TestSingleLevelExecUsesRunnerOnly(t *testing.T) {
 // TestExecSharesOneDecodeAcrossNeutralSchemes drives the production hooks
 // end to end and asserts the tentpole property at the executor level: all
 // timing-neutral schemes riding one cached capture — coalesced requests,
-// batch items, sweep followers all land here — share a single columnar
-// trace decode. The leader's result rides the capture run itself (no
+// batch items, sweep followers all land here — share a single trace
+// decode (its packed view). The leader's result rides the capture run itself (no
 // decode); the first follower decodes; every later follower reuses.
 func TestExecSharesOneDecodeAcrossNeutralSchemes(t *testing.T) {
 	e := NewExec(0, 0)

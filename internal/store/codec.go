@@ -137,6 +137,16 @@ func decodeTimingPayload(payload []byte) (*core.Timing, error) {
 	if err != nil {
 		return nil, fmt.Errorf("timing trace: %w", err)
 	}
+	// A trace that disagrees with its own meta could never be replayed,
+	// and a valid CRC would otherwise keep serving it: corruption.
+	if tr.Cycles() != tm.CPUStats.Cycles {
+		return nil, fmt.Errorf("timing trace has %d cycles but its meta ran %d",
+			tr.Cycles(), tm.CPUStats.Cycles)
+	}
+	if want := tm.Machine.BackEndLatchStages(); tr.BackLatchStages() != want {
+		return nil, fmt.Errorf("timing trace has %d latch stages but its machine has %d",
+			tr.BackLatchStages(), want)
+	}
 	tm.Trace = tr
 	return tm, nil
 }

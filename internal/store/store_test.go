@@ -119,67 +119,124 @@ func TestTimingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCorruptionDetectedAndRecomputed flips one payload byte in a
-// persisted artifact. The next read must detect the damage (CRC), evict
-// the file, and report a miss — never decode the corrupt bytes — and an
-// Exec above the store must transparently recompute.
+// TestCorruptionDetectedAndRecomputed damages a persisted artifact. The
+// next read must detect the damage, evict the file, count it, and report
+// a miss — never serve the damaged artifact — and an Exec above the store
+// must transparently recompute and rewrite a valid one. The damage is a
+// flipped payload byte (caught by the CRC) or a timing artifact with
+// valid framing and CRC whose meta disagrees with its trace, which no
+// replay could ever use.
 func TestCorruptionDetectedAndRecomputed(t *testing.T) {
-	dir := t.TempDir()
-	k := simrun.Key{Bench: "gzip", Scheme: core.SchemePLBOrig, Insts: 100}
-
-	var fulls atomic.Int32
-	exec := func(s *store.Store) *simrun.Exec {
+	ctx := context.Background()
+	// exec builds an Exec over s whose full runs are faked and whose
+	// captures are real; runs counts both.
+	exec := func(s *store.Store, runs *atomic.Int32) *simrun.Exec {
 		e := simrun.NewExec(0, 0)
 		e.Store = s
 		e.Full = func(ctx context.Context, k simrun.Key) (*core.Result, error) {
-			fulls.Add(1)
+			runs.Add(1)
 			return &core.Result{Benchmark: k.Bench, Scheme: k.Scheme.String(), Cycles: 12345}, nil
+		}
+		capture := e.Capture
+		e.Capture = func(ctx context.Context, k simrun.Key) (*core.Result, *core.Timing, error) {
+			runs.Add(1)
+			return capture(ctx, k)
 		}
 		return e
 	}
+	// mismatchedTiming persists a real capture of k with its meta edited
+	// after the capture, under a valid frame.
+	mismatchedTiming := func(edit func(*core.Timing)) func(*testing.T, string, simrun.Key) {
+		return func(t *testing.T, dir string, k simrun.Key) {
+			_, tm, err := simrun.Capture(ctx, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit(tm)
+			open(t, dir, 0).PutTiming(ctx, k.TimingKey(), tm)
+		}
+	}
+	timingKey := simrun.Key{Bench: "gzip", Scheme: core.SchemeDCG, Insts: 5000, Warmup: 1000}
 
-	if _, out, err := exec(open(t, dir, 0)).Do(context.Background(), k); err != nil || out != simrun.OutcomeMiss {
-		t.Fatalf("seed run: outcome=%v err=%v", out, err)
+	cases := []struct {
+		name   string
+		k      simrun.Key
+		damage func(t *testing.T, dir string, k simrun.Key)
+	}{
+		{
+			name: "flipped payload byte",
+			k:    simrun.Key{Bench: "gzip", Scheme: core.SchemePLBOrig, Insts: 100},
+			damage: func(t *testing.T, dir string, k simrun.Key) {
+				var runs atomic.Int32
+				if _, out, err := exec(open(t, dir, 0), &runs).Do(ctx, k); err != nil || out != simrun.OutcomeMiss {
+					t.Fatalf("seed run: outcome=%v err=%v", out, err)
+				}
+				if runs.Load() != 1 {
+					t.Fatalf("seed ran %d full sims, want 1", runs.Load())
+				}
+				files := artifacts(t, dir)
+				if len(files) != 1 {
+					t.Fatalf("seed left %d artifacts, want 1", len(files))
+				}
+				// Flip a byte inside the payload (past the 14-byte frame header).
+				raw, err := os.ReadFile(files[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw[14+len(raw[14:])/2] ^= 0xff
+				if err := os.WriteFile(files[0], raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
+		{
+			name:   "timing meta cycles disagree with trace",
+			k:      timingKey,
+			damage: mismatchedTiming(func(tm *core.Timing) { tm.CPUStats.Cycles++ }),
+		},
+		{
+			name:   "trace latch stages disagree with machine",
+			k:      timingKey,
+			damage: mismatchedTiming(func(tm *core.Timing) { tm.Machine.Pipeline.ExtraBackEnd++ }),
+		},
 	}
-	if fulls.Load() != 1 {
-		t.Fatalf("seed ran %d full sims, want 1", fulls.Load())
-	}
-	files := artifacts(t, dir)
-	if len(files) != 1 {
-		t.Fatalf("seed left %d artifacts, want 1", len(files))
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.damage(t, dir, tc.k)
+			if n := len(artifacts(t, dir)); n != 1 {
+				t.Fatalf("damage left %d artifacts, want 1", n)
+			}
 
-	// Flip a byte inside the payload (past the 14-byte frame header).
-	raw, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[14+len(raw[14:])/2] ^= 0xff
-	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := open(t, dir, 0)
-	res, out, err := exec(s2).Do(context.Background(), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != simrun.OutcomeMiss {
-		t.Fatalf("corrupt artifact served with outcome %v, want a recompute (miss)", out)
-	}
-	if res.Cycles != 12345 {
-		t.Fatalf("recomputed result wrong: %+v", res)
-	}
-	if fulls.Load() != 2 {
-		t.Fatalf("corruption did not force a recompute: %d full sims, want 2", fulls.Load())
-	}
-	st := s2.Stats()
-	if st.Corruptions != 1 {
-		t.Errorf("corruptions = %d, want 1", st.Corruptions)
-	}
-	// The recompute rewrote a valid artifact over the evicted one.
-	if got, ok := s2.GetResult(context.Background(), k); !ok || got.Cycles != 12345 {
-		t.Fatalf("artifact not rewritten after corruption: ok=%v res=%+v", ok, got)
+			var runs atomic.Int32
+			s2 := open(t, dir, 0)
+			res, out, err := exec(s2, &runs).Do(ctx, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != simrun.OutcomeMiss {
+				t.Fatalf("corrupt artifact served with outcome %v, want a recompute (miss)", out)
+			}
+			if runs.Load() != 1 {
+				t.Fatalf("corruption did not force a recompute: %d runs, want 1", runs.Load())
+			}
+			if st := s2.Stats(); st.Corruptions != 1 {
+				t.Errorf("corruptions = %d, want 1", st.Corruptions)
+			}
+			// The recompute rewrote valid artifacts over the evicted one.
+			if got, ok := s2.GetResult(ctx, tc.k); !ok || got.Cycles != res.Cycles {
+				t.Fatalf("result artifact not rewritten after corruption: ok=%v res=%+v", ok, got)
+			}
+			if core.TimingNeutral(tc.k.Scheme) {
+				tm, ok := s2.GetTiming(ctx, tc.k.TimingKey())
+				if !ok || tm.Trace.Cycles() != tm.CPUStats.Cycles {
+					t.Fatalf("timing artifact not rewritten after corruption: ok=%v", ok)
+				}
+			}
+			if st := s2.Stats(); st.Corruptions != 1 {
+				t.Errorf("rewritten artifacts read as corrupt: corruptions = %d, want 1", st.Corruptions)
+			}
+		})
 	}
 }
 

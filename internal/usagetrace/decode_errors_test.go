@@ -11,7 +11,7 @@ import (
 
 // tinyCapture records a minimal well-formed trace (cycles cycles, two
 // latch stages, no issue events) and returns the encoded bytes.
-func tinyCapture(t *testing.T, cycles int) []byte {
+func tinyCapture(t testing.TB, cycles int) []byte {
 	t.Helper()
 	rec, err := NewRecorder("tiny", 2)
 	if err != nil {
@@ -32,23 +32,27 @@ func tinyCapture(t *testing.T, cycles int) []byte {
 	return buf.Bytes()
 }
 
-// TestDecodeErrorPaths drives every corruption class the decoder promises
-// to fail loudly on, pinning the diagnostic each one produces.
-func TestDecodeErrorPaths(t *testing.T) {
-	good := tinyCapture(t, 3)
+// Offsets inside the encoding of tinyCapture: the v2 header is
+// "DCGU" + version + nameLen + "tiny" (= 10 bytes), then the channel
+// table: uvarint(1) channel count, len byte + "usage" + uvarint(2)
+// stages — 18 bytes total, followed by the first cycle record.
+const (
+	chTableOff = 10 // uvarint channel count
+	headerLen  = 18 // first cycle record tag
+)
 
-	// Offsets inside the encoding of tinyCapture: the v2 header is
-	// "DCGU" + version + nameLen + "tiny" (= 10 bytes), then the channel
-	// table: uvarint(1) channel count, len byte + "usage" + uvarint(2)
-	// stages — 18 bytes total, followed by the first cycle record.
-	const (
-		chTableOff = 10 // uvarint channel count
-		headerLen  = 18 // first cycle record tag
-	)
-	if good[headerLen] != tagCycle {
-		t.Fatalf("layout drift: byte %d is 0x%02x, want cycle tag", headerLen, good[headerLen])
-	}
+// corruptStream is one corruption class: a mutation of tinyCapture's
+// encoding and the diagnostic the decoder must produce for it.
+type corruptStream struct {
+	name    string
+	mutate  func([]byte) []byte
+	wantErr string
+}
 
+// corruptStreams lists every corruption class the decoder promises to
+// fail loudly on. TestDecodeErrorPaths pins each diagnostic and
+// FuzzReadTrace starts from the same inputs.
+func corruptStreams() []corruptStream {
 	// chEntry encodes one channel-table entry; withChannels splices extra
 	// entries after the mandatory usage entry (patching the count byte),
 	// leaving the usage-only cycle records behind them untouched — every
@@ -66,11 +70,7 @@ func TestDecodeErrorPaths(t *testing.T) {
 		return append(out, b[headerLen:]...)
 	}
 
-	tests := []struct {
-		name    string
-		mutate  func([]byte) []byte
-		wantErr string
-	}{
+	return []corruptStream{
 		{
 			name:    "empty stream",
 			mutate:  func([]byte) []byte { return nil },
@@ -243,8 +243,17 @@ func TestDecodeErrorPaths(t *testing.T) {
 			wantErr: "implausible stage count",
 		},
 	}
+}
 
-	for _, tc := range tests {
+// TestDecodeErrorPaths drives every corruption class the decoder promises
+// to fail loudly on, pinning the diagnostic each one produces.
+func TestDecodeErrorPaths(t *testing.T) {
+	good := tinyCapture(t, 3)
+	if good[headerLen] != tagCycle {
+		t.Fatalf("layout drift: byte %d is 0x%02x, want cycle tag", headerLen, good[headerLen])
+	}
+
+	for _, tc := range corruptStreams() {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.mutate(append([]byte{}, good...))
 			_, err := ReadTrace(bytes.NewReader(data))
@@ -340,38 +349,17 @@ func TestDecodeTruncatedLatchValuePayload(t *testing.T) {
 	}
 }
 
-// TestDecodeColumnsErrorPaths table-drives the failures only the
-// columnar decode (Trace.Decode) can detect: header cycle counts that
-// disagree with the stream — including one absurd enough that an
-// unbounded preallocation would OOM before reading a byte — and the
-// issue-event offset-sentinel limit.
+// TestDecodeColumnsErrorPaths table-drives the failures only the full
+// decode (Trace.Decode) can detect: header cycle counts that disagree
+// with the stream — including one absurd enough that an unbounded
+// preallocation would OOM before reading a byte.
 func TestDecodeColumnsErrorPaths(t *testing.T) {
 	good := tinyCapture(t, 3)
 
-	// One cycle carrying two events, for the event-limit cases.
-	rec, err := NewRecorder("ev2", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		rec.OnIssue(cpu.IssueEvent{Cycle: 0, FUIdx: i, FUType: cpu.FUIntALU, FUStart: 2, FULat: 1})
-	}
-	u := cpu.Usage{Cycle: 0, IssueCount: 2, BackLatch: []int{2}}
-	rec.OnCycle(&u)
-	evTrace, err := rec.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var evBuf bytes.Buffer
-	if _, err := evTrace.WriteTo(&evBuf); err != nil {
-		t.Fatal(err)
-	}
-
 	tests := []struct {
-		name      string
-		trace     *Trace
-		eventsCap uint64 // 0 = leave maxDecodedEvents alone
-		wantErr   string
+		name    string
+		trace   *Trace
+		wantErr string
 	}{
 		{
 			name:    "header declares more cycles than stream",
@@ -390,35 +378,10 @@ func TestDecodeColumnsErrorPaths(t *testing.T) {
 			trace:   &Trace{name: "tiny", stages: 2, cycles: 1 << 40, data: good},
 			wantErr: "decoded 3 cycles but trace header declares 1099511627776",
 		},
-		{
-			name:      "event count at offset-sentinel boundary",
-			trace:     &Trace{name: "ev2", stages: 1, cycles: 1, data: append([]byte{}, evBuf.Bytes()...)},
-			eventsCap: 2, // len(events)==2 makes the next evOff entry ambiguous
-			wantErr:   "trace has 2 issue events (limit 1)",
-		},
-		{
-			name:      "event count below the boundary decodes",
-			trace:     &Trace{name: "ev2", stages: 1, cycles: 1, data: append([]byte{}, evBuf.Bytes()...)},
-			eventsCap: 3,
-		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.eventsCap != 0 {
-				old := maxDecodedEvents
-				maxDecodedEvents = tc.eventsCap
-				defer func() { maxDecodedEvents = old }()
-			}
-			d, err := tc.trace.Decode()
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("decode failed: %v", err)
-				}
-				if d.Events() != 2 {
-					t.Fatalf("decoded %d events, want 2", d.Events())
-				}
-				return
-			}
+			_, err := tc.trace.Decode()
 			if err == nil {
 				t.Fatalf("decode succeeded, want error containing %q", tc.wantErr)
 			}

@@ -59,7 +59,7 @@ func TestGzipSniffInNewReader(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewReader on gzip stream: %v", err)
 	}
-	cycles, err := Replay(rd, nil, nil)
+	cycles, err := ReplayAll(rd)
 	if err != nil {
 		t.Fatalf("replaying gzip stream: %v", err)
 	}

@@ -1,6 +1,8 @@
 package usagetrace
 
 import (
+	"bytes"
+	"io"
 	"math/bits"
 
 	"dcg/internal/cpu"
@@ -18,18 +20,20 @@ const SchedHorizon = 8192
 // issue width) and detectably inexact beyond it.
 const busHistMax = 64
 
-// Packed is the bit-packed columnar view of a decoded trace: one uint64
-// word per 64 cycles per boolean signal (bit c%64 of word c/64 is cycle
-// c), built in a single pass at decode time alongside the scalar
-// columns. Two families of data live here:
+// Packed is a trace's decoded form: one uint64 word per 64 cycles per
+// boolean signal (bit c%64 of word c/64 is cycle c), plus the few
+// per-cycle values and the order-free aggregates the packed replay
+// kernel reads. One streaming pass over the encoded bytes builds it
+// (Trace.Decode, ReadTrace); no per-field usage columns or event slices
+// are ever materialised. Two families of data live here:
 //
 //   - Usage planes — FU-pool-busy, D-port-use, latch-stage-non-zero,
 //     issue-non-empty, commit-non-empty — the threshold form of the raw
-//     usage columns. They are the substrate word-at-a-time gating
+//     usage vectors. They are the substrate word-at-a-time gating
 //     kernels operate on (and what future multi-stage schemes in the
 //     LECTOR family would AND against their own activity masks).
 //
-//   - A DCG schedule mirror — the builder replays every issue event
+//   - A DCG schedule mirror — the pass replays every issue event
 //     through a ring identical to the gating controller's
 //     (write-at-issue, read-and-clear at the scheduled cycle) and
 //     records, per cycle, whether actual usage exceeded the schedule
@@ -49,7 +53,12 @@ const busHistMax = 64
 type Packed struct {
 	cycles uint64
 	words  int
-	d      *Decoded
+	stages int
+
+	// data is the encoded stream the view was built from. Only the slow
+	// paths that no core capture reaches (over-capacity planes, very
+	// deep front ends) re-read it.
+	data []byte
 
 	// Usage planes.
 	fuBusy   [cpu.NumFUTypes][]uint64
@@ -78,14 +87,37 @@ type Packed struct {
 	fetchSum     int64
 	leadViol     uint64
 
-	// Column maxima, so the lazy over-capacity planes can prove "no
+	// occ is the window-occupancy column: the oracle's issue-queue
+	// fraction is a float series that must be summed in cycle order.
+	// fetchTail holds the last fetchTailLen fetch counts, ring-indexed by
+	// cycle, for FrontSlotsSum's end-of-run correction.
+	occ       []int
+	fetchTail [fetchTailLen]int
+
+	// Usage maxima, so the lazy over-capacity planes can prove "no
 	// violation possible" without a pass: on a trace captured by the
-	// core these always hold, and the O(cycles) plane scans never run.
+	// core these always hold, and the O(cycles) re-reads never run.
 	busyOr   [cpu.NumFUTypes]uint32
-	maxDPort int32
-	maxBus   int32
-	maxLatch int32
+	maxDPort int
+	maxBus   int
+	maxLatch int
 }
+
+// fetchTailLen is how many trailing fetch counts a Packed keeps: enough
+// for any front end up to fetchTailLen+1 stages deep (the baseline has
+// three) without re-reading the stream.
+const fetchTailLen = 64
+
+// maxPreallocCycles bounds the plane preallocation: the cycle hint may
+// come from a trace header, which is untrusted input, and an absurd value
+// must not translate into a multi-GB make() before a single record is
+// read. Real giants still decode — append growth takes over past the cap.
+const maxPreallocCycles = 1 << 22
+
+// minRecordBytes is the smallest possible encoding of a cycle record
+// before its per-stage fields: tag, event count, eleven usage uvarints
+// and the occupancy delta, one byte each.
+const minRecordBytes = 14
 
 // schedMirror replicates the DCG controller's schedule rings
 // (gating.DCG.fuSched/dportSched/busSched) cycle for cycle. The FU ring
@@ -130,126 +162,191 @@ func (m *schedMirror) onIssue(ev *cpu.IssueEvent, lead *uint64) {
 	}
 }
 
-// buildPacked runs the packing pass over freshly decoded columns: one
-// walk that feeds the schedule mirror in the core's delivery order
-// (cycle c's events strictly before cycle c's usage) and sets the
-// planes, aggregates, and maxima.
-func buildPacked(d *Decoded) *Packed {
-	n := d.cycles
-	words := int((n + 63) / 64)
-	p := &Packed{cycles: n, words: words, d: d}
+// decodePacked streams the encoded trace once and builds its packed
+// view: each cycle's issue events feed the schedule mirror in the core's
+// delivery order (strictly before that cycle's usage), then the usage
+// vector sets the planes, aggregates and maxima. A stream that fails to
+// parse anywhere, end marker included, fails the decode. hint sizes the
+// planes; it may come from untrusted metadata, so it is capped by the
+// cycle records the stream is long enough to hold and by
+// maxPreallocCycles, and planes grow past it if the stream runs longer.
+// The reader is returned for its header metadata.
+func decodePacked(data []byte, hint uint64) (*Packed, *Reader, error) {
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, nil, err
+	}
+	p := &Packed{stages: rd.stages, data: data}
+	perCycle := minRecordBytes + rd.stages
+	if rd.hasLatchValue {
+		perCycle += rd.stages
+	}
+	if fit := uint64(len(data) / perCycle); hint > fit {
+		hint = fit
+	}
+	if hint > maxPreallocCycles {
+		hint = maxPreallocCycles
+	}
+	words := int((hint + 63) / 64)
+	var planes []*[]uint64
+	plane := func(pl *[]uint64) {
+		*pl = make([]uint64, 0, words)
+		planes = append(planes, pl)
+	}
 	for t := range p.fuBusy {
-		p.fuBusy[t] = make([]uint64, words)
+		plane(&p.fuBusy[t])
 	}
-	p.dportUse = make([]uint64, words)
-	p.latchNZ = make([][]uint64, d.stages)
+	p.latchNZ = make([][]uint64, rd.stages)
 	for s := range p.latchNZ {
-		p.latchNZ[s] = make([]uint64, words)
+		plane(&p.latchNZ[s])
 	}
-	p.issueNE = make([]uint64, words)
-	p.commitNE = make([]uint64, words)
-	if d.backLatchNewVal != nil {
-		p.latchValNZ = make([][]uint64, d.stages)
+	if rd.hasLatchValue {
+		p.latchValNZ = make([][]uint64, rd.stages)
 		for s := range p.latchValNZ {
-			p.latchValNZ[s] = make([]uint64, words)
+			plane(&p.latchValNZ[s])
 		}
 	}
-	p.unitOverSched = make([]uint64, words)
-	p.dportOverSched = make([]uint64, words)
-	p.busOverSched = make([]uint64, words)
+	for _, pl := range []*[]uint64{&p.dportUse, &p.issueNE, &p.commitNE,
+		&p.unitOverSched, &p.dportOverSched, &p.busOverSched} {
+		plane(pl)
+	}
+	p.occ = make([]int, 0, hint)
 
 	m := &schedMirror{}
-	for c := uint64(0); c < n; c++ {
-		events := d.events[d.evOff[c]:d.evOff[c+1]]
+	for {
+		events, u, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		if p.cycles%64 == 0 {
+			for _, pl := range planes {
+				*pl = append(*pl, 0)
+			}
+		}
 		for i := range events {
 			m.onIssue(&events[i], &p.leadViol)
 		}
-
-		idx := c % SchedHorizon
-		w, bit := c>>6, uint64(1)<<(c&63)
-
-		dp := m.dport[idx]
-		m.dport[idx] = 0
-		bs := m.bus[idx]
-		m.bus[idx] = 0
-		p.dportSchedOn += dp
-		if bs < busHistMax {
-			p.busSchedHist[bs]++
-		} else {
-			p.busSchedHist[busHistMax]++
-		}
-
-		busy := [cpu.NumFUTypes]uint32{d.intALU[c], d.intMult[c], d.fpALU[c], d.fpMult[c]}
-		unitOver := false
-		for t := 0; t < int(cpu.NumFUTypes); t++ {
-			sched := m.fu[t][idx]
-			m.fu[t][idx] = 0
-			p.schedUnitOn[t] += int64(bits.OnesCount32(sched))
-			p.busyOr[t] |= busy[t]
-			if busy[t] != 0 {
-				p.fuBusy[t][w] |= bit
-			}
-			if busy[t]&^sched != 0 {
-				unitOver = true
-			}
-		}
-		if unitOver {
-			p.unitOverSched[w] |= bit
-		}
-
-		dport := d.dport[c]
-		if dport > 0 {
-			p.dportUse[w] |= bit
-		}
-		if dport > p.maxDPort {
-			p.maxDPort = dport
-		}
-		if int64(dport) > dp {
-			p.dportOverSched[w] |= bit
-		}
-
-		rb := d.resultBus[c]
-		if rb > p.maxBus {
-			p.maxBus = rb
-		}
-		if int64(rb) > bs {
-			p.busOverSched[w] |= bit
-		}
-
-		if d.issue[c] != 0 {
-			p.issueNE[w] |= bit
-		}
-		if d.commit[c] != 0 {
-			p.commitNE[w] |= bit
-		}
-
-		base := int(c) * d.stages
-		for s := 0; s < d.stages; s++ {
-			v := d.backLatch[base+s]
-			if v != 0 {
-				p.latchNZ[s][w] |= bit
-			}
-			if v > p.maxLatch {
-				p.maxLatch = v
-			}
-			p.backLatchSum += int64(v)
-		}
-		if d.backLatchNewVal != nil {
-			for s := 0; s < d.stages; s++ {
-				v := d.backLatchNewVal[base+s]
-				if v != 0 {
-					p.latchValNZ[s][w] |= bit
-				}
-				p.backLatchNewValSum += int64(v)
-			}
-		}
-		p.fetchSum += int64(d.fetchN[c])
+		p.addCycle(m, u)
 	}
-	return p
+	p.words = int((p.cycles + 63) / 64)
+	return p, rd, nil
 }
 
-// Cycles returns the packed cycle count.
+// addCycle folds one cycle's usage vector into the view, reading and
+// clearing the mirror's schedule slot for the cycle.
+func (p *Packed) addCycle(m *schedMirror, u *cpu.Usage) {
+	c := p.cycles
+	idx := c % SchedHorizon
+	w, bit := c>>6, uint64(1)<<(c&63)
+
+	dp := m.dport[idx]
+	m.dport[idx] = 0
+	bs := m.bus[idx]
+	m.bus[idx] = 0
+	p.dportSchedOn += dp
+	if bs < busHistMax {
+		p.busSchedHist[bs]++
+	} else {
+		p.busSchedHist[busHistMax]++
+	}
+
+	busy := [cpu.NumFUTypes]uint32{u.IntALUBusy, u.IntMultBusy, u.FPALUBusy, u.FPMultBusy}
+	unitOver := false
+	for t := 0; t < int(cpu.NumFUTypes); t++ {
+		sched := m.fu[t][idx]
+		m.fu[t][idx] = 0
+		p.schedUnitOn[t] += int64(bits.OnesCount32(sched))
+		p.busyOr[t] |= busy[t]
+		if busy[t] != 0 {
+			p.fuBusy[t][w] |= bit
+		}
+		if busy[t]&^sched != 0 {
+			unitOver = true
+		}
+	}
+	if unitOver {
+		p.unitOverSched[w] |= bit
+	}
+
+	if u.DPortUsed > 0 {
+		p.dportUse[w] |= bit
+	}
+	p.maxDPort = max(p.maxDPort, u.DPortUsed)
+	if int64(u.DPortUsed) > dp {
+		p.dportOverSched[w] |= bit
+	}
+
+	p.maxBus = max(p.maxBus, u.ResultBus)
+	if int64(u.ResultBus) > bs {
+		p.busOverSched[w] |= bit
+	}
+
+	if u.IssueCount != 0 {
+		p.issueNE[w] |= bit
+	}
+	if u.CommitCount != 0 {
+		p.commitNE[w] |= bit
+	}
+
+	for s, v := range u.BackLatch {
+		if v != 0 {
+			p.latchNZ[s][w] |= bit
+		}
+		p.maxLatch = max(p.maxLatch, v)
+		p.backLatchSum += int64(v)
+	}
+	if p.latchValNZ != nil {
+		for s, v := range u.BackLatchNewVal {
+			if v != 0 {
+				p.latchValNZ[s][w] |= bit
+			}
+			p.backLatchNewValSum += int64(v)
+		}
+	}
+	p.fetchSum += int64(u.FetchCount)
+	p.fetchTail[c%fetchTailLen] = u.FetchCount
+	p.occ = append(p.occ, u.WindowOccupancy)
+	p.cycles++
+}
+
+// scan re-reads the encoded stream, handing fn each cycle's usage vector
+// in cycle order. Only the slow paths use it. The stream was fully
+// parsed when the view was built and is immutable, so a read error here
+// is a bug, not bad input.
+func (p *Packed) scan(fn func(u *cpu.Usage)) {
+	rd, err := NewReader(bytes.NewReader(p.data))
+	for err == nil {
+		var u *cpu.Usage
+		if _, u, err = rd.Next(); err == nil {
+			fn(u)
+		}
+	}
+	if err != io.EOF {
+		panic("usagetrace: re-reading a decoded trace failed: " + err.Error())
+	}
+}
+
+// planeWhere builds, in one pass over the encoded stream, the plane of
+// cycles whose usage vector satisfies pred.
+func (p *Packed) planeWhere(pred func(u *cpu.Usage) bool) []uint64 {
+	plane := make([]uint64, p.words)
+	p.scan(func(u *cpu.Usage) {
+		if pred(u) {
+			plane[u.Cycle>>6] |= 1 << (u.Cycle & 63)
+		}
+	})
+	return plane
+}
+
+// Cycles returns the decoded cycle count.
 func (p *Packed) Cycles() uint64 { return p.cycles }
+
+// BackLatchStages returns the trace's gatable back-end latch stage count
+// (the number of latch planes).
+func (p *Packed) BackLatchStages() int { return p.stages }
 
 // Words returns the per-plane word count, (Cycles+63)/64.
 func (p *Packed) Words() int { return p.words }
@@ -356,15 +453,25 @@ func (p *Packed) LeadViolations() uint64 { return p.leadViol }
 // slot-cycles in closed form: stage s of a depth-stage front end carries
 // the fetch flow delayed s cycles, so the fetch count of cycle j is
 // counted min(depth, n-j) times — depth times, minus the tail cycles
-// that fall off the end of the run.
+// that fall off the end of the run. The correction reads the kept fetch
+// tail; a front end deeper than the tail re-reads the stream.
 func (p *Packed) FrontSlotsSum(depth int) int64 {
 	if depth <= 0 {
 		return 0
 	}
 	sum := int64(depth) * p.fetchSum
 	n := p.cycles
-	for k := uint64(1); k < uint64(depth) && k <= n; k++ {
-		sum -= int64(uint64(depth)-k) * int64(p.d.fetchN[n-k])
+	tail := min(uint64(depth-1), n)
+	if tail > fetchTailLen {
+		p.scan(func(u *cpu.Usage) {
+			if k := n - u.Cycle; k <= tail {
+				sum -= int64(uint64(depth)-k) * int64(u.FetchCount)
+			}
+		})
+		return sum
+	}
+	for k := uint64(1); k <= tail; k++ {
+		sum -= int64(uint64(depth)-k) * int64(p.fetchTail[(n-k)%fetchTailLen])
 	}
 	return sum
 }
@@ -381,7 +488,7 @@ func (p *Packed) IssueQueueFracSum(window int) float64 {
 	}
 	w := float64(window)
 	var sum float64
-	for _, occ := range p.d.occ {
+	for _, occ := range p.occ {
 		sum += float64(occ) / w
 	}
 	return sum
@@ -396,84 +503,66 @@ func maskN(n int) uint32 {
 	return (1 << uint(n)) - 1
 }
 
+// The OverFull* planes are the violation predicates of ungated
+// structure classes: usage beyond capacity. Each returns nil when the
+// recorded maximum proves no such cycle exists — the invariant on any
+// trace the core captured, making them free in the common case — and
+// otherwise builds its plane from one pass over the encoded stream.
+
 // OverFullUnits returns the plane of cycles where some FU pool's busy
-// mask escaped even the all-enabled mask for the given pool sizes (the
-// gate-violation predicate for an ungated pool), or nil when the
-// recorded busy-mask OR proves no such cycle exists — the invariant on
-// any trace the core captured, making this free in the common case.
+// mask escaped even the all-enabled mask for the given pool sizes.
 func (p *Packed) OverFullUnits(counts [cpu.NumFUTypes]int) []uint64 {
+	var enabled [cpu.NumFUTypes]uint32
 	possible := false
-	for t := 0; t < int(cpu.NumFUTypes); t++ {
-		if p.busyOr[t]&^maskN(counts[t]) != 0 {
+	for t := range enabled {
+		enabled[t] = maskN(counts[t])
+		if p.busyOr[t]&^enabled[t] != 0 {
 			possible = true
 		}
 	}
 	if !possible {
 		return nil
 	}
-	plane := make([]uint64, p.words)
-	d := p.d
-	for c := uint64(0); c < p.cycles; c++ {
-		if d.intALU[c]&^maskN(counts[cpu.FUIntALU]) != 0 ||
-			d.intMult[c]&^maskN(counts[cpu.FUIntMult]) != 0 ||
-			d.fpALU[c]&^maskN(counts[cpu.FUFPALU]) != 0 ||
-			d.fpMult[c]&^maskN(counts[cpu.FUFPMult]) != 0 {
-			plane[c>>6] |= 1 << (c & 63)
-		}
-	}
-	return plane
+	return p.planeWhere(func(u *cpu.Usage) bool {
+		return u.IntALUBusy&^enabled[cpu.FUIntALU] != 0 ||
+			u.IntMultBusy&^enabled[cpu.FUIntMult] != 0 ||
+			u.FPALUBusy&^enabled[cpu.FUFPALU] != 0 ||
+			u.FPMultBusy&^enabled[cpu.FUFPMult] != 0
+	})
 }
 
 // OverFullDPorts returns the plane of cycles using more D-cache ports
-// than the machine has (violation predicate for ungated decoders), or
-// nil when the column maximum proves none exist.
+// than the machine has.
 func (p *Packed) OverFullDPorts(ports int) []uint64 {
-	if int(p.maxDPort) <= ports {
+	if p.maxDPort <= ports {
 		return nil
 	}
-	plane := make([]uint64, p.words)
-	for c, v := range p.d.dport {
-		if int(v) > ports {
-			plane[c>>6] |= 1 << (uint64(c) & 63)
-		}
-	}
-	return plane
+	return p.planeWhere(func(u *cpu.Usage) bool { return u.DPortUsed > ports })
 }
 
 // OverFullBus returns the plane of cycles driving more result buses than
-// the issue width, or nil when the column maximum proves none exist.
+// the issue width.
 func (p *Packed) OverFullBus(width int) []uint64 {
-	if int(p.maxBus) <= width {
+	if p.maxBus <= width {
 		return nil
 	}
-	plane := make([]uint64, p.words)
-	for c, v := range p.d.resultBus {
-		if int(v) > width {
-			plane[c>>6] |= 1 << (uint64(c) & 63)
-		}
-	}
-	return plane
+	return p.planeWhere(func(u *cpu.Usage) bool { return u.ResultBus > width })
 }
 
 // OverFullLatch returns the plane of cycles where some back-end latch
-// stage carried more instructions than the issue width, or nil when the
-// recorded maximum proves none exist.
+// stage carried more instructions than the issue width.
 func (p *Packed) OverFullLatch(width int) []uint64 {
-	if int(p.maxLatch) <= width {
+	if p.maxLatch <= width {
 		return nil
 	}
-	plane := make([]uint64, p.words)
-	d := p.d
-	for c := uint64(0); c < p.cycles; c++ {
-		base := int(c) * d.stages
-		for s := 0; s < d.stages; s++ {
-			if int(d.backLatch[base+s]) > width {
-				plane[c>>6] |= 1 << (c & 63)
-				break
+	return p.planeWhere(func(u *cpu.Usage) bool {
+		for _, v := range u.BackLatch {
+			if v > width {
+				return true
 			}
 		}
-	}
-	return plane
+		return false
+	})
 }
 
 // ViolationCycles ORs the given planes word-at-a-time and popcounts the

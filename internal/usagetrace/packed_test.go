@@ -64,11 +64,10 @@ func TestPackedPlanesMatchScalarColumns(t *testing.T) {
 		}
 	}
 	tr := craftTrace(t, stages, usages, nil)
-	d, err := tr.Decode()
+	p, err := tr.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := d.Packed()
 	if p == nil {
 		t.Fatal("decode produced no packed view")
 	}
@@ -229,11 +228,10 @@ func TestPackedScheduleMirror(t *testing.T) {
 	}
 
 	tr := craftTrace(t, 1, usages, events)
-	d, err := tr.Decode()
+	p, err := tr.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := d.Packed()
 
 	if got := p.LeadViolations(); got != 3 {
 		t.Fatalf("lead violations = %d, want 3 (one per late aspect)", got)
@@ -293,11 +291,10 @@ func TestPackedOverFullPlanes(t *testing.T) {
 	usages[11].ResultBus = 20
 	usages[12].BackLatch = []int{9, 0}
 	tr := craftTrace(t, 2, usages, nil)
-	d, err := tr.Decode()
+	p, err := tr.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := d.Packed()
 
 	// Generous limits: every plane proves itself unnecessary without a
 	// scan (the maxima guards).
@@ -340,11 +337,10 @@ func TestPackedOverFullPlanes(t *testing.T) {
 // TestPackedSingleCycle pins the smallest geometry: one cycle, one word.
 func TestPackedSingleCycle(t *testing.T) {
 	tr := craftTrace(t, 1, []cpu.Usage{{IssueCount: 1, FetchCount: 4, WindowOccupancy: 7}}, nil)
-	d, err := tr.Decode()
+	p, err := tr.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := d.Packed()
 	if p.Cycles() != 1 || p.Words() != 1 {
 		t.Fatalf("geometry %d/%d, want 1/1", p.Cycles(), p.Words())
 	}
@@ -363,7 +359,8 @@ func TestPackedSingleCycle(t *testing.T) {
 
 // TestPackedSurvivesSerialisation: the packed view is rebuilt identically
 // from a serialised round trip (it is derived state, but the derivation
-// must be deterministic).
+// must be deterministic), and ReadTrace's validating pass is the only
+// parse: the Decode after it is a reuse.
 func TestPackedSurvivesSerialisation(t *testing.T) {
 	usages := make([]cpu.Usage, 100)
 	for c := range usages {
@@ -376,19 +373,28 @@ func TestPackedSurvivesSerialisation(t *testing.T) {
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
+	p1, err := tr.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodes0, reuses0 := Decodes(), DecodeReuses()
 	tr2, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := tr.Decode()
+	p2, err := tr2.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := tr2.Decode()
-	if err != nil {
-		t.Fatal(err)
+	if got := Decodes() - decodes0; got != 1 {
+		t.Fatalf("ReadTrace + Decode ran %d passes over the stream, want 1", got)
 	}
-	p1, p2 := d1.Packed(), d2.Packed()
+	if got := DecodeReuses() - reuses0; got != 1 {
+		t.Fatalf("Decode after ReadTrace counted %d reuses, want 1", got)
+	}
+	if again, _ := tr2.Decode(); again != p2 {
+		t.Fatal("a repeated Decode returned a different packed view")
+	}
 	if p1.Cycles() != p2.Cycles() || p1.LeadViolations() != p2.LeadViolations() ||
 		p1.DPortSchedSum() != p2.DPortSchedSum() || p1.BackLatchSum() != p2.BackLatchSum() {
 		t.Fatal("packed aggregates diverge across serialisation")

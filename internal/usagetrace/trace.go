@@ -6,14 +6,16 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"dcg/internal/cpu"
 )
 
 // Trace is a complete, validated capture held in memory: the encoded
 // stream plus its header metadata. It is immutable after construction —
-// any number of replays (Reader/Replay) may run over it concurrently,
-// which is what lets one timing pass serve many scheme evaluations.
+// any number of replays (Reader/ReplayAll, Decode) may run over it
+// concurrently, which is what lets one timing pass serve many scheme
+// evaluations.
 type Trace struct {
 	name     string
 	stages   int
@@ -21,11 +23,11 @@ type Trace struct {
 	channels []string
 	data     []byte
 
-	// The memoized columnar decode (Decode). The sync.Once makes a Trace
+	// The memoized packed view (Decode). The sync.Once makes a Trace
 	// non-copyable, which is deliberate: every consumer must share the
 	// one decode.
 	decodeOnce sync.Once
-	decoded    *Decoded
+	packed     *Packed
 	decodeErr  error
 }
 
@@ -62,29 +64,50 @@ func (t *Trace) Reader() (*Reader, error) {
 	return NewReader(bytes.NewReader(t.data))
 }
 
-// Decode returns the trace's columnar form, decoding the encoded stream
-// at most once per Trace: the first call pays the full decode, every
-// later call — from any goroutine — reuses the memoized result. This is
-// the "decode once, evaluate many" half of the fused replay engine: all
-// coalesced, batched, and sweep-follower scheme evaluations of one
-// captured timing share a single decode. The package-level Decodes /
+// Package-wide decode accounting, exported for the service's /metrics
+// endpoint and the pass-count regression tests. Monotonic
+// process-lifetime counters.
+var (
+	decodeCount      atomic.Uint64
+	decodeReuseCount atomic.Uint64
+)
+
+// Decodes returns how many packed-view builds (full passes over an
+// encoded trace) have run process-wide; each Trace pays at most one.
+func Decodes() uint64 { return decodeCount.Load() }
+
+// DecodeReuses returns how many Trace.Decode calls were served by an
+// already-built packed view instead of re-reading the encoded stream.
+func DecodeReuses() uint64 { return decodeReuseCount.Load() }
+
+// Decode returns the trace's packed view, building it at most once per
+// Trace: the first call pays one streaming pass over the encoded bytes,
+// every later call — from any goroutine — reuses the memoized view. A
+// trace loaded by ReadTrace already built it while validating, so its
+// first Decode is a reuse. The header's cycle count is checked against
+// the stream, so metadata that disagrees fails loudly instead of
+// yielding silently short planes. The package-level Decodes /
 // DecodeReuses counters account for both outcomes.
-func (t *Trace) Decode() (*Decoded, error) {
+func (t *Trace) Decode() (*Packed, error) {
 	fresh := false
 	t.decodeOnce.Do(func() {
 		fresh = true
 		decodeCount.Add(1)
-		rd, err := t.Reader()
+		p, _, err := decodePacked(t.data, t.cycles)
+		if err == nil && p.cycles != t.cycles {
+			err = fmt.Errorf("usagetrace: decoded %d cycles but trace header declares %d",
+				p.cycles, t.cycles)
+		}
 		if err != nil {
 			t.decodeErr = err
 			return
 		}
-		t.decoded, t.decodeErr = decodeColumns(rd, t.cycles)
+		t.packed = p
 	})
 	if !fresh {
 		decodeReuseCount.Add(1)
 	}
-	return t.decoded, t.decodeErr
+	return t.packed, t.decodeErr
 }
 
 // WriteTo serialises the trace (header, records, end marker) to w, so a
@@ -109,12 +132,13 @@ func (t *Trace) EncodeGzip(w io.Writer) error {
 	return gz.Close()
 }
 
-// ReadTrace loads and fully validates an encoded trace: the whole stream
-// is decoded once, so truncation, corruption, or a version mismatch fails
-// here rather than mid-replay. Gzip-compressed streams (EncodeGzip) are
-// detected by their magic bytes and inflated up front, so the resident
-// Trace always holds the raw encoding and replays never pay for
-// decompression.
+// ReadTrace loads and fully validates an encoded trace: one pass over
+// the stream builds its packed view (memoized, so the trace's first
+// Decode is a reuse), and truncation, corruption, or a version mismatch
+// fails here rather than mid-replay. Gzip-compressed streams
+// (EncodeGzip) are detected by their magic bytes and inflated up front,
+// so the resident Trace always holds the raw encoding and replays never
+// pay for decompression.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -133,21 +157,22 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		}
 		putGzipReader(gz)
 	}
-	rd, err := NewReader(bytes.NewReader(data))
+	// No header cycle count to trust here: the planes are sized by the
+	// records the stream is long enough to hold.
+	decodeCount.Add(1)
+	p, rd, err := decodePacked(data, uint64(len(data)))
 	if err != nil {
 		return nil, err
 	}
-	cycles, err := Replay(rd, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Trace{
+	t := &Trace{
 		name:     rd.Name(),
 		stages:   rd.BackLatchStages(),
-		cycles:   cycles,
+		cycles:   p.cycles,
 		channels: rd.Channels(),
 		data:     data,
-	}, nil
+	}
+	t.decodeOnce.Do(func() { t.packed = p })
+	return t, nil
 }
 
 // Recorder captures a run into an in-memory Trace. It implements

@@ -10,6 +10,12 @@
 // machine-timing) turns every additional scheme evaluation into a
 // memory-bandwidth replay (internal/core.Simulator.EvaluateTiming).
 //
+// Two consumers read a stored trace. The scalar engine (ReplayAll)
+// streams the encoded bytes through scheme sinks; it needs no decoded
+// form. The packed kernel reads a Packed view — per-signal bit-planes
+// plus order-free aggregates — that one pass over the bytes builds
+// (Trace.Decode, memoized; ReadTrace builds it while validating).
+//
 // # Format (v2, channelized)
 //
 // A trace is a set of named channels: per-cycle data families that
@@ -64,6 +70,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"dcg/internal/cpu"
 )
@@ -680,11 +687,31 @@ func (r *Reader) readEvent() (cpu.IssueEvent, error) {
 	return ev, nil
 }
 
-// Replay streams the trace through a gating scheme and an observer in the
-// core's delivery order: each cycle's issue events (lis.OnIssue) strictly
-// before its usage vector (obs.OnCycle). Either consumer may be nil. It
-// returns the replayed cycle count.
-func Replay(r *Reader, lis cpu.IssueListener, obs cpu.Observer) (uint64, error) {
+// Sink is one consumer of a replay: a scheme's issue listener plus its
+// per-cycle observer chain. Either half may be nil.
+type Sink struct {
+	Issue cpu.IssueListener
+	Cycle cpu.Observer
+}
+
+// fusedSchemeCount backs FusedSchemes.
+var fusedSchemeCount atomic.Uint64
+
+// FusedSchemes returns how many scheme sinks replay passes have fed
+// process-wide (ReplayAll adds one per sink per pass), for the service's
+// /metrics endpoint and the routing regression tests.
+func FusedSchemes() uint64 { return fusedSchemeCount.Load() }
+
+// ReplayAll streams the trace through every sink in a single pass, in
+// the core's delivery order: each cycle's issue events strictly before
+// its usage vector. Each sink observes exactly the sequence the live
+// core delivered, so per-sink results are bit-identical to one-at-a-time
+// replays; the fusion only shares the parse across sinks. The usage
+// vector passed to OnCycle is reused between cycles (the live core's
+// contract); sinks must not retain it. It returns the replayed cycle
+// count.
+func ReplayAll(r *Reader, sinks ...Sink) (uint64, error) {
+	fusedSchemeCount.Add(uint64(len(sinks)))
 	var cycles uint64
 	for {
 		events, u, err := r.Next()
@@ -694,13 +721,18 @@ func Replay(r *Reader, lis cpu.IssueListener, obs cpu.Observer) (uint64, error) 
 		if err != nil {
 			return cycles, err
 		}
-		if lis != nil {
-			for _, ev := range events {
-				lis.OnIssue(ev)
+		for _, s := range sinks {
+			if s.Issue == nil {
+				continue
+			}
+			for i := range events {
+				s.Issue.OnIssue(events[i])
 			}
 		}
-		if obs != nil {
-			obs.OnCycle(u)
+		for _, s := range sinks {
+			if s.Cycle != nil {
+				s.Cycle.OnCycle(u)
+			}
 		}
 		cycles++
 	}

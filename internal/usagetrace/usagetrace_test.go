@@ -12,7 +12,7 @@ import (
 
 // synthCapture generates a deterministic pseudo-random capture and
 // returns both the recorded trace and the expected cycle contents.
-func synthCapture(t *testing.T, cycles int, stages int) (*Trace, [][]cpu.IssueEvent, []cpu.Usage) {
+func synthCapture(t testing.TB, cycles int, stages int) (*Trace, [][]cpu.IssueEvent, []cpu.Usage) {
 	t.Helper()
 	rec, err := NewRecorder("synevery", stages)
 	if err != nil {
@@ -208,7 +208,7 @@ func TestReplayDeliversEventsBeforeUsage(t *testing.T) {
 		_ = ev
 	})
 	obs := observerFunc(func(u *cpu.Usage) { order = append(order, "cycle") })
-	cycles, err := Replay(rd, lis, obs)
+	cycles, err := ReplayAll(rd, Sink{Issue: lis, Cycle: obs})
 	if err != nil {
 		t.Fatal(err)
 	}

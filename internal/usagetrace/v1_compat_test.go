@@ -17,7 +17,7 @@ import (
 // rewriteV1 converts a usage-only v2 stream into the v1 encoding of the
 // same capture. It fails the test if the input carries extra channels —
 // those have no v1 encoding.
-func rewriteV1(t *testing.T, v2 []byte) []byte {
+func rewriteV1(t testing.TB, v2 []byte) []byte {
 	t.Helper()
 	if v2[len(traceMagic)] != traceVersion {
 		t.Fatalf("input version %d, want %d", v2[len(traceMagic)], traceVersion)
@@ -118,15 +118,14 @@ func TestV1StreamDecodesBitIdentically(t *testing.T) {
 	}
 
 	// The packed planes derived from either stream agree word for word.
-	d1, err := v1tr.Decode()
+	p1, err := v1tr.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := tr.Decode()
+	p2, err := tr.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, p2 := d1.Packed(), d2.Packed()
 	if p1.HasLatchValue() || p2.HasLatchValue() {
 		t.Fatal("usage-only packed planes claim latchvalue data")
 	}
