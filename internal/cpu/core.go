@@ -138,6 +138,12 @@ type Core struct {
 	robHead  int
 	robCount int
 
+	// waiting is the issue queue: the window indices of dispatched,
+	// not-yet-issued entries, oldest first. dispatch appends, issue
+	// removes what it selects; issued entries waiting only to commit are
+	// never visited by select.
+	waiting []int32
+
 	// LSQ occupancy.
 	lsqCount int
 
@@ -226,6 +232,7 @@ func New(cfg config.Config, src trace.Source) (*Core, error) {
 		lat:  newLatencies(cfg.FU),
 		rob:  make([]robEntry, cfg.WindowSize),
 	}
+	c.waiting = make([]int32, 0, cfg.WindowSize)
 	c.pools[FUIntALU] = newFUPool(cfg.FU.IntALU)
 	c.pools[FUIntMult] = newFUPool(cfg.FU.IntMult)
 	c.pools[FUFPALU] = newFUPool(cfg.FU.FPALU)
@@ -475,10 +482,11 @@ func (c *Core) operandReady(idx int32, seq uint64, execStart uint64) bool {
 	return p.readyTime <= execStart
 }
 
-// issue performs the issue stage's wakeup+select for cycle cyc: it scans
-// the window oldest-first and selects ready instructions subject to the
-// issue width, execution unit availability (sequential priority), and
-// D-cache port budget. Selected instructions begin execution at cyc+2
+// issue performs the issue stage's wakeup+select for cycle cyc: it walks
+// the issue queue (the window's not-yet-issued entries) oldest-first and
+// selects ready instructions subject to the issue width, execution unit
+// availability (sequential priority), and D-cache port budget, compacting
+// the queue in place. Selected instructions begin execution at cyc+2
 // (Figure 6: select at X, register read at X+1, execute at X+2).
 func (c *Core) issue(cyc uint64, limits Limits) (issued, fpIssued, memIssued, newVal int) {
 	width := limits.IssueWidth
@@ -491,12 +499,14 @@ func (c *Core) issue(cyc uint64, limits Limits) (issued, fpIssued, memIssued, ne
 	}
 	execStart := cyc + 2
 
-	for i := 0; i < c.robCount && issued < width; i++ {
-		idx := (c.robHead + i) % len(c.rob)
-		e := &c.rob[idx]
-		if e.state != stDispatched {
-			continue
-		}
+	// Each visited entry is written back at q[kept] and dropped again if
+	// selected, so the queue compacts in place and stays oldest-first.
+	q := c.waiting
+	kept, i := 0, 0
+	for ; i < len(q) && issued < width; i++ {
+		q[kept] = q[i]
+		kept++
+		e := &c.rob[q[i]]
 		if !c.operandReady(e.src1Idx, e.src1Seq, execStart) ||
 			!c.operandReady(e.src2Idx, e.src2Seq, execStart) {
 			c.stats.BlockOperand++
@@ -574,6 +584,7 @@ func (c *Core) issue(cyc uint64, limits Limits) (issued, fpIssued, memIssued, ne
 		}
 
 		e.state = stIssued
+		kept-- // selected: leaves the queue
 		issued++
 		c.stats.Issued++
 		c.stats.ClassIssued[class]++
@@ -595,6 +606,9 @@ func (c *Core) issue(cyc uint64, limits Limits) (issued, fpIssued, memIssued, ne
 			c.issueLis.OnIssue(ev)
 		}
 	}
+	// Entries past the width cut stay queued unvisited.
+	kept += copy(q[kept:], q[i:])
+	c.waiting = q[:kept]
 	return issued, fpIssued, memIssued, newVal
 }
 
@@ -650,6 +664,7 @@ func (c *Core) dispatch(cyc uint64) (n, newVal int) {
 		if in.Op.HasDst() && in.Dst != isa.NoReg {
 			c.setProducer(in.Dst, int32(idx), fe.dyn.Seq)
 		}
+		c.waiting = append(c.waiting, int32(idx))
 		c.robCount++
 		if isMem {
 			c.lsqCount++
