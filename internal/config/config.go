@@ -96,6 +96,10 @@ type FUConfig struct {
 // Total returns the total number of execution units.
 func (f FUConfig) Total() int { return f.IntALU + f.IntMult + f.FPALU + f.FPMult }
 
+// MaxPoolUnits bounds each functional unit pool: the core tracks a pool's
+// busy units as a 32-bit mask per cycle.
+const MaxPoolUnits = 32
+
 // PipelineConfig describes stage structure. The paper's baseline is the
 // 8-stage pipeline of Figure 3 (fetch, decode, rename, issue, regread,
 // execute, memory, writeback); section 5.6 studies a 20-stage variant where
@@ -291,6 +295,11 @@ func (c Config) Validate() error {
 	}
 	if c.FU.Total() < 1 {
 		return fmt.Errorf("config: no functional units")
+	}
+	for _, n := range []int{c.FU.IntALU, c.FU.IntMult, c.FU.FPALU, c.FU.FPMult} {
+		if n < 0 || n > MaxPoolUnits {
+			return fmt.Errorf("config: functional unit pool of %d units out of range [0, %d]", n, MaxPoolUnits)
+		}
 	}
 	if c.FU.IntALULat < 1 || c.FU.IntMultLat < 1 || c.FU.IntDivLat < 1 ||
 		c.FU.FPALULat < 1 || c.FU.FPMultLat < 1 || c.FU.FPDivLat < 1 {

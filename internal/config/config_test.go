@@ -100,6 +100,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.LSQSize = 0 },
 		func(c *Config) { c.OperandWidth = 48 },
 		func(c *Config) { c.FU = FUConfig{} },
+		func(c *Config) { c.FU.IntALU = MaxPoolUnits + 1 },
 		func(c *Config) { c.FU.IntALULat = 0 },
 		func(c *Config) { c.MemLat = 0 },
 		func(c *Config) { c.Pipeline.Depth = 4 },

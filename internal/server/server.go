@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"dcg/internal/cluster"
+	"dcg/internal/config"
 	"dcg/internal/core"
 	"dcg/internal/obs"
 	"dcg/internal/simrun"
@@ -342,8 +343,8 @@ func (s *Server) validate(k simrun.Key) error {
 	if k.Insts > s.cfg.MaxInsts {
 		return fmt.Errorf("insts %d exceeds the service limit %d", k.Insts, s.cfg.MaxInsts)
 	}
-	if k.IntALU < 0 || k.IntALU > 32 {
-		return fmt.Errorf("int_alus %d out of range [0, 32]", k.IntALU)
+	if k.IntALU < 0 || k.IntALU > config.MaxPoolUnits {
+		return fmt.Errorf("int_alus %d out of range [0, %d]", k.IntALU, config.MaxPoolUnits)
 	}
 	return nil
 }

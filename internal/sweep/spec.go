@@ -26,6 +26,7 @@ import (
 	"os"
 	"regexp"
 
+	"dcg/internal/config"
 	"dcg/internal/core"
 	"dcg/internal/simrun"
 	"dcg/internal/workload"
@@ -37,7 +38,8 @@ import (
 type MachineSpec struct {
 	// Deep selects the 20-stage pipeline.
 	Deep bool `json:"deep,omitempty"`
-	// IntALU overrides the integer-ALU count when > 0.
+	// IntALU overrides the integer-ALU count when > 0; it must lie in
+	// [0, config.MaxPoolUnits].
 	IntALU int `json:"int_alu,omitempty"`
 }
 
@@ -148,6 +150,11 @@ func (s *Spec) Validate() error {
 	}
 	if s.MaxInsts == 0 {
 		return fmt.Errorf("sweep: spec %q: max_insts must be positive", s.Name)
+	}
+	for _, m := range s.Machines {
+		if m.IntALU < 0 || m.IntALU > config.MaxPoolUnits {
+			return fmt.Errorf("sweep: spec %q: machine int_alu %d out of range [0, %d]", s.Name, m.IntALU, config.MaxPoolUnits)
+		}
 	}
 	for _, r := range s.Exclude {
 		if r.Scheme != "" {

@@ -88,8 +88,10 @@ func TestSpecExpansionDeterministicWithExclusions(t *testing.T) {
 	}
 }
 
-func TestSpecValidation(t *testing.T) {
-	cases := map[string]*Spec{
+// invalidSpecs are specs Items must reject, one per validation rule; the
+// spec fuzzer seeds from them too.
+func invalidSpecs() map[string]*Spec {
+	return map[string]*Spec{
 		"no name":        {Benchmarks: []string{"gzip"}, Schemes: []string{"dcg"}, MaxInsts: 1},
 		"no benchmarks":  {Name: "x", Schemes: []string{"dcg"}, MaxInsts: 1},
 		"bad benchmark":  {Name: "x", Benchmarks: []string{"quake9"}, Schemes: []string{"dcg"}, MaxInsts: 1},
@@ -97,8 +99,12 @@ func TestSpecValidation(t *testing.T) {
 		"zero insts":     {Name: "x", Benchmarks: []string{"gzip"}, Schemes: []string{"dcg"}},
 		"bad rule":       {Name: "x", Benchmarks: []string{"gzip"}, Schemes: []string{"dcg"}, MaxInsts: 1, Exclude: []Rule{{Scheme: "nope"}}},
 		"excluded empty": {Name: "x", Benchmarks: []string{"gzip"}, Schemes: []string{"dcg"}, MaxInsts: 1, Exclude: []Rule{{}}},
+		"int_alu > 32":   {Name: "x", Benchmarks: []string{"gzip"}, Schemes: []string{"dcg"}, MaxInsts: 1, Machines: []MachineSpec{{}, {IntALU: 33}}},
 	}
-	for name, spec := range cases {
+}
+
+func TestSpecValidation(t *testing.T) {
+	for name, spec := range invalidSpecs() {
 		if _, err := spec.Items(); err == nil {
 			t.Errorf("%s: spec accepted", name)
 		}
