@@ -416,7 +416,8 @@ func (s *Simulator) runCapture(ctx context.Context, warmSrc, src trace.Source, s
 		c.Warm(warmSrc, ^uint64(0))
 	}
 
-	// Cycle-limit backstop: generous multiple of the instruction count.
+	// No cycle limit: the run ends when the stream drains, or when ctx
+	// is canceled (a caller's timeout is the only backstop).
 	if _, err := c.Run(0); err != nil {
 		return nil, nil, err
 	}

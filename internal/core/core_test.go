@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"dcg/internal/power"
 	trace2 "dcg/internal/trace"
@@ -152,6 +154,30 @@ func TestPLBPerformanceLossBounded(t *testing.T) {
 	}
 	if plb.PLBModeCycles == nil {
 		t.Fatal("PLB run missing mode cycles")
+	}
+}
+
+// TestPLBKeepsOneUnitPerPool: on a machine with 1-3 integer ALUs, PLB's
+// narrow modes would disable every ALU, so no integer op could issue and
+// the low issue IPC would hold the machine in that mode forever. Each run
+// must finish well inside its deadline.
+func TestPLBKeepsOneUnitPerPool(t *testing.T) {
+	for _, kind := range []SchemeKind{SchemePLBOrig, SchemePLBExt, SchemeDCGPLB} {
+		for alus := 1; alus <= 3; alus++ {
+			m := DefaultMachine()
+			m.FU.IntALU = alus
+			sim := NewSimulator(m)
+			sim.Warmup = 5_000
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			res, err := sim.RunBenchmarkContext(ctx, "gcc", kind, 5_000)
+			cancel()
+			if err != nil {
+				t.Fatalf("%s with %d int ALUs: %v", kind, alus, err)
+			}
+			if res.Committed != 5_000 {
+				t.Errorf("%s with %d int ALUs: committed %d, want 5000", kind, alus, res.Committed)
+			}
+		}
 	}
 }
 

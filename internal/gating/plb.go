@@ -128,12 +128,20 @@ func (p *PLB) enabledUnits(mode int) (ia, im, fa, fm int) {
 	fu := p.cfg.FU
 	switch mode {
 	case Mode6:
-		return fu.IntALU - 1, fu.IntMult, fu.FPALU - 1, fu.FPMult - 1
+		return disable(fu.IntALU, 1), fu.IntMult, disable(fu.FPALU, 1), disable(fu.FPMult, 1)
 	case Mode4:
-		return fu.IntALU - 3, fu.IntMult - 1, fu.FPALU - 2, fu.FPMult - 2
+		return disable(fu.IntALU, 3), disable(fu.IntMult, 1), disable(fu.FPALU, 2), disable(fu.FPMult, 2)
 	default:
 		return fu.IntALU, fu.IntMult, fu.FPALU, fu.FPMult
 	}
+}
+
+// disable returns how many of a pool's n units stay enabled when a mode
+// disables k of them. It never disables the last unit: with none left
+// the pool's ops could never issue, and the issue IPC would stay low
+// enough to keep the machine in that mode forever.
+func disable(n, k int) int {
+	return max(n-k, min(n, 1))
 }
 
 // dports returns the usable D-cache ports for a mode. Only PLB-ext
