@@ -72,8 +72,8 @@ type fuPool struct {
 }
 
 func newFUPool(n int) fuPool {
-	if n > 32 {
-		panic("cpu: FU pool larger than 32 units")
+	if n > config.MaxPoolUnits {
+		panic("cpu: FU pool larger than config.MaxPoolUnits") // config.Validate rejects it
 	}
 	return fuPool{busyUntil: make([]uint64, n)}
 }
