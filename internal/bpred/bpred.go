@@ -6,6 +6,7 @@ package bpred
 
 import (
 	"fmt"
+	"slices"
 
 	"dcg/internal/config"
 )
@@ -76,6 +77,21 @@ func NewTwoLevel(l1Entries, l2Entries, histBits int) (*TwoLevel, error) {
 	return p, nil
 }
 
+func (p *TwoLevel) clone() *TwoLevel {
+	c := *p
+	c.l1 = slices.Clone(p.l1)
+	c.l2 = slices.Clone(p.l2)
+	return &c
+}
+
+func (p *TwoLevel) copyFrom(src *TwoLevel) {
+	if len(p.l1) != len(src.l1) || len(p.l2) != len(src.l2) || p.histBits != src.histBits {
+		panic("bpred: copying between two-level predictors of different geometry")
+	}
+	copy(p.l1, src.l1)
+	copy(p.l2, src.l2)
+}
+
 func (p *TwoLevel) l2Index(pc uint64) uint32 {
 	hist := p.l1[(pc>>2)&p.l1Mask] & p.histMask
 	// XOR-fold the PC with the history (gshare-flavoured second-level
@@ -128,6 +144,17 @@ func NewBimodal(entries int) (*Bimodal, error) {
 	return b, nil
 }
 
+func (b *Bimodal) clone() *Bimodal {
+	return &Bimodal{table: slices.Clone(b.table), mask: b.mask}
+}
+
+func (b *Bimodal) copyFrom(src *Bimodal) {
+	if len(b.table) != len(src.table) {
+		panic("bpred: copying between bimodal predictors of different geometry")
+	}
+	copy(b.table, src.table)
+}
+
 // Predict implements DirPredictor.
 func (b *Bimodal) Predict(pc uint64) bool { return b.table[(pc>>2)&b.mask] >= 2 }
 
@@ -154,7 +181,8 @@ type btbEntry struct {
 
 // BTB is a set-associative branch target buffer with true-LRU replacement.
 type BTB struct {
-	sets    [][]btbEntry
+	ways    []btbEntry // set i is ways[i*assoc : (i+1)*assoc]
+	assoc   int
 	setMask uint64
 	tick    uint64
 }
@@ -168,17 +196,32 @@ func NewBTB(entries, assoc int) (*BTB, error) {
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("bpred: BTB set count %d not a power of two", nsets)
 	}
-	sets := make([][]btbEntry, nsets)
-	backing := make([]btbEntry, entries)
-	for i := range sets {
-		sets[i], backing = backing[:assoc], backing[assoc:]
+	return &BTB{ways: make([]btbEntry, entries), assoc: assoc, setMask: uint64(nsets - 1)}, nil
+}
+
+// set returns the ways pc maps to.
+func (b *BTB) set(pc uint64) []btbEntry {
+	i := int((pc>>2)&b.setMask) * b.assoc
+	return b.ways[i : i+b.assoc]
+}
+
+func (b *BTB) clone() *BTB {
+	c := *b
+	c.ways = slices.Clone(b.ways)
+	return &c
+}
+
+func (b *BTB) copyFrom(src *BTB) {
+	if len(b.ways) != len(src.ways) || b.assoc != src.assoc {
+		panic("bpred: copying between BTBs of different geometry")
 	}
-	return &BTB{sets: sets, setMask: uint64(nsets - 1)}, nil
+	copy(b.ways, src.ways)
+	b.tick = src.tick
 }
 
 // Lookup returns the predicted target for pc, if present.
 func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
-	set := b.sets[(pc>>2)&b.setMask]
+	set := b.set(pc)
 	tag := pc >> 2
 	b.tick++
 	for i := range set {
@@ -192,7 +235,7 @@ func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
 
 // Insert records pc -> target, replacing the LRU way on conflict.
 func (b *BTB) Insert(pc, target uint64) {
-	set := b.sets[(pc>>2)&b.setMask]
+	set := b.set(pc)
 	tag := pc >> 2
 	b.tick++
 	victim := 0
@@ -228,6 +271,20 @@ func NewRAS(entries int) (*RAS, error) {
 	return &RAS{stack: make([]uint64, entries)}, nil
 }
 
+func (r *RAS) clone() *RAS {
+	c := *r
+	c.stack = slices.Clone(r.stack)
+	return &c
+}
+
+func (r *RAS) copyFrom(src *RAS) {
+	if len(r.stack) != len(src.stack) {
+		panic("bpred: copying between return address stacks of different depth")
+	}
+	copy(r.stack, src.stack)
+	r.top, r.depth = src.top, src.depth
+}
+
 // Push records a call's return address.
 func (r *RAS) Push(retAddr uint64) {
 	r.top = (r.top + 1) % len(r.stack)
@@ -258,8 +315,6 @@ type Predictor struct {
 	// Stats.
 	CondLookups    uint64
 	CondCorrect    uint64
-	TargetLookups  uint64
-	TargetCorrect  uint64
 	RASPredictions uint64
 }
 
@@ -285,6 +340,44 @@ func New(cfg config.BPredConfig) (*Predictor, error) {
 		return nil, err
 	}
 	return &Predictor{Dir: dir, BTB: btb, RAS: ras}, nil
+}
+
+// ResetStats clears the prediction counters (the tables are preserved).
+func (p *Predictor) ResetStats() { p.CondLookups, p.CondCorrect, p.RASPredictions = 0, 0, 0 }
+
+// Clone returns a deep copy of the predictor: direction tables, BTB, RAS
+// and counters. The copy shares no memory with p. Only the built-in
+// direction predictors (TwoLevel, Bimodal) can be copied.
+func (p *Predictor) Clone() *Predictor {
+	c := *p
+	switch d := p.Dir.(type) {
+	case *TwoLevel:
+		c.Dir = d.clone()
+	case *Bimodal:
+		c.Dir = d.clone()
+	default:
+		panic(fmt.Sprintf("bpred: cannot clone direction predictor %T", p.Dir))
+	}
+	c.BTB = p.BTB.clone()
+	c.RAS = p.RAS.clone()
+	return &c
+}
+
+// CopyFrom overwrites p's tables, BTB, RAS and counters with src's,
+// reusing p's memory. Both must have been built from the same
+// configuration; a geometry mismatch panics.
+func (p *Predictor) CopyFrom(src *Predictor) {
+	switch d := p.Dir.(type) {
+	case *TwoLevel:
+		d.copyFrom(src.Dir.(*TwoLevel))
+	case *Bimodal:
+		d.copyFrom(src.Dir.(*Bimodal))
+	default:
+		panic(fmt.Sprintf("bpred: cannot copy into direction predictor %T", p.Dir))
+	}
+	p.BTB.copyFrom(src.BTB)
+	p.RAS.copyFrom(src.RAS)
+	p.CondLookups, p.CondCorrect, p.RASPredictions = src.CondLookups, src.CondCorrect, src.RASPredictions
 }
 
 // PredictCond predicts a conditional branch at pc.

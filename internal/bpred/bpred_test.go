@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -310,5 +311,100 @@ func TestPredictorKindSelection(t *testing.T) {
 	}
 	if _, ok := p.Dir.(*TwoLevel); !ok {
 		t.Fatalf("Kind=2-level built %T", p.Dir)
+	}
+}
+
+// drive runs n pseudo-random control instructions from seed through p,
+// over few enough PCs that the BTB's sets overflow, and returns every
+// prediction.
+func drive(p *Predictor, seed uint64, n int) []Prediction {
+	out := make([]Prediction, 0, n)
+	x := seed
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		pc := 0x1000 + (x>>33)%96*4
+		taken := x>>20&3 != 0
+		target := 0x8000 + (x>>40)%64*4
+		var pred Prediction
+		u := Update{PC: pc, Taken: taken, Target: target}
+		switch x >> 60 & 3 {
+		case 0:
+			pred = p.PredictJump(pc)
+			u.Taken, u.IsCall = true, true
+		case 1:
+			pred = p.PredictRet(pc)
+			u.Taken, u.IsRet = true, true
+		default:
+			pred = p.PredictCond(pc)
+			u.IsCond = true
+		}
+		p.Train(u)
+		out = append(out, pred)
+	}
+	return out
+}
+
+// popAll empties r, returning what it held, newest first.
+func popAll(r *RAS) []uint64 {
+	var out []uint64
+	for {
+		v, ok := r.Pop()
+		if !ok {
+			return out
+		}
+		out = append(out, v)
+	}
+}
+
+// TestPredictorCopies: a Clone and a CopyFrom target behave exactly as the
+// original did when copied, and driving them leaves the original's next
+// predictions equal to those of an untouched twin.
+func TestPredictorCopies(t *testing.T) {
+	for _, kind := range []config.BPredKind{config.BPredTwoLevel, config.BPredBimodal} {
+		cfg := config.BPredConfig{Kind: kind, L1Entries: 64, L2Entries: 256, HistoryBits: 4,
+			BTBEntries: 32, BTBAssoc: 4, RASEntries: 16, MispredictPenaly: 8}
+		build := func() *Predictor {
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		orig, twin, dst := build(), build(), build()
+		drive(orig, 1, 4000)
+		drive(twin, 1, 4000)
+		drive(dst, 7, 37) // CopyFrom must overwrite all of this
+		clone := orig.Clone()
+		dst.CopyFrom(orig)
+
+		// The RAS's position and depth first: driving soon rotates the
+		// stack so that only its contents matter.
+		wantRAS := popAll(twin.RAS)
+		want := drive(twin, 2, 4000)
+		for _, c := range []struct {
+			name string
+			p    *Predictor
+		}{{"the clone", clone}, {"the CopyFrom target", dst}, {"the original, after its copies ran,", orig}} {
+			if got := popAll(c.p.RAS); !slices.Equal(got, wantRAS) {
+				t.Errorf("%v: %s pops %v, want %v", kind, c.name, got, wantRAS)
+			}
+			if got := drive(c.p, 2, 4000); !slices.Equal(got, want) || c.p.RASPredictions != twin.RASPredictions {
+				t.Errorf("%v: %s predicts differently from an untouched twin", kind, c.name)
+			}
+		}
+	}
+}
+
+func TestPredictorResetStats(t *testing.T) {
+	p, err := New(config.Default().BPred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Train(Update{PC: 0x100, Taken: true, IsCall: true})
+	p.PredictRet(0x200)
+	p.CondLookups, p.CondCorrect = 5, 4
+	p.ResetStats()
+	if p.CondLookups != 0 || p.CondCorrect != 0 || p.RASPredictions != 0 {
+		t.Errorf("counters after ResetStats: %d %d %d", p.CondLookups, p.CondCorrect, p.RASPredictions)
 	}
 }

@@ -7,6 +7,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"dcg/internal/config"
 )
@@ -24,7 +25,8 @@ type line struct {
 // write-back, write-allocate policy.
 type Cache struct {
 	cfg     config.CacheConfig
-	sets    [][]line
+	lines   []line // set i is lines[i*assoc : (i+1)*assoc]
+	assoc   int
 	setMask uint64
 	offBits uint
 	tick    uint64
@@ -42,20 +44,47 @@ func NewCache(cfg config.CacheConfig) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.Sets()
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Assoc)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Assoc], backing[cfg.Assoc:]
-	}
 	off := uint(0)
 	for 1<<off < cfg.LineBytes {
 		off++
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(nsets - 1), offBits: off}, nil
+	return &Cache{
+		cfg:     cfg,
+		lines:   make([]line, nsets*cfg.Assoc),
+		assoc:   cfg.Assoc,
+		setMask: uint64(nsets - 1),
+		offBits: off,
+	}, nil
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() config.CacheConfig { return c.cfg }
+
+// Clone returns a deep copy of the cache: contents, replacement state and
+// statistics. The copy shares no memory with c.
+func (c *Cache) Clone() *Cache {
+	d := *c
+	d.lines = slices.Clone(c.lines)
+	return &d
+}
+
+// CopyFrom overwrites c's contents, replacement state and statistics with
+// src's, reusing c's memory. Both must have the same geometry; a mismatch
+// panics.
+func (c *Cache) CopyFrom(src *Cache) {
+	if len(c.lines) != len(src.lines) || c.assoc != src.assoc || c.offBits != src.offBits {
+		panic(fmt.Sprintf("mem: copying cache %s into %s of a different geometry", src.cfg.Name, c.cfg.Name))
+	}
+	copy(c.lines, src.lines)
+	c.tick = src.tick
+	c.Accesses, c.Hits, c.Misses, c.Writebacks = src.Accesses, src.Hits, src.Misses, src.Writebacks
+}
+
+// set returns the ways of set i.
+func (c *Cache) set(i uint64) []line {
+	b := int(i) * c.assoc
+	return c.lines[b : b+c.assoc]
+}
 
 // index splits an address into set index and tag.
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
@@ -67,8 +96,8 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 // tests and the inclusive-state checker.
 func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
+	for _, w := range c.set(set) {
+		if w.valid && w.tag == tag {
 			return true
 		}
 	}
@@ -82,7 +111,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit, writeback bool, victimAddr
 	c.tick++
 	c.Accesses++
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.set(set)
 	victim := 0
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
@@ -138,9 +167,9 @@ func (c *Cache) InvariantCheck() error {
 		return fmt.Errorf("mem: %s hits(%d)+misses(%d) != accesses(%d)",
 			c.cfg.Name, c.Hits, c.Misses, c.Accesses)
 	}
-	for si, set := range c.sets {
+	for si := uint64(0); si <= c.setMask; si++ {
 		seen := map[uint64]bool{}
-		for _, w := range set {
+		for _, w := range c.set(si) {
 			if !w.valid {
 				continue
 			}
@@ -206,6 +235,24 @@ func NewHierarchy(cfg config.Config) (*Hierarchy, error) {
 		DPorts:   cfg.DL1.Ports,
 		mshrFree: make([]uint64, mshrs),
 	}, nil
+}
+
+// Clone returns a deep copy of the memory system: the three caches and the
+// MSHR file. The copy shares no memory with h.
+func (h *Hierarchy) Clone() *Hierarchy {
+	d := *h
+	d.IL1, d.DL1, d.L2 = h.IL1.Clone(), h.DL1.Clone(), h.L2.Clone()
+	d.mshrFree = slices.Clone(h.mshrFree)
+	return &d
+}
+
+// CopyCaches overwrites h's three caches with src's (Cache.CopyFrom). The
+// latencies and the MSHR file stay h's own: a functional warm-up leaves
+// only cache state behind.
+func (h *Hierarchy) CopyCaches(src *Hierarchy) {
+	h.IL1.CopyFrom(src.IL1)
+	h.DL1.CopyFrom(src.DL1)
+	h.L2.CopyFrom(src.L2)
 }
 
 // ResetStats clears all cache statistics (contents are preserved).

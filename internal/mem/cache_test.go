@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -257,5 +258,104 @@ func TestMSHRHitsUnaffected(t *testing.T) {
 	// A hit must not queue behind the MSHR file.
 	if got := h.DataLatencyAt(1, addr, false); got != cfg.DL1.HitLatency {
 		t.Fatalf("hit latency %d under MSHR pressure, want %d", got, cfg.DL1.HitLatency)
+	}
+}
+
+// accessOutcome is what one Cache.Access reports.
+type accessOutcome struct {
+	hit, writeback bool
+	victim         uint64
+}
+
+// exercise runs n pseudo-random reads and writes from seed through c, over
+// an address range four times its capacity, and returns every outcome.
+func exercise(c *Cache, seed uint64, n int) []accessOutcome {
+	out := make([]accessOutcome, 0, n)
+	x := seed
+	span := uint64(4 * c.cfg.SizeBytes)
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		hit, wb, victim := c.Access((x>>24)%span, x>>60 == 0)
+		out = append(out, accessOutcome{hit, wb, victim})
+	}
+	return out
+}
+
+func counters(c *Cache) [4]uint64 { return [4]uint64{c.Accesses, c.Hits, c.Misses, c.Writebacks} }
+
+// TestCacheCopies: a Clone and a CopyFrom target behave exactly as the
+// original did when copied, and driving them leaves the original's next
+// outcomes equal to those of an untouched twin.
+func TestCacheCopies(t *testing.T) {
+	orig, twin, dst := smallCache(t, 1024, 4, 32), smallCache(t, 1024, 4, 32), smallCache(t, 1024, 4, 32)
+	exercise(orig, 1, 3000)
+	exercise(twin, 1, 3000)
+	exercise(dst, 7, 37) // CopyFrom must overwrite all of this
+	clone := orig.Clone()
+	dst.CopyFrom(orig)
+
+	want := exercise(twin, 2, 3000)
+	for _, c := range []struct {
+		name string
+		c    *Cache
+	}{{"the clone", clone}, {"the CopyFrom target", dst}, {"the original, after its copies ran,", orig}} {
+		if got := exercise(c.c, 2, 3000); !slices.Equal(got, want) || counters(c.c) != counters(twin) {
+			t.Errorf("%s behaves differently from an untouched twin", c.name)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("CopyFrom between geometries did not panic")
+		}
+	}()
+	smallCache(t, 2048, 4, 32).CopyFrom(orig)
+}
+
+// TestHierarchyCopies: Clone copies all three caches and the MSHR file;
+// CopyCaches copies the caches and leaves the receiver's MSHR file alone.
+func TestHierarchyCopies(t *testing.T) {
+	cfg := config.Default()
+	build := func(mshrs int) *Hierarchy {
+		c := cfg
+		c.MSHRs = mshrs
+		h, err := NewHierarchy(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	drive := func(h *Hierarchy, seed uint64, n int) []int {
+		out := make([]int, 0, 2*n)
+		x := seed
+		for i := 0; i < n; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			out = append(out,
+				h.FetchLatency(0x40_0000+(x>>20)%(256<<10)),
+				h.DataLatencyAt(uint64(i), 0x1000_0000+(x>>30)%(8<<20), x>>62 == 0))
+		}
+		return out
+	}
+	orig, twin, dst := build(8), build(8), build(2)
+	drive(orig, 1, 20_000)
+	drive(twin, 1, 20_000)
+	clone := orig.Clone()
+	dst.CopyCaches(orig)
+	if len(dst.mshrFree) != 2 {
+		t.Errorf("CopyCaches replaced the receiver's MSHR file (%d entries)", len(dst.mshrFree))
+	}
+	for name, pair := range map[string][2]*Cache{"IL1": {dst.IL1, twin.IL1}, "DL1": {dst.DL1, twin.DL1}, "L2": {dst.L2, twin.L2}} {
+		if !slices.Equal(pair[0].lines, pair[1].lines) || pair[0].tick != pair[1].tick {
+			t.Errorf("CopyCaches: %s differs from the original's", name)
+		}
+	}
+
+	want := drive(twin, 2, 20_000)
+	if got := drive(clone, 2, 20_000); !slices.Equal(got, want) {
+		t.Error("the clone behaves differently from an untouched twin")
+	}
+	drive(dst, 3, 20_000)
+	if got := drive(orig, 2, 20_000); !slices.Equal(got, want) {
+		t.Error("driving the copies changed the original")
 	}
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"dcg/internal/isa"
 	"dcg/internal/trace"
@@ -146,6 +148,18 @@ func MustGenerator(p Profile) *Generator {
 
 // Name implements trace.Source.
 func (g *Generator) Name() string { return g.prof.Name }
+
+// Clone returns an independent generator at the same point of the same
+// walk: the two produce identical streams from here on. The static
+// program is read-only and shared; the walk state is copied.
+func (g *Generator) Clone() *Generator {
+	c := *g
+	r := *g.rng
+	c.rng = &r
+	c.loopLeft = maps.Clone(g.loopLeft)
+	c.callRet = slices.Clone(g.callRet)
+	return &c
+}
 
 // Reset rewinds the dynamic walk (the static program is preserved).
 func (g *Generator) Reset() {

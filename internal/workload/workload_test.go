@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -82,6 +83,46 @@ func TestGeneratorReset(t *testing.T) {
 		if d != first[i] {
 			t.Fatalf("Reset replay diverges at %d", i)
 		}
+	}
+}
+
+// TestGeneratorClone: a clone continues the original's stream exactly, and
+// running it leaves the original's next instructions equal to those of an
+// untouched twin (the walk's return stack, loop counters and PRNG are the
+// clone's own). Where the walk calls functions, the clone is taken inside
+// one, so the return stack is in use.
+func TestGeneratorClone(t *testing.T) {
+	next := func(g *Generator, n int) []trace.DynInst {
+		out := make([]trace.DynInst, n)
+		for i := range out {
+			out[i], _ = g.Next()
+		}
+		return out
+	}
+	inCall := 0
+	for _, name := range Names() {
+		p, _ := ByName(name)
+		orig, twin := MustGenerator(p), MustGenerator(p)
+		next(orig, 20_000)
+		next(twin, 20_000)
+		for i := 0; len(orig.callRet) == 0 && i < 100_000; i++ {
+			next(orig, 1)
+			next(twin, 1)
+		}
+		if len(orig.callRet) > 0 {
+			inCall++
+		}
+		clone := orig.Clone()
+		want := next(twin, 20_000)
+		if got := next(clone, 20_000); !slices.Equal(got, want) {
+			t.Errorf("%s: the clone's stream differs from the original's", name)
+		}
+		if got := next(orig, 20_000); !slices.Equal(got, want) {
+			t.Errorf("%s: running the clone changed the original's stream", name)
+		}
+	}
+	if inCall == 0 {
+		t.Error("no benchmark was cloned inside a function")
 	}
 }
 
