@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dcg/internal/cpu"
 	"dcg/internal/power"
 	trace2 "dcg/internal/trace"
 	workload2 "dcg/internal/workload"
@@ -176,6 +177,44 @@ func TestPLBKeepsOneUnitPerPool(t *testing.T) {
 			}
 			if res.Committed != 5_000 {
 				t.Errorf("%s with %d int ALUs: committed %d, want 5000", kind, alus, res.Committed)
+			}
+		}
+	}
+}
+
+// maxIQFrac is run telemetry that keeps the largest issue-queue fraction
+// any cycle's gating decision charged.
+type maxIQFrac struct{ max float64 }
+
+func (m *maxIQFrac) OnCycle(*cpu.Usage) {}
+
+func (m *maxIQFrac) OnGates(_ uint64, gs power.GateState) {
+	m.max = max(m.max, gs.IssueQueueFrac)
+}
+
+// TestPLBOnNonEightWideMachines: PLB's modes are named for an 8-wide
+// machine. On a narrower one a mode wider than the machine runs, and is
+// charged, at the machine's width; so every PLB scheme passes the
+// accountant's all-on bound, and no cycle charges more than the whole
+// issue queue.
+func TestPLBOnNonEightWideMachines(t *testing.T) {
+	for _, width := range []int{4, 6, 16} {
+		for _, kind := range []SchemeKind{SchemePLBOrig, SchemePLBExt, SchemeDCGPLB} {
+			m := DefaultMachine()
+			m.IssueWidth = width
+			sim := NewSimulator(m)
+			sim.Warmup = 5_000
+			iq := &maxIQFrac{}
+			sim.Telemetry = iq
+			res, err := sim.RunBenchmark("gcc", kind, 20_000)
+			if err != nil {
+				t.Fatalf("%s at %d wide: %v", kind, width, err)
+			}
+			if res.Committed != 20_000 {
+				t.Errorf("%s at %d wide: committed %d, want 20000", kind, width, res.Committed)
+			}
+			if iq.max > 1 {
+				t.Errorf("%s at %d wide: a cycle charged %.3f of the issue queue", kind, width, iq.max)
 			}
 		}
 	}

@@ -153,6 +153,12 @@ func (p *PLB) dports(mode int) int {
 	return p.cfg.DL1.Ports
 }
 
+// width returns the current mode's issue width on this machine: the mode
+// (8, 6 or 4), clamped to the machine's own width. Every per-mode width
+// PLB applies or charges for goes through it, so a machine narrower than
+// a mode runs and is charged at its full width in that mode.
+func (p *PLB) width() int { return min(p.mode, p.cfg.IssueWidth) }
+
 // Limits implements cpu.Throttle: it accumulates the window statistics and
 // returns the current mode's resource restrictions.
 func (p *PLB) Limits(cycle uint64, fb cpu.CycleFeedback) cpu.Limits {
@@ -165,12 +171,8 @@ func (p *PLB) Limits(cycle uint64, fb cpu.CycleFeedback) cpu.Limits {
 		p.winCyc, p.winIss, p.winFP = 0, 0, 0
 	}
 	ia, im, fa, fm := p.enabledUnits(p.mode)
-	w := p.mode
-	if w > p.cfg.IssueWidth {
-		w = p.cfg.IssueWidth
-	}
 	return cpu.Limits{
-		IssueWidth: w,
+		IssueWidth: p.width(),
 		DPorts:     p.dports(p.mode),
 		IntALU:     ia,
 		IntMult:    im,
@@ -265,14 +267,15 @@ func (p *PLB) Gates(cycle uint64, u *cpu.Usage) power.GateState {
 	gs.FPALUMask = mask(fa) | u.FPALUBusy
 	gs.FPMultMask = mask(fm) | u.FPMultBusy
 
-	gs.IssueQueueFrac = float64(p.mode) / float64(p.cfg.IssueWidth)
+	w := p.width()
+	gs.IssueQueueFrac = float64(w) / float64(p.cfg.IssueWidth)
 
 	// GateStates are caller-owned: the slot vector is cut from
 	// never-reused slab memory rather than aliasing controller scratch.
 	slots := p.slab.take(p.stages)
 	if p.ext {
 		for s := range slots {
-			n := p.mode
+			n := w
 			if s < len(u.BackLatch) && u.BackLatch[s] > n {
 				n = u.BackLatch[s] // drain
 			}
@@ -283,7 +286,7 @@ func (p *PLB) Gates(cycle uint64, u *cpu.Usage) power.GateState {
 		if u.DPortUsed > gs.DPortsOn {
 			gs.DPortsOn = u.DPortUsed // drain
 		}
-		gs.ResultBusOn = p.mode
+		gs.ResultBusOn = w
 		if u.ResultBus > gs.ResultBusOn {
 			gs.ResultBusOn = u.ResultBus // drain
 		}
