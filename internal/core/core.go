@@ -266,25 +266,44 @@ func (s *Simulator) RunBenchmarkContext(ctx context.Context, name string, kind S
 	if err != nil {
 		return nil, err
 	}
-	warm, src, err := s.benchSources(name, maxInsts)
+	src, prepare, err := s.benchSources(name, maxInsts)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, warm, src, scheme)
+	res, _, err := s.runCapture(ctx, src, prepare, scheme, false, nil)
+	return res, err
 }
 
-// benchSources builds the warm-up and measured instruction streams for a
-// built-in benchmark.
-func (s *Simulator) benchSources(name string, maxInsts uint64) (warm, src trace.Source, err error) {
+// benchSources returns a built-in benchmark's measured stream and the step
+// that brings a fresh core to its start. On a warm-state cache hit that
+// step restores the entry's copy of the caches and predictor, and the
+// stream continues a copy of the entry's generator. On a miss it runs the
+// functional warm-up (Core.Warm) and, if the warm-up streamed all Warmup
+// instructions, inserts a snapshot; a warm-up cut short by cancellation
+// is never cached. Warmup 0 bypasses the cache.
+func (s *Simulator) benchSources(name string, maxInsts uint64) (trace.Source, func(*cpu.Core), error) {
 	prof, ok := workload.ByName(name)
 	if !ok {
 		return nil, nil, fmt.Errorf("core: unknown benchmark %q", name)
+	}
+	warmup := s.Warmup
+	key := warmKeyFor(name, warmup, s.machine)
+	if warmup > 0 {
+		if st := lookupWarmState(key); st != nil {
+			restore := func(c *cpu.Core) { c.Restore(st.hier, st.pred) }
+			return trace.NewLimitSource(st.gen.Clone(), maxInsts), restore, nil
+		}
 	}
 	gen, err := workload.NewGenerator(prof)
 	if err != nil {
 		return nil, nil, err
 	}
-	return trace.NewLimitSource(gen, s.Warmup), trace.NewLimitSource(gen, maxInsts), nil
+	warm := func(c *cpu.Core) {
+		if c.Warm(trace.NewLimitSource(gen, warmup), ^uint64(0)) == warmup && warmup > 0 {
+			insertWarmState(key, &warmState{hier: c.Hierarchy().Clone(), pred: c.Predictor().Clone(), gen: gen.Clone()})
+		}
+	}
+	return trace.NewLimitSource(gen, maxInsts), warm, nil
 }
 
 // RunBenchmarkScheme is RunBenchmark with a caller-provided gating scheme
@@ -292,11 +311,12 @@ func (s *Simulator) benchSources(name string, maxInsts uint64) (warm, src trace.
 // direct-run path: custom schemes may throttle or observe per-cycle
 // Limits, which a replay cannot reproduce.
 func (s *Simulator) RunBenchmarkScheme(name string, scheme gating.Scheme, maxInsts uint64) (*Result, error) {
-	warm, src, err := s.benchSources(name, maxInsts)
+	src, prepare, err := s.benchSources(name, maxInsts)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(context.Background(), warm, src, scheme)
+	res, _, err := s.runCapture(context.Background(), src, prepare, scheme, false, nil)
+	return res, err
 }
 
 // RunStream warms the machine on the stream's first Warmup instructions,
@@ -357,7 +377,11 @@ func (t *Timing) Cycles() uint64 { return t.CPUStats.Cycles }
 // under the scheme: the original single-pass path, with timing and power
 // evaluated together.
 func (s *Simulator) run(ctx context.Context, warmSrc, src trace.Source, scheme gating.Scheme) (*Result, error) {
-	res, _, err := s.runCapture(ctx, warmSrc, src, scheme, false, nil)
+	var warm func(*cpu.Core)
+	if warmSrc != nil {
+		warm = func(c *cpu.Core) { c.Warm(warmSrc, ^uint64(0)) }
+	}
+	res, _, err := s.runCapture(ctx, src, warm, scheme, false, nil)
 	return res, err
 }
 
@@ -367,8 +391,10 @@ func (s *Simulator) run(ctx context.Context, warmSrc, src trace.Source, scheme g
 // and the writer both hear every GRANT event), returning the scheme's
 // Result and the reusable Timing from one pass. channels names the extra
 // trace channels to record beyond the implicit usage channel (a capture
-// pass records only what some requested scheme needs).
-func (s *Simulator) runCapture(ctx context.Context, warmSrc, src trace.Source, scheme gating.Scheme, capture bool, channels []string) (*Result, *Timing, error) {
+// pass records only what some requested scheme needs). prepare, when
+// non-nil, brings the core to the measured region's start before the run:
+// a warm-up, or a restore of one.
+func (s *Simulator) runCapture(ctx context.Context, src trace.Source, prepare func(*cpu.Core), scheme gating.Scheme, capture bool, channels []string) (*Result, *Timing, error) {
 	start := time.Now()
 	machine := s.machine
 	c, err := cpu.New(machine, src)
@@ -412,8 +438,8 @@ func (s *Simulator) runCapture(ctx context.Context, warmSrc, src trace.Source, s
 	} else {
 		c.SetObserver(observers)
 	}
-	if warmSrc != nil {
-		c.Warm(warmSrc, ^uint64(0))
+	if prepare != nil {
+		prepare(c)
 	}
 
 	// No cycle limit: the run ends when the stream drains, or when ctx
@@ -537,7 +563,7 @@ func (s *Simulator) RunAndCapture(ctx context.Context, name string, kind SchemeK
 	if err != nil {
 		return nil, nil, err
 	}
-	warm, src, err := s.benchSources(name, maxInsts)
+	src, prepare, err := s.benchSources(name, maxInsts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -553,7 +579,7 @@ func (s *Simulator) RunAndCapture(ctx context.Context, name string, kind SchemeK
 			channels = append(channels, ch)
 		}
 	}
-	return s.runCapture(ctx, warm, src, scheme, true, channels)
+	return s.runCapture(ctx, src, prepare, scheme, true, channels)
 }
 
 // CaptureBenchmark runs the timing pass alone (under the no-gating

@@ -17,8 +17,10 @@ import (
 // the Table 1 machine plus one variant per core knob that changes the
 // issue stage's work (pipeline depth, FU selection policy, store timing,
 // window/LSQ capacity, front-end stalls, FU and D-port budgets). plbOK is
-// false where PLB cannot run: its issue-queue fraction assumes an 8-wide
-// machine.
+// false for the 4-wide variant only because the table was generated when
+// PLB could not run there; TestPLBOnNonEightWideMachines now covers PLB on
+// 4-, 6- and 16-wide machines, and TestWarmRestoreMatchesFresh runs
+// plb-ext on every variant.
 var fingerprintMachines = []struct {
 	name  string
 	plbOK bool
@@ -130,33 +132,20 @@ var coreFingerprints = map[string]uint64{
 	"win16-lsq8/swim/plb-ext":   0x569eb73b57fa92ff,
 }
 
+// fingerprintBenches are the benchmarks TestCoreFingerprint runs on each
+// machine: the two stall outliers plus one ordinary benchmark per suite.
+var fingerprintBenches = []string{"mcf", "lucas", "gcc", "swim"}
+
 func TestCoreFingerprint(t *testing.T) {
 	got := map[string]uint64{}
 	for _, m := range fingerprintMachines {
 		sim := NewSimulator(m.cfg())
 		sim.Warmup = 5_000
-		for _, bench := range []string{"mcf", "lucas", "gcc", "swim"} {
-			h := fnv.New64a()
-			_, tm, err := sim.RunAndCapture(context.Background(), bench, SchemeDCG, 10_000, usagetrace.ChannelLatchValue)
-			if err != nil {
-				t.Fatalf("%s/%s/dcg: %v", m.name, bench, err)
+		for _, bench := range fingerprintBenches {
+			got[m.name+"/"+bench+"/dcg"] = dcgFingerprint(t, sim, m.name, bench)
+			if m.plbOK {
+				got[m.name+"/"+bench+"/plb-ext"] = plbFingerprint(t, sim, m.name, bench)
 			}
-			writeJSON(t, h, tm.CPUStats)
-			if _, err := tm.Trace.WriteTo(h); err != nil {
-				t.Fatal(err)
-			}
-			got[m.name+"/"+bench+"/dcg"] = h.Sum64()
-			if !m.plbOK {
-				continue
-			}
-			h = fnv.New64a()
-			res, err := sim.RunBenchmark(bench, SchemePLBExt, 10_000)
-			if err != nil {
-				t.Fatalf("%s/%s/plb-ext: %v", m.name, bench, err)
-			}
-			writeJSON(t, h, res.CPUStats)
-			writeJSON(t, h, res.PLBModeCycles)
-			got[m.name+"/"+bench+"/plb-ext"] = h.Sum64()
 		}
 	}
 
@@ -183,6 +172,36 @@ func TestCoreFingerprint(t *testing.T) {
 		}
 		t.Logf("fingerprints of this run:\n%s", table)
 	}
+}
+
+// dcgFingerprint returns the FNV-64a fingerprint of bench's
+// 10k-instruction dcg capture on sim (machine names it in failures).
+func dcgFingerprint(t *testing.T, sim *Simulator, machine, bench string) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	_, tm, err := sim.RunAndCapture(context.Background(), bench, SchemeDCG, 10_000, usagetrace.ChannelLatchValue)
+	if err != nil {
+		t.Fatalf("%s/%s/dcg: %v", machine, bench, err)
+	}
+	writeJSON(t, h, tm.CPUStats)
+	if _, err := tm.Trace.WriteTo(h); err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum64()
+}
+
+// plbFingerprint returns the FNV-64a fingerprint of bench's
+// 10k-instruction plb-ext run on sim (machine names it in failures).
+func plbFingerprint(t *testing.T, sim *Simulator, machine, bench string) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	res, err := sim.RunBenchmark(bench, SchemePLBExt, 10_000)
+	if err != nil {
+		t.Fatalf("%s/%s/plb-ext: %v", machine, bench, err)
+	}
+	writeJSON(t, h, res.CPUStats)
+	writeJSON(t, h, res.PLBModeCycles)
+	return h.Sum64()
 }
 
 func writeJSON(t *testing.T, w io.Writer, v any) {

@@ -310,10 +310,12 @@ func (c *Core) Config() config.Config { return c.cfg }
 // src through the caches and branch predictor without timing them, then
 // clears all statistics. This stands in for the paper's 2-billion
 // instruction fast-forward, so the measured region starts with warm
-// structures.
-func (c *Core) Warm(src trace.Source, n uint64) {
+// structures. It returns how many instructions it streamed: fewer than n
+// when src ran dry or the cancellation check fired.
+func (c *Core) Warm(src trace.Source, n uint64) uint64 {
 	var lastLine uint64 = ^uint64(0)
-	for i := uint64(0); i < n; i++ {
+	var i uint64
+	for ; i < n; i++ {
 		if c.cancel != nil && i&(cancelInterval-1) == 0 && c.cancel() != nil {
 			break // Run will surface the cancellation error immediately
 		}
@@ -332,8 +334,25 @@ func (c *Core) Warm(src trace.Source, n uint64) {
 			c.predictAndTrain(&d)
 		}
 	}
+	c.resetWarmStats()
+	return i
+}
+
+// Restore puts the core in the state Warm left another core in: it copies
+// hier's caches and pred into this core's own, which must be configured
+// alike, then clears the statistics as Warm does. Warm changes nothing
+// else in a core, so a restored core runs exactly as the warmed one would.
+func (c *Core) Restore(hier *mem.Hierarchy, pred *bpred.Predictor) {
+	c.hier.CopyCaches(hier)
+	c.pred.CopyFrom(pred)
+	c.resetWarmStats()
+}
+
+// resetWarmStats clears what a warm-up counted: the core's statistics, the
+// predictor's counters and the caches' access counts.
+func (c *Core) resetWarmStats() {
 	c.stats = Stats{LatchStages: c.cfg.BackEndLatchStages()}
-	c.pred.CondLookups, c.pred.CondCorrect, c.pred.RASPredictions = 0, 0, 0
+	c.pred.ResetStats()
 	c.hier.ResetStats()
 }
 

@@ -6,6 +6,7 @@ import (
 	"dcg/internal/config"
 	"dcg/internal/isa"
 	"dcg/internal/trace"
+	"dcg/internal/workload"
 )
 
 // straightLine builds n instructions of the given opcode with no
@@ -483,6 +484,41 @@ func TestWarmResetsStats(t *testing.T) {
 	}
 	if mr := c.Hierarchy().DL1.MissRate(); mr > 0.05 {
 		t.Errorf("post-warm miss rate %.2f; warm-up did not stick", mr)
+	}
+}
+
+// TestRestoreMatchesWarm: a core restored from a warmed core's caches and
+// predictor runs exactly as the warmed core does; Warm reports how many
+// instructions it streamed.
+func TestRestoreMatchesWarm(t *testing.T) {
+	prof, _ := workload.ByName("gcc")
+	gen := workload.MustGenerator(prof)
+	warmed, err := New(config.Default(), trace.NewLimitSource(gen, 20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := warmed.Warm(trace.NewLimitSource(gen, 30_000), 40_000); n != 30_000 {
+		t.Fatalf("Warm of a 30k-instruction source streamed %d", n)
+	}
+	restored, err := New(config.Default(), trace.NewLimitSource(gen.Clone(), 20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.Restore(warmed.Hierarchy().Clone(), warmed.Predictor().Clone())
+	for _, c := range []*Core{warmed, restored} {
+		if _, err := c.Run(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *warmed.Stats() != *restored.Stats() {
+		t.Errorf("restored core's statistics differ:\n%+v\n%+v", *restored.Stats(), *warmed.Stats())
+	}
+	if warmed.Hierarchy().L2.Misses != restored.Hierarchy().L2.Misses ||
+		warmed.Predictor().CondCorrect != restored.Predictor().CondCorrect {
+		t.Error("restored core's caches or predictor diverged")
+	}
+	if n := restored.Warm(trace.NewLimitSource(gen, 30_000), 5_000); n != 5_000 {
+		t.Errorf("Warm bounded at 5000 streamed %d", n)
 	}
 }
 

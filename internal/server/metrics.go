@@ -138,6 +138,17 @@ func (s *Server) newInstruments() *instruments {
 		"Scheme lanes fed by streaming scalar replay passes.",
 		func() float64 { return float64(usagetrace.FusedSchemes()) })
 
+	// Warm-state cache (process-wide, maintained by the core layer): a
+	// built-in benchmark's run either restored its functional warm-up
+	// from a snapshot (hit) or ran it and stored one (miss). Misses stay
+	// at one per benchmark and machine geometry once the cache is warm.
+	reg.CounterFunc("dcg_warm_state_hits_total",
+		"Benchmark runs that restored their functional warm-up from the warm-state cache.",
+		func() float64 { hits, _ := core.WarmStateStats(); return float64(hits) })
+	reg.CounterFunc("dcg_warm_state_misses_total",
+		"Benchmark runs that found no warm-state snapshot and ran their functional warm-up.",
+		func() float64 { _, misses := core.WarmStateStats(); return float64(misses) })
+
 	// Packed-replay counters (process-wide, maintained by the core layer):
 	// how many scheme lanes the bit-packed columnar kernel served versus
 	// how many fell back to the scalar fused engine. packed ≫ fallbacks is

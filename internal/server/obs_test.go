@@ -149,6 +149,8 @@ func TestMetricsExposition(t *testing.T) {
 		"dcg_replay_fused_schemes_total":        "counter",
 		"dcg_replay_packed_schemes_total":       "counter",
 		"dcg_replay_packed_fallbacks_total":     "counter",
+		"dcg_warm_state_hits_total":             "counter",
+		"dcg_warm_state_misses_total":           "counter",
 		"go_goroutines":                         "gauge",
 	}
 	for name, kind := range wantTypes {
@@ -186,6 +188,47 @@ func TestMetricsExposition(t *testing.T) {
 	if e.values[`dcgserve_request_duration_seconds_count{route="/v1/sim"}`] != 2 {
 		t.Errorf("request duration count = %v, want 2",
 			e.values[`dcgserve_request_duration_seconds_count{route="/v1/sim"}`])
+	}
+}
+
+// TestWarmStateCounters: each simulated run of a built-in benchmark counts
+// one warm-state lookup on /metrics, and a second, uncached request for
+// the same benchmark and machine restores the warm-up the first one left
+// (a hit, whatever the process ran before).
+func TestWarmStateCounters(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	counters := func() (hits, misses float64) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		e := parseExposition(t, resp.Body)
+		return e.values["dcg_warm_state_hits_total"], e.values["dcg_warm_state_misses_total"]
+	}
+	sim := func(scheme string) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/v1/sim?benchmark=gzip&insts=1000&warmup=3217&scheme=" + scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d", scheme, resp.StatusCode)
+		}
+	}
+	hits0, misses0 := counters()
+	sim("dcg")
+	hits1, misses1 := counters()
+	if got := hits1 - hits0 + misses1 - misses0; got != 1 {
+		t.Errorf("one run counted %v warm-state lookups, want 1", got)
+	}
+	sim("plb-ext")
+	if hits, misses := counters(); hits-hits1 != 1 || misses != misses1 {
+		t.Errorf("a second run of the key moved hits by %v and misses by %v, want 1 and 0", hits-hits1, misses-misses1)
 	}
 }
 
