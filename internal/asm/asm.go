@@ -215,6 +215,9 @@ func parseReg(s string, line int) (isa.Reg, error) {
 // parseInst parses one instruction line.
 func parseInst(line string, num int) (pendingInst, error) {
 	fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
+	if len(fields) == 0 {
+		return pendingInst{}, errf(num, "expected an instruction, got %q", line)
+	}
 	op, ok := isa.OpcodeByName(fields[0])
 	if !ok {
 		return pendingInst{}, errf(num, "unknown mnemonic %q", fields[0])
@@ -299,7 +302,7 @@ func Disassemble(p *Program) string {
 // equivalent program. Useful for program transformations and for
 // round-trip testing.
 func Canonical(p *Program) string {
-	// Collect every control target inside the program.
+	// Collect every control target that is an instruction of the program.
 	labelAt := map[uint64]string{}
 	nextLabel := 0
 	for _, in := range p.Insts {
@@ -307,8 +310,8 @@ func Canonical(p *Program) string {
 			continue
 		}
 		addr := uint64(in.Imm)
-		if addr < p.Base || addr >= p.Base+uint64(len(p.Insts))*4 {
-			continue // external target: keep numeric
+		if addr < p.Base || addr >= p.Base+uint64(len(p.Insts))*4 || (addr-p.Base)%4 != 0 {
+			continue // external or between instructions: keep numeric
 		}
 		if _, ok := labelAt[addr]; !ok {
 			labelAt[addr] = fmt.Sprintf("L%d", nextLabel)
@@ -323,22 +326,25 @@ func Canonical(p *Program) string {
 			fmt.Fprintf(&b, "%s:\n", lbl)
 		}
 		if in.Op.Class().IsCtrl() && in.Op != isa.OpRet {
-			if lbl, ok := labelAt[uint64(in.Imm)]; ok {
-				b.WriteString("    " + renderWithTarget(in, lbl) + "\n")
-				continue
+			target, ok := labelAt[uint64(in.Imm)]
+			if !ok {
+				target = strconv.FormatInt(in.Imm, 10)
 			}
+			b.WriteString("    " + renderWithTarget(in, target) + "\n")
+			continue
 		}
 		b.WriteString("    " + in.String() + "\n")
 	}
 	return b.String()
 }
 
-// renderWithTarget renders a control instruction with a label target.
-func renderWithTarget(in isa.Inst, label string) string {
+// renderWithTarget renders a control instruction with its target, a label
+// or an address. A call's link register is implicit, as Assemble expects.
+func renderWithTarget(in isa.Inst, target string) string {
 	switch in.Op {
 	case isa.OpJmp, isa.OpCall:
-		return fmt.Sprintf("%s %s", in.Op, label)
+		return fmt.Sprintf("%s %s", in.Op, target)
 	default: // conditional branches
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, in.Src1, in.Src2, label)
+		return fmt.Sprintf("%s %s, %s, %s", in.Op, in.Src1, in.Src2, target)
 	}
 }

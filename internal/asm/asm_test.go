@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,19 +116,23 @@ fn:
 	}
 }
 
+// errorCases are sources Assemble must reject.
+var errorCases = []struct{ name, src string }{
+	{"unknown mnemonic", "frob r1, r2"},
+	{"bad register", "add rx, r1, r2"},
+	{"out of range reg", "add r99, r1, r2"},
+	{"operand count", "add r1, r2"},
+	{"undefined label", "jmp nowhere\nhalt"},
+	{"duplicate label", "a:\nhalt\na:\nhalt"},
+	{"bad immediate", "addi r1, r2, zz-3"},
+	{"empty", "; nothing"},
+	{"bad directive", ".data 4"},
+	{"no mnemonic", ","},
+	{"commas only", "halt\n , ,"},
+}
+
 func TestErrors(t *testing.T) {
-	cases := []struct{ name, src string }{
-		{"unknown mnemonic", "frob r1, r2"},
-		{"bad register", "add rx, r1, r2"},
-		{"out of range reg", "add r99, r1, r2"},
-		{"operand count", "add r1, r2"},
-		{"undefined label", "jmp nowhere\nhalt"},
-		{"duplicate label", "a:\nhalt\na:\nhalt"},
-		{"bad immediate", "addi r1, r2, zz-3"},
-		{"empty", "; nothing"},
-		{"bad directive", ".data 4"},
-	}
-	for _, c := range cases {
+	for _, c := range errorCases {
 		if _, err := Assemble(c.src); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
@@ -187,8 +192,9 @@ func TestErrorHasLineNumber(t *testing.T) {
 	}
 }
 
-func TestCanonicalRoundTrip(t *testing.T) {
-	src := `
+// roundTripSrc exercises every operand form Canonical renders: labels in
+// both directions, memory operands, a call and FP registers.
+const roundTripSrc = `
 .org 0x8000
 start:
     addi r1, r0, 10
@@ -203,7 +209,9 @@ fn:
     fadd f1, f2, f3
     ret r31
 `
-	p1, err := Assemble(src)
+
+func TestCanonicalRoundTrip(t *testing.T) {
+	p1, err := Assemble(roundTripSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,5 +232,36 @@ fn:
 	// Idempotence: canonicalising the canonical form is stable.
 	if c2 := Canonical(p2); c2 != canon {
 		t.Error("Canonical not idempotent")
+	}
+}
+
+// canonicalCases are accepted programs whose canonical form once failed to
+// reassemble.
+var canonicalCases = []string{
+	"call 0",         // a numeric call target rendered with its link register
+	".org 0\ncall 1", // a target inside the program but between instructions
+}
+
+// checkRoundTrip asserts Assemble(Canonical(p)) reproduces p's base and
+// instructions.
+func checkRoundTrip(t *testing.T, p *Program) {
+	t.Helper()
+	canon := Canonical(p)
+	q, err := Assemble(canon)
+	if err != nil {
+		t.Fatalf("canonical form does not reassemble: %v\n%s", err, canon)
+	}
+	if q.Base != p.Base || !slices.Equal(q.Insts, p.Insts) {
+		t.Fatalf("canonical form reassembles differently:\n%s", canon)
+	}
+}
+
+func TestCanonicalRoundTripCases(t *testing.T) {
+	for _, src := range canonicalCases {
+		p, err := Assemble(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		checkRoundTrip(t, p)
 	}
 }
