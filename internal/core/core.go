@@ -200,9 +200,11 @@ type Simulator struct {
 	// Telemetry, when non-nil, observes the measured region: it receives
 	// every per-cycle usage vector (after any trace writer, before the
 	// power accountant) and — via a gating.Observed wrapper around the
-	// run's scheme — every per-cycle gating decision. The obs package's
-	// PipelineRecorder implements it; dcgsim -trace-out and the server's
-	// /v1/trace endpoint wire it up.
+	// run's scheme — every per-cycle gating decision. The wrapper takes no
+	// runs of quiet cycles, so a run with telemetry steps every cycle
+	// instead of fast-forwarding. The obs package's PipelineRecorder
+	// implements it; dcgsim -trace-out and the server's /v1/trace endpoint
+	// wire it up.
 	Telemetry RunTelemetry
 
 	// DisablePackedReplay forces replay evaluations down the scalar fused

@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"dcg/internal/config"
 	"dcg/internal/gating"
 	"dcg/internal/power"
 	"dcg/internal/usagetrace"
@@ -66,30 +67,50 @@ func assertBitIdentical(t *testing.T, label string, direct, replayed *Result) {
 }
 
 // TestReplayMatchesDirectRunBitForBit is the golden equivalence test: for
-// every timing-neutral scheme, evaluating a captured trace must produce
-// the same Result a full simulation does, bit for bit.
+// every packed-capable scheme, evaluating a captured trace on either replay
+// engine must produce the same Result a full simulation does, bit for bit.
+// Beside Table 1 it runs a 6-wide machine and a 4-wide one with a 37-entry
+// window, where PLB's width fractions and the oracle's occupancy fractions
+// are not exact in binary.
 func TestReplayMatchesDirectRunBitForBit(t *testing.T) {
 	const insts = 40_000
-	for _, bench := range []string{"gzip", "swim"} {
-		sim := NewSimulator(DefaultMachine())
-		sim.Warmup = 20_000
-		tm, err := sim.CaptureBenchmark(bench, insts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tm.Trace.Cycles() != tm.CPUStats.Cycles {
-			t.Fatalf("%s: trace holds %d cycles, timing ran %d", bench, tm.Trace.Cycles(), tm.CPUStats.Cycles)
-		}
-		for _, kind := range []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle} {
-			direct, err := sim.RunBenchmark(bench, kind, insts)
+	sixWide := DefaultMachine()
+	sixWide.IssueWidth = 6
+	win37 := DefaultMachine()
+	win37.IssueWidth, win37.WindowSize = 4, 37
+	machines := []struct {
+		name string
+		cfg  config.Config
+	}{{"table1", DefaultMachine()}, {"6wide", sixWide}, {"4wide-win37", win37}}
+	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector}
+	for _, m := range machines {
+		for _, bench := range []string{"gzip", "swim"} {
+			sim := NewSimulator(m.cfg)
+			sim.Warmup = 20_000
+			tm, err := sim.CaptureBenchmark(bench, insts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayed, err := sim.EvaluateTiming(tm, kind)
+			if tm.Trace.Cycles() != tm.CPUStats.Cycles {
+				t.Fatalf("%s/%s: trace holds %d cycles, timing ran %d", m.name, bench, tm.Trace.Cycles(), tm.CPUStats.Cycles)
+			}
+			packed, err := sim.EvaluateTimingPacked(tm, kinds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertBitIdentical(t, bench+"/"+kind.String(), direct, replayed)
+			for i, kind := range kinds {
+				label := m.name + "/" + bench + "/" + kind.String()
+				direct, err := sim.RunBenchmark(bench, kind, insts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scalar, err := sim.EvaluateTiming(tm, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertBitIdentical(t, label+"/scalar", direct, scalar)
+				assertBitIdentical(t, label+"/packed", direct, packed[i])
+			}
 		}
 	}
 }

@@ -17,7 +17,9 @@
 // Every cycle the core publishes a Usage vector (which structures were
 // used) and IssueEvents (the selection logic's GRANT signals plus their
 // deterministically known future timing), from which the power model and
-// the clock-gating schemes operate.
+// the clock-gating schemes operate. A run of quiet cycles, in which nothing
+// can change, is fast-forwarded and published at once to observers that
+// take runs (QuietObserver).
 package cpu
 
 import (
@@ -132,6 +134,15 @@ type Core struct {
 	throttle Throttle
 	observer Observer
 	issueLis IssueListener
+
+	// quietThrottle is throttle when it takes runs of quiet cycles, nil
+	// otherwise (then Run steps every cycle).
+	quietThrottle QuietThrottle
+
+	// quiet reports that the last stepped cycle was quiet: nothing issued,
+	// committed, dispatched or fetched, and no unit, D-cache port, result
+	// bus or back-end latch was in use. Run then tries to fast-forward.
+	quiet bool
 
 	// Window (ROB).
 	rob      []robEntry
@@ -265,7 +276,7 @@ func New(cfg config.Config, src trace.Source) (*Core, error) {
 		c.fetchLineShift++
 	}
 	c.lastFetchLine = ^uint64(0)
-	c.throttle = NewFixedThrottle(c.fullLimits())
+	c.SetThrottle(nil)
 	return c, nil
 }
 
@@ -281,6 +292,7 @@ func (c *Core) SetThrottle(t Throttle) {
 		t = NewFixedThrottle(c.fullLimits())
 	}
 	c.throttle = t
+	c.quietThrottle, _ = t.(QuietThrottle)
 }
 
 // SetObserver installs the per-cycle usage observer.
@@ -358,6 +370,11 @@ func (c *Core) resetWarmStats() {
 
 // Run simulates until the source is exhausted and the pipeline drains, or
 // maxCycles elapses (0 = no limit). It returns the cycle count.
+//
+// After a quiet cycle Run fast-forwards to the next cycle at which anything
+// can change (skipQuiet), counting the skipped cycles' statistics in bulk
+// and handing them to the observer as one run. Every statistic and every
+// usage vector is the one stepping each cycle would have produced.
 func (c *Core) Run(maxCycles uint64) (uint64, error) {
 	for {
 		if maxCycles > 0 && c.cycle >= maxCycles {
@@ -372,6 +389,9 @@ func (c *Core) Run(maxCycles uint64) (uint64, error) {
 		}
 		if c.streamDone && c.robCount == 0 && c.frontLen == 0 && !c.nextValid {
 			break
+		}
+		if c.quiet && c.skipQuiet(maxCycles) {
+			continue
 		}
 		c.step()
 	}
@@ -435,9 +455,16 @@ func (c *Core) step() {
 	c.stats.FUBusyCycles[FUFPMult] += uint64(c.pools[FUFPMult].busyCount(cyc))
 	c.stats.DPortCycles += uint64(u.DPortUsed)
 	c.stats.ResultBusBusy += uint64(u.ResultBus)
+	latchFlow := 0
 	for _, f := range u.BackLatch {
-		c.stats.LatchSlotFlow += uint64(f)
+		latchFlow += f
 	}
+	c.stats.LatchSlotFlow += uint64(latchFlow)
+	// BackLatch[0] is this cycle's dispatch count, so latchFlow == 0 also
+	// says nothing dispatched.
+	c.quiet = issued == 0 && committed == 0 && fetchedNow == 0 && latchFlow == 0 &&
+		u.IntALUBusy|u.IntMultBusy|u.FPALUBusy|u.FPMultBusy == 0 &&
+		u.DPortUsed == 0 && u.ResultBus == 0
 
 	if c.observer != nil {
 		c.observer.OnCycle(u)
@@ -465,6 +492,124 @@ func (c *Core) step() {
 	c.cycle++
 }
 
+// skipQuiet fast-forwards from c.cycle, the cycle after a quiet one, to the
+// next cycle at which anything can change, and reports whether it moved.
+// Each skipped cycle would have stepped to the same quiet usage vector as
+// the one before it (only Cycle differs) and counted the same stalls, so
+// the run's statistics are applied in bulk and the observer gets it as one
+// run. The skip never starts on, or runs past, a cancellation poll, and
+// never runs past maxCycles; the next cycle is stepped either way.
+func (c *Core) skipQuiet(maxCycles uint64) bool {
+	c.quiet = false
+	now := c.cycle
+	if c.quietThrottle == nil || now&(cancelInterval-1) == 0 {
+		return false
+	}
+	next := (now | (cancelInterval - 1)) + 1
+	if maxCycles > 0 {
+		next = min(next, maxCycles)
+	}
+
+	// Fetch must stay stalled: on a misprediction, an I-cache miss or a
+	// full front end. Each stall keeps counting as it did this cycle.
+	var fetchStall *uint64
+	switch {
+	case c.streamDone:
+	case c.waitingResolve:
+		fetchStall = &c.stats.StallResolve
+	case now < c.fetchResume:
+		fetchStall = &c.stats.StallICache
+		next = min(next, c.fetchResume)
+	case c.frontLen >= c.frontCap:
+		fetchStall = &c.stats.StallFrontFull
+	default:
+		return false
+	}
+	// Dispatch must stay blocked: its head not yet eligible, or held by a
+	// full window or LSQ.
+	var dispatchStall *uint64
+	if c.frontLen > 0 {
+		fe := &c.front[c.frontHead]
+		switch {
+		case fe.eligible > now:
+			next = min(next, fe.eligible)
+		case c.robCount >= len(c.rob):
+			dispatchStall = &c.stats.RobFullStall
+		case fe.dyn.IsMem() && c.lsqCount >= c.cfg.LSQSize:
+			dispatchStall = &c.stats.LSQFullStall
+		default:
+			return false
+		}
+	}
+	// Commit waits for the window's head to complete.
+	if c.robCount > 0 {
+		if h := &c.rob[c.robHead]; h.state == stIssued {
+			next = min(next, h.doneTime)
+		}
+	}
+	// Issue waits for the first waiting entry whose operands come ready;
+	// one waiting on an unissued producer waits for that producer's issue.
+	for _, qi := range c.waiting {
+		e := &c.rob[qi]
+		r1, ok1 := c.readyAt(e.src1Idx, e.src1Seq)
+		r2, ok2 := c.readyAt(e.src2Idx, e.src2Seq)
+		if !ok1 || !ok2 {
+			continue
+		}
+		// An entry selected at cycle t executes from t+2.
+		ready := max(r1, r2)
+		if ready <= now+2 {
+			return false
+		}
+		next = min(next, ready-2)
+	}
+	// Until the first cycle with a unit, D-cache port or result bus
+	// scheduled.
+	for t := now; t < next; t++ {
+		i, j := t&(horizon-1), t%poolHorizon
+		if c.dportSched[i]|c.busSched[i] != 0 ||
+			c.pools[FUIntALU].sched[j]|c.pools[FUIntMult].sched[j]|
+				c.pools[FUFPALU].sched[j]|c.pools[FUFPMult].sched[j] != 0 {
+			next = t
+			break
+		}
+	}
+	if next <= now {
+		return false
+	}
+	n := c.quietThrottle.QuietLimits(now, next-now)
+	if n == 0 {
+		return false
+	}
+
+	// What n quiet steps count: every waiting entry blocked on an
+	// operand, the stalls above, an empty issue group.
+	if c.robCount == 0 {
+		c.stats.RobEmpty += n
+	}
+	c.stats.BlockOperand += n * uint64(len(c.waiting))
+	if fetchStall != nil {
+		*fetchStall += n
+	}
+	if dispatchStall != nil {
+		*dispatchStall += n
+	}
+	c.stats.IssueSizeHist[0] += n
+	if b := c.robCount / 8; b < len(c.stats.OccupancyHist) {
+		c.stats.OccupancyHist[b] += n
+	}
+	for t := now; t < now+n; t++ {
+		c.issueHist[t&(horizon-1)] = 0
+		c.issueNewValHist[t&(horizon-1)] = 0
+	}
+	if c.observer != nil {
+		c.usage.Cycle = now
+		observeQuiet(c.observer, &c.usage, n)
+	}
+	c.cycle = now + n
+	return true
+}
+
 // commit retires completed instructions in order, up to the commit width.
 func (c *Core) commit(cyc uint64) int {
 	n := 0
@@ -488,17 +633,24 @@ func (c *Core) commit(cyc uint64) int {
 // operandReady reports whether an operand (producer idx/seq) is available
 // for an execution start at cycle execStart.
 func (c *Core) operandReady(idx int32, seq uint64, execStart uint64) bool {
+	ready, ok := c.readyAt(idx, seq)
+	return ok && ready <= execStart
+}
+
+// readyAt returns the first cycle an execution may start with an operand
+// (producer idx/seq), and false while its producer has not issued.
+func (c *Core) readyAt(idx int32, seq uint64) (uint64, bool) {
 	if idx < 0 {
-		return true
+		return 0, true
 	}
 	p := &c.rob[idx]
 	if p.state == stFree || p.dyn.Seq != seq {
-		return true // producer retired: value is architectural
+		return 0, true // producer retired: value is architectural
 	}
 	if p.state != stIssued {
-		return false // producer not yet scheduled
+		return 0, false // producer not yet scheduled
 	}
-	return p.readyTime <= execStart
+	return p.readyTime, true
 }
 
 // issue performs the issue stage's wakeup+select for cycle cyc: it walks

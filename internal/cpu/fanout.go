@@ -18,6 +18,14 @@ func (m MultiObserver) OnCycle(u *Usage) {
 	}
 }
 
+// OnQuiet implements QuietObserver: each observer in turn takes the whole
+// run, in one OnQuiet call or as n OnCycle calls.
+func (m MultiObserver) OnQuiet(u *Usage, n uint64) {
+	for _, o := range m {
+		observeQuiet(o, u, n)
+	}
+}
+
 // MultiIssueListener fans each issue event out to several listeners, in
 // order. Events are small value types, so unlike Usage there is no
 // retention hazard; the fan-out exists because SetIssueListener

@@ -80,6 +80,29 @@ type Observer interface {
 	OnCycle(u *Usage)
 }
 
+// QuietObserver is an Observer that takes a run of quiet cycles at once.
+// When the core fast-forwards (Core.Run), OnQuiet stands for n OnCycle
+// calls for cycles u.Cycle, u.Cycle+1, ..., each with usage u: nothing
+// but the cycle number differs. It must leave u as it was handed in. An
+// observer without the method gets the n OnCycle calls.
+type QuietObserver interface {
+	OnQuiet(u *Usage, n uint64)
+}
+
+// observeQuiet hands o a run of n cycles from u.Cycle, each with usage u:
+// in one OnQuiet call when o takes runs, as n OnCycle calls otherwise.
+func observeQuiet(o Observer, u *Usage, n uint64) {
+	if q, ok := o.(QuietObserver); ok {
+		q.OnQuiet(u, n)
+		return
+	}
+	first := u.Cycle
+	for ; u.Cycle < first+n; u.Cycle++ {
+		o.OnCycle(u)
+	}
+	u.Cycle = first
+}
+
 // IssueEvent describes one instruction selection, delivered to gating
 // schemes at the end of the cycle in which the issue-stage selection logic
 // produced the corresponding GRANT signal. Everything in the event is
@@ -148,6 +171,17 @@ type Throttle interface {
 	Limits(cycle uint64, fb CycleFeedback) Limits
 }
 
+// QuietThrottle is a Throttle the core may fast-forward under. QuietLimits
+// stands for up to n Limits calls, for cycles cycle, cycle+1, ..., each
+// with zero feedback, and returns how many it took: it stops before a call
+// whose effect a later cycle could see, such as PLB's window decision. The
+// core does not read the limits of the calls it took; nothing issues in a
+// quiet cycle as long as each would allow at least one issue slot. The
+// core fast-forwards only under a throttle that implements this.
+type QuietThrottle interface {
+	QuietLimits(cycle, n uint64) uint64
+}
+
 // FullLimits returns the unthrottled limits for a configuration.
 func FullLimits(issueWidth, dports, intALU, intMult, fpALU, fpMult int) Limits {
 	return Limits{
@@ -165,6 +199,9 @@ type fixedThrottle struct{ l Limits }
 
 // Limits implements Throttle.
 func (f fixedThrottle) Limits(uint64, CycleFeedback) Limits { return f.l }
+
+// QuietLimits implements QuietThrottle: fixed limits take any run.
+func (f fixedThrottle) QuietLimits(_, n uint64) uint64 { return n }
 
 // NewFixedThrottle builds a Throttle that never restricts the core.
 func NewFixedThrottle(l Limits) Throttle { return fixedThrottle{l} }

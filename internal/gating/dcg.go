@@ -268,20 +268,44 @@ func (d *DCG) Gates(cycle uint64, u *cpu.Usage) power.GateState {
 	gs.IssueQueueFrac = 1 // DCG leaves the issue queue to [6] (§2.2.2)
 	gs.ControlOverhead = true
 
-	// Activity bookkeeping.
-	d.stats.Cycles++
-	d.stats.UnitCyclesOn += popcountAll(gs)
-	d.stats.UnitCyclesTotal += uint64(d.cfg.FU.Total())
-	d.stats.PortCyclesOn += uint64(gs.DPortsOn)
-	d.stats.PortCyclesTotal += uint64(d.cfg.DL1.Ports)
-	d.stats.BusCyclesOn += uint64(gs.ResultBusOn)
-	d.stats.BusCyclesTotal += uint64(d.cfg.IssueWidth)
-	for _, s := range gs.BackLatchSlots {
-		d.stats.SlotCyclesOn += uint64(s)
-	}
-	d.stats.SlotCyclesTotal += uint64(d.cfg.IssueWidth * len(gs.BackLatchSlots))
-
+	d.count(&gs, 1)
 	return gs
+}
+
+// count adds n cycles of gate state gs to the activity summary.
+func (d *DCG) count(gs *power.GateState, n uint64) {
+	d.stats.Cycles += n
+	d.stats.UnitCyclesOn += n * popcountAll(*gs)
+	d.stats.UnitCyclesTotal += n * uint64(d.cfg.FU.Total())
+	d.stats.PortCyclesOn += n * uint64(gs.DPortsOn)
+	d.stats.PortCyclesTotal += n * uint64(d.cfg.DL1.Ports)
+	d.stats.BusCyclesOn += n * uint64(gs.ResultBusOn)
+	d.stats.BusCyclesTotal += n * uint64(d.cfg.IssueWidth)
+	for _, s := range gs.BackLatchSlots {
+		d.stats.SlotCyclesOn += n * uint64(s)
+	}
+	d.stats.SlotCyclesTotal += n * uint64(d.cfg.IssueWidth*len(gs.BackLatchSlots))
+}
+
+// QuietLimits implements cpu.QuietThrottle: DCG never throttles.
+func (d *DCG) QuietLimits(_, n uint64) uint64 { return n }
+
+// GatesQuiet implements power.QuietGater. One state covers a run whose
+// schedule slots are all empty: the first cycle reads (and counts the
+// toggle from) the previous masks, every later one reads zeros again.
+func (d *DCG) GatesQuiet(cycle, n uint64, u *cpu.Usage) (power.GateState, bool) {
+	r := d.ensureRings()
+	for c := cycle; c < cycle+n; c++ {
+		i := c % schedHorizon
+		if r.fuSched[cpu.FUIntALU][i]|r.fuSched[cpu.FUIntMult][i]|
+			r.fuSched[cpu.FUFPALU][i]|r.fuSched[cpu.FUFPMult][i] != 0 ||
+			r.dportSched[i] != 0 || r.busSched[i] != 0 {
+			return power.GateState{}, false
+		}
+	}
+	gs := d.Gates(cycle, u)
+	d.count(&gs, n-1)
+	return gs, true
 }
 
 func popcountAll(gs power.GateState) uint64 {

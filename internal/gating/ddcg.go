@@ -89,18 +89,36 @@ func (d *DDCG) Gates(cycle uint64, u *cpu.Usage) power.GateState {
 	gs.ControlOverhead = true
 	gs.ValueGatedLatches = true
 
-	d.stats.Cycles++
+	d.count(src, u, 1)
+	return gs
+}
+
+// count adds n cycles with usage u, whose latches were gated to the
+// value-change counts src, to the comparators' activity summary.
+func (d *DDCG) count(src []int, u *cpu.Usage, n uint64) {
+	d.stats.Cycles += n
 	for s := 0; s < d.stages; s++ {
 		on := uint64(0)
 		if s < len(src) {
 			on = uint64(src[s])
 		}
-		d.stats.SlotCyclesOn += on
+		d.stats.SlotCyclesOn += n * on
 		if s < len(u.BackLatch) && uint64(u.BackLatch[s]) > on {
-			d.stats.ValueGatedSlotCycles += uint64(u.BackLatch[s]) - on
+			d.stats.ValueGatedSlotCycles += n * (uint64(u.BackLatch[s]) - on)
 		}
 	}
-	return gs
+}
+
+// QuietLimits implements cpu.QuietThrottle: value-dependent gating never
+// throttles.
+func (d *DDCG) QuietLimits(_, n uint64) uint64 { return n }
+
+// GatesQuiet implements power.QuietGater: the gate state depends on the
+// usage alone, so the run's every cycle gets its first cycle's state.
+func (d *DDCG) GatesQuiet(cycle, n uint64, u *cpu.Usage) (power.GateState, bool) {
+	gs := d.Gates(cycle, u)
+	d.count(gs.BackLatchSlots, u, n-1)
+	return gs, true
 }
 
 // Stats returns the comparators' activity summary.

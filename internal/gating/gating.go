@@ -31,6 +31,27 @@ type Scheme interface {
 	power.Gater
 }
 
+// quietScheme is a Scheme the core may fast-forward under and the
+// accountant may charge runs of quiet cycles in bulk. Every built-in
+// scheme is one; Observed (telemetry) and other wrappers are not, so their
+// runs step every cycle.
+type quietScheme interface {
+	Scheme
+	cpu.QuietThrottle
+	power.QuietGater
+}
+
+var (
+	_ quietScheme = (*None)(nil)
+	_ quietScheme = (*DCG)(nil)
+	_ quietScheme = (*Oracle)(nil)
+	_ quietScheme = (*Lector)(nil)
+	_ quietScheme = (*DDCG)(nil)
+	_ quietScheme = (*DCGDDCG)(nil)
+	_ quietScheme = (*PLB)(nil)
+	_ quietScheme = (*DCGPLB)(nil)
+)
+
 // fullMasks returns the all-enabled unit masks for a configuration.
 func fullMasks(cfg config.Config) (ia, im, fa, fm uint32) {
 	return mask(cfg.FU.IntALU), mask(cfg.FU.IntMult), mask(cfg.FU.FPALU), mask(cfg.FU.FPMult)
@@ -85,3 +106,11 @@ func (n *None) OnIssue(cpu.IssueEvent) {}
 
 // Gates implements power.Gater: everything stays clocked.
 func (n *None) Gates(uint64, *cpu.Usage) power.GateState { return n.full }
+
+// QuietLimits implements cpu.QuietThrottle.
+func (n *None) QuietLimits(_, k uint64) uint64 { return k }
+
+// GatesQuiet implements power.QuietGater.
+func (n *None) GatesQuiet(uint64, uint64, *cpu.Usage) (power.GateState, bool) {
+	return n.full, true
+}

@@ -36,11 +36,27 @@ func (h *DCGDDCG) Limits(cycle uint64, fb cpu.CycleFeedback) cpu.Limits {
 func (h *DCGDDCG) OnIssue(ev cpu.IssueEvent) { h.dcg.OnIssue(ev) }
 
 // Gates implements power.Gater: DCG's decision with the latch slots
-// tightened to the value-change counts. The override slice is cut from
-// the hybrid's own slab so the inner controller's GateState stays
-// untouched (caller-ownership contract).
+// tightened to the value-change counts.
 func (h *DCGDDCG) Gates(cycle uint64, u *cpu.Usage) power.GateState {
-	gs := h.dcg.Gates(cycle, u)
+	return h.tighten(h.dcg.Gates(cycle, u), u)
+}
+
+// QuietLimits implements cpu.QuietThrottle: the hybrid never throttles.
+func (h *DCGDDCG) QuietLimits(_, n uint64) uint64 { return n }
+
+// GatesQuiet implements power.QuietGater: DCG's run state, tightened.
+func (h *DCGDDCG) GatesQuiet(cycle, n uint64, u *cpu.Usage) (power.GateState, bool) {
+	gs, ok := h.dcg.GatesQuiet(cycle, n, u)
+	if !ok {
+		return gs, false
+	}
+	return h.tighten(gs, u), true
+}
+
+// tighten gates DCG's latch slots to u's value-change counts. The override
+// slice is cut from the hybrid's own slab so the inner controller's
+// GateState stays untouched (caller-ownership contract).
+func (h *DCGDDCG) tighten(gs power.GateState, u *cpu.Usage) power.GateState {
 	if u.BackLatchNewVal != nil {
 		slots := h.slab.take(h.stages)
 		copy(slots, u.BackLatchNewVal)
@@ -92,13 +108,30 @@ func (h *DCGPLB) Limits(cycle uint64, fb cpu.CycleFeedback) cpu.Limits {
 // (PLB ignores them).
 func (h *DCGPLB) OnIssue(ev cpu.IssueEvent) { h.dcg.OnIssue(ev) }
 
-// Gates implements power.Gater: the per-instance intersection of both
-// decisions — masks ANDed, counts and fractions taken at the minimum,
-// latch slots stage-wise minimal into the hybrid's own slab slice.
+// Gates implements power.Gater: the intersection of both decisions.
 func (h *DCGPLB) Gates(cycle uint64, u *cpu.Usage) power.GateState {
-	a := h.dcg.Gates(cycle, u)
-	b := h.plb.Gates(cycle, u)
+	return h.intersect(h.dcg.Gates(cycle, u), h.plb.Gates(cycle, u))
+}
 
+// QuietLimits implements cpu.QuietThrottle: PLB's mode FSM decides.
+func (h *DCGPLB) QuietLimits(cycle, n uint64) uint64 { return h.plb.QuietLimits(cycle, n) }
+
+// GatesQuiet implements power.QuietGater: the intersection of both
+// parents' run states, when DCG's covers the run.
+func (h *DCGPLB) GatesQuiet(cycle, n uint64, u *cpu.Usage) (power.GateState, bool) {
+	a, ok := h.dcg.GatesQuiet(cycle, n, u)
+	if !ok {
+		return a, false
+	}
+	b, _ := h.plb.GatesQuiet(cycle, n, u)
+	return h.intersect(a, b), true
+}
+
+// intersect is the per-instance intersection of DCG's decision a and
+// PLB's decision b — masks ANDed, counts and fractions taken at the
+// minimum, latch slots stage-wise minimal into the hybrid's own slab
+// slice.
+func (h *DCGPLB) intersect(a, b power.GateState) power.GateState {
 	var gs power.GateState
 	gs.IntALUMask = a.IntALUMask & b.IntALUMask
 	gs.IntMultMask = a.IntMultMask & b.IntMultMask

@@ -83,3 +83,13 @@ func (l *Lector) Gates(cycle uint64, u *cpu.Usage) power.GateState {
 	gs.ControlGates = gated
 	return gs
 }
+
+// QuietLimits implements cpu.QuietThrottle: occupancy gating never
+// throttles.
+func (l *Lector) QuietLimits(_, n uint64) uint64 { return n }
+
+// GatesQuiet implements power.QuietGater: the scheme is stateless, so the
+// run's every cycle gets its first cycle's state.
+func (l *Lector) GatesQuiet(cycle, _ uint64, u *cpu.Usage) (power.GateState, bool) {
+	return l.Gates(cycle, u), true
+}

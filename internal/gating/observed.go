@@ -14,7 +14,9 @@ import (
 // The wrapper is transparent for throttling, issue events, and naming;
 // only Gates is intercepted. Callers that type-switch on the concrete
 // scheme (the core does, for PLB mode counters and DCG violation
-// counts) must unwrap first via Unwrap.
+// counts) must unwrap first via Unwrap. It implements neither
+// cpu.QuietThrottle nor power.QuietGater, so a telemetry run steps every
+// cycle and OnGates sees each one.
 type Observed struct {
 	Scheme
 

@@ -56,8 +56,32 @@ func (o *Oracle) OnIssue(ev cpu.IssueEvent) { o.dcg.OnIssue(ev) }
 // Gates implements power.Gater: DCG's decisions plus issue-queue and
 // front-end latch gating.
 func (o *Oracle) Gates(cycle uint64, u *cpu.Usage) power.GateState {
-	gs := o.dcg.Gates(cycle, u)
+	return o.extend(o.dcg.Gates(cycle, u), u)
+}
 
+// QuietLimits implements cpu.QuietThrottle: the oracle never throttles.
+func (o *Oracle) QuietLimits(_, n uint64) uint64 { return n }
+
+// GatesQuiet implements power.QuietGater: DCG's run state, once the fetch
+// history holds nothing but the run's fetch count after its first cycle
+// shifts that count in. Until then the front-end slots differ from cycle
+// to cycle, and the accountant charges cycles one at a time.
+func (o *Oracle) GatesQuiet(cycle, n uint64, u *cpu.Usage) (power.GateState, bool) {
+	for _, f := range o.fetchHist[:o.frontDepth-1] {
+		if f != u.FetchCount {
+			return power.GateState{}, false
+		}
+	}
+	gs, ok := o.dcg.GatesQuiet(cycle, n, u)
+	if !ok {
+		return gs, false
+	}
+	return o.extend(gs, u), true
+}
+
+// extend adds the oracle's issue-queue and front-end latch gating to DCG's
+// decision for a cycle with usage u.
+func (o *Oracle) extend(gs power.GateState, u *cpu.Usage) power.GateState {
 	// Issue queue: only occupied entries stay clocked ([6]).
 	if o.cfg.WindowSize > 0 {
 		gs.IssueQueueFrac = float64(u.WindowOccupancy) / float64(o.cfg.WindowSize)

@@ -181,6 +181,20 @@ func (p *PLB) Limits(cycle uint64, fb cpu.CycleFeedback) cpu.Limits {
 	}
 }
 
+// QuietLimits implements cpu.QuietThrottle: it takes the zero-feedback
+// cycles that stop short of the window's decision cycle (whose Limits call
+// may switch the mode), counting them into the window and the mode.
+func (p *PLB) QuietLimits(_, n uint64) uint64 {
+	left := p.params.Window - 1 - p.winCyc
+	if left <= 0 {
+		return 0
+	}
+	n = min(n, uint64(left))
+	p.winCyc += int(n)
+	p.modeCycles[p.mode] += n
+	return n
+}
+
 // SetOracleSchedule replaces the predictive trigger with a fixed
 // per-window mode schedule (perfect prediction for the
 // prediction-vs-granularity decomposition).
@@ -300,6 +314,12 @@ func (p *PLB) Gates(cycle uint64, u *cpu.Usage) power.GateState {
 		gs.ResultBusOn = p.cfg.IssueWidth
 	}
 	return gs
+}
+
+// GatesQuiet implements power.QuietGater: the mode only changes in
+// Limits, so the run's every cycle gets its first cycle's state.
+func (p *PLB) GatesQuiet(cycle, _ uint64, u *cpu.Usage) (power.GateState, bool) {
+	return p.Gates(cycle, u), true
 }
 
 // ModeCycles returns cycles spent in each mode.

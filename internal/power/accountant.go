@@ -65,6 +65,17 @@ type Gater interface {
 	Gates(cycle uint64, u *cpu.Usage) GateState
 }
 
+// QuietGater is a Gater that decides a run of quiet cycles at once (see
+// cpu.QuietObserver). GatesQuiet returns the gate state every one of the n
+// (at least one) cycles from cycle gets when each has usage u, and leaves
+// the gater as n Gates calls would. It returns false, changing nothing,
+// when one state does not cover the run (the oracle's fetch history has
+// not drained yet); the accountant then charges the run's first cycle
+// through Gates and offers it the rest.
+type QuietGater interface {
+	GatesQuiet(cycle, n uint64, u *cpu.Usage) (GateState, bool)
+}
+
 // Tally is the order-free integral of a run's gating decisions: every
 // quantity the energy breakdown depends on, accumulated as exact integer
 // sums (plus the one genuinely per-cycle float series, the issue-queue
@@ -122,7 +133,7 @@ type Tally struct {
 // Accountant integrates per-cycle gating decisions into a Tally and
 // derives the per-component energy breakdown from it, applying the
 // paper's accounting rule: full per-cycle power when not gated, zero
-// when gated. It implements cpu.Observer.
+// when gated. It implements cpu.Observer and cpu.QuietObserver.
 type Accountant struct {
 	Model *Model
 	Gater Gater
@@ -144,36 +155,66 @@ func NewAccountant(m *Model, g Gater) *Accountant {
 // OnCycle implements cpu.Observer.
 func (a *Accountant) OnCycle(u *cpu.Usage) {
 	gs := a.Gater.Gates(u.Cycle, u)
-	a.Cycles++
+	a.add(&gs, u, 1)
+}
 
-	a.UnitOn[cpu.FUIntALU] += int64(bits.OnesCount32(gs.IntALUMask))
-	a.UnitOn[cpu.FUIntMult] += int64(bits.OnesCount32(gs.IntMultMask))
-	a.UnitOn[cpu.FUFPALU] += int64(bits.OnesCount32(gs.FPALUMask))
-	a.UnitOn[cpu.FUFPMult] += int64(bits.OnesCount32(gs.FPMultMask))
+// OnQuiet implements cpu.QuietObserver: a QuietGater decides the run at
+// once and the tally adds it n times over; any other Gater decides it
+// cycle by cycle.
+func (a *Accountant) OnQuiet(u *cpu.Usage, n uint64) {
+	first := u.Cycle
+	q, _ := a.Gater.(QuietGater)
+	for ; n > 0; n-- {
+		if q != nil {
+			if gs, ok := q.GatesQuiet(u.Cycle, n, u); ok {
+				a.add(&gs, u, n)
+				break
+			}
+		}
+		a.OnCycle(u)
+		u.Cycle++
+	}
+	u.Cycle = first
+}
+
+// add tallies n cycles that each had usage u and gate state gs.
+func (a *Accountant) add(gs *GateState, u *cpu.Usage, n uint64) {
+	m := int64(n)
+	a.Cycles += n
+
+	a.UnitOn[cpu.FUIntALU] += m * int64(bits.OnesCount32(gs.IntALUMask))
+	a.UnitOn[cpu.FUIntMult] += m * int64(bits.OnesCount32(gs.IntMultMask))
+	a.UnitOn[cpu.FUFPALU] += m * int64(bits.OnesCount32(gs.FPALUMask))
+	a.UnitOn[cpu.FUFPMult] += m * int64(bits.OnesCount32(gs.FPMultMask))
 
 	slots := 0
-	for _, n := range gs.BackLatchSlots {
-		slots += n
+	for _, on := range gs.BackLatchSlots {
+		slots += on
 	}
-	a.BackSlotsOn += int64(slots)
+	a.BackSlotsOn += m * int64(slots)
 
 	if gs.FrontLatchSlots == nil {
-		a.FrontFullCycles++
+		a.FrontFullCycles += n
 	} else {
 		fslots := 0
-		for _, n := range gs.FrontLatchSlots {
-			fslots += n
+		for _, on := range gs.FrontLatchSlots {
+			fslots += on
 		}
-		a.FrontSlotsOn += int64(fslots)
+		a.FrontSlotsOn += m * int64(fslots)
 	}
 
-	a.DPortsOn += int64(gs.DPortsOn)
-	a.BusOn += int64(gs.ResultBusOn)
-	a.IssueQueueFracSum += gs.IssueQueueFrac
-	if gs.ControlOverhead {
-		a.ControlCycles++
+	a.DPortsOn += m * int64(gs.DPortsOn)
+	a.BusOn += m * int64(gs.ResultBusOn)
+	// One add per cycle, never one multiply: the fractions (the oracle's
+	// occupancy over the window, a PLB mode's width over the machine's)
+	// are not exact binary fractions, so a product rounds differently.
+	for i := uint64(0); i < n; i++ {
+		a.IssueQueueFracSum += gs.IssueQueueFrac
 	}
-	a.ControlGateCycles += int64(gs.ControlGates)
+	if gs.ControlOverhead {
+		a.ControlCycles += n
+	}
+	a.ControlGateCycles += m * int64(gs.ControlGates)
 
 	// Soundness check: a gated structure must not have been used. A
 	// value-gated latch decision is sound when it covers every slot that
@@ -188,11 +229,11 @@ func (a *Accountant) OnCycle(u *cpu.Usage) {
 		gs.FPMultMask&u.FPMultBusy != u.FPMultBusy ||
 		gs.DPortsOn < u.DPortUsed ||
 		gs.ResultBusOn < u.ResultBus {
-		a.GateViolations++
+		a.GateViolations += n
 	} else {
-		for s, n := range gs.BackLatchSlots {
-			if s < len(latchFloor) && n < latchFloor[s] {
-				a.GateViolations++
+		for s, on := range gs.BackLatchSlots {
+			if s < len(latchFloor) && on < latchFloor[s] {
+				a.GateViolations += n
 				break
 			}
 		}

@@ -202,6 +202,9 @@ func (r *Recorder) OnIssue(ev cpu.IssueEvent) { r.w.OnIssue(ev) }
 // OnCycle implements cpu.Observer.
 func (r *Recorder) OnCycle(u *cpu.Usage) { r.w.OnCycle(u) }
 
+// OnQuiet implements cpu.QuietObserver.
+func (r *Recorder) OnQuiet(u *cpu.Usage, n uint64) { r.w.OnQuiet(u, n) }
+
 // Trace closes the stream and returns the completed capture.
 func (r *Recorder) Trace() (*Trace, error) {
 	if err := r.w.Close(); err != nil {

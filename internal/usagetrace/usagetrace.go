@@ -86,11 +86,13 @@ var (
 )
 
 // encodeScratch is a Writer's reusable encode state: the record build
-// buffer appendEvent/OnCycle encode into, and the pending issue-event
-// buffer. Handed back to scratchPool by Close.
+// buffer appendEvent/OnCycle encode into, the pending issue-event buffer,
+// and the repeated-record buffer OnQuiet writes from. Handed back to
+// scratchPool by Close.
 type encodeScratch struct {
 	buf     []byte
 	pending []cpu.IssueEvent
+	repeat  []byte
 }
 
 // pooledGzipReader resets a pooled inflater onto r (or builds the pool's
@@ -160,8 +162,8 @@ func KnownChannels() []string { return []string{ChannelUsage, ChannelLatchValue}
 // validExtraChannel reports whether name is a known non-usage channel.
 func validExtraChannel(name string) bool { return name == ChannelLatchValue }
 
-// Writer serialises a capture stream. It implements cpu.Observer and
-// cpu.IssueListener, so a capturing run installs it (via the cpu fan-out
+// Writer serialises a capture stream. It implements cpu.Observer,
+// cpu.QuietObserver and cpu.IssueListener, so a capturing run installs it (via the cpu fan-out
 // types) next to the power accountant and the gating scheme: issue events
 // are buffered as they fire and flushed into the cycle's record when the
 // usage vector arrives, preserving the core's events-then-usage delivery
@@ -179,7 +181,8 @@ type Writer struct {
 
 	pending []cpu.IssueEvent
 	scratch []byte
-	sc      *encodeScratch // pool token backing pending/scratch
+	repeat  []byte
+	sc      *encodeScratch // pool token backing pending/scratch/repeat
 	cycles  uint64
 	lastOcc int64
 
@@ -256,6 +259,7 @@ func NewWriter(w io.Writer, name string, backLatchStages int, extra ...string) (
 		hasLatchValue: hasLatchValue,
 		scratch:       sc.buf[:0],
 		pending:       sc.pending[:0],
+		repeat:        sc.repeat[:0],
 		sc:            sc,
 	}, nil
 }
@@ -279,10 +283,64 @@ func (t *Writer) OnCycle(u *cpu.Usage) {
 		t.err = fmt.Errorf("usagetrace: non-contiguous cycle %d (expected %d)", u.Cycle, t.cycles)
 		return
 	}
+	if !t.encode(u) {
+		return
+	}
+	if _, err := t.w.Write(t.scratch); err != nil {
+		t.err = err
+		return
+	}
+	t.lastOcc = int64(u.WindowOccupancy)
+	t.pending = t.pending[:0]
+	t.cycles++
+}
+
+// quietChunk is roughly how many bytes of repeated records OnQuiet hands
+// the buffered writer per Write.
+const quietChunk = 4096
+
+// OnQuiet implements cpu.QuietObserver. The run's first record carries any
+// buffered events and the step to the run's window occupancy; every later
+// record is the same bytes (no events, a zero occupancy delta), so it is
+// encoded once and written n-1 more times in chunks of whole records. The
+// stream is byte-identical to n OnCycle calls.
+func (t *Writer) OnQuiet(u *cpu.Usage, n uint64) {
+	if n == 0 {
+		return
+	}
+	t.OnCycle(u)
+	if n == 1 || t.err != nil || t.closed || !t.encode(u) {
+		return
+	}
+	rec := t.scratch
+	per := uint64(max(1, quietChunk/len(rec)))
+	if cap(t.repeat) < quietChunk {
+		t.repeat = make([]byte, 0, quietChunk)
+	}
+	chunk := t.repeat[:0]
+	for i := uint64(0); i < min(per, n-1); i++ {
+		chunk = append(chunk, rec...)
+	}
+	t.repeat = chunk
+	for left := n - 1; left > 0; {
+		k := min(left, per)
+		if _, err := t.w.Write(chunk[:k*uint64(len(rec))]); err != nil {
+			t.err = err
+			return
+		}
+		left -= k
+		t.cycles += k
+	}
+}
+
+// encode builds u's cycle record in t.scratch: the buffered events, the
+// usage vector and the extra channels' payloads. It latches an error and
+// returns false when u does not fit the trace's declared stages.
+func (t *Writer) encode(u *cpu.Usage) bool {
 	if len(u.BackLatch) != t.stages {
 		t.err = fmt.Errorf("usagetrace: usage has %d latch stages, trace declares %d",
 			len(u.BackLatch), t.stages)
-		return
+		return false
 	}
 
 	b := t.scratch[:0]
@@ -310,20 +368,14 @@ func (t *Writer) OnCycle(u *cpu.Usage) {
 		if len(u.BackLatchNewVal) != t.stages {
 			t.err = fmt.Errorf("usagetrace: usage has %d latchvalue stages, trace declares %d",
 				len(u.BackLatchNewVal), t.stages)
-			return
+			return false
 		}
 		for _, n := range u.BackLatchNewVal {
 			b = binary.AppendUvarint(b, uint64(n))
 		}
 	}
 	t.scratch = b
-	if _, err := t.w.Write(b); err != nil {
-		t.err = err
-		return
-	}
-	t.lastOcc = int64(u.WindowOccupancy)
-	t.pending = t.pending[:0]
-	t.cycles++
+	return true
 }
 
 // appendEvent encodes one issue event; future cycles are stored as deltas
@@ -401,8 +453,9 @@ func (t *Writer) releaseScratch() {
 	}
 	t.sc.buf = t.scratch[:0]
 	t.sc.pending = t.pending[:0]
+	t.sc.repeat = t.repeat[:0]
 	scratchPool.Put(t.sc)
-	t.sc, t.scratch, t.pending = nil, nil, nil
+	t.sc, t.scratch, t.pending, t.repeat = nil, nil, nil, nil
 }
 
 // Reader decodes a capture stream cycle by cycle. The usage vector and

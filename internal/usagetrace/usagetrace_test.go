@@ -265,3 +265,65 @@ func TestWriterRejectsStageMismatch(t *testing.T) {
 		t.Fatal("stage-mismatched capture closed cleanly, want error")
 	}
 }
+
+// TestWriterQuietRunMatchesPerCycle: OnQuiet writes the bytes n OnCycle
+// calls would, including a run whose first record carries buffered events
+// and an occupancy step, a one-cycle run, and runs longer than one chunk of
+// repeated records.
+func TestWriterQuietRunMatchesPerCycle(t *testing.T) {
+	const stages = 5
+	for _, n := range []uint64{1, 2, 37, 1000, 5000} {
+		var bulk, step bytes.Buffer
+		wb, err := NewWriter(&bulk, "quiet", stages, ChannelLatchValue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := NewWriter(&step, "quiet", stages, ChannelLatchValue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := cpu.Usage{
+			IssueCount: 2, IntALUBusy: 3, WindowOccupancy: 40,
+			BackLatch:       []int{2, 1, 0, 0, 1},
+			BackLatchNewVal: []int{1, 1, 0, 0, 0},
+		}
+		ev := cpu.IssueEvent{Cycle: 0, FUIdx: 1, FUStart: 2, FULat: 3, WritesReg: true, ResultBusCycle: 6}
+		for _, w := range []*Writer{wb, ws} {
+			w.OnIssue(ev)
+			w.OnCycle(&u)
+		}
+
+		// The run's first record carries a late event and a new occupancy.
+		quiet := cpu.Usage{
+			Cycle: 1, WindowOccupancy: 37,
+			BackLatch:       make([]int, stages),
+			BackLatchNewVal: make([]int, stages),
+		}
+		late := cpu.IssueEvent{Cycle: 1, FUIdx: -1, IsStore: true, DPortCycle: 5}
+		wb.OnIssue(late)
+		ws.OnIssue(late)
+		wb.OnQuiet(&quiet, n)
+		if quiet.Cycle != 1 {
+			t.Fatalf("n=%d: OnQuiet left the usage at cycle %d, want 1", n, quiet.Cycle)
+		}
+		for i := uint64(0); i < n; i++ {
+			quiet.Cycle = 1 + i
+			ws.OnCycle(&quiet)
+		}
+
+		u.Cycle = 1 + n
+		for _, w := range []*Writer{wb, ws} {
+			w.OnCycle(&u)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if wb.Cycles() != n+2 {
+			t.Errorf("n=%d: bulk writer counted %d cycles, want %d", n, wb.Cycles(), n+2)
+		}
+		if !bytes.Equal(bulk.Bytes(), step.Bytes()) {
+			t.Errorf("n=%d: OnQuiet stream (%d bytes) differs from per-cycle stream (%d bytes)",
+				n, bulk.Len(), step.Len())
+		}
+	}
+}
