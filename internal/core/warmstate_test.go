@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"maps"
 	"sync"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestWarmRestoreMatchesFresh(t *testing.T) {
 			}
 
 			resetWarmStates()
-			freshDCG := dcgFingerprint(t, sim, m.name, bench)
+			freshDCG := dcgFingerprints(t, sim, m.name, bench)
 			resetWarmStates()
 			freshPLB := plbFingerprint(t, sim, m.name, bench)
 
@@ -55,8 +56,8 @@ func TestWarmRestoreMatchesFresh(t *testing.T) {
 			prime(t, table1, bench)
 			prime(t, sim, bench)
 			hits0, misses0 := WarmStateStats()
-			if got := dcgFingerprint(t, sim, m.name, bench); got != freshDCG {
-				t.Errorf("%s/dcg: restored %#016x, fresh %#016x", label, got, freshDCG)
+			if got := dcgFingerprints(t, sim, m.name, bench); !maps.Equal(got, freshDCG) {
+				t.Errorf("%s/dcg: restored %#x, fresh %#x", label, got, freshDCG)
 			}
 			if got := plbFingerprint(t, sim, m.name, bench); got != freshPLB {
 				t.Errorf("%s/plb-ext: restored %#016x, fresh %#016x", label, got, freshPLB)
@@ -116,7 +117,7 @@ func TestCanceledWarmupLeavesNoEntry(t *testing.T) {
 	}
 
 	_, misses0 := WarmStateStats()
-	after := dcgFingerprint(t, sim, "table1", "gcc")
+	after := dcgFingerprints(t, sim, "table1", "gcc")
 	if _, misses := WarmStateStats(); misses != misses0+1 {
 		t.Errorf("run after the canceled one took %d misses, want 1", misses-misses0)
 	}
@@ -124,8 +125,8 @@ func TestCanceledWarmupLeavesNoEntry(t *testing.T) {
 		t.Fatal("a completed warm-up was not cached")
 	}
 	resetWarmStates()
-	fresh := dcgFingerprint(t, sim, "table1", "gcc")
-	if after != fresh {
+	fresh := dcgFingerprints(t, sim, "table1", "gcc")
+	if !maps.Equal(after, fresh) {
 		t.Errorf("run after a canceled warm-up %#x, fresh run %#x", after, fresh)
 	}
 }
