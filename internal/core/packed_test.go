@@ -92,11 +92,11 @@ func TestPackedReplayMatchesScalarDCGSubsets(t *testing.T) {
 // craftTiming captures a fully scripted trace against the default
 // machine and wraps it in a minimal Timing, so adversarial cycle
 // patterns that no real workload produces can drive both replay engines.
-func craftTiming(t *testing.T, usages []cpu.Usage, events map[int][]cpu.IssueEvent) *Timing {
+func craftTiming(t *testing.T, usages []cpu.Usage, events map[int][]cpu.IssueEvent, extra ...string) *Timing {
 	t.Helper()
 	machine := DefaultMachine()
 	stages := machine.BackEndLatchStages()
-	rec, err := usagetrace.NewRecorder("adversarial", stages)
+	rec, err := usagetrace.NewRecorder("adversarial", stages, extra...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +109,9 @@ func craftTiming(t *testing.T, usages []cpu.Usage, events map[int][]cpu.IssueEve
 		u.Cycle = uint64(c)
 		if u.BackLatch == nil {
 			u.BackLatch = make([]int, stages)
+		}
+		if u.BackLatchNewVal == nil && len(extra) > 0 {
+			u.BackLatchNewVal = make([]int, stages)
 		}
 		rec.OnCycle(&u)
 	}
@@ -150,8 +153,9 @@ func varyingTrace(t *testing.T, n int) *Timing {
 // representation's edges: all-zero usage, saturated FU masks with
 // over-capacity ports/buses/latches (gate violations on every class),
 // empty and single-cycle traces, lengths one short of a word and many
-// words long, and a cycle count indivisible by 64 carrying
-// lead-violating, ring-wrapping, and schedule-escaping events.
+// words long, a cycle count indivisible by 64 carrying lead-violating,
+// ring-wrapping, and schedule-escaping events, and runTraces' repeat
+// records that are not quiet.
 func TestPackedReplayAdversarialTraces(t *testing.T) {
 	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector}
 
@@ -229,6 +233,9 @@ func TestPackedReplayAdversarialTraces(t *testing.T) {
 		}},
 	}
 	traces["tail-word-events"] = craftTiming(t, usages, events)
+	for name, tm := range runTraces(t) {
+		traces[name] = tm
+	}
 
 	for name, tm := range traces {
 		scalar := scalarSim()

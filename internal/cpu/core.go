@@ -604,7 +604,7 @@ func (c *Core) skipQuiet(maxCycles uint64) bool {
 	}
 	if c.observer != nil {
 		c.usage.Cycle = now
-		observeQuiet(c.observer, &c.usage, n)
+		ObserveQuiet(c.observer, &c.usage, n)
 	}
 	c.cycle = now + n
 	return true

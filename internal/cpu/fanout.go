@@ -22,7 +22,7 @@ func (m MultiObserver) OnCycle(u *Usage) {
 // run, in one OnQuiet call or as n OnCycle calls.
 func (m MultiObserver) OnQuiet(u *Usage, n uint64) {
 	for _, o := range m {
-		observeQuiet(o, u, n)
+		ObserveQuiet(o, u, n)
 	}
 }
 

@@ -89,9 +89,9 @@ type QuietObserver interface {
 	OnQuiet(u *Usage, n uint64)
 }
 
-// observeQuiet hands o a run of n cycles from u.Cycle, each with usage u:
+// ObserveQuiet hands o a run of n cycles from u.Cycle, each with usage u:
 // in one OnQuiet call when o takes runs, as n OnCycle calls otherwise.
-func observeQuiet(o Observer, u *Usage, n uint64) {
+func ObserveQuiet(o Observer, u *Usage, n uint64) {
 	if q, ok := o.(QuietObserver); ok {
 		q.OnQuiet(u, n)
 		return

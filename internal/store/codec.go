@@ -45,13 +45,22 @@ func encodeResultPayload(r *core.Result) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// maxResultJSON caps a result payload's inflated JSON, so a small crafted
+// upload (a gzip bomb) cannot make a decode allocate without bound. A
+// Result encodes to about 2.4 KB: the largest, a plb-ext run, is 2,412
+// bytes.
+const maxResultJSON = 1 << 20
+
 // decodeResultPayload is the inverse of encodeResultPayload.
 func decodeResultPayload(payload []byte) (*core.Result, error) {
 	gz, err := gzip.NewReader(bytes.NewReader(payload))
 	if err != nil {
 		return nil, fmt.Errorf("result payload not gzip: %w", err)
 	}
-	raw, err := io.ReadAll(gz)
+	raw, err := io.ReadAll(io.LimitReader(gz, maxResultJSON+1))
+	if err == nil && len(raw) > maxResultJSON {
+		err = fmt.Errorf("inflates past %d bytes", maxResultJSON)
+	}
 	if err == nil {
 		err = gz.Close()
 	}

@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,9 +20,17 @@ import (
 // must re-frame to the same bytes, and a timing that decodes must carry a
 // trace that agrees with its meta.
 func FuzzDecodeArtifact(f *testing.F) {
-	for _, frame := range seedArtifacts(f) {
+	frames := seedArtifacts(f)
+	for _, frame := range frames {
 		f.Add(frame)
 	}
+	// A gzip bomb, framed as each kind and bare, and a timing payload
+	// whose trace is a stream of maximum-count repeat records.
+	bomb := gzipBomb(f, maxResultJSON+1)
+	f.Add(encodeFrame(kindResult, bomb))
+	f.Add(encodeFrame(kindTiming, bomb))
+	f.Add(bomb)
+	f.Add(maxRepeatsTiming(f, frames))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, kind := range []byte{kindResult, kindTiming} {
 			payload, err := decodeFrame(data, kind)
@@ -88,4 +99,43 @@ func seedArtifacts(f *testing.F) [][]byte {
 		f.Fatalf("store holds %d artifacts, want 2", len(frames))
 	}
 	return frames
+}
+
+// gzipBomb returns n zero bytes gzip-compressed.
+func gzipBomb(tb testing.TB, n int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	if _, err := gz.Write(make([]byte, n)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// maxRepeatsTiming returns a timing payload carrying the meta of the
+// seeded timing artifact and a raw trace whose one cycle record is
+// followed by repeat records of the largest count.
+func maxRepeatsTiming(tb testing.TB, frames [][]byte) []byte {
+	tb.Helper()
+	for _, frame := range frames {
+		payload, err := decodeFrame(frame, kindTiming)
+		if err != nil {
+			continue
+		}
+		metaLen, n := binary.Uvarint(payload)
+		out := append([]byte{}, payload[:n+int(metaLen)]...)
+		out = append(out, "DCGU\x03\x01x\x01\x05usage\x05"...) // header, five latch stages
+		out = append(out, 0x01, 0x00)                          // cycle 0: no events
+		out = append(out, make([]byte, 17)...)                 // usage, occupancy, stages
+		for i := 0; i < 64; i++ {
+			out = append(out, 0x02)
+			out = binary.AppendUvarint(out, math.MaxUint64-1)
+		}
+		return append(out, 0x00, 0x01)
+	}
+	tb.Fatal("no timing artifact among the seeds")
+	return nil
 }

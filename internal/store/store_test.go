@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"dcg/internal/core"
+	"dcg/internal/cpu"
 	"dcg/internal/power"
 	"dcg/internal/simrun"
 	"dcg/internal/store"
@@ -443,87 +445,158 @@ func TestExecStoreWarmRestart(t *testing.T) {
 	}
 }
 
-// rewriteTraceV1 re-encodes a usage-only v2 trace stream in the v1
-// format ("DCGU" | 1 | nameLen | name | uvarint stages, no channel
-// table) — the encoding every timing artifact persisted before the
-// channelized format carried. Usage-only cycle records are byte-identical
-// between the versions, so only the header changes.
-func rewriteTraceV1(t *testing.T, tr *usagetrace.Trace) *usagetrace.Trace {
+// rewriteTrace re-encodes a usage-only trace in v1 ("DCGU" | 1 | nameLen
+// | name | uvarint stages, no channel table) or v2 (the v3 header with its
+// version byte): the encodings timing artifacts persisted before the
+// channelized and the run-length formats carry. Neither has repeat
+// records, so every cycle, including each a repeat record stands for,
+// becomes a cycle record, encoded here from the decoded stream.
+func rewriteTrace(t *testing.T, tr *usagetrace.Trace, version byte) *usagetrace.Trace {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
+	if chs := tr.Channels(); len(chs) != 1 {
+		t.Fatalf("capture is not usage-only (channels %v)", chs)
+	}
+	out := append([]byte("DCGU"), version, byte(len(tr.Name())))
+	out = append(out, tr.Name()...)
+	if version == 2 {
+		out = binary.AppendUvarint(out, 1)
+		out = append(out, byte(len(usagetrace.ChannelUsage)))
+		out = append(out, usagetrace.ChannelUsage...)
+	}
+	out = binary.AppendUvarint(out, uint64(tr.BackLatchStages()))
+	rd, err := tr.Reader()
+	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := buf.Bytes()
-	const magicLen = 4 // "DCGU"
-	if v2[magicLen] != 2 {
-		t.Fatalf("capture is version %d, want 2", v2[magicLen])
+	var occ int64
+	for {
+		events, u, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, 0x01)
+		out = binary.AppendUvarint(out, uint64(len(events)))
+		for _, ev := range events {
+			out = appendEvent(out, &ev)
+		}
+		for _, v := range []uint64{uint64(u.IssueCount), uint64(u.FPIssueCount), uint64(u.MemIssueCount),
+			uint64(u.IntALUBusy), uint64(u.IntMultBusy), uint64(u.FPALUBusy), uint64(u.FPMultBusy),
+			uint64(u.DPortUsed), uint64(u.ResultBus), uint64(u.CommitCount), uint64(u.FetchCount)} {
+			out = binary.AppendUvarint(out, v)
+		}
+		out = binary.AppendVarint(out, int64(u.WindowOccupancy)-occ)
+		occ = int64(u.WindowOccupancy)
+		for _, v := range u.BackLatch {
+			out = binary.AppendUvarint(out, uint64(v))
+		}
 	}
-	nameLen := int(v2[magicLen+1])
-	off := magicLen + 2 + nameLen
-	nch, n := binary.Uvarint(v2[off:])
-	if n <= 0 || nch != 1 {
-		t.Fatalf("capture is not usage-only (channel count %d)", nch)
-	}
-	off += n
-	chLen := int(v2[off])
-	off += 1 + chLen // skip "usage"
-	stages, n := binary.Uvarint(v2[off:])
-	if n <= 0 {
-		t.Fatal("bad stages uvarint")
-	}
-	off += n
-
-	v1 := append([]byte{}, v2[:magicLen]...)
-	v1 = append(v1, 1, byte(nameLen))
-	v1 = append(v1, v2[magicLen+2:magicLen+2+nameLen]...)
-	v1 = binary.AppendUvarint(v1, stages)
-	v1 = append(v1, v2[off:]...)
-	back, err := usagetrace.ReadTrace(bytes.NewReader(v1))
+	out = append(out, 0x00)
+	out = binary.AppendUvarint(out, tr.Cycles())
+	back, err := usagetrace.ReadTrace(bytes.NewReader(out))
 	if err != nil {
-		t.Fatalf("v1-rewritten stream failed to decode: %v", err)
+		t.Fatalf("v%d-rewritten stream failed to decode: %v", version, err)
+	}
+	if back.SizeBytes() <= tr.SizeBytes() {
+		t.Fatalf("the %d-byte v%d rewrite expanded no repeats (v3 %d bytes)", back.SizeBytes(), version, tr.SizeBytes())
 	}
 	return back
 }
 
+// appendEvent encodes one issue event as a cycle record carries it.
+func appendEvent(b []byte, ev *cpu.IssueEvent) []byte {
+	var flags byte
+	if ev.FUIdx >= 0 {
+		flags |= 1 | byte(ev.FUType)<<4
+	}
+	if ev.IsLoad {
+		flags |= 2
+	}
+	if ev.IsStore {
+		flags |= 4
+	}
+	if ev.WritesReg {
+		flags |= 8
+	}
+	b = append(b, flags)
+	if ev.FUIdx >= 0 {
+		b = binary.AppendUvarint(b, uint64(ev.FUIdx))
+		b = binary.AppendUvarint(b, ev.FUStart-ev.Cycle)
+		b = binary.AppendUvarint(b, uint64(ev.FULat))
+	}
+	if ev.IsLoad || ev.IsStore {
+		b = binary.AppendUvarint(b, ev.DPortCycle-ev.Cycle)
+	}
+	if ev.WritesReg {
+		b = binary.AppendUvarint(b, ev.ResultBusCycle-ev.Cycle)
+	}
+	return b
+}
+
+// storeOldVersion persists k's capture with its trace re-encoded in an
+// older version, reopens the store, and checks that the artifact found at
+// k's timing key replays dcg to the capture's own packed and scalar
+// Results. It returns the store directory and the reloaded timing.
+func storeOldVersion(t *testing.T, k simrun.Key, tm *core.Timing, version byte) (string, *core.Timing) {
+	t.Helper()
+	old := *tm
+	old.Trace = rewriteTrace(t, tm.Trace, version)
+
+	dir := t.TempDir()
+	open(t, dir, 0).PutTiming(context.Background(), k.TimingKey(), &old)
+
+	// "Restart": the artifact written under the pre-bump address is found,
+	// because usage-only timing keys never grew a channel suffix.
+	got, ok := open(t, dir, 0).GetTiming(context.Background(), k.TimingKey())
+	if !ok {
+		t.Fatalf("v%d timing artifact not found after restart", version)
+	}
+	kd := k
+	kd.Scheme = core.SchemeDCG
+	packed, err := simrun.Evaluate(kd, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := simrun.Evaluate(kd, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(packed, want) {
+		t.Fatalf("packed replay from the v%d artifact differs from the v3 capture", version)
+	}
+	scalar := func(tm *core.Timing) *core.Result {
+		sim := core.NewSimulator(tm.Machine)
+		sim.Warmup = k.Warmup
+		sim.DisablePackedReplay = true
+		res, err := sim.EvaluateTimingAll(tm, []core.SchemeKind{core.SchemeDCG})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0]
+	}
+	if !reflect.DeepEqual(scalar(got), scalar(tm)) {
+		t.Fatalf("scalar replay from the v%d artifact differs from the v3 capture", version)
+	}
+	return dir, got
+}
+
 // TestV1TimingArtifactAfterChannelBump is the persistent-store half of
 // the v2 compatibility story: a timing artifact whose trace was encoded
-// in the pre-channel v1 format (simulated by rewriting a fresh capture's
-// header) still round-trips through the store at its original address —
-// usage-only schemes keep replaying from it bit-identically — while a
-// value-dependent scheme neither hits that artifact (its TimingKey
-// carries the channel set) nor silently accepts the channel-less trace.
+// in the pre-channel v1 format (simulated by re-encoding a fresh capture)
+// still round-trips through the store at its original address —
+// usage-only schemes keep replaying from it bit-identically, on the packed
+// and the scalar engine — while a value-dependent scheme neither hits that
+// artifact (its TimingKey carries the channel set) nor silently accepts
+// the channel-less trace.
 func TestV1TimingArtifactAfterChannelBump(t *testing.T) {
 	k := simrun.Key{Bench: "gzip", Scheme: core.SchemeNone, Insts: 5000, Warmup: 1000}
 	_, tm, err := simrun.Capture(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1tm := *tm
-	v1tm.Trace = rewriteTraceV1(t, tm.Trace)
-
-	dir := t.TempDir()
-	open(t, dir, 0).PutTiming(context.Background(), k.TimingKey(), &v1tm)
-
-	// "Restart": the artifact written under the pre-channel address is
-	// found, because usage-only timing keys never grew a channel suffix.
-	got, ok := open(t, dir, 0).GetTiming(context.Background(), k.TimingKey())
-	if !ok {
-		t.Fatal("v1-format timing artifact not found after restart")
-	}
-	kd := k
-	kd.Scheme = core.SchemeDCG
-	fromV1, err := simrun.Evaluate(kd, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromV2, err := simrun.Evaluate(kd, tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromV1, fromV2) {
-		t.Fatal("replay from the v1 artifact differs from the v2 capture")
-	}
+	dir, got := storeOldVersion(t, k, tm, 1)
 
 	// A value-dependent scheme addresses a different timing artifact...
 	kv := k
@@ -540,6 +613,19 @@ func TestV1TimingArtifactAfterChannelBump(t *testing.T) {
 		!strings.Contains(err.Error(), "latchvalue") {
 		t.Fatalf("ddcg on a v1 trace: err = %v, want missing-channel error", err)
 	}
+}
+
+// TestV2TimingArtifactAfterRunLengthBump: a timing artifact stored before
+// the run-length format, its trace a v2 stream without repeat records,
+// round-trips through the store and replays bit-identically on both
+// engines.
+func TestV2TimingArtifactAfterRunLengthBump(t *testing.T) {
+	k := simrun.Key{Bench: "mcf", Scheme: core.SchemeNone, Insts: 5000, Warmup: 1000}
+	_, tm, err := simrun.Capture(context.Background(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeOldVersion(t, k, tm, 2)
 }
 
 // TestCorruptErrorMessage pins the error type's formatting so operators

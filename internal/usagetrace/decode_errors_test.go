@@ -3,6 +3,7 @@ package usagetrace
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -245,15 +246,95 @@ func corruptStreams() []corruptStream {
 	}
 }
 
+// repeatAt is the offset of tinyCapture's repeat record: its first cycle
+// record (tag, event count, eleven usage fields, occupancy delta, two
+// latch stages, one byte each) is 16 bytes, and cycles 1 and 2 repeat it,
+// so the stream ends 0x02 0x02 | 0x00 0x03.
+const repeatAt = headerLen + 16
+
+// repeatCorruptions lists the corruption classes of repeat records and of
+// the bound on the cycles a stream may claim, as mutations of tinyCapture.
+func repeatCorruptions() []corruptStream {
+	withRepeat := func(b []byte, k, total uint64) []byte {
+		out := append(b[:repeatAt:repeatAt], tagRepeat)
+		out = binary.AppendUvarint(out, k)
+		out = append(out, tagEnd)
+		return binary.AppendUvarint(out, total)
+	}
+	return []corruptStream{
+		{
+			name:    "repeat count zero",
+			mutate:  func(b []byte) []byte { return withRepeat(b, 0, 1) },
+			wantErr: "corrupt repeat count 0 at cycle 1",
+		},
+		{
+			name:    "repeat count overflows the cycle counter",
+			mutate:  func(b []byte) []byte { return withRepeat(b, math.MaxUint64, 0) },
+			wantErr: "corrupt repeat count 18446744073709551615 at cycle 1",
+		},
+		{
+			name:    "repeat record cut short",
+			mutate:  func(b []byte) []byte { return b[:repeatAt+1] },
+			wantErr: "truncated repeat record at cycle 1",
+		},
+		{
+			name: "repeat before the first cycle",
+			mutate: func(b []byte) []byte {
+				return append(b[:headerLen:headerLen], b[repeatAt:]...)
+			},
+			wantErr: "repeat record before the first cycle",
+		},
+		{
+			name: "repeat in a v2 stream",
+			mutate: func(b []byte) []byte {
+				b[len(traceMagic)] = traceVersion2
+				return b
+			},
+			wantErr: "repeat record at cycle 1 of a version 2 stream",
+		},
+		{
+			name: "repeat in a v1 stream",
+			mutate: func(b []byte) []byte {
+				// The v1 header is the v2 one without its channel table:
+				// "DCGU" | 1 | nameLen | name | uvarint stages.
+				out := append(b[:chTableOff:chTableOff], 2)
+				out[len(traceMagic)] = traceVersion1
+				return append(out, b[headerLen:]...)
+			},
+			wantErr: "repeat record at cycle 1 of a version 1 stream",
+		},
+		{
+			// 38 bytes may hold two 16-byte cycle records, so claim at most
+			// 64 cycles.
+			name:    "more cycles than the stream's length allows",
+			mutate:  func(b []byte) []byte { return withRepeat(b, runBound*2, runBound*2+1) },
+			wantErr: "implausible cycle count at cycle 1: a 38-byte stream may claim at most 64",
+		},
+		{
+			name: "maximum-count repeats",
+			mutate: func(b []byte) []byte {
+				out := b[:repeatAt:repeatAt]
+				for i := 0; i < 64; i++ {
+					out = append(out, tagRepeat)
+					out = binary.AppendUvarint(out, math.MaxUint64-1)
+				}
+				return append(out, tagEnd, 0xff)
+			},
+			wantErr: "implausible cycle count at cycle 1",
+		},
+	}
+}
+
 // TestDecodeErrorPaths drives every corruption class the decoder promises
 // to fail loudly on, pinning the diagnostic each one produces.
 func TestDecodeErrorPaths(t *testing.T) {
 	good := tinyCapture(t, 3)
-	if good[headerLen] != tagCycle {
-		t.Fatalf("layout drift: byte %d is 0x%02x, want cycle tag", headerLen, good[headerLen])
+	if good[headerLen] != tagCycle || good[repeatAt] != tagRepeat {
+		t.Fatalf("layout drift: bytes %d and %d are 0x%02x and 0x%02x, want the cycle and repeat tags",
+			headerLen, repeatAt, good[headerLen], good[repeatAt])
 	}
 
-	for _, tc := range corruptStreams() {
+	for _, tc := range append(corruptStreams(), repeatCorruptions()...) {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.mutate(append([]byte{}, good...))
 			_, err := ReadTrace(bytes.NewReader(data))

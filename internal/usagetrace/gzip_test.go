@@ -2,6 +2,8 @@ package usagetrace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -92,5 +94,66 @@ func TestGzipTruncation(t *testing.T) {
 	bad[len(bad)/2] ^= 0xff
 	if _, err := ReadTrace(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bit-flipped gzip stream decoded without error")
+	}
+}
+
+// TestInflateStopsAtTheLimit: inflate keeps streams up to its limit, from
+// one member or several, and fails on one byte more, allocating no more
+// than the limit however the trailer reads.
+func TestInflateStopsAtTheLimit(t *testing.T) {
+	const limit = 1 << 20
+	data := bytes.Repeat([]byte("usagetrace"), limit/10+1)[:limit]
+	half := append(gzipped(t, data[:limit/2]), gzipped(t, data[limit/2:])...)
+	for _, tc := range []struct {
+		name string
+		in   []byte
+	}{{"one member", gzipped(t, data)}, {"two members", half}} {
+		out, err := inflate(tc.in, limit)
+		if err != nil || !bytes.Equal(out, data) {
+			t.Fatalf("%s at the limit: %d bytes, err %v; want the %d input bytes", tc.name, len(out), err, limit)
+		}
+	}
+
+	over := append(bytes.Clone(data), 'x')
+	lying := gzipped(t, over)
+	binary.LittleEndian.PutUint32(lying[len(lying)-4:], 1) // a trailer claiming one byte
+	for _, tc := range []struct {
+		name    string
+		in      []byte
+		wantErr string
+	}{
+		{"one member", gzipped(t, over), "inflates past 1048576 bytes"},
+		{"two members", append(gzipped(t, over[:limit/2]), gzipped(t, over[limit/2:])...), "inflates past 1048576 bytes"},
+		{"lying trailer", lying, "corrupt gzip stream"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := inflate(tc.in, limit)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("%s one byte past the limit: err = %v, want %q", tc.name, err, tc.wantErr)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit+256<<10 {
+			t.Errorf("%s: inflate allocated %d bytes, limit %d", tc.name, got, limit)
+		}
+	}
+}
+
+// TestGzipBombFailsAtTheCap: a stored trace that inflates just past
+// maxInflatedTrace (here a 1 MiB member of zeros repeated) fails in
+// ReadTrace without holding what it inflated.
+func TestGzipBombFailsAtTheCap(t *testing.T) {
+	member := gzipped(t, make([]byte, 1<<20))
+	bomb := bytes.Repeat(member, maxInflatedTrace>>20+1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadTrace(bytes.NewReader(bomb))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "gzip stream inflates past") {
+		t.Fatalf("%d-byte bomb: err = %v, want the cap error", len(bomb), err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Errorf("%d-byte bomb inflating to %d bytes: ReadTrace allocated %d bytes",
+			len(bomb), (maxInflatedTrace>>20+1)<<20, got)
 	}
 }
