@@ -14,6 +14,7 @@
 package dcg_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -414,6 +415,34 @@ func BenchmarkReplayPackedN(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(100*results[1].Saving, "dcg-save%")
+	}
+}
+
+// BenchmarkReadTrace measures loading a stored trace: ReadTrace over the
+// gzip-framed encoding of a capture, as the artifact store holds it
+// (inflate, then the one validating pass that builds the packed view).
+// swim is an ordinary trace; mcf spends most of its cycles stalled, so
+// most of its cycles are repeat records. ns/cycle compares traces of
+// different lengths.
+func BenchmarkReadTrace(b *testing.B) {
+	sim := core.NewSimulator(core.DefaultMachine())
+	for _, bench := range []string{"swim", "mcf"} {
+		tm, err := sim.CaptureBenchmark(bench, benchInsts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var stored bytes.Buffer
+		if err := tm.Trace.EncodeGzip(&stored); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bench, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := usagetrace.ReadTrace(bytes.NewReader(stored.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tm.Trace.Cycles()), "ns/cycle")
+		})
 	}
 }
 

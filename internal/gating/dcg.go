@@ -87,6 +87,13 @@ type DCG struct {
 
 	// GatedUnitCycles / observed totals, for reporting.
 	stats DCGStats
+
+	// busyAt is one past the cycle whose schedule slot the last failed
+	// GatesQuiet found holding work (zero: none). The slot keeps its work
+	// until Gates reads it at that cycle, so a later run that covers the
+	// cycle fails without a second scan: a run the accountant steps
+	// through slot by slot costs one scan, not one per cycle.
+	busyAt uint64
 }
 
 // dcgRings is the controller's schedule storage — the latched GRANT
@@ -294,12 +301,16 @@ func (d *DCG) QuietLimits(_, n uint64) uint64 { return n }
 // schedule slots are all empty: the first cycle reads (and counts the
 // toggle from) the previous masks, every later one reads zeros again.
 func (d *DCG) GatesQuiet(cycle, n uint64, u *cpu.Usage) (power.GateState, bool) {
+	if d.busyAt > cycle && d.busyAt <= cycle+n {
+		return power.GateState{}, false
+	}
 	r := d.ensureRings()
 	for c := cycle; c < cycle+n; c++ {
 		i := c % schedHorizon
 		if r.fuSched[cpu.FUIntALU][i]|r.fuSched[cpu.FUIntMult][i]|
 			r.fuSched[cpu.FUFPALU][i]|r.fuSched[cpu.FUFPMult][i] != 0 ||
 			r.dportSched[i] != 0 || r.busSched[i] != 0 {
+			d.busyAt = c + 1
 			return power.GateState{}, false
 		}
 	}
