@@ -243,7 +243,31 @@ func corruptStreams() []corruptStream {
 			},
 			wantErr: "implausible stage count",
 		},
+		{
+			name:    "first usage field overflows 64 bits",
+			mutate:  func(b []byte) []byte { return overflowAt(b, headerLen+2) },
+			wantErr: "truncated usage at cycle 0: " + errVarintOverflow.Error(),
+		},
+		{
+			name:    "event count overflows 64 bits",
+			mutate:  func(b []byte) []byte { return overflowAt(b, headerLen+1) },
+			wantErr: "truncated at cycle 0: " + errVarintOverflow.Error(),
+		},
+		{
+			name:    "end marker count overflows 64 bits",
+			mutate:  func(b []byte) []byte { return overflowAt(b, len(b)-1) },
+			wantErr: "truncated end marker: " + errVarintOverflow.Error(),
+		},
 	}
+}
+
+// overflowAt replaces the one-byte uvarint at b[off] with one that runs
+// past 64 bits: ten continuation bytes, then 0x01.
+func overflowAt(b []byte, off int) []byte {
+	out := append([]byte{}, b[:off]...)
+	out = append(out, bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64)...)
+	out = append(out, 0x01)
+	return append(out, b[off+1:]...)
 }
 
 // repeatAt is the offset of tinyCapture's repeat record: its first cycle
@@ -321,6 +345,11 @@ func repeatCorruptions() []corruptStream {
 				return append(out, tagEnd, 0xff)
 			},
 			wantErr: "implausible cycle count at cycle 1",
+		},
+		{
+			name:    "repeat count overflows 64 bits",
+			mutate:  func(b []byte) []byte { return overflowAt(b, repeatAt+1) },
+			wantErr: "truncated repeat record at cycle 1: " + errVarintOverflow.Error(),
 		},
 	}
 }

@@ -12,11 +12,12 @@ import (
 )
 
 // FuzzReadTrace drives the trust boundary every stored or shipped trace
-// crosses: arbitrary bytes into ReadTrace. Whatever the input, the read
-// must not panic and must not allocate beyond a fixed multiple of the
-// bytes it parses. A stream it accepts must yield a packed view that
-// agrees bit for bit with a plain streaming Reader pass over the same
-// bytes.
+// crosses: arbitrary bytes into ReadTrace, and into NewReader read cycle
+// by cycle. Whatever the input, neither may panic or allocate beyond a
+// fixed multiple of the bytes it parses, and both must accept the same
+// streams with the same cycle count. A stream ReadTrace accepts must
+// yield a packed view that agrees bit for bit with a Reader pass (Next)
+// over the same bytes.
 //
 // Run it with: go test -run '^$' -fuzz FuzzReadTrace ./internal/usagetrace
 func FuzzReadTrace(f *testing.F) {
@@ -47,19 +48,32 @@ func FuzzReadTrace(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parsed := len(data) + inflatedLen(data)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		tr, err := ReadTrace(bytes.NewReader(data))
-		runtime.ReadMemStats(&after)
 		// The fixed part covers the schedule-mirror rings, the per-stage
 		// buffers a header may declare (up to maxLatchStages) and the
 		// reader's per-cycle event buffer (up to 2^16 events).
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*parsed+16<<20); got > limit {
+		limit := uint64(64*parsed + 16<<20)
+		var tr *Trace
+		var err error
+		allocs := allocated(func() { tr, err = ReadTrace(bytes.NewReader(data)) })
+		if allocs > limit {
 			t.Fatalf("ReadTrace of %d bytes (%d parsed) allocated %d bytes, limit %d",
-				len(data), parsed, got, limit)
+				len(data), parsed, allocs, limit)
+		}
+		var cycles uint64
+		var rerr error
+		allocs = allocated(func() { cycles, rerr = readCycles(data) })
+		if allocs > limit {
+			t.Fatalf("NewReader and Next over %d bytes (%d parsed) allocated %d bytes, limit %d",
+				len(data), parsed, allocs, limit)
+		}
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("ReadTrace err = %v, but NewReader and Next err = %v", err, rerr)
 		}
 		if err != nil {
 			return
+		}
+		if cycles != tr.Cycles() {
+			t.Fatalf("NewReader and Next read %d cycles, ReadTrace %d", cycles, tr.Cycles())
 		}
 		p, err := tr.Decode()
 		if err != nil {
@@ -67,6 +81,31 @@ func FuzzReadTrace(f *testing.F) {
 		}
 		checkAgainstStream(t, tr, p)
 	})
+}
+
+// allocated returns how many bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// readCycles counts the cycles NewReader and Next read from data, and
+// returns nil at a clean end of the stream.
+func readCycles(data []byte) (uint64, error) {
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return 0, err
+	}
+	for cycles := uint64(0); ; cycles++ {
+		if _, _, err := rd.Next(); err == io.EOF {
+			return cycles, nil
+		} else if err != nil {
+			return cycles, err
+		}
+	}
 }
 
 // inflatedLen is how many bytes a gzip-framed input inflates to before
@@ -84,7 +123,7 @@ func inflatedLen(data []byte) int {
 }
 
 // checkAgainstStream re-derives every plane bit and aggregate of p from
-// a streaming Reader pass over tr, and fails on the first disagreement.
+// a Reader pass (Next) over tr, and fails on the first disagreement.
 func checkAgainstStream(t *testing.T, tr *Trace, p *Packed) {
 	t.Helper()
 	rd, err := tr.Reader()

@@ -3,6 +3,7 @@ package usagetrace
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -49,8 +50,8 @@ func TestGzipRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGzipSniffInNewReader: the streaming decoder also accepts compressed
-// input directly.
+// TestGzipSniffInNewReader: NewReader also accepts compressed input
+// directly.
 func TestGzipSniffInNewReader(t *testing.T) {
 	tr, _, _ := synthCapture(t, 100, 3)
 	var compressed bytes.Buffer
@@ -141,19 +142,27 @@ func TestInflateStopsAtTheLimit(t *testing.T) {
 
 // TestGzipBombFailsAtTheCap: a stored trace that inflates just past
 // maxInflatedTrace (here a 1 MiB member of zeros repeated) fails in
-// ReadTrace without holding what it inflated.
+// ReadTrace and in NewReader without holding what it inflated.
 func TestGzipBombFailsAtTheCap(t *testing.T) {
 	member := gzipped(t, make([]byte, 1<<20))
 	bomb := bytes.Repeat(member, maxInflatedTrace>>20+1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := ReadTrace(bytes.NewReader(bomb))
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "gzip stream inflates past") {
-		t.Fatalf("%d-byte bomb: err = %v, want the cap error", len(bomb), err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
-		t.Errorf("%d-byte bomb inflating to %d bytes: ReadTrace allocated %d bytes",
-			len(bomb), (maxInflatedTrace>>20+1)<<20, got)
+	for _, tc := range []struct {
+		name string
+		read func(io.Reader) error
+	}{
+		{"ReadTrace", func(r io.Reader) error { _, err := ReadTrace(r); return err }},
+		{"NewReader", func(r io.Reader) error { _, err := NewReader(r); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.read(bytes.NewReader(bomb))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "gzip stream inflates past") {
+			t.Fatalf("%s of a %d-byte bomb: err = %v, want the cap error", tc.name, len(bomb), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+			t.Errorf("%d-byte bomb inflating to %d bytes: %s allocated %d bytes",
+				len(bomb), (maxInflatedTrace>>20+1)<<20, tc.name, got)
+		}
 	}
 }

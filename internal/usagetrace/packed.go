@@ -1,7 +1,6 @@
 package usagetrace
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/bits"
@@ -164,26 +163,26 @@ func (m *schedMirror) empty(c, n uint64) uint64 {
 	return n
 }
 
-// decodePacked streams the encoded trace once and builds its packed
-// view: each cycle's issue events feed the schedule mirror in the core's
+// decodePacked parses the encoded trace once, in place, and builds its
+// packed view: each cycle's issue events feed the schedule mirror in the core's
 // delivery order (strictly before that cycle's usage), then the usage
 // vector sets the planes, aggregates and maxima; a repeat record's cycles
 // are added as runs. A stream that fails to parse anywhere, end marker
 // included, fails the decode, and so does one that claims more cycles
-// than maxCycles allows its length. want is the cycle count the stream
-// must hold (a trace header's, or the one its end marker declares), and
-// the planes are sized for it once. A stream that runs past it is invalid
+// than maxCycles allows its length (the Reader refuses the record that
+// would pass it). want is the cycle count the stream must hold (a trace
+// header's, or the one its end marker declares), and the planes are sized
+// for it once, or not at all when it is past that bound. A stream that runs past it is invalid
 // whatever follows, so the rest is only parsed, building nothing, to
 // report its fault. The reader is returned for its header metadata.
 func decodePacked(data []byte, want uint64) (*Packed, *Reader, error) {
-	rd, err := NewReader(bytes.NewReader(data))
+	rd, err := newReader(data)
 	if err != nil {
 		return nil, nil, err
 	}
 	p := &Packed{stages: rd.stages, data: data}
-	limit := maxCycles(uint64(len(data)), recordBytes(rd.stages, rd.hasLatchValue))
 	size := want
-	if size > limit {
+	if size > rd.limit {
 		size = 0 // the stream cannot hold them: build nothing
 	}
 	words := int((size + 63) / 64)
@@ -215,10 +214,6 @@ func decodePacked(data []byte, want uint64) (*Packed, *Reader, error) {
 		}
 		if err != nil {
 			return nil, nil, err
-		}
-		if n > limit-p.cycles {
-			return nil, nil, fmt.Errorf("usagetrace: implausible cycle count at cycle %d: a %d-byte stream may claim at most %d",
-				p.cycles, len(data), limit)
 		}
 		if p.cycles+n > size {
 			p.cycles += n
@@ -399,7 +394,7 @@ func setRange(plane []uint64, lo, hi uint64) {
 // parsed when the view was built and is immutable, so a read error here
 // is a bug, not bad input.
 func (p *Packed) scan(fn func(u *cpu.Usage)) {
-	rd, err := NewReader(bytes.NewReader(p.data))
+	rd, err := newReader(p.data)
 	for err == nil {
 		var u *cpu.Usage
 		if _, u, err = rd.Next(); err == nil {

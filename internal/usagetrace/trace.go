@@ -59,10 +59,10 @@ func (t *Trace) HasChannel(name string) bool {
 // trace).
 func (t *Trace) SizeBytes() int { return len(t.data) }
 
-// Reader opens a fresh decoder over the trace. Safe to call concurrently;
-// each reader has independent state.
+// Reader opens a fresh decoder over the trace's bytes, which it shares.
+// Safe to call concurrently; each reader has independent state.
 func (t *Trace) Reader() (*Reader, error) {
-	return NewReader(bytes.NewReader(t.data))
+	return newReader(t.data)
 }
 
 // Package-wide decode accounting, exported for the service's /metrics
@@ -131,8 +131,8 @@ func (t *Trace) EncodeGzip(w io.Writer) error {
 }
 
 // maxInflatedTrace caps a gzip-framed trace's inflated size, so a small
-// crafted input (a gzip bomb) cannot make ReadTrace allocate without
-// bound. Real captures are far below it: at 300k instructions with the
+// crafted input (a gzip bomb) cannot make ReadTrace or NewReader allocate
+// without bound. Real captures are far below it: at 300k instructions with the
 // latchvalue channel the largest is mcf on Deep, 20.6 MB (v2 artifacts:
 // 86.5 MB there, 52.4 MB on Table 1). At the service's 5M-instruction
 // request limit that v3 capture would be about 0.35 GB. Only a v2
@@ -148,14 +148,9 @@ const maxInflatedTrace = 1 << 30
 // at most maxInflatedTrace bytes of them, so the resident Trace always
 // holds the raw encoding and replays never pay for decompression.
 func ReadTrace(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(r)
+	data, err := load(r)
 	if err != nil {
-		return nil, fmt.Errorf("usagetrace: %w", err)
-	}
-	if len(data) >= 2 && data[0] == gzipMagic0 && data[1] == gzipMagic1 {
-		if data, err = inflate(data, maxInflatedTrace); err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	// There is no header cycle count here: the planes are sized for the
 	// count the end marker declares, which any valid stream matches.
@@ -173,6 +168,19 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	t.decodeOnce.Do(func() { t.packed = p })
 	return t, nil
+}
+
+// load reads an encoded stream into memory, inflating a gzip-framed one
+// (sniffed by its magic bytes) up to maxInflatedTrace bytes.
+func load(r io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("usagetrace: %w", err)
+	}
+	if len(data) >= 2 && data[0] == gzipMagic0 && data[1] == gzipMagic1 {
+		return inflate(data, maxInflatedTrace)
+	}
+	return data, nil
 }
 
 // endCycles reads the cycle count a stream's closing end marker (the tag

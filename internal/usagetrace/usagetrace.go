@@ -10,11 +10,14 @@
 // machine-timing) turns every additional scheme evaluation into a
 // memory-bandwidth replay (internal/core.Simulator.EvaluateTiming).
 //
-// Two consumers read a stored trace. The scalar engine (ReplayAll)
-// streams the encoded bytes through scheme sinks; it needs no decoded
-// form. The packed kernel reads a Packed view — per-signal bit-planes
-// plus order-free aggregates — that one pass over the bytes builds
-// (Trace.Decode, memoized; ReadTrace builds it while validating).
+// Two consumers read a stored trace, and both parse its encoded bytes in
+// memory through one Reader, which reads them in place. The scalar engine
+// (ReplayAll) hands the parsed records to scheme sinks; it needs no
+// decoded form. The packed kernel reads a Packed view — per-signal
+// bit-planes plus order-free aggregates — that one pass over the bytes
+// builds (Trace.Decode, memoized; ReadTrace builds it while validating).
+// A stream that is not yet a Trace is read whole first: ReadTrace and
+// NewReader inflate a gzip-framed one, up to maxInflatedTrace bytes.
 //
 // # Format (v3, channelized, run-length)
 //
@@ -82,6 +85,7 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -552,18 +556,24 @@ func (t *Writer) releaseScratch() {
 	t.sc, t.scratch, t.pending, t.prev = nil, nil, nil, cpu.Usage{}
 }
 
-// Reader decodes a capture stream, as runs of cycles (NextRun) or cycle
-// by cycle (Next). The usage vector and event slice it returns are reused
-// between calls — the same contract the live core imposes on its
-// observers.
+// Reader decodes a capture stream held in memory, as runs of cycles
+// (NextRun) or cycle by cycle (Next). It parses the bytes in place: a
+// trace's Reader, its packed decode and its re-reads share the trace's
+// encoding without copying it. The usage vector and event slice it
+// returns are reused between calls — the same contract the live core
+// imposes on its observers.
 type Reader struct {
-	r        *bufio.Reader
+	data     []byte
+	pos      int
 	name     string
 	version  byte
 	stages   int
 	channels []string
 
 	hasLatchValue bool
+
+	// limit is the most cycles the stream may claim (maxCycles).
+	limit uint64
 
 	u      cpu.Usage
 	events []cpu.IssueEvent
@@ -575,22 +585,35 @@ type Reader struct {
 	left    uint64
 	lastOcc int64
 	done    bool
+
+	// err latches the first malformed field of the record section being
+	// parsed; the section reports it once, under its own diagnostic.
+	err error
 }
 
-// NewReader parses the header and positions the reader at cycle 0. The
-// stream may be gzip-compressed (as written by EncodeGzip): the two gzip
-// magic bytes are sniffed and decompression is inserted transparently.
+// errVarintOverflow reports a varint longer than 64 bits, in the words
+// binary.ReadUvarint uses for it.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// NewReader reads the whole stream into memory and parses its header,
+// positioning the reader at cycle 0. The stream may be gzip-compressed (as
+// written by EncodeGzip): the two gzip magic bytes are sniffed and the
+// stream is inflated, at most maxInflatedTrace bytes of it, as ReadTrace
+// does.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == gzipMagic0 && magic[1] == gzipMagic1 {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("usagetrace: bad gzip framing: %w", err)
-		}
-		br = bufio.NewReader(gz)
+	data, err := load(r)
+	if err != nil {
+		return nil, err
 	}
-	head := make([]byte, len(traceMagic)+2)
-	if _, err := io.ReadFull(br, head); err != nil {
+	return newReader(data)
+}
+
+// newReader parses the header of the encoded stream data, which it reads
+// in place.
+func newReader(data []byte) (*Reader, error) {
+	rd := &Reader{data: data}
+	head, err := rd.bytes(len(traceMagic) + 2)
+	if err != nil {
 		return nil, fmt.Errorf("usagetrace: short header: %w", err)
 	}
 	if string(head[:len(traceMagic)]) != traceMagic {
@@ -601,89 +624,149 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("usagetrace: unsupported version %d (reader speaks %d to %d)",
 			v, traceVersion1, traceVersion)
 	}
-	name := make([]byte, int(head[len(traceMagic)+1]))
-	if _, err := io.ReadFull(br, name); err != nil {
+	name, err := rd.bytes(int(head[len(traceMagic)+1]))
+	if err != nil {
 		return nil, fmt.Errorf("usagetrace: short name: %w", err)
 	}
-	rd := &Reader{r: br, name: string(name), version: v}
-
-	if v == traceVersion1 {
-		// v1: a bare backLatchStages uvarint, usage channel implicit.
-		stages, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("usagetrace: short header (latch stages): %w", err)
-		}
-		if stages > maxLatchStages {
-			return nil, fmt.Errorf("usagetrace: implausible latch stage count %d (limit %d)",
-				stages, maxLatchStages)
-		}
-		rd.stages = int(stages)
-		rd.channels = []string{ChannelUsage}
-		rd.u.BackLatch = make([]int, stages)
-		return rd, nil
+	rd.name, rd.version = string(name), v
+	if err := rd.channelTable(); err != nil {
+		return nil, err
 	}
-
-	// v2 and v3: a channel table, usage mandatory and first.
-	nch, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("usagetrace: short header (channel count): %w", err)
-	}
-	if nch == 0 {
-		return nil, fmt.Errorf("usagetrace: corrupt channel table: no channels (usage is mandatory)")
-	}
-	if nch > maxTraceChannels {
-		return nil, fmt.Errorf("usagetrace: implausible channel count %d (limit %d)", nch, maxTraceChannels)
-	}
-	rd.channels = make([]string, 0, nch)
-	for i := uint64(0); i < nch; i++ {
-		nameLen, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("usagetrace: short channel header %d: %w", i, err)
-		}
-		chName := make([]byte, int(nameLen))
-		if _, err := io.ReadFull(br, chName); err != nil {
-			return nil, fmt.Errorf("usagetrace: short channel header %d: %w", i, err)
-		}
-		ch := string(chName)
-		stages, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("usagetrace: short channel header %q: %w", ch, err)
-		}
-		if stages > maxLatchStages {
-			return nil, fmt.Errorf("usagetrace: channel %q declares implausible stage count %d (limit %d)",
-				ch, stages, maxLatchStages)
-		}
-		switch {
-		case i == 0:
-			if ch != ChannelUsage {
-				return nil, fmt.Errorf("usagetrace: corrupt channel table: first channel is %q, want %q",
-					ch, ChannelUsage)
-			}
-			rd.stages = int(stages)
-		case ch == ChannelUsage:
-			return nil, fmt.Errorf("usagetrace: corrupt channel table: duplicate %q channel", ChannelUsage)
-		case !validExtraChannel(ch):
-			return nil, fmt.Errorf("usagetrace: unknown trace channel %q (known: %v)", ch, KnownChannels())
-		case int(stages) != rd.stages:
-			return nil, fmt.Errorf("usagetrace: channel %q declares %d stages but usage declares %d",
-				ch, stages, rd.stages)
-		default:
-			for _, have := range rd.channels {
-				if have == ch {
-					return nil, fmt.Errorf("usagetrace: corrupt channel table: duplicate %q channel", ch)
-				}
-			}
-			if ch == ChannelLatchValue {
-				rd.hasLatchValue = true
-			}
-		}
-		rd.channels = append(rd.channels, ch)
-	}
+	rd.limit = maxCycles(uint64(len(data)), recordBytes(rd.stages, rd.hasLatchValue))
 	rd.u.BackLatch = make([]int, rd.stages)
 	if rd.hasLatchValue {
 		rd.u.BackLatchNewVal = make([]int, rd.stages)
 	}
 	return rd, nil
+}
+
+// channelTable parses the header's stage count and channel table.
+func (r *Reader) channelTable() error {
+	if r.version == traceVersion1 {
+		// v1: a bare backLatchStages uvarint, usage channel implicit.
+		stages := r.uvarint()
+		if r.err != nil {
+			return fmt.Errorf("usagetrace: short header (latch stages): %w", r.err)
+		}
+		if stages > maxLatchStages {
+			return fmt.Errorf("usagetrace: implausible latch stage count %d (limit %d)",
+				stages, maxLatchStages)
+		}
+		r.stages = int(stages)
+		r.channels = []string{ChannelUsage}
+		return nil
+	}
+
+	// v2 and v3: a channel table, usage mandatory and first.
+	nch := r.uvarint()
+	if r.err != nil {
+		return fmt.Errorf("usagetrace: short header (channel count): %w", r.err)
+	}
+	if nch == 0 {
+		return fmt.Errorf("usagetrace: corrupt channel table: no channels (usage is mandatory)")
+	}
+	if nch > maxTraceChannels {
+		return fmt.Errorf("usagetrace: implausible channel count %d (limit %d)", nch, maxTraceChannels)
+	}
+	r.channels = make([]string, 0, nch)
+	for i := uint64(0); i < nch; i++ {
+		nameLen, err := r.bytes(1)
+		if err != nil {
+			return fmt.Errorf("usagetrace: short channel header %d: %w", i, err)
+		}
+		chName, err := r.bytes(int(nameLen[0]))
+		if err != nil {
+			return fmt.Errorf("usagetrace: short channel header %d: %w", i, err)
+		}
+		ch := string(chName)
+		stages := r.uvarint()
+		if r.err != nil {
+			return fmt.Errorf("usagetrace: short channel header %q: %w", ch, r.err)
+		}
+		if stages > maxLatchStages {
+			return fmt.Errorf("usagetrace: channel %q declares implausible stage count %d (limit %d)",
+				ch, stages, maxLatchStages)
+		}
+		switch {
+		case i == 0:
+			if ch != ChannelUsage {
+				return fmt.Errorf("usagetrace: corrupt channel table: first channel is %q, want %q",
+					ch, ChannelUsage)
+			}
+			r.stages = int(stages)
+		case ch == ChannelUsage:
+			return fmt.Errorf("usagetrace: corrupt channel table: duplicate %q channel", ChannelUsage)
+		case !validExtraChannel(ch):
+			return fmt.Errorf("usagetrace: unknown trace channel %q (known: %v)", ch, KnownChannels())
+		case int(stages) != r.stages:
+			return fmt.Errorf("usagetrace: channel %q declares %d stages but usage declares %d",
+				ch, stages, r.stages)
+		default:
+			if slices.Contains(r.channels, ch) {
+				return fmt.Errorf("usagetrace: corrupt channel table: duplicate %q channel", ch)
+			}
+			if ch == ChannelLatchValue {
+				r.hasLatchValue = true
+			}
+		}
+		r.channels = append(r.channels, ch)
+	}
+	return nil
+}
+
+// bytes returns the next n bytes of the stream, failing as io.ReadFull
+// does when fewer remain.
+func (r *Reader) bytes(n int) ([]byte, error) {
+	rest := r.data[r.pos:]
+	if len(rest) < n {
+		r.pos = len(r.data)
+		if len(rest) == 0 {
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
+	}
+	r.pos += n
+	return rest[:n:n], nil
+}
+
+// uvarint reads the next uvarint field. A one-byte field, most of a
+// trace's, is read here; a longer one goes to uvarintSlow, kept apart so
+// that this path does not pay for binary.Uvarint's frame. A malformed
+// field reads as 0, latches r.err and moves the reader to the end of the
+// stream.
+func (r *Reader) uvarint() uint64 {
+	if r.pos < len(r.data) {
+		if b := r.data[r.pos]; b < 0x80 {
+			r.pos++
+			return uint64(b)
+		}
+	}
+	return r.uvarintSlow()
+}
+
+// uvarintSlow reads a multi-byte uvarint field, failing as
+// binary.ReadUvarint does: io.EOF at the end of the stream,
+// io.ErrUnexpectedEOF inside a field, and an overflow past 64 bits.
+func (r *Reader) uvarintSlow() uint64 {
+	rest := r.data[r.pos:]
+	v, n := binary.Uvarint(rest)
+	if n > 0 {
+		r.pos += n
+		return v
+	}
+	err := errVarintOverflow
+	switch {
+	case n < 0 || len(rest) >= binary.MaxVarintLen64:
+	case len(rest) == 0:
+		err = io.EOF
+	default:
+		err = io.ErrUnexpectedEOF
+	}
+	if r.err == nil {
+		r.err = err
+	}
+	r.pos = len(r.data)
+	return 0
 }
 
 // Name returns the traced workload's name.
@@ -734,25 +817,28 @@ func (r *Reader) Next() ([]cpu.IssueEvent, *cpu.Usage, error) {
 
 // record parses the next record into r.u and r.events and returns the
 // events and how many cycles the record covers, or io.EOF at a valid end
-// marker.
+// marker. A record that would take the stream past r.limit cycles is
+// refused.
 func (r *Reader) record() ([]cpu.IssueEvent, uint64, error) {
 	if r.done {
 		return nil, 0, io.EOF
 	}
-	tag, err := r.r.ReadByte()
-	if err != nil {
-		return nil, 0, fmt.Errorf("usagetrace: truncated at cycle %d (missing end marker): %w", r.cycle, err)
+	if r.pos >= len(r.data) {
+		return nil, 0, fmt.Errorf("usagetrace: truncated at cycle %d (missing end marker): %w", r.cycle, io.EOF)
 	}
+	tag := r.data[r.pos]
+	r.pos++
+	n := uint64(1)
 	switch tag {
 	case tagEnd:
-		declared, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return nil, 0, fmt.Errorf("usagetrace: truncated end marker: %w", err)
+		declared := r.uvarint()
+		if r.err != nil {
+			return nil, 0, fmt.Errorf("usagetrace: truncated end marker: %w", r.err)
 		}
 		if declared != r.cycle {
 			return nil, 0, fmt.Errorf("usagetrace: end marker declares %d cycles but %d were read", declared, r.cycle)
 		}
-		if _, err := r.r.ReadByte(); err != io.EOF {
+		if r.pos != len(r.data) {
 			return nil, 0, fmt.Errorf("usagetrace: trailing data after end marker")
 		}
 		r.done = true
@@ -764,126 +850,107 @@ func (r *Reader) record() ([]cpu.IssueEvent, uint64, error) {
 		if r.cycle == 0 {
 			return nil, 0, fmt.Errorf("usagetrace: repeat record before the first cycle")
 		}
-		k, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return nil, 0, fmt.Errorf("usagetrace: truncated repeat record at cycle %d: %w", r.cycle, err)
+		if n = r.uvarint(); r.err != nil {
+			return nil, 0, fmt.Errorf("usagetrace: truncated repeat record at cycle %d: %w", r.cycle, r.err)
 		}
-		if k == 0 || k > math.MaxUint64-r.cycle {
-			return nil, 0, fmt.Errorf("usagetrace: corrupt repeat count %d at cycle %d", k, r.cycle)
+		if n == 0 || n > math.MaxUint64-r.cycle {
+			return nil, 0, fmt.Errorf("usagetrace: corrupt repeat count %d at cycle %d", n, r.cycle)
 		}
-		return nil, k, nil
+		r.events = r.events[:0]
 	case tagCycle:
+		if err := r.cycleRecord(); err != nil {
+			return nil, 0, err
+		}
 	default:
 		return nil, 0, fmt.Errorf("usagetrace: corrupt record tag 0x%02x at cycle %d", tag, r.cycle)
 	}
+	if n > r.limit-r.cycle {
+		return nil, 0, fmt.Errorf("usagetrace: implausible cycle count at cycle %d: a %d-byte stream may claim at most %d",
+			r.cycle, len(r.data), r.limit)
+	}
+	return r.events, n, nil
+}
 
-	nev, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return nil, 0, fmt.Errorf("usagetrace: truncated at cycle %d: %w", r.cycle, err)
+// cycleRecord parses a cycle record's body — events, usage vector and
+// extra channels — into r.events and r.u. Each section checks the latched
+// field error once, and reports it under its own diagnostic.
+func (r *Reader) cycleRecord() error {
+	nev := r.uvarint()
+	if r.err != nil {
+		return fmt.Errorf("usagetrace: truncated at cycle %d: %w", r.cycle, r.err)
 	}
 	if nev > 1<<16 {
-		return nil, 0, fmt.Errorf("usagetrace: corrupt event count %d at cycle %d", nev, r.cycle)
+		return fmt.Errorf("usagetrace: corrupt event count %d at cycle %d", nev, r.cycle)
 	}
 	r.events = r.events[:0]
-	for i := uint64(0); i < nev; i++ {
-		ev, err := r.readEvent()
-		if err != nil {
-			return nil, 0, fmt.Errorf("usagetrace: truncated event at cycle %d: %w", r.cycle, err)
-		}
-		r.events = append(r.events, ev)
+	for i := uint64(0); i < nev && r.err == nil; i++ {
+		r.events = append(r.events, cpu.IssueEvent{Cycle: r.cycle, FUIdx: -1})
+		r.event(&r.events[i])
+	}
+	if r.err != nil {
+		return fmt.Errorf("usagetrace: truncated event at cycle %d: %w", r.cycle, r.err)
 	}
 
 	u := &r.u
-	fields := [...]*int{
-		&u.IssueCount, &u.FPIssueCount, &u.MemIssueCount,
-		nil, nil, nil, nil, // FU masks, read separately below
-		&u.DPortUsed, &u.ResultBus, &u.CommitCount, &u.FetchCount,
-	}
-	masks := [...]*uint32{&u.IntALUBusy, &u.IntMultBusy, &u.FPALUBusy, &u.FPMultBusy}
-	mi := 0
-	for _, f := range fields {
-		v, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return nil, 0, fmt.Errorf("usagetrace: truncated usage at cycle %d: %w", r.cycle, err)
-		}
-		if f != nil {
-			*f = int(v)
-		} else {
-			*masks[mi] = uint32(v)
-			mi++
-		}
-	}
-	occDelta, err := binary.ReadVarint(r.r)
-	if err != nil {
-		return nil, 0, fmt.Errorf("usagetrace: truncated usage at cycle %d: %w", r.cycle, err)
-	}
-	r.lastOcc += occDelta
+	u.IssueCount = int(r.uvarint())
+	u.FPIssueCount = int(r.uvarint())
+	u.MemIssueCount = int(r.uvarint())
+	u.IntALUBusy = uint32(r.uvarint())
+	u.IntMultBusy = uint32(r.uvarint())
+	u.FPALUBusy = uint32(r.uvarint())
+	u.FPMultBusy = uint32(r.uvarint())
+	u.DPortUsed = int(r.uvarint())
+	u.ResultBus = int(r.uvarint())
+	u.CommitCount = int(r.uvarint())
+	u.FetchCount = int(r.uvarint())
+	zz := r.uvarint() // zigzag occupancy delta
+	r.lastOcc += int64(zz>>1) ^ -int64(zz&1)
 	u.WindowOccupancy = int(r.lastOcc)
 	for s := range u.BackLatch {
-		v, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return nil, 0, fmt.Errorf("usagetrace: truncated usage at cycle %d: %w", r.cycle, err)
-		}
-		u.BackLatch[s] = int(v)
+		u.BackLatch[s] = int(r.uvarint())
+	}
+	if r.err != nil {
+		return fmt.Errorf("usagetrace: truncated usage at cycle %d: %w", r.cycle, r.err)
 	}
 	if r.hasLatchValue {
 		for s := range u.BackLatchNewVal {
-			v, err := binary.ReadUvarint(r.r)
-			if err != nil {
-				return nil, 0, fmt.Errorf("usagetrace: truncated latchvalue at cycle %d: %w", r.cycle, err)
-			}
-			u.BackLatchNewVal[s] = int(v)
+			u.BackLatchNewVal[s] = int(r.uvarint())
+		}
+		if r.err != nil {
+			return fmt.Errorf("usagetrace: truncated latchvalue at cycle %d: %w", r.cycle, r.err)
 		}
 	}
-	return r.events, 1, nil
+	return nil
 }
 
-// readEvent decodes one issue event for the current cycle.
-func (r *Reader) readEvent() (cpu.IssueEvent, error) {
-	ev := cpu.IssueEvent{Cycle: r.cycle, FUIdx: -1}
-	flags, err := r.r.ReadByte()
-	if err != nil {
-		return ev, err
+// event decodes one issue event of the current cycle into ev, which holds
+// the cycle and no FU; a bad FU type latches r.err.
+func (r *Reader) event(ev *cpu.IssueEvent) {
+	if r.pos >= len(r.data) {
+		r.err = io.EOF
+		return
 	}
+	flags := r.data[r.pos]
+	r.pos++
 	if flags&flagHasFU != 0 {
 		ev.FUType = cpu.FUType(flags >> fuTypeShift)
 		if ev.FUType >= cpu.NumFUTypes {
-			return ev, fmt.Errorf("corrupt FU type %d", ev.FUType)
+			r.err = fmt.Errorf("corrupt FU type %d", ev.FUType)
+			return
 		}
-		idx, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return ev, err
-		}
-		ev.FUIdx = int(idx)
-		d, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return ev, err
-		}
-		ev.FUStart = r.cycle + d
-		lat, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return ev, err
-		}
-		ev.FULat = int(lat)
+		ev.FUIdx = int(r.uvarint())
+		ev.FUStart = r.cycle + r.uvarint()
+		ev.FULat = int(r.uvarint())
 	}
 	ev.IsLoad = flags&flagIsLoad != 0
 	ev.IsStore = flags&flagIsStore != 0
 	if ev.IsLoad || ev.IsStore {
-		d, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return ev, err
-		}
-		ev.DPortCycle = r.cycle + d
+		ev.DPortCycle = r.cycle + r.uvarint()
 	}
 	if flags&flagWritesReg != 0 {
 		ev.WritesReg = true
-		d, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return ev, err
-		}
-		ev.ResultBusCycle = r.cycle + d
+		ev.ResultBusCycle = r.cycle + r.uvarint()
 	}
-	return ev, nil
 }
 
 // Sink is one consumer of a replay: a scheme's issue listener plus its
