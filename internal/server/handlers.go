@@ -292,7 +292,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	var req SimRequest
 	switch r.Method {
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
@@ -333,7 +333,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -345,6 +345,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	schemes := req.Schemes
 	if len(schemes) == 0 {
 		schemes = []string{"dcg"}
+	}
+	// Each item runs on its own goroutine, so the count is bounded before
+	// any starts: by the batch of every distinct valid pair.
+	if n, limit := len(benches)*len(schemes), len(s.benchNames)*len(core.AllSchemes()); n > limit {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("batch of %d items exceeds the %d benchmark x scheme pairs", n, limit))
+		return
 	}
 
 	simReq := SimRequest{
@@ -495,7 +501,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	var req TraceRequest
 	switch r.Method {
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
@@ -632,6 +638,17 @@ func expandBenchmarks(names []string) ([]string, error) {
 		}
 	}
 	return names, nil
+}
+
+// maxRequestBody caps the bytes a request body may carry. Simulation,
+// batch and trace requests are a few hundred bytes; sweep specs share the
+// cap, as the cluster protocol does its own.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxRequestBody
+// bytes of it.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
 }
 
 // errStatus maps simulation errors to HTTP statuses.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 
 	"dcg/internal/core"
 	"dcg/internal/simrun"
+	"dcg/internal/workload"
 )
 
 // fakeResult is what the injected runners return; only identity matters.
@@ -263,6 +265,65 @@ func TestBatchFanOut(t *testing.T) {
 	}
 	if got := cr.runs.Load(); got != 4 {
 		t.Errorf("%d sims ran, want 4", got)
+	}
+}
+
+// TestRequestBounds: a body over maxRequestBody fails with 400 on every
+// JSON endpoint, and so does a batch with more items than there are
+// distinct benchmark x scheme pairs, before any item runs. A batch at the
+// bound passes it; its unknown benchmarks fail item by item.
+func TestRequestBounds(t *testing.T) {
+	cr := &countingRunner{}
+	s := NewWithRunner(Config{Workers: 2, EnableTrace: true}, cr.run)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	huge := `{"benchmark":"` + strings.Repeat("a", 2<<20) + `"}`
+	tenDCG := make([]string, 10)
+	for i := range tenDCG {
+		tenDCG[i] = "dcg"
+	}
+	maxItems := len(workload.Names()) * len(core.AllSchemes())
+	unknown := make([]string, maxItems)
+	for i := range unknown {
+		unknown[i] = fmt.Sprintf("nosuch%d", i)
+	}
+	batch := func(req BatchRequest) string {
+		b, _ := json.Marshal(req)
+		return string(b)
+	}
+	cases := []struct {
+		name, path, body string
+		status, items    int
+	}{
+		{"2 MiB sim body", "/v1/sim", huge, http.StatusBadRequest, 0},
+		{"2 MiB batch body", "/v1/batch", huge, http.StatusBadRequest, 0},
+		{"2 MiB trace body", "/v1/trace", huge, http.StatusBadRequest, 0},
+		{"batch past the pair count", "/v1/batch",
+			batch(BatchRequest{Benchmarks: []string{"all"}, Schemes: tenDCG}), http.StatusBadRequest, 0},
+		{"batch at the pair count", "/v1/batch",
+			batch(BatchRequest{Benchmarks: unknown}), http.StatusOK, maxItems},
+	}
+	for _, tc := range cases {
+		resp, err := ts.Client().Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out BatchResponse
+		json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || len(out.Results) != tc.items {
+			t.Errorf("%s: status %d with %d results, want %d with %d", tc.name,
+				resp.StatusCode, len(out.Results), tc.status, tc.items)
+		}
+		for i, r := range out.Results {
+			if !strings.Contains(r.Error, "unknown benchmark") {
+				t.Errorf("%s: result %d error = %q, want a per-item failure", tc.name, i, r.Error)
+			}
+		}
+	}
+	if got, sims := cr.runs.Load(), s.Snapshot().SimsRun; got != 0 || sims != 0 {
+		t.Errorf("%d runs and sims_run %d, want none", got, sims)
 	}
 }
 

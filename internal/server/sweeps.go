@@ -231,7 +231,7 @@ func (sj *sweepJobs) list() []sweepJobView {
 
 // handleSweepSubmit accepts a sweep spec and starts (or resumes) its job.
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("reading spec: %w", err))
 		return
