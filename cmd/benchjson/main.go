@@ -10,6 +10,8 @@
 // Each benchmark line ("BenchmarkName  N  v1 unit1  v2 unit2 ...")
 // becomes one entry with its iteration count and a unit → value metric
 // map; the goos/goarch/cpu/pkg header lines are carried through once.
+// The lines `go test -count N` repeats for one benchmark fold into one
+// entry holding each value's median and the sample count.
 //
 // With -compare, two previously converted reports are diffed instead:
 // benchmarks are matched by package + name, and the process exits
@@ -27,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -47,6 +50,10 @@ type Benchmark struct {
 	// Metrics maps unit → value for every "value unit" pair on the line
 	// (ns/op, B/op, allocs/op, and any b.ReportMetric custom units).
 	Metrics map[string]float64 `json:"metrics"`
+
+	// Samples is how many result lines (go test -count) the entry folds;
+	// Iterations and each metric are then the median over them.
+	Samples int `json:"samples,omitempty"`
 }
 
 // Report is the full converted output.
@@ -100,7 +107,8 @@ func main() {
 	}
 }
 
-// parse consumes `go test -bench` output line by line.
+// parse consumes `go test -bench` output line by line, folding repeated
+// results of one benchmark into one entry.
 func parse(sc *bufio.Scanner) (*Report, error) {
 	rep := &Report{}
 	pkg := ""
@@ -125,7 +133,49 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 			}
 		}
 	}
+	rep.Benchmarks = fold(rep.Benchmarks)
 	return rep, sc.Err()
+}
+
+// fold merges the results of each pkg/Name key into one entry, in the
+// order the keys first appear: the iteration count and every metric
+// become the median over the results, and Samples counts them.
+func fold(results []Benchmark) []Benchmark {
+	type values struct {
+		iters   []float64
+		metrics map[string][]float64
+	}
+	var out []Benchmark
+	var vals []values
+	index := make(map[string]int)
+	for _, b := range results {
+		i, ok := index[benchKey(b)]
+		if !ok {
+			i = len(out)
+			index[benchKey(b)] = i
+			out = append(out, Benchmark{Name: b.Name, Pkg: b.Pkg, Metrics: make(map[string]float64)})
+			vals = append(vals, values{metrics: make(map[string][]float64)})
+		}
+		out[i].Samples++
+		vals[i].iters = append(vals[i].iters, float64(b.Iterations))
+		for unit, v := range b.Metrics {
+			vals[i].metrics[unit] = append(vals[i].metrics[unit], v)
+		}
+	}
+	for i, v := range vals {
+		out[i].Iterations = int64(median(v.iters))
+		for unit, vs := range v.metrics {
+			out[i].Metrics[unit] = median(vs)
+		}
+	}
+	return out
+}
+
+// median returns the middle of vs, or the mean of the middle two.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	return (vs[(n-1)/2] + vs[n/2]) / 2
 }
 
 // parseBenchLine parses one "BenchmarkX  N  v1 u1  v2 u2 ..." line.
