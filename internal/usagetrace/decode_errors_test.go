@@ -246,20 +246,23 @@ func corruptStreams() []corruptStream {
 		{
 			name:    "first usage field overflows 64 bits",
 			mutate:  func(b []byte) []byte { return overflowAt(b, headerLen+2) },
-			wantErr: "truncated usage at cycle 0: " + errVarintOverflow.Error(),
+			wantErr: "truncated usage at cycle 0: " + varintOverflow,
 		},
 		{
 			name:    "event count overflows 64 bits",
 			mutate:  func(b []byte) []byte { return overflowAt(b, headerLen+1) },
-			wantErr: "truncated at cycle 0: " + errVarintOverflow.Error(),
+			wantErr: "truncated at cycle 0: " + varintOverflow,
 		},
 		{
 			name:    "end marker count overflows 64 bits",
 			mutate:  func(b []byte) []byte { return overflowAt(b, len(b)-1) },
-			wantErr: "truncated end marker: " + errVarintOverflow.Error(),
+			wantErr: "truncated end marker: " + varintOverflow,
 		},
 	}
 }
+
+// varintOverflow is binary.ReadUvarint's error for a varint past 64 bits.
+const varintOverflow = "binary: varint overflows a 64-bit integer"
 
 // overflowAt replaces the one-byte uvarint at b[off] with one that runs
 // past 64 bits: ten continuation bytes, then 0x01.
@@ -349,7 +352,7 @@ func repeatCorruptions() []corruptStream {
 		{
 			name:    "repeat count overflows 64 bits",
 			mutate:  func(b []byte) []byte { return overflowAt(b, repeatAt+1) },
-			wantErr: "truncated repeat record at cycle 1: " + errVarintOverflow.Error(),
+			wantErr: "truncated repeat record at cycle 1: " + varintOverflow,
 		},
 	}
 }

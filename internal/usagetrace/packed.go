@@ -23,7 +23,7 @@ const busHistMax = 64
 // Packed is a trace's decoded form: one uint64 word per 64 cycles per
 // boolean signal (bit c%64 of word c/64 is cycle c), plus the few
 // per-cycle values and the order-free aggregates the packed replay
-// kernel reads. One streaming pass over the encoded bytes builds it
+// kernel reads. One pass over the encoded bytes builds it
 // (Trace.Decode, ReadTrace); no per-field usage columns or event slices
 // are ever materialised. Two families of data live here:
 //

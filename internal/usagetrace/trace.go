@@ -82,10 +82,10 @@ func Decodes() uint64 { return decodeCount.Load() }
 func DecodeReuses() uint64 { return decodeReuseCount.Load() }
 
 // Decode returns the trace's packed view, building it at most once per
-// Trace: the first call pays one streaming pass over the encoded bytes,
-// every later call — from any goroutine — reuses the memoized view. A
-// trace loaded by ReadTrace already built it while validating, so its
-// first Decode is a reuse. The header's cycle count is checked against
+// Trace: the first call pays one pass over the encoded bytes, every
+// later call — from any goroutine — reuses the memoized view. A trace
+// loaded by ReadTrace already built it while validating, so its first
+// Decode is a reuse. The header's cycle count is checked against
 // the stream, so metadata that disagrees fails loudly instead of
 // yielding silently short planes. The package-level Decodes /
 // DecodeReuses counters account for both outcomes.

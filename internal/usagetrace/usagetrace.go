@@ -83,9 +83,9 @@ package usagetrace
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -563,8 +563,12 @@ func (t *Writer) releaseScratch() {
 // returns are reused between calls — the same contract the live core
 // imposes on its observers.
 type Reader struct {
-	data     []byte
-	pos      int
+	// data is the stream and pos its next byte; br reads the header and
+	// the rare multi-byte field.
+	data []byte
+	pos  int
+	br   bytes.Reader
+
 	name     string
 	version  byte
 	stages   int
@@ -586,14 +590,11 @@ type Reader struct {
 	lastOcc int64
 	done    bool
 
-	// err latches the first malformed field of the record section being
-	// parsed; the section reports it once, under its own diagnostic.
+	// err latches the first fault in the record section being parsed, a
+	// malformed field or FU type; the section reports it once, under its
+	// own diagnostic.
 	err error
 }
-
-// errVarintOverflow reports a varint longer than 64 bits, in the words
-// binary.ReadUvarint uses for it.
-var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
 // NewReader reads the whole stream into memory and parses its header,
 // positioning the reader at cycle 0. The stream may be gzip-compressed (as
@@ -612,8 +613,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 // in place.
 func newReader(data []byte) (*Reader, error) {
 	rd := &Reader{data: data}
-	head, err := rd.bytes(len(traceMagic) + 2)
-	if err != nil {
+	br := &rd.br
+	br.Reset(data)
+	head := make([]byte, len(traceMagic)+2)
+	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("usagetrace: short header: %w", err)
 	}
 	if string(head[:len(traceMagic)]) != traceMagic {
@@ -624,116 +627,101 @@ func newReader(data []byte) (*Reader, error) {
 		return nil, fmt.Errorf("usagetrace: unsupported version %d (reader speaks %d to %d)",
 			v, traceVersion1, traceVersion)
 	}
-	name, err := rd.bytes(int(head[len(traceMagic)+1]))
-	if err != nil {
+	name := make([]byte, int(head[len(traceMagic)+1]))
+	if _, err := io.ReadFull(br, name); err != nil {
 		return nil, fmt.Errorf("usagetrace: short name: %w", err)
 	}
 	rd.name, rd.version = string(name), v
-	if err := rd.channelTable(); err != nil {
-		return nil, err
-	}
-	rd.limit = maxCycles(uint64(len(data)), recordBytes(rd.stages, rd.hasLatchValue))
-	rd.u.BackLatch = make([]int, rd.stages)
-	if rd.hasLatchValue {
-		rd.u.BackLatchNewVal = make([]int, rd.stages)
-	}
-	return rd, nil
-}
 
-// channelTable parses the header's stage count and channel table.
-func (r *Reader) channelTable() error {
-	if r.version == traceVersion1 {
+	if v == traceVersion1 {
 		// v1: a bare backLatchStages uvarint, usage channel implicit.
-		stages := r.uvarint()
-		if r.err != nil {
-			return fmt.Errorf("usagetrace: short header (latch stages): %w", r.err)
+		stages, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("usagetrace: short header (latch stages): %w", err)
 		}
 		if stages > maxLatchStages {
-			return fmt.Errorf("usagetrace: implausible latch stage count %d (limit %d)",
+			return nil, fmt.Errorf("usagetrace: implausible latch stage count %d (limit %d)",
 				stages, maxLatchStages)
 		}
-		r.stages = int(stages)
-		r.channels = []string{ChannelUsage}
-		return nil
+		rd.stages = int(stages)
+		rd.channels = []string{ChannelUsage}
+		return rd.start(), nil
 	}
 
 	// v2 and v3: a channel table, usage mandatory and first.
-	nch := r.uvarint()
-	if r.err != nil {
-		return fmt.Errorf("usagetrace: short header (channel count): %w", r.err)
+	nch, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("usagetrace: short header (channel count): %w", err)
 	}
 	if nch == 0 {
-		return fmt.Errorf("usagetrace: corrupt channel table: no channels (usage is mandatory)")
+		return nil, fmt.Errorf("usagetrace: corrupt channel table: no channels (usage is mandatory)")
 	}
 	if nch > maxTraceChannels {
-		return fmt.Errorf("usagetrace: implausible channel count %d (limit %d)", nch, maxTraceChannels)
+		return nil, fmt.Errorf("usagetrace: implausible channel count %d (limit %d)", nch, maxTraceChannels)
 	}
-	r.channels = make([]string, 0, nch)
+	rd.channels = make([]string, 0, nch)
 	for i := uint64(0); i < nch; i++ {
-		nameLen, err := r.bytes(1)
+		nameLen, err := br.ReadByte()
 		if err != nil {
-			return fmt.Errorf("usagetrace: short channel header %d: %w", i, err)
+			return nil, fmt.Errorf("usagetrace: short channel header %d: %w", i, err)
 		}
-		chName, err := r.bytes(int(nameLen[0]))
-		if err != nil {
-			return fmt.Errorf("usagetrace: short channel header %d: %w", i, err)
+		chName := make([]byte, int(nameLen))
+		if _, err := io.ReadFull(br, chName); err != nil {
+			return nil, fmt.Errorf("usagetrace: short channel header %d: %w", i, err)
 		}
 		ch := string(chName)
-		stages := r.uvarint()
-		if r.err != nil {
-			return fmt.Errorf("usagetrace: short channel header %q: %w", ch, r.err)
+		stages, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("usagetrace: short channel header %q: %w", ch, err)
 		}
 		if stages > maxLatchStages {
-			return fmt.Errorf("usagetrace: channel %q declares implausible stage count %d (limit %d)",
+			return nil, fmt.Errorf("usagetrace: channel %q declares implausible stage count %d (limit %d)",
 				ch, stages, maxLatchStages)
 		}
 		switch {
 		case i == 0:
 			if ch != ChannelUsage {
-				return fmt.Errorf("usagetrace: corrupt channel table: first channel is %q, want %q",
+				return nil, fmt.Errorf("usagetrace: corrupt channel table: first channel is %q, want %q",
 					ch, ChannelUsage)
 			}
-			r.stages = int(stages)
+			rd.stages = int(stages)
 		case ch == ChannelUsage:
-			return fmt.Errorf("usagetrace: corrupt channel table: duplicate %q channel", ChannelUsage)
+			return nil, fmt.Errorf("usagetrace: corrupt channel table: duplicate %q channel", ChannelUsage)
 		case !validExtraChannel(ch):
-			return fmt.Errorf("usagetrace: unknown trace channel %q (known: %v)", ch, KnownChannels())
-		case int(stages) != r.stages:
-			return fmt.Errorf("usagetrace: channel %q declares %d stages but usage declares %d",
-				ch, stages, r.stages)
+			return nil, fmt.Errorf("usagetrace: unknown trace channel %q (known: %v)", ch, KnownChannels())
+		case int(stages) != rd.stages:
+			return nil, fmt.Errorf("usagetrace: channel %q declares %d stages but usage declares %d",
+				ch, stages, rd.stages)
 		default:
-			if slices.Contains(r.channels, ch) {
-				return fmt.Errorf("usagetrace: corrupt channel table: duplicate %q channel", ch)
+			for _, have := range rd.channels {
+				if have == ch {
+					return nil, fmt.Errorf("usagetrace: corrupt channel table: duplicate %q channel", ch)
+				}
 			}
 			if ch == ChannelLatchValue {
-				r.hasLatchValue = true
+				rd.hasLatchValue = true
 			}
 		}
-		r.channels = append(r.channels, ch)
+		rd.channels = append(rd.channels, ch)
 	}
-	return nil
+	return rd.start(), nil
 }
 
-// bytes returns the next n bytes of the stream, failing as io.ReadFull
-// does when fewer remain.
-func (r *Reader) bytes(n int) ([]byte, error) {
-	rest := r.data[r.pos:]
-	if len(rest) < n {
-		r.pos = len(r.data)
-		if len(rest) == 0 {
-			return nil, io.EOF
-		}
-		return nil, io.ErrUnexpectedEOF
+// start sizes the reader's usage buffers and the cycle bound from the
+// parsed header, and positions it at the first record.
+func (r *Reader) start() *Reader {
+	r.pos = len(r.data) - r.br.Len()
+	r.limit = maxCycles(uint64(len(r.data)), recordBytes(r.stages, r.hasLatchValue))
+	r.u.BackLatch = make([]int, r.stages)
+	if r.hasLatchValue {
+		r.u.BackLatchNewVal = make([]int, r.stages)
 	}
-	r.pos += n
-	return rest[:n:n], nil
+	return r
 }
 
 // uvarint reads the next uvarint field. A one-byte field, most of a
 // trace's, is read here; a longer one goes to uvarintSlow, kept apart so
-// that this path does not pay for binary.Uvarint's frame. A malformed
-// field reads as 0, latches r.err and moves the reader to the end of the
-// stream.
+// that this path does not pay for its frame.
 func (r *Reader) uvarint() uint64 {
 	if r.pos < len(r.data) {
 		if b := r.data[r.pos]; b < 0x80 {
@@ -744,25 +732,16 @@ func (r *Reader) uvarint() uint64 {
 	return r.uvarintSlow()
 }
 
-// uvarintSlow reads a multi-byte uvarint field, failing as
-// binary.ReadUvarint does: io.EOF at the end of the stream,
-// io.ErrUnexpectedEOF inside a field, and an overflow past 64 bits.
+// uvarintSlow reads a multi-byte field. A malformed one reads as 0,
+// latches the error binary.ReadUvarint gives for it and moves the reader
+// to the end of the stream.
 func (r *Reader) uvarintSlow() uint64 {
-	rest := r.data[r.pos:]
-	v, n := binary.Uvarint(rest)
-	if n > 0 {
+	if v, n := binary.Uvarint(r.data[r.pos:]); n > 0 {
 		r.pos += n
 		return v
 	}
-	err := errVarintOverflow
-	switch {
-	case n < 0 || len(rest) >= binary.MaxVarintLen64:
-	case len(rest) == 0:
-		err = io.EOF
-	default:
-		err = io.ErrUnexpectedEOF
-	}
-	if r.err == nil {
+	r.br.Reset(r.data[r.pos:])
+	if _, err := binary.ReadUvarint(&r.br); r.err == nil {
 		r.err = err
 	}
 	r.pos = len(r.data)
