@@ -23,9 +23,9 @@ const busHistMax = 64
 // Packed is a trace's decoded form: one uint64 word per 64 cycles per
 // boolean signal (bit c%64 of word c/64 is cycle c), plus the few
 // per-cycle values and the order-free aggregates the packed replay
-// kernel reads. One pass over the encoded bytes builds it
-// (Trace.Decode, ReadTrace); no per-field usage columns or event slices
-// are ever materialised. Two families of data live here:
+// kernel reads. One pass over the encoded bytes builds it (Trace.Decode,
+// ReadTrace); no per-field usage columns or event slices are ever
+// materialised. Two families of data live here:
 //
 //   - Usage planes — FU-pool-busy, D-port-use, latch-stage-non-zero,
 //     issue-non-empty, commit-non-empty — the threshold form of the raw
@@ -164,17 +164,18 @@ func (m *schedMirror) empty(c, n uint64) uint64 {
 }
 
 // decodePacked parses the encoded trace once, in place, and builds its
-// packed view: each cycle's issue events feed the schedule mirror in the core's
-// delivery order (strictly before that cycle's usage), then the usage
-// vector sets the planes, aggregates and maxima; a repeat record's cycles
-// are added as runs. A stream that fails to parse anywhere, end marker
-// included, fails the decode, and so does one that claims more cycles
-// than maxCycles allows its length (the Reader refuses the record that
-// would pass it). want is the cycle count the stream must hold (a trace
-// header's, or the one its end marker declares), and the planes are sized
-// for it once, or not at all when it is past that bound. A stream that runs past it is invalid
-// whatever follows, so the rest is only parsed, building nothing, to
-// report its fault. The reader is returned for its header metadata.
+// packed view: each cycle's issue events feed the schedule mirror in the
+// core's delivery order (strictly before that cycle's usage), then the
+// usage vector sets the planes, aggregates and maxima; a repeat record's
+// cycles are added as runs. A stream that fails to parse anywhere, end
+// marker included, fails the decode, and so does one that claims more
+// cycles than maxCycles allows its length (the Reader refuses the record
+// that would pass it). want is the cycle count the stream must hold (a
+// trace header's, or the one its end marker declares), and the planes
+// are sized for it once, or not at all when want is past that bound. A
+// stream that runs past want is invalid whatever follows, so the rest is
+// only parsed, building nothing, to report its fault. The reader is
+// returned for its header metadata.
 func decodePacked(data []byte, want uint64) (*Packed, *Reader, error) {
 	rd, err := newReader(data)
 	if err != nil {

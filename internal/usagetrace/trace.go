@@ -85,9 +85,9 @@ func DecodeReuses() uint64 { return decodeReuseCount.Load() }
 // Trace: the first call pays one pass over the encoded bytes, every
 // later call — from any goroutine — reuses the memoized view. A trace
 // loaded by ReadTrace already built it while validating, so its first
-// Decode is a reuse. The header's cycle count is checked against
-// the stream, so metadata that disagrees fails loudly instead of
-// yielding silently short planes. The package-level Decodes /
+// Decode is a reuse. The header's cycle count is checked against the
+// stream, so metadata that disagrees fails loudly instead of yielding
+// silently short planes. The package-level Decodes /
 // DecodeReuses counters account for both outcomes.
 func (t *Trace) Decode() (*Packed, error) {
 	fresh := false
@@ -132,12 +132,12 @@ func (t *Trace) EncodeGzip(w io.Writer) error {
 
 // maxInflatedTrace caps a gzip-framed trace's inflated size, so a small
 // crafted input (a gzip bomb) cannot make ReadTrace or NewReader allocate
-// without bound. Real captures are far below it: at 300k instructions with the
-// latchvalue channel the largest is mcf on Deep, 20.6 MB (v2 artifacts:
-// 86.5 MB there, 52.4 MB on Table 1). At the service's 5M-instruction
-// request limit that v3 capture would be about 0.35 GB. Only a v2
-// artifact of that capture past about 3.7M instructions would exceed
-// the cap; the store then reports it corrupt and recomputes it.
+// without bound. Real captures are far below it: at 300k instructions
+// with the latchvalue channel the largest is mcf on Deep, 20.6 MB (v2
+// artifacts: 86.5 MB there, 52.4 MB on Table 1). At the service's
+// 5M-instruction request limit that v3 capture would be about 0.35 GB.
+// Only a v2 artifact of that capture past about 3.7M instructions would
+// exceed the cap; the store then reports it corrupt and recomputes it.
 const maxInflatedTrace = 1 << 30
 
 // ReadTrace loads and fully validates an encoded trace: one pass over

@@ -563,8 +563,8 @@ func (t *Writer) releaseScratch() {
 // returns are reused between calls — the same contract the live core
 // imposes on its observers.
 type Reader struct {
-	// data is the stream and pos its next byte; br reads the header and
-	// the rare multi-byte field.
+	// data is the stream and pos its next byte; br reads the header, and
+	// a malformed field again for the error binary.ReadUvarint gives.
 	data []byte
 	pos  int
 	br   bytes.Reader
