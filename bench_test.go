@@ -22,6 +22,7 @@ import (
 	"dcg/internal/core"
 	"dcg/internal/cpu"
 	"dcg/internal/experiments"
+	"dcg/internal/gating"
 	"dcg/internal/mem"
 	"dcg/internal/simrun"
 	"dcg/internal/trace"
@@ -329,10 +330,10 @@ func BenchmarkCaptureTiming(b *testing.B) {
 }
 
 // BenchmarkReplayEvaluate measures the replay side: evaluating the DCG
-// scheme by streaming a captured trace through the gating controller and
-// power accountant, with no core timing work. Compare per-op time against
-// BenchmarkDCGRun (the same evaluation done the direct way) for the
-// capture-once/replay-many speedup.
+// scheme on the scalar engine by streaming a captured trace through the
+// gating controller and power accountant, with no core timing work.
+// Compare per-op time against BenchmarkDCGRun (the same evaluation done
+// the direct way) for the capture-once/replay-many speedup.
 func BenchmarkReplayEvaluate(b *testing.B) {
 	sim := core.NewSimulator(core.DefaultMachine())
 	tm, err := sim.CaptureBenchmark("swim", benchInsts)
@@ -341,12 +342,26 @@ func BenchmarkReplayEvaluate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.EvaluateTiming(tm, core.SchemeDCG)
+		res, err := sim.EvaluateScalar(tm, newSchemes(b, sim, core.SchemeDCG))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*res.Saving, "save%")
+		b.ReportMetric(100*res[0].Saving, "save%")
 	}
+}
+
+// newSchemes instantiates fresh schemes of the given kinds for sim's
+// machine, as the scalar engine takes them.
+func newSchemes(b *testing.B, sim *core.Simulator, kinds ...core.SchemeKind) []gating.Scheme {
+	schemes := make([]gating.Scheme, len(kinds))
+	for i, k := range kinds {
+		info, ok := core.SchemeInfoFor(k)
+		if !ok {
+			b.Fatalf("unknown scheme %v", k)
+		}
+		schemes[i] = info.New(sim)
+	}
+	return schemes
 }
 
 // replayKinds is the full timing-neutral scheme set — every scheme the
@@ -354,8 +369,8 @@ func BenchmarkReplayEvaluate(b *testing.B) {
 var replayKinds = []core.SchemeKind{core.SchemeNone, core.SchemeDCG, core.SchemeOracle}
 
 // BenchmarkReplaySingle measures the pre-fusion way of evaluating k
-// schemes over one capture: k independent sequential replays, each
-// streaming its own decode of the encoded trace. One op = all k schemes,
+// schemes over one capture: k independent sequential scalar replays, each
+// streaming its own parse of the encoded trace. One op = all k schemes,
 // so ns/op compares directly against BenchmarkReplayFusedN.
 func BenchmarkReplaySingle(b *testing.B) {
 	sim := core.NewSimulator(core.DefaultMachine())
@@ -366,7 +381,7 @@ func BenchmarkReplaySingle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, kind := range replayKinds {
-			if _, err := sim.EvaluateTiming(tm, kind); err != nil {
+			if _, err := sim.EvaluateScalar(tm, newSchemes(b, sim, kind)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -377,19 +392,18 @@ func BenchmarkReplaySingle(b *testing.B) {
 // BenchmarkReplaySingle: all k schemes evaluated in one streaming pass
 // over the encoded trace instead of k (see docs/PERFORMANCE.md).
 // Results are bit-identical to the sequential path
-// (TestFusedReplayMatchesSequentialBitForBit). The packed kernel is
-// disabled so this measures the scalar fused engine specifically;
+// (TestFusedReplayMatchesSequentialBitForBit). EvaluateScalar names the
+// scalar fused engine, so this measures it specifically;
 // BenchmarkReplayPackedN is the packed counterpart.
 func BenchmarkReplayFusedN(b *testing.B) {
 	sim := core.NewSimulator(core.DefaultMachine())
-	sim.DisablePackedReplay = true
 	tm, err := sim.CaptureBenchmark("swim", benchInsts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := sim.EvaluateTimingAll(tm, replayKinds)
+		results, err := sim.EvaluateScalar(tm, newSchemes(b, sim, replayKinds...))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -408,13 +422,24 @@ func BenchmarkReplayPackedN(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchPacked(b, sim, tm)
+}
+
+// benchPacked times the router over replayKinds, which the packed kernel
+// serves whole: a scheme falling back to the scalar engine fails the
+// benchmark rather than timing the wrong engine.
+func benchPacked(b *testing.B, sim *core.Simulator, tm *core.Timing) {
+	fallback0 := core.PackedReplayFallbacks()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := sim.EvaluateTimingPacked(tm, replayKinds)
+		results, err := sim.EvaluateTimingAll(tm, replayKinds)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(100*results[1].Saving, "dcg-save%")
+	}
+	if n := core.PackedReplayFallbacks() - fallback0; n != 0 {
+		b.Fatalf("%d scheme evaluations fell back to the scalar engine", n)
 	}
 }
 
@@ -476,14 +501,7 @@ func BenchmarkReplayPackedNChannelized(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := sim.EvaluateTimingPacked(tm, replayKinds)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*results[1].Saving, "dcg-save%")
-	}
+	benchPacked(b, sim, tm)
 }
 
 // valueKinds is the value-dependent family: both replay `scalar` (the

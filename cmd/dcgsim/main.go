@@ -220,12 +220,6 @@ func main() {
 	exit(0)
 }
 
-// runSchemes evaluates every requested scheme on one benchmark. When two
-// or more of them are timing-neutral, the core timing is simulated once
-// and those schemes are all evaluated in a single fused replay pass over
-// the captured usage trace (core.EvaluateTimingAll) — one trace decode,
-// one scan, bit-identical to direct runs. Schemes that perturb timing
-// (PLB) always run the full simulation.
 // schemeNames enumerates the registered schemes for the -scheme flag's
 // help text, so the usage output can never drift from the registry.
 func schemeNames() string {
@@ -237,6 +231,13 @@ func schemeNames() string {
 	return strings.Join(names, ", ")
 }
 
+// runSchemes evaluates every requested scheme on one benchmark. When two
+// or more of them are timing-neutral, the core timing is simulated once
+// and core.EvaluateTimingAll evaluates them all over the captured trace:
+// the packed-capable schemes on the packed kernel, from one decode of the
+// trace, and the rest (the ddcg family) in one scalar pass. Both engines
+// are bit-identical to direct runs. Schemes that perturb timing (PLB)
+// always run the full simulation.
 func runSchemes(ctx context.Context, sim *core.Simulator, bench string, kinds []core.SchemeKind, n uint64) ([]*core.Result, error) {
 	var neutralKinds []core.SchemeKind
 	for _, k := range kinds {

@@ -197,21 +197,16 @@ type Simulator struct {
 	// Default 0, as in the paper (section 4.2).
 	LeakageFrac float64
 
-	// Telemetry, when non-nil, observes the measured region: it receives
-	// every per-cycle usage vector (after any trace writer, before the
-	// power accountant) and — via a gating.Observed wrapper around the
-	// run's scheme — every per-cycle gating decision. The wrapper takes no
-	// runs of quiet cycles, so a run with telemetry steps every cycle
-	// instead of fast-forwarding. The obs package's PipelineRecorder
-	// implements it; dcgsim -trace-out and the server's /v1/trace endpoint
-	// wire it up.
+	// Telemetry, when non-nil, observes the measured region of a live
+	// run: it receives every per-cycle usage vector (after any trace
+	// writer, before the power accountant) and — via a gating.Observed
+	// wrapper around the run's scheme — every per-cycle gating decision.
+	// The wrapper takes no runs of quiet cycles, so a run with telemetry
+	// steps every cycle instead of fast-forwarding. It applies to live runs
+	// only: an evaluation of a captured Timing with Telemetry set returns
+	// an error. The obs package's PipelineRecorder implements it; dcgsim
+	// -trace-out and the server's /v1/trace endpoint wire it up.
 	Telemetry RunTelemetry
-
-	// DisablePackedReplay forces replay evaluations down the scalar fused
-	// path even when every scheme is packed-eligible. For tests and
-	// benchmarks that target the scalar engine specifically; production
-	// callers leave it false and get the packed kernel automatically.
-	DisablePackedReplay bool
 }
 
 // RunTelemetry observes a run: the usage stream plus each cycle's gating
@@ -354,7 +349,7 @@ func (s *Simulator) RunScheme(src trace.Source, scheme gating.Scheme) (*Result, 
 // determines about the machine's cycle-by-cycle behaviour that does not
 // depend on the gating scheme. For timing-neutral schemes (TimingNeutral)
 // the attached usage trace replays through any scheme + power accountant
-// (EvaluateTiming) to produce the same Result a full simulation would.
+// (EvaluateTimingAll) to produce the same Result a full simulation would.
 type Timing struct {
 	Benchmark string
 	Machine   config.Config
@@ -404,17 +399,15 @@ func (s *Simulator) runCapture(ctx context.Context, src trace.Source, prepare fu
 		return nil, nil, err
 	}
 	c.SetCancel(ctx.Err)
-	model, err := power.NewModel(machine)
-	if err != nil {
-		return nil, nil, err
-	}
 	if s.Telemetry != nil {
-		// Wrap the scheme so every Gates call is reported; resultFor
+		// Wrap the scheme so every Gates call is reported; lane.result
 		// unwraps before its concrete-scheme type switches.
 		scheme = gating.Observed{Scheme: scheme, OnGates: s.Telemetry.OnGates}
 	}
-	acct := power.NewAccountant(model, scheme)
-	acct.LeakageFrac = s.LeakageFrac
+	l, err := s.newLane(machine, scheme)
+	if err != nil {
+		return nil, nil, err
+	}
 	c.SetThrottle(scheme)
 	// Observer order: the trace writer first (it serialises each cycle
 	// exactly as the core published it, before anyone else consumes the
@@ -434,9 +427,9 @@ func (s *Simulator) runCapture(ctx context.Context, src trace.Source, prepare fu
 	if s.Telemetry != nil {
 		observers = append(observers, s.Telemetry)
 	}
-	observers = append(observers, acct)
+	observers = append(observers, l.acct)
 	if len(observers) == 1 {
-		c.SetObserver(acct)
+		c.SetObserver(l.acct)
 	} else {
 		c.SetObserver(observers)
 	}
@@ -447,9 +440,6 @@ func (s *Simulator) runCapture(ctx context.Context, src trace.Source, prepare fu
 	// No cycle limit: the run ends when the stream drains, or when ctx
 	// is canceled (a caller's timeout is the only backstop).
 	if _, err := c.Run(0); err != nil {
-		return nil, nil, err
-	}
-	if err := acct.Validate(); err != nil {
 		return nil, nil, err
 	}
 
@@ -464,7 +454,10 @@ func (s *Simulator) runCapture(ctx context.Context, src trace.Source, prepare fu
 		DL1MissRate:    c.Hierarchy().DL1.MissRate(),
 		L2MissRate:     c.Hierarchy().L2.MissRate(),
 	}
-	res := resultFor(tm, scheme, model, acct)
+	res, err := l.result(tm)
+	if err != nil {
+		return nil, nil, err
+	}
 	if lg := obs.Logger(ctx); lg.Enabled(ctx, slog.LevelDebug) {
 		lg.Debug("core: run complete",
 			"bench", tm.Benchmark, "scheme", scheme.Name(), "capture", capture,
@@ -482,13 +475,37 @@ func (s *Simulator) runCapture(ctx context.Context, src trace.Source, prepare fu
 	return res, tm, nil
 }
 
-// resultFor assembles a Result from a timing pass and an evaluated
-// scheme/accountant pair. Both the direct-run and replay paths funnel
-// through here, so the two produce structurally identical Results.
-func resultFor(t *Timing, scheme gating.Scheme, model *power.Model, acct *power.Accountant) *Result {
+// lane is one scheme's evaluation: the machine's power model and an
+// accountant integrating the scheme's gating decisions. A live run, each
+// scheme of a scalar replay and each packed-kernel tally fill one, so
+// every path produces structurally identical Results.
+type lane struct {
+	scheme gating.Scheme
+	model  *power.Model
+	acct   *power.Accountant
+}
+
+// newLane builds a fresh lane for the scheme on the machine, with the
+// simulator's leakage fraction.
+func (s *Simulator) newLane(machine config.Config, scheme gating.Scheme) (lane, error) {
+	model, err := power.NewModel(machine)
+	if err != nil {
+		return lane{}, err
+	}
+	acct := power.NewAccountant(model, scheme)
+	acct.LeakageFrac = s.LeakageFrac
+	return lane{scheme: scheme, model: model, acct: acct}, nil
+}
+
+// result validates the lane's accounting and assembles its Result from
+// the timing pass.
+func (l lane) result(t *Timing) (*Result, error) {
+	if err := l.acct.Validate(); err != nil {
+		return nil, fmt.Errorf("core: scheme %s: %w", l.scheme.Name(), err)
+	}
 	// Telemetry wraps schemes in gating.Observed; the concrete-scheme
 	// type switches below need the scheme underneath.
-	scheme = gating.UnwrapScheme(scheme)
+	scheme := gating.UnwrapScheme(l.scheme)
 	st := &t.CPUStats
 	res := &Result{
 		Benchmark:      t.Benchmark,
@@ -497,10 +514,10 @@ func resultFor(t *Timing, scheme gating.Scheme, model *power.Model, acct *power.
 		Cycles:         st.Cycles,
 		Committed:      st.Committed,
 		IPC:            st.IPC(),
-		AvgPower:       acct.AvgPower(),
-		BaselinePower:  model.AllOnPower(),
-		Saving:         acct.Saving(),
-		Energy:         acct.Breakdown(),
+		AvgPower:       l.acct.AvgPower(),
+		BaselinePower:  l.model.AllOnPower(),
+		Saving:         l.acct.Saving(),
+		Energy:         l.acct.Breakdown(),
 		CPUStats:       *st,
 		Util:           t.Util,
 		Stall:          t.Stall,
@@ -509,7 +526,7 @@ func resultFor(t *Timing, scheme gating.Scheme, model *power.Model, acct *power.
 		L2MissRate:     t.L2MissRate,
 	}
 	for c := power.Component(0); c < power.NumComponents; c++ {
-		res.fullPerCycle[c] = model.PerCycle(c)
+		res.fullPerCycle[c] = l.model.PerCycle(c)
 	}
 	if plb, ok := scheme.(*gating.PLB); ok {
 		res.PLBModeCycles = plb.ModeCycles()
@@ -527,36 +544,18 @@ func resultFor(t *Timing, scheme gating.Scheme, model *power.Model, acct *power.
 		res.LeadViolations = h.LeadViolations()
 		res.PLBModeCycles = h.ModeCycles()
 	}
-	res.GateViolations = acct.GateViolations
-	return res
-}
-
-// checkTraceChannels verifies the captured trace carries every channel
-// the scheme's registry entry requires. A scheme whose name is not
-// registered (partial-DCG ablations, custom controllers) is assumed
-// usage-only; value-dependent schemes replayed over a channel-less trace
-// would silently degrade, so the mismatch fails loudly here.
-func checkTraceChannels(t *Timing, scheme gating.Scheme) error {
-	info, ok := SchemeInfoFor(SchemeKind(gating.UnwrapScheme(scheme).Name()))
-	if !ok {
-		return nil
-	}
-	for _, ch := range info.Channels {
-		if !t.Trace.HasChannel(ch) {
-			return fmt.Errorf("core: scheme %s requires trace channel %q but the capture carries %v",
-				info.Kind, ch, t.Trace.Channels())
-		}
-	}
-	return nil
+	res.GateViolations = l.acct.GateViolations
+	return res, nil
 }
 
 // RunAndCapture runs one benchmark simulation under a timing-neutral
 // scheme, returning both the scheme's Result and the captured Timing: the
 // timing pass and the first scheme evaluation cost a single core
-// simulation, and every further timing-neutral scheme is an EvaluateTiming
-// replay over the returned Timing. The trace records the channels the
-// scheme's registry entry requires; extra names additional channels to
-// record so the Timing can also serve schemes with richer channel needs.
+// simulation, and every further timing-neutral scheme is an
+// EvaluateTimingAll replay over the returned Timing. The trace records the
+// channels the scheme's registry entry requires; extra names additional
+// channels to record so the Timing can also serve schemes with richer
+// channel needs.
 func (s *Simulator) RunAndCapture(ctx context.Context, name string, kind SchemeKind, maxInsts uint64, extra ...string) (*Result, *Timing, error) {
 	if !TimingNeutral(kind) {
 		return nil, nil, fmt.Errorf("core: scheme %v changes timing; capture requires a timing-neutral scheme", kind)
@@ -597,68 +596,6 @@ func (s *Simulator) CaptureBenchmark(name string, maxInsts uint64, extra ...stri
 func (s *Simulator) CaptureBenchmarkContext(ctx context.Context, name string, maxInsts uint64, extra ...string) (*Timing, error) {
 	_, tm, err := s.RunAndCapture(ctx, name, SchemeNone, maxInsts, extra...)
 	return tm, err
-}
-
-// EvaluateTiming replays a captured timing through a timing-neutral
-// scheme and a fresh power accountant: the evaluation pass. The replay
-// feeds each cycle's issue events to the scheme and each usage vector to
-// the accountant in the core's delivery order, so schedules, gating
-// decisions, and energy integrate exactly as in a direct run — the
-// Result's power metrics are bit-identical (a golden test enforces this).
-func (s *Simulator) EvaluateTiming(t *Timing, kind SchemeKind) (*Result, error) {
-	if !TimingNeutral(kind) {
-		return nil, fmt.Errorf("core: scheme %v changes timing and cannot be evaluated by replay", kind)
-	}
-	scheme, err := s.makeScheme(kind)
-	if err != nil {
-		return nil, err
-	}
-	return s.EvaluateTimingScheme(t, scheme)
-}
-
-// EvaluateTimingScheme is EvaluateTiming with a caller-provided scheme
-// (partial-DCG ablations). The scheme must be timing-neutral — fresh,
-// never throttling, deriving state only from the events and usage vectors
-// it is fed; a scheme whose Limits matter would have produced a different
-// trace.
-func (s *Simulator) EvaluateTimingScheme(t *Timing, scheme gating.Scheme) (*Result, error) {
-	if t == nil || t.Trace == nil {
-		return nil, fmt.Errorf("core: evaluation requires a captured timing trace")
-	}
-	if err := checkTraceChannels(t, scheme); err != nil {
-		return nil, err
-	}
-	model, err := power.NewModel(t.Machine)
-	if err != nil {
-		return nil, err
-	}
-	var obsChain cpu.Observer
-	if s.Telemetry != nil {
-		scheme = gating.Observed{Scheme: scheme, OnGates: s.Telemetry.OnGates}
-		obsChain = cpu.MultiObserver{s.Telemetry}
-	}
-	acct := power.NewAccountant(model, scheme)
-	acct.LeakageFrac = s.LeakageFrac
-	if mo, ok := obsChain.(cpu.MultiObserver); ok {
-		obsChain = append(mo, acct)
-	} else {
-		obsChain = acct
-	}
-	rd, err := t.Trace.Reader()
-	if err != nil {
-		return nil, err
-	}
-	cycles, err := usagetrace.ReplayAll(rd, usagetrace.Sink{Issue: scheme, Cycle: obsChain})
-	if err != nil {
-		return nil, err
-	}
-	if cycles != t.CPUStats.Cycles {
-		return nil, fmt.Errorf("core: trace replays %d cycles but timing ran %d", cycles, t.CPUStats.Cycles)
-	}
-	if err := acct.Validate(); err != nil {
-		return nil, err
-	}
-	return resultFor(t, scheme, model, acct), nil
 }
 
 func utilization(m config.Config, st *cpu.Stats) Utilization {

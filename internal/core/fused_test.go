@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"dcg/internal/gating"
@@ -8,9 +9,9 @@ import (
 )
 
 // TestFusedReplayMatchesSequentialBitForBit is the fused-engine golden
-// test: evaluating k schemes in one ReplayMulti pass must produce, for
-// every scheme, exactly the Result the sequential one-scheme-at-a-time
-// replay produces — bit for bit, not approximately.
+// test: evaluating k schemes in one scalar pass must produce, for every
+// scheme, exactly the Result the sequential one-scheme-at-a-time replay
+// produces — bit for bit, not approximately.
 func TestFusedReplayMatchesSequentialBitForBit(t *testing.T) {
 	const insts = 40_000
 	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle}
@@ -21,7 +22,7 @@ func TestFusedReplayMatchesSequentialBitForBit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fused, err := sim.EvaluateTimingAll(tm, kinds)
+		fused, err := sim.EvaluateScalar(tm, schemesOf(t, sim, kinds...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,11 +30,11 @@ func TestFusedReplayMatchesSequentialBitForBit(t *testing.T) {
 			t.Fatalf("%s: %d results for %d schemes", bench, len(fused), len(kinds))
 		}
 		for i, kind := range kinds {
-			sequential, err := sim.EvaluateTiming(tm, kind)
+			sequential, err := sim.EvaluateScalar(tm, schemesOf(t, sim, kind))
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertBitIdentical(t, bench+"/fused/"+kind.String(), sequential, fused[i])
+			assertBitIdentical(t, bench+"/fused/"+kind.String(), sequential[0], fused[i])
 		}
 	}
 }
@@ -59,7 +60,7 @@ func TestFusedReplayMatchesSequentialDCGSubsets(t *testing.T) {
 			GateBus:     mask&8 != 0,
 		}))
 	}
-	fused, err := sim.EvaluateTimingSchemes(tm, schemes)
+	fused, err := sim.EvaluateScalar(tm, schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +71,11 @@ func TestFusedReplayMatchesSequentialDCGSubsets(t *testing.T) {
 			GateDCache:  mask&4 != 0,
 			GateBus:     mask&8 != 0,
 		}
-		sequential, err := sim.EvaluateTimingScheme(tm, gating.NewDCGPartial(cfg, opts))
+		sequential, err := sim.EvaluateScalar(tm, []gating.Scheme{gating.NewDCGPartial(cfg, opts)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitIdentical(t, "fused/"+sequential.Scheme, sequential, fused[mask])
+		assertBitIdentical(t, "fused/"+sequential[0].Scheme, sequential[0], fused[mask])
 	}
 }
 
@@ -99,8 +100,27 @@ func TestFusedReplayRejectsPLB(t *testing.T) {
 	if _, err := sim.EvaluateTimingAll(&Timing{}, []SchemeKind{SchemeDCG}); err == nil {
 		t.Error("fused replay accepted a timing with no trace")
 	}
-	if _, err := (&Timing{}).ReplayMulti(); err == nil {
-		t.Error("ReplayMulti accepted a timing with no trace")
+	if _, err := sim.EvaluateScalar(&Timing{}, schemesOf(t, sim, SchemeDCG)); err == nil {
+		t.Error("scalar replay accepted a timing with no trace")
+	}
+}
+
+// TestEvaluationRefusesTelemetry: telemetry observes live runs only, so
+// the router and the scalar engine both refuse a simulator carrying it
+// rather than return Results its recorder never saw.
+func TestEvaluationRefusesTelemetry(t *testing.T) {
+	sim := NewSimulator(DefaultMachine())
+	sim.Warmup = 10_000
+	tm, err := sim.CaptureBenchmark("gzip", 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Telemetry = stepEveryCycle{}
+	if _, err := sim.EvaluateTimingAll(tm, []SchemeKind{SchemeDCG}); err == nil || !strings.Contains(err.Error(), "telemetry") {
+		t.Errorf("EvaluateTimingAll with telemetry: err = %v", err)
+	}
+	if _, err := sim.EvaluateScalar(tm, schemesOf(t, sim, SchemeDCG)); err == nil || !strings.Contains(err.Error(), "telemetry") {
+		t.Errorf("EvaluateScalar with telemetry: err = %v", err)
 	}
 }
 
@@ -113,7 +133,6 @@ func TestFusedReplayRejectsPLB(t *testing.T) {
 func TestFusedReplayDecodesOnce(t *testing.T) {
 	sim := NewSimulator(DefaultMachine())
 	sim.Warmup = 10_000
-	sim.DisablePackedReplay = true
 	tm, err := sim.CaptureBenchmark("mcf", 20_000)
 	if err != nil {
 		t.Fatal(err)
@@ -125,16 +144,13 @@ func TestFusedReplayDecodesOnce(t *testing.T) {
 	fused0 := usagetrace.FusedSchemes()
 
 	for pass := 1; pass <= 2; pass++ {
-		if _, err := sim.EvaluateTimingAll(tm, kinds); err != nil {
+		if _, err := sim.EvaluateScalar(tm, schemesOf(t, sim, kinds...)); err != nil {
 			t.Fatal(err)
 		}
 		if got := usagetrace.FusedSchemes() - fused0; got != uint64(pass*len(kinds)) {
 			t.Fatalf("after %d fused passes the fused-scheme counter advanced %d, want %d",
 				pass, got, pass*len(kinds))
 		}
-	}
-	if _, err := tm.ReplayMulti(); err != nil {
-		t.Fatal(err)
 	}
 	if got := usagetrace.Decodes() - decodes0; got != 0 {
 		t.Fatalf("scalar fused evaluations performed %d decodes, want 0", got)
@@ -148,8 +164,7 @@ func TestFusedReplayDecodesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packedSim := NewSimulator(DefaultMachine())
-	if _, err := packedSim.EvaluateTimingAll(tm, kinds); err != nil {
+	if _, err := sim.EvaluateTimingAll(tm, kinds); err != nil {
 		t.Fatal(err)
 	}
 	if got := usagetrace.Decodes() - decodes0; got != 1 {

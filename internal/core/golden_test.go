@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"dcg/internal/config"
@@ -94,21 +95,18 @@ func TestReplayMatchesDirectRunBitForBit(t *testing.T) {
 			if tm.Trace.Cycles() != tm.CPUStats.Cycles {
 				t.Fatalf("%s/%s: trace holds %d cycles, timing ran %d", m.name, bench, tm.Trace.Cycles(), tm.CPUStats.Cycles)
 			}
-			packed, err := sim.EvaluateTimingPacked(tm, kinds)
-			if err != nil {
-				t.Fatal(err)
-			}
+			packed := packedOnly(t, sim, tm, schemesOf(t, sim, kinds...))
 			for i, kind := range kinds {
 				label := m.name + "/" + bench + "/" + kind.String()
 				direct, err := sim.RunBenchmark(bench, kind, insts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				scalar, err := sim.EvaluateTiming(tm, kind)
+				scalar, err := sim.EvaluateScalar(tm, schemesOf(t, sim, kind))
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertBitIdentical(t, label+"/scalar", direct, scalar)
+				assertBitIdentical(t, label+"/scalar", direct, scalar[0])
 				assertBitIdentical(t, label+"/packed", direct, packed[i])
 			}
 		}
@@ -137,31 +135,46 @@ func TestReplayMatchesDirectRunAllDCGSubsets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayed, err := sim.EvaluateTimingScheme(tm, gating.NewDCGPartial(cfg, opts))
+		replayed, err := sim.EvaluateScalar(tm, []gating.Scheme{gating.NewDCGPartial(cfg, opts)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitIdentical(t, direct.Scheme, direct, replayed)
+		assertBitIdentical(t, direct.Scheme, direct, replayed[0])
 	}
 }
 
-// TestRunAndCaptureMatchesPlainRun: the capturing run's own Result (the
-// accountant riding alongside the trace writer) equals an uninstrumented
-// run — capture must not perturb the simulation.
+// TestRunAndCaptureMatchesPlainRun: for every timing-neutral scheme, the
+// capturing run's own Result (the accountant riding alongside the trace
+// writer) equals an uninstrumented run — capture must not perturb the
+// simulation — and the router's evaluation of the captured Timing equals
+// both, every field included.
 func TestRunAndCaptureMatchesPlainRun(t *testing.T) {
 	sim := NewSimulator(DefaultMachine())
 	sim.Warmup = 20_000
-	capRes, tm, err := sim.RunAndCapture(context.Background(), "mcf", SchemeDCG, 30_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := sim.RunBenchmark("mcf", SchemeDCG, 30_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "capture-run", direct, capRes)
-	if tm.Benchmark != "mcf" || tm.Trace == nil {
-		t.Fatalf("timing incomplete: %+v", tm)
+	for _, kind := range AllSchemes() {
+		if !TimingNeutral(kind) {
+			continue
+		}
+		label := "capture-run/" + string(kind)
+		capRes, tm, err := sim.RunAndCapture(context.Background(), "mcf", kind, 30_000, usagetrace.ChannelLatchValue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := sim.RunBenchmark("mcf", kind, 30_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, label, direct, capRes)
+		if tm.Benchmark != "mcf" || tm.Trace == nil {
+			t.Fatalf("timing incomplete: %+v", tm)
+		}
+		routed, err := sim.EvaluateTimingAll(tm, []SchemeKind{kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(capRes, direct) || !reflect.DeepEqual(routed[0], direct) {
+			t.Errorf("%s: results differ:\ncapture %+v\ndirect  %+v\nrouted  %+v", label, capRes, direct, routed[0])
+		}
 	}
 }
 
@@ -184,15 +197,15 @@ func TestTimingSurvivesSerialisation(t *testing.T) {
 	}
 	tm2 := *tm
 	tm2.Trace = reloaded
-	a, err := sim.EvaluateTiming(tm, SchemeDCG)
+	a, err := sim.EvaluateScalar(tm, schemesOf(t, sim, SchemeDCG))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.EvaluateTiming(&tm2, SchemeDCG)
+	b, err := sim.EvaluateScalar(&tm2, schemesOf(t, sim, SchemeDCG))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "serialised", a, b)
+	assertBitIdentical(t, "serialised", a[0], b[0])
 }
 
 func TestCaptureAndReplayRejectPLB(t *testing.T) {
@@ -206,11 +219,11 @@ func TestCaptureAndReplayRejectPLB(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []SchemeKind{SchemePLBOrig, SchemePLBExt} {
-		if _, err := sim.EvaluateTiming(tm, kind); err == nil {
+		if _, err := sim.EvaluateTimingAll(tm, []SchemeKind{kind}); err == nil {
 			t.Errorf("replay accepted %v, which throttles timing", kind)
 		}
 	}
-	if _, err := sim.EvaluateTiming(&Timing{}, SchemeDCG); err == nil {
+	if _, err := sim.EvaluateTimingAll(&Timing{}, []SchemeKind{SchemeDCG}); err == nil {
 		t.Error("replay accepted a timing with no trace")
 	}
 }
@@ -250,14 +263,11 @@ func TestOracleSchemeWired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcg, err := sim.EvaluateTiming(tm, SchemeDCG)
+	res, err := sim.EvaluateTimingAll(tm, []SchemeKind{SchemeDCG, SchemeOracle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := sim.EvaluateTiming(tm, SchemeOracle)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dcg, oracle := res[0], res[1]
 	if oracle.Saving <= dcg.Saving {
 		t.Errorf("oracle saving %.3f not above DCG %.3f", oracle.Saving, dcg.Saving)
 	}

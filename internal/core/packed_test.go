@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"dcg/internal/cpu"
@@ -10,12 +9,34 @@ import (
 	"dcg/internal/usagetrace"
 )
 
-// scalarSim returns a simulator pinned to the scalar fused engine — the
-// reference the packed kernel is golden-tested against.
-func scalarSim() *Simulator {
-	sim := NewSimulator(DefaultMachine())
-	sim.DisablePackedReplay = true
-	return sim
+// schemesOf instantiates the kinds for sim's machine.
+func schemesOf(t testing.TB, sim *Simulator, kinds ...SchemeKind) []gating.Scheme {
+	t.Helper()
+	schemes := make([]gating.Scheme, len(kinds))
+	for i, k := range kinds {
+		sc, err := sim.makeScheme(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemes[i] = sc
+	}
+	return schemes
+}
+
+// packedOnly evaluates schemes through the router and fails unless the
+// packed kernel served every one of them, so a golden that compares its
+// Results with the scalar engine's knows which engine ran.
+func packedOnly(t testing.TB, sim *Simulator, tm *Timing, schemes []gating.Scheme) []*Result {
+	t.Helper()
+	packed0, fallback0 := PackedReplaySchemes(), PackedReplayFallbacks()
+	res, err := sim.EvaluateTimingSchemes(tm, schemes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := PackedReplaySchemes() - packed0; got != uint64(len(schemes)) || PackedReplayFallbacks() != fallback0 {
+		t.Fatalf("the packed kernel served %d of %d schemes", got, len(schemes))
+	}
+	return res
 }
 
 // allDCGSubsets builds one DCG instance per ablation subset.
@@ -34,29 +55,24 @@ func allDCGSubsets() []gating.Scheme {
 }
 
 // TestPackedReplayMatchesScalarBitForBit is the packed-kernel golden
-// test on real captures: the strict packed entry must produce, for every
-// timing-neutral scheme kind, exactly the Result the scalar fused engine
+// test on real captures: the packed kernel must produce, for every
+// packed-capable scheme kind, exactly the Result the scalar fused engine
 // produces — bit for bit.
 func TestPackedReplayMatchesScalarBitForBit(t *testing.T) {
 	const insts = 40_000
 	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector}
 	for _, bench := range []string{"gzip", "swim"} {
-		scalar := scalarSim()
-		scalar.Warmup = 20_000
-		tm, err := scalar.CaptureBenchmark(bench, insts)
+		sim := NewSimulator(DefaultMachine())
+		sim.Warmup = 20_000
+		tm, err := sim.CaptureBenchmark(bench, insts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scalarRes, err := scalar.EvaluateTimingAll(tm, kinds)
+		scalarRes, err := sim.EvaluateScalar(tm, schemesOf(t, sim, kinds...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed := NewSimulator(DefaultMachine())
-		packed.Warmup = 20_000
-		packedRes, err := packed.EvaluateTimingPacked(tm, kinds)
-		if err != nil {
-			t.Fatal(err)
-		}
+		packedRes := packedOnly(t, sim, tm, schemesOf(t, sim, kinds...))
 		for i, kind := range kinds {
 			assertBitIdentical(t, bench+"/packed/"+kind.String(), scalarRes[i], packedRes[i])
 		}
@@ -66,24 +82,17 @@ func TestPackedReplayMatchesScalarBitForBit(t *testing.T) {
 // TestPackedReplayMatchesScalarDCGSubsets extends the packed golden test
 // across all 16 DCGOptions ablation subsets on a real capture.
 func TestPackedReplayMatchesScalarDCGSubsets(t *testing.T) {
-	scalar := scalarSim()
-	scalar.Warmup = 20_000
-	tm, err := scalar.CaptureBenchmark("gcc", 30_000)
+	sim := NewSimulator(DefaultMachine())
+	sim.Warmup = 20_000
+	tm, err := sim.CaptureBenchmark("gcc", 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalarRes, err := scalar.EvaluateTimingSchemes(tm, allDCGSubsets())
+	scalarRes, err := sim.EvaluateScalar(tm, allDCGSubsets())
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := NewSimulator(DefaultMachine())
-	packedRes, ok, err := packed.evalPackedSchemes(tm, allDCGSubsets())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("DCG ablation subsets were not packed-evaluable")
-	}
+	packedRes := packedOnly(t, sim, tm, allDCGSubsets())
 	for i := range packedRes {
 		assertBitIdentical(t, "packed/"+packedRes[i].Scheme, scalarRes[i], packedRes[i])
 	}
@@ -92,7 +101,7 @@ func TestPackedReplayMatchesScalarDCGSubsets(t *testing.T) {
 // craftTiming captures a fully scripted trace against the default
 // machine and wraps it in a minimal Timing, so adversarial cycle
 // patterns that no real workload produces can drive both replay engines.
-func craftTiming(t *testing.T, usages []cpu.Usage, events map[int][]cpu.IssueEvent, extra ...string) *Timing {
+func craftTiming(t testing.TB, usages []cpu.Usage, events map[int][]cpu.IssueEvent, extra ...string) *Timing {
 	t.Helper()
 	machine := DefaultMachine()
 	stages := machine.BackEndLatchStages()
@@ -126,7 +135,7 @@ func craftTiming(t *testing.T, usages []cpu.Usage, events map[int][]cpu.IssueEve
 
 // varyingTrace crafts an n-cycle trace with every usage column varying
 // and a scheduled issue event every 13 cycles.
-func varyingTrace(t *testing.T, n int) *Timing {
+func varyingTrace(t testing.TB, n int) *Timing {
 	usages := make([]cpu.Usage, n)
 	for c := range usages {
 		usages[c] = cpu.Usage{
@@ -150,15 +159,54 @@ func varyingTrace(t *testing.T, n int) *Timing {
 
 // TestPackedReplayAdversarialTraces golden-tests the packed kernel
 // against the scalar engine on crafted traces that hit the
-// representation's edges: all-zero usage, saturated FU masks with
-// over-capacity ports/buses/latches (gate violations on every class),
-// empty and single-cycle traces, lengths one short of a word and many
-// words long, a cycle count indivisible by 64 carrying lead-violating,
-// ring-wrapping, and schedule-escaping events, and runTraces' repeat
+// representation's edges (adversarialTraces) and on runTraces' repeat
 // records that are not quiet.
 func TestPackedReplayAdversarialTraces(t *testing.T) {
 	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector}
+	traces := adversarialTraces(t)
+	for name, tm := range runTraces(t) {
+		traces[name] = tm
+	}
 
+	sim := NewSimulator(DefaultMachine())
+	for name, tm := range traces {
+		scalarRes, err := sim.EvaluateScalar(tm, schemesOf(t, sim, kinds...))
+		if err != nil {
+			t.Fatalf("%s: scalar: %v", name, err)
+		}
+		packedRes := packedOnly(t, sim, tm, schemesOf(t, sim, kinds...))
+		for i, kind := range kinds {
+			assertBitIdentical(t, name+"/"+kind.String(), scalarRes[i], packedRes[i])
+		}
+
+		scalarSub, err := sim.EvaluateScalar(tm, allDCGSubsets())
+		if err != nil {
+			t.Fatalf("%s: scalar subsets: %v", name, err)
+		}
+		packedSub := packedOnly(t, sim, tm, allDCGSubsets())
+		for i := range packedSub {
+			assertBitIdentical(t, name+"/"+packedSub[i].Scheme, scalarSub[i], packedSub[i])
+		}
+	}
+
+	// The saturated trace must actually report violations — silence here
+	// would mean the planes compared equal because both were broken.
+	res, err := sim.EvaluateScalar(traces["saturated"], schemesOf(t, sim, SchemeDCG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].GateViolations != 64 {
+		t.Errorf("saturated trace: %d gate violations under dcg, want 64 (every cycle)", res[0].GateViolations)
+	}
+}
+
+// adversarialTraces crafts traces that hit the packed representation's
+// edges: all-zero usage, saturated FU masks with over-capacity
+// ports/buses/latches (gate violations on every class), empty and
+// single-cycle traces, lengths one short of a word and many words long,
+// and a cycle count indivisible by 64 carrying lead-violating,
+// ring-wrapping, and schedule-escaping events.
+func adversarialTraces(t testing.TB) map[string]*Timing {
 	traces := map[string]*Timing{}
 
 	// Zero cycles: both engines return results on the empty trace.
@@ -233,58 +281,13 @@ func TestPackedReplayAdversarialTraces(t *testing.T) {
 		}},
 	}
 	traces["tail-word-events"] = craftTiming(t, usages, events)
-	for name, tm := range runTraces(t) {
-		traces[name] = tm
-	}
-
-	for name, tm := range traces {
-		scalar := scalarSim()
-		scalarRes, err := scalar.EvaluateTimingAll(tm, kinds)
-		if err != nil {
-			t.Fatalf("%s: scalar: %v", name, err)
-		}
-		packed := NewSimulator(DefaultMachine())
-		packedRes, err := packed.EvaluateTimingPacked(tm, kinds)
-		if err != nil {
-			t.Fatalf("%s: packed: %v", name, err)
-		}
-		for i, kind := range kinds {
-			assertBitIdentical(t, name+"/"+kind.String(), scalarRes[i], packedRes[i])
-		}
-
-		scalarSub, err := scalar.EvaluateTimingSchemes(tm, allDCGSubsets())
-		if err != nil {
-			t.Fatalf("%s: scalar subsets: %v", name, err)
-		}
-		packedSub, ok, err := packed.evalPackedSchemes(tm, allDCGSubsets())
-		if err != nil {
-			t.Fatalf("%s: packed subsets: %v", name, err)
-		}
-		if !ok {
-			t.Fatalf("%s: subsets not packed-evaluable", name)
-		}
-		for i := range packedSub {
-			assertBitIdentical(t, name+"/"+packedSub[i].Scheme, scalarSub[i], packedSub[i])
-		}
-	}
-
-	// The saturated trace must actually report violations — silence here
-	// would mean the planes compared equal because both were broken.
-	scalar := scalarSim()
-	res, err := scalar.EvaluateTimingAll(traces["saturated"], []SchemeKind{SchemeDCG})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].GateViolations != 64 {
-		t.Errorf("saturated trace: %d gate violations under dcg, want 64 (every cycle)", res[0].GateViolations)
-	}
+	return traces
 }
 
 // TestPackedReplayRouting pins the automatic routing and its counters:
-// eligible sets ride the packed kernel, a machine-mismatched scheme in a
-// mixed set falls back to the scalar engine alone (split-set routing)
-// while the eligible schemes around it stay packed, and the strict entry
-// refuses what it cannot pack.
+// eligible sets ride the packed kernel, and a machine-mismatched scheme in
+// a mixed set falls back to the scalar engine alone (split-set routing)
+// while the eligible schemes around it stay packed.
 func TestPackedReplayRouting(t *testing.T) {
 	sim := NewSimulator(DefaultMachine())
 	sim.Warmup = 10_000
@@ -333,26 +336,11 @@ func TestPackedReplayRouting(t *testing.T) {
 	if got := usagetrace.FusedSchemes() - fused0; got != 1 {
 		t.Fatalf("fallback fed %d scalar sinks, want 1", got)
 	}
-	reference, err := sim.EvaluateTimingScheme(tm, gating.NewDCG(DefaultMachine()))
+	reference, err := sim.EvaluateScalar(tm, []gating.Scheme{gating.NewDCG(DefaultMachine())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "fallback/dcg", reference, results[0])
-
-	// Strict entry: refuses PLB, a telemetry simulator, and a disabled
-	// one — it must never silently hand back scalar results.
-	if _, err := sim.EvaluateTimingPacked(tm, []SchemeKind{SchemePLBExt}); err == nil {
-		t.Error("strict packed entry accepted PLB")
-	}
-	offSim := NewSimulator(DefaultMachine())
-	offSim.DisablePackedReplay = true
-	if _, err := offSim.EvaluateTimingPacked(tm, kinds); err == nil ||
-		!strings.Contains(err.Error(), "not packed-evaluable") {
-		t.Errorf("strict packed entry on a disabled simulator: err = %v", err)
-	}
-	if _, err := sim.EvaluateTimingPacked(&Timing{}, kinds); err == nil {
-		t.Error("strict packed entry accepted a timing with no trace")
-	}
+	assertBitIdentical(t, "fallback/dcg", reference[0], results[0])
 }
 
 // mixedSchemes builds a mixed set: a scheme built for a foreign machine
@@ -377,7 +365,7 @@ func TestParallelReplayMixedSetSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err := scalarSim().EvaluateTimingSchemes(tm, mixedSchemes())
+	reference, err := sim.EvaluateScalar(tm, mixedSchemes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,13 +384,14 @@ func TestParallelReplayMixedSetSplit(t *testing.T) {
 // automatic route, against the scalar engine.
 func TestParallelReplayShardBoundaries(t *testing.T) {
 	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector}
+	sim := NewSimulator(DefaultMachine())
 	for _, n := range []int{1, 63, 64, 100, 131, 1000} {
 		tm := varyingTrace(t, n)
-		reference, err := scalarSim().EvaluateTimingAll(tm, kinds)
+		reference, err := sim.EvaluateScalar(tm, schemesOf(t, sim, kinds...))
 		if err != nil {
 			t.Fatalf("n=%d: scalar: %v", n, err)
 		}
-		res, err := NewSimulator(DefaultMachine()).EvaluateTimingAll(tm, kinds)
+		res, err := sim.EvaluateTimingAll(tm, kinds)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -418,8 +407,9 @@ func TestParallelReplayShardBoundaries(t *testing.T) {
 func TestParallelReplayZeroCycleTrace(t *testing.T) {
 	tm := craftTiming(t, nil, nil)
 	kinds := []SchemeKind{SchemeNone, SchemeDCG}
-	refRes, refErr := scalarSim().EvaluateTimingAll(tm, kinds)
-	res, err := NewSimulator(DefaultMachine()).EvaluateTimingAll(tm, kinds)
+	sim := NewSimulator(DefaultMachine())
+	refRes, refErr := sim.EvaluateScalar(tm, schemesOf(t, sim, kinds...))
+	res, err := sim.EvaluateTimingAll(tm, kinds)
 	if (err == nil) != (refErr == nil) {
 		t.Fatalf("err = %v, scalar err = %v", err, refErr)
 	}

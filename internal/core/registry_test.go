@@ -85,9 +85,6 @@ func TestEverySchemeRoutesByDeclaredCapability(t *testing.T) {
 		}
 	}
 
-	scalar := scalarSim()
-	scalar.Warmup = 20_000
-
 	for _, info := range Schemes() {
 		info := info
 		t.Run(string(info.Kind), func(t *testing.T) {
@@ -137,7 +134,7 @@ func TestEverySchemeRoutesByDeclaredCapability(t *testing.T) {
 			// The scalar fused engine is the reference for every neutral
 			// scheme — for packed-capable ones this is the scalar-vs-packed
 			// bit-identity golden.
-			ref, err := scalar.EvaluateTimingAll(tm, []SchemeKind{info.Kind})
+			ref, err := sim.EvaluateScalar(tm, schemesOf(t, sim, info.Kind))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,13 +155,14 @@ func TestValueDependentSchemesSaveLatchPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	kinds := []SchemeKind{SchemeDCG, SchemeDDCG, SchemeDCGDDCG, SchemeLector}
+	rs, err := sim.EvaluateTimingAll(tm, kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := map[SchemeKind]*Result{}
-	for _, k := range []SchemeKind{SchemeDCG, SchemeDDCG, SchemeDCGDDCG, SchemeLector} {
-		r, err := sim.EvaluateTiming(tm, k)
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		res[k] = r
+	for i, k := range kinds {
+		res[k] = rs[i]
 	}
 	if s := res[SchemeDDCG].LatchSaving(); s <= 0 {
 		t.Errorf("ddcg latch saving %.4f, want positive", s)

@@ -1,43 +1,27 @@
 package core
 
-// This file is the fused multi-scheme replay engine: one streaming pass
-// over the encoded trace evaluates any number of timing-neutral schemes
-// at once. The sequential EvaluateTiming path in core.go streams the
-// trace once per scheme; the entry points here send the packed-capable
-// schemes to the bit-packed kernel and fan each cycle of one shared pass
-// out to every remaining scheme's gating controller and power
-// accountant, producing Results bit-identical to sequential replays
-// (golden-tested).
+// This file is the replay router: it evaluates timing-neutral schemes
+// against a captured Timing on one of two engines. Each scheme the packed
+// kernel accepts (gating.PackedTally: none, dcg and its ablations,
+// oracle, lector) is tallied from the trace's bit-planes (packed.go). The
+// rest (the value-dependent ddcg family, wrapped schemes, schemes built
+// for another machine) share one scalar fused pass, which streams the
+// encoded trace once and fans each cycle out to every scheme's gating
+// controller and power accountant. Both engines give the Result a live
+// run gives, bit for bit (golden-tested).
 
 import (
+	"errors"
 	"fmt"
 
 	"dcg/internal/gating"
-	"dcg/internal/power"
 	"dcg/internal/usagetrace"
 )
 
-// ReplayMulti streams this timing's captured trace through every sink in
-// a single pass; each sink observes exactly the cycle stream the live
-// core delivered. No decoded form is built. Returns the replayed cycle
-// count.
-func (t *Timing) ReplayMulti(sinks ...usagetrace.Sink) (uint64, error) {
-	if t == nil || t.Trace == nil {
-		return 0, fmt.Errorf("core: fused replay requires a captured timing trace")
-	}
-	rd, err := t.Trace.Reader()
-	if err != nil {
-		return 0, err
-	}
-	return usagetrace.ReplayAll(rd, sinks...)
-}
-
 // EvaluateTimingAll evaluates every given timing-neutral scheme kind
-// against one captured timing in a single fused replay pass, returning
-// one Result per kind in order. Equivalent to — and bit-identical with —
-// calling EvaluateTiming once per kind, but the packed-capable kinds
-// read the trace's memoized packed view and the rest share one
-// streaming pass, regardless of how many schemes ride it.
+// against one captured timing, returning one Result per kind in order:
+// the packed-capable kinds read the trace's memoized packed view and the
+// rest share one streaming pass, regardless of how many schemes ride it.
 func (s *Simulator) EvaluateTimingAll(t *Timing, kinds []SchemeKind) ([]*Result, error) {
 	schemes := make([]gating.Scheme, len(kinds))
 	for i, k := range kinds {
@@ -57,104 +41,113 @@ func (s *Simulator) EvaluateTimingAll(t *Timing, kinds []SchemeKind) ([]*Result,
 // instances (partial-DCG ablations). Every scheme must be timing-neutral
 // — fresh, never throttling, deriving state only from the events and
 // usage vectors it is fed.
-//
-// When the simulator carries Telemetry the evaluation falls back to
-// sequential per-scheme replays: a telemetry recorder observes one
-// scheme's run, and feeding it N interleaved schemes would corrupt its
-// per-cycle stream.
 func (s *Simulator) EvaluateTimingSchemes(t *Timing, schemes []gating.Scheme) ([]*Result, error) {
-	if t == nil || t.Trace == nil {
-		return nil, fmt.Errorf("core: evaluation requires a captured timing trace")
+	if err := s.checkReplay(t, schemes); err != nil || len(schemes) == 0 {
+		return nil, err
 	}
-	if len(schemes) == 0 {
-		return nil, nil
-	}
-	for _, scheme := range schemes {
-		if err := checkTraceChannels(t, scheme); err != nil {
-			return nil, err
-		}
-	}
-	if s.Telemetry != nil {
-		results := make([]*Result, len(schemes))
-		for i, scheme := range schemes {
-			res, err := s.EvaluateTimingScheme(t, scheme)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
-
-	// Split-set routing: every packed-capable scheme is derived from the
-	// trace's bit-planes (bit-identical results, golden-tested); the rest
-	// share one scalar fused pass.
-	tallies, _, err := s.packedTallies(t, schemes)
+	tallies, err := packedTallies(t, schemes)
 	if err != nil {
 		return nil, err
 	}
 	results := make([]*Result, len(schemes))
 	var scalarIdx []int
-	for i, scheme := range schemes {
-		if tallies == nil || !tallies[i].ok {
+	var scalar []gating.Scheme
+	for i, pt := range tallies {
+		if !pt.ok {
 			scalarIdx = append(scalarIdx, i)
+			scalar = append(scalar, schemes[i])
 			continue
 		}
-		res, err := s.packedResult(t, scheme, tallies[i])
+		if results[i], err = s.packedResult(t, schemes[i], pt); err != nil {
+			return nil, err
+		}
+	}
+	packedSchemeCount.Add(uint64(len(schemes) - len(scalar)))
+	packedFallbackCount.Add(uint64(len(scalar)))
+	if len(scalar) > 0 {
+		scalarRes, err := s.scalarPass(t, scalar)
 		if err != nil {
 			return nil, err
 		}
-		results[i] = res
-	}
-	if tallies != nil {
-		packedSchemeCount.Add(uint64(len(schemes) - len(scalarIdx)))
-		packedFallbackCount.Add(uint64(len(scalarIdx)))
-	}
-	if len(scalarIdx) > 0 {
-		if err := s.evalScalarSubset(t, schemes, scalarIdx, results); err != nil {
-			return nil, err
+		for j, i := range scalarIdx {
+			results[i] = scalarRes[j]
 		}
 	}
 	return results, nil
 }
 
-// evalScalarSubset runs the scalar fused engine over the schemes
-// selected by idx, writing each Result into results[i]. One power model
-// + accountant lane per scheme: the lanes are fully independent
-// (construction is deterministic, replay state is per-lane), so each
-// lane integrates exactly the float sequence its sequential replay
-// would.
-func (s *Simulator) evalScalarSubset(t *Timing, schemes []gating.Scheme, idx []int, results []*Result) error {
-	models := make([]*power.Model, len(idx))
-	accts := make([]*power.Accountant, len(idx))
-	sinks := make([]usagetrace.Sink, len(idx))
-	for j, i := range idx {
-		scheme := schemes[i]
-		model, err := power.NewModel(t.Machine)
-		if err != nil {
-			return err
-		}
-		acct := power.NewAccountant(model, scheme)
-		acct.LeakageFrac = s.LeakageFrac
-		models[j] = model
-		accts[j] = acct
-		sinks[j] = usagetrace.Sink{Issue: scheme, Cycle: acct}
+// EvaluateScalar evaluates every scheme on the scalar fused engine, the
+// route EvaluateTimingSchemes takes for the schemes the packed kernel
+// refuses. It is the reference the packed kernel is golden-tested
+// against. The schemes must be timing-neutral, as for
+// EvaluateTimingSchemes.
+func (s *Simulator) EvaluateScalar(t *Timing, schemes []gating.Scheme) ([]*Result, error) {
+	if err := s.checkReplay(t, schemes); err != nil || len(schemes) == 0 {
+		return nil, err
 	}
+	return s.scalarPass(t, schemes)
+}
 
-	cycles, err := t.ReplayMulti(sinks...)
-	if err != nil {
-		return err
+// checkReplay refuses an evaluation no replay can serve: a simulator with
+// Telemetry (it observes live runs only), a Timing without a trace, and a
+// registered scheme whose channels the trace lacks. A scheme whose name
+// is not registered (partial-DCG ablations, custom controllers) is taken
+// as usage-only; a value-dependent scheme replayed over a channel-less
+// trace would silently degrade, so the mismatch fails loudly here.
+func (s *Simulator) checkReplay(t *Timing, schemes []gating.Scheme) error {
+	if s.Telemetry != nil {
+		return errors.New("core: telemetry observes live runs only; evaluate the trace without it")
 	}
-	if cycles != t.CPUStats.Cycles {
-		return fmt.Errorf("core: trace replays %d cycles but timing ran %d", cycles, t.CPUStats.Cycles)
+	if t == nil || t.Trace == nil {
+		return errors.New("core: evaluation requires a captured timing trace")
 	}
-
-	for j, i := range idx {
-		scheme := schemes[i]
-		if err := accts[j].Validate(); err != nil {
-			return fmt.Errorf("core: scheme %s: %w", scheme.Name(), err)
+	for _, scheme := range schemes {
+		info, ok := SchemeInfoFor(SchemeKind(gating.UnwrapScheme(scheme).Name()))
+		if !ok {
+			continue
 		}
-		results[i] = resultFor(t, scheme, models[j], accts[j])
+		for _, ch := range info.Channels {
+			if !t.Trace.HasChannel(ch) {
+				return fmt.Errorf("core: scheme %s requires trace channel %q but the capture carries %v",
+					info.Kind, ch, t.Trace.Channels())
+			}
+		}
 	}
 	return nil
+}
+
+// scalarPass is the scalar fused engine: one streaming pass over the
+// encoded trace feeds every scheme's lane, each cycle's issue events
+// before its usage vector, in the live core's delivery order. The lanes
+// share no state, so each integrates exactly the float sequence a live
+// run of its scheme would.
+func (s *Simulator) scalarPass(t *Timing, schemes []gating.Scheme) ([]*Result, error) {
+	lanes := make([]lane, len(schemes))
+	sinks := make([]usagetrace.Sink, len(schemes))
+	for i, scheme := range schemes {
+		l, err := s.newLane(t.Machine, scheme)
+		if err != nil {
+			return nil, err
+		}
+		lanes[i] = l
+		sinks[i] = usagetrace.Sink{Issue: scheme, Cycle: l.acct}
+	}
+	rd, err := t.Trace.Reader()
+	if err != nil {
+		return nil, err
+	}
+	cycles, err := usagetrace.ReplayAll(rd, sinks...)
+	if err != nil {
+		return nil, err
+	}
+	if cycles != t.CPUStats.Cycles {
+		return nil, fmt.Errorf("core: trace replays %d cycles but timing ran %d", cycles, t.CPUStats.Cycles)
+	}
+	results := make([]*Result, len(lanes))
+	for i, l := range lanes {
+		if results[i], err = l.result(t); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
 }

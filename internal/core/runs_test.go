@@ -8,7 +8,6 @@ import (
 
 	"dcg/internal/cpu"
 	"dcg/internal/gating"
-	"dcg/internal/power"
 	"dcg/internal/usagetrace"
 )
 
@@ -17,7 +16,7 @@ import (
 // occupancy that no schedule covers; runs passing through DCG schedule
 // slots that events filled, some of them ring-wrapped; and runs that
 // start while the oracle's fetch history still holds other fetch counts.
-func runTraces(t *testing.T) map[string]*Timing {
+func runTraces(t testing.TB) map[string]*Timing {
 	t.Helper()
 	varying := func(c int) cpu.Usage {
 		return cpu.Usage{
@@ -99,18 +98,10 @@ func runTraces(t *testing.T) map[string]*Timing {
 // view, one OnIssue per event and one OnCycle per cycle.
 func stepped(t *testing.T, sim *Simulator, tm *Timing, scheme gating.Scheme) *Result {
 	t.Helper()
-	model, err := power.NewModel(tm.Machine)
+	l, err := sim.newLane(tm.Machine, scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := []cpu.Observer{}
-	if sim.Telemetry != nil {
-		scheme = gating.Observed{Scheme: scheme, OnGates: sim.Telemetry.OnGates}
-		obs = append(obs, sim.Telemetry)
-	}
-	acct := power.NewAccountant(model, scheme)
-	acct.LeakageFrac = sim.LeakageFrac
-	obs = append(obs, acct)
 	rd, err := tm.Trace.Reader()
 	if err != nil {
 		t.Fatal(err)
@@ -126,27 +117,25 @@ func stepped(t *testing.T, sim *Simulator, tm *Timing, scheme gating.Scheme) *Re
 		for _, ev := range events {
 			scheme.OnIssue(ev)
 		}
-		for _, o := range obs {
-			o.OnCycle(u)
-		}
+		l.acct.OnCycle(u)
 	}
-	if err := acct.Validate(); err != nil {
+	res, err := l.result(tm)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return resultFor(tm, scheme, model, acct)
+	return res
 }
 
 // TestNonQuietRunsMatchPerCycle: ReplayAll hands repeat records to the
 // accountant and the schemes as runs. On runTraces, where those runs are
-// not quiet, every timing-neutral scheme, with and without telemetry,
-// must give the Result it gives cycle by cycle, every field bit for bit.
+// not quiet, every timing-neutral scheme, bare and wrapped in the
+// gating.Observed a telemetry run adds (which takes no runs, so it steps
+// every cycle), must give the Result it gives cycle by cycle, every field
+// bit for bit.
 func TestNonQuietRunsMatchPerCycle(t *testing.T) {
 	for name, tm := range runTraces(t) {
+		sim := NewSimulator(tm.Machine)
 		for _, telemetry := range []bool{false, true} {
-			sim := NewSimulator(tm.Machine)
-			if telemetry {
-				sim.Telemetry = stepEveryCycle{}
-			}
 			for _, kind := range AllSchemes() {
 				if !TimingNeutral(kind) {
 					continue
@@ -155,22 +144,24 @@ func TestNonQuietRunsMatchPerCycle(t *testing.T) {
 				if telemetry {
 					label += "/telemetry"
 				}
-				scheme, err := sim.makeScheme(kind)
-				if err != nil {
-					t.Fatal(err)
+				fresh := func() gating.Scheme {
+					scheme, err := sim.makeScheme(kind)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if telemetry {
+						scheme = gating.Observed{Scheme: scheme, OnGates: stepEveryCycle{}.OnGates}
+					}
+					return scheme
 				}
-				runs, err := sim.EvaluateTimingScheme(tm, scheme)
+				runs, err := sim.EvaluateScalar(tm, []gating.Scheme{fresh()})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				scheme, err = sim.makeScheme(kind)
-				if err != nil {
-					t.Fatal(err)
-				}
-				steps := stepped(t, sim, tm, scheme)
-				assertBitIdentical(t, label, steps, runs)
-				if !reflect.DeepEqual(runs, steps) {
-					t.Errorf("%s: results differ:\nruns  %+v\nsteps %+v", label, runs, steps)
+				steps := stepped(t, sim, tm, fresh())
+				assertBitIdentical(t, label, steps, runs[0])
+				if !reflect.DeepEqual(runs[0], steps) {
+					t.Errorf("%s: results differ:\nruns  %+v\nsteps %+v", label, runs[0], steps)
 				}
 			}
 		}
@@ -232,7 +223,7 @@ func TestScheduledRunsCostNoMoreThanSteps(t *testing.T) {
 		return d
 	}
 	runs := best(func(scheme gating.Scheme) {
-		if _, err := sim.EvaluateTimingScheme(tm, scheme); err != nil {
+		if _, err := sim.EvaluateScalar(tm, []gating.Scheme{scheme}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -14,10 +14,12 @@ import (
 //	level 1 (timings): (workload, machine) → captured timing trace
 //	level 2 (results): (workload, machine, scheme) → evaluated Result
 //
-// A request for a timing-neutral scheme (none, dcg, oracle — anything
-// that cannot perturb the core's cycle-by-cycle behaviour) first consults
-// the result cache, then the timing cache: on a timing hit the scheme is
-// evaluated by replaying the cached trace, which skips the cycle-accurate
+// A request for a timing-neutral scheme (none, dcg, oracle, lector, ddcg,
+// dcg+ddcg — anything that cannot perturb the core's cycle-by-cycle
+// behaviour, as core.TimingNeutral reports) first consults the result
+// cache, then the timing cache: on a timing hit the scheme is evaluated by
+// replaying the cached trace (core.EvaluateTimingAll: the packed kernel,
+// or one scalar pass for the ddcg family), which skips the cycle-accurate
 // core entirely. On a timing miss the capture run evaluates the requested
 // scheme while recording, so the first scheme per workload pays no replay
 // on top of its simulation. Schemes that do perturb timing (the PLB

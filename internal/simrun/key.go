@@ -7,8 +7,9 @@
 // simulation configuration is only ever executed once per process no
 // matter how many experiments or concurrent requests ask for it. The
 // two-level Exec goes further: timing-neutral gating schemes (none, dcg,
-// oracle) share one cycle-accurate timing capture per (workload, machine)
-// and differ only in a cheap trace replay.
+// oracle, lector, ddcg, dcg+ddcg) share one cycle-accurate timing capture
+// per (workload, machine, trace channels) and differ only in a cheap
+// trace replay.
 package simrun
 
 import (

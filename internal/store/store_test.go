@@ -15,6 +15,7 @@ import (
 
 	"dcg/internal/core"
 	"dcg/internal/cpu"
+	"dcg/internal/gating"
 	"dcg/internal/power"
 	"dcg/internal/simrun"
 	"dcg/internal/store"
@@ -569,8 +570,7 @@ func storeOldVersion(t *testing.T, k simrun.Key, tm *core.Timing, version byte) 
 	scalar := func(tm *core.Timing) *core.Result {
 		sim := core.NewSimulator(tm.Machine)
 		sim.Warmup = k.Warmup
-		sim.DisablePackedReplay = true
-		res, err := sim.EvaluateTimingAll(tm, []core.SchemeKind{core.SchemeDCG})
+		res, err := sim.EvaluateScalar(tm, []gating.Scheme{gating.NewDCG(tm.Machine)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,7 @@
 // change when instructions issue, so they all see byte-identical usage
 // and event streams. Capturing that stream once per (workload,
 // machine-timing) turns every additional scheme evaluation into a
-// memory-bandwidth replay (internal/core.Simulator.EvaluateTiming).
+// memory-bandwidth replay (internal/core.Simulator.EvaluateTimingAll).
 //
 // Two consumers read a stored trace, and both parse its encoded bytes in
 // memory through one Reader, which reads them in place. The scalar engine
