@@ -233,11 +233,10 @@ func schemeNames() string {
 
 // runSchemes evaluates every requested scheme on one benchmark. When two
 // or more of them are timing-neutral, the core timing is simulated once
-// and core.EvaluateTimingAll evaluates them all over the captured trace:
-// the packed-capable schemes on the packed kernel, from one decode of the
-// trace, and the rest (the ddcg family) in one scalar pass. Both engines
-// are bit-identical to direct runs. Schemes that perturb timing (PLB)
-// always run the full simulation.
+// and core.EvaluateTimingAll evaluates them all over the captured trace
+// on the packed kernel, from one decode of the trace, bit-identically to
+// direct runs. Schemes that perturb timing (PLB) always run the full
+// simulation.
 func runSchemes(ctx context.Context, sim *core.Simulator, bench string, kinds []core.SchemeKind, n uint64) ([]*core.Result, error) {
 	var neutralKinds []core.SchemeKind
 	for _, k := range kinds {
@@ -258,9 +257,8 @@ func runSchemes(ctx context.Context, sim *core.Simulator, bench string, kinds []
 			return nil, err
 		}
 		_, rsp := obs.StartSpan(ctx, "sim.replay")
-		rsp.SetAttr("engine", "fused")
 		rsp.SetAttrInt("schemes", int64(len(neutralKinds)))
-		fused, err := sim.EvaluateTimingAll(tm, neutralKinds)
+		replayed, err := sim.EvaluateTimingAll(tm, neutralKinds)
 		rsp.SetError(err)
 		rsp.Finish()
 		if err != nil {
@@ -269,7 +267,7 @@ func runSchemes(ctx context.Context, sim *core.Simulator, bench string, kinds []
 		j := 0
 		for i, k := range kinds {
 			if core.TimingNeutral(k) {
-				out[i] = fused[j]
+				out[i] = replayed[j]
 				j++
 			}
 		}

@@ -124,6 +124,12 @@ type PipelineConfig struct {
 // BaseStages is the number of stages in the paper's baseline pipeline.
 const BaseStages = 8
 
+// SchedHorizon is the depth, in cycles, of the schedule rings the core
+// books its D-port and result-bus use into at issue time, and of the
+// DCG controller's rings that mirror them. Validate refuses a machine
+// that could book a cycle this far ahead of its issue cycle.
+const SchedHorizon = 8192
+
 // Validate checks the stage arithmetic.
 func (p PipelineConfig) Validate() error {
 	if p.Depth < BaseStages {
@@ -319,7 +325,35 @@ func (c Config) Validate() error {
 	if err := c.Pipeline.Validate(); err != nil {
 		return err
 	}
+	if d := c.issueToWriteback(); d >= SchedHorizon {
+		return fmt.Errorf("config: worst-case issue-to-writeback distance of %d cycles reaches "+
+			"the %d-cycle scheduling horizon (config.SchedHorizon)", d, SchedHorizon)
+	}
 	return nil
+}
+
+// issueToWriteback bounds how far past its issue cycle X an instruction
+// books a cycle; the core drives its result bus last. An FU operation
+// executes from X+2 (select, register read) for its latency and drives
+// the bus the cycle after: L+3. A memory access takes its D-cache port at
+// X+3 (X+4 for a delayed store). A hit then takes the DL1 latency; a
+// miss takes m = DL1 + L2 + memory latency, after queueing behind the
+// earliest-free MSHR (mem.Hierarchy.DataLatencyAt). Every booking still
+// pending at X belongs to an uncommitted memory access, since an access
+// commits only once its miss completes, so at most LSQSize-1 other
+// accesses hold bookings, each of m cycles, the first starting by X+4.
+// The least-loaded MSHR holds q = (LSQSize-1)/MSHRs of them at most, so
+// the access starts by X+4+q*m, completes by X+4+(q+1)*m, and a load
+// drives the bus one cycle later. On the Table 1 machine that is
+// 5 + 8*114 = 917 cycles. Each term is clamped at the horizon first, so
+// no sum or product overflows.
+func (c Config) issueToWriteback() int {
+	h := func(v int) int { return min(v, SchedHorizon) }
+	fu := h(max(c.FU.IntALULat, c.FU.IntMultLat, c.FU.IntDivLat,
+		c.FU.FPALULat, c.FU.FPMultLat, c.FU.FPDivLat)) + 3
+	miss := h(c.DL1.HitLatency) + h(c.L2.HitLatency) + h(c.MemLat)
+	queued := h((c.LSQSize - 1) / c.MSHRs)
+	return max(fu, 5+(queued+1)*miss)
 }
 
 // BackEndLatchStages returns the number of gatable latch stages: the

@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestDefaultMatchesTable1(t *testing.T) {
 	c := Default()
@@ -118,5 +121,32 @@ func TestConfigValidation(t *testing.T) {
 func TestStoreDelayString(t *testing.T) {
 	if StoreAdvanceKnowledge.String() != "advance" || StoreOneCycleDelay.String() != "delay" {
 		t.Error("store delay policy names wrong")
+	}
+}
+
+// TestValidateBoundsIssueToWriteback: Validate refuses a machine that
+// could book a result-bus cycle at or past the scheduling horizon, with
+// an error naming the bound. The Table 1 machine sits far inside it.
+func TestValidateBoundsIssueToWriteback(t *testing.T) {
+	if d := Default().issueToWriteback(); d != 917 {
+		t.Errorf("Table 1 issue-to-writeback bound = %d, want 5 + 8*114 = 917", d)
+	}
+	for name, mut := range map[string]func(*Config){
+		"memory latency 9000":        func(c *Config) { c.MemLat = 9000 },
+		"memory latency past MaxInt": func(c *Config) { c.MemLat = int(^uint(0) >> 1) },
+		"one MSHR, 128-entry LSQ":    func(c *Config) { c.MSHRs, c.LSQSize = 1, 128 },
+		"divide latency 8189":        func(c *Config) { c.FU.IntDivLat = SchedHorizon - 3 },
+	} {
+		c := Default()
+		mut(&c)
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), "8192-cycle scheduling horizon (config.SchedHorizon)") {
+			t.Errorf("%s: Validate err = %v, want one naming the scheduling horizon", name, err)
+		}
+	}
+	c := Default()
+	c.FU.IntDivLat = SchedHorizon - 4
+	if err := c.Validate(); err != nil {
+		t.Errorf("divide latency one cycle inside the horizon refused: %v", err)
 	}
 }

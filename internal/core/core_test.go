@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -421,4 +422,27 @@ func newGen(t *testing.T, name string) trace2.Source {
 
 func newGenLimited(t *testing.T, name string, n uint64) trace2.Source {
 	return trace2.NewLimitSource(newGen(t, name), n)
+}
+
+// TestRunAtSchedulingHorizonBound: config.Validate refuses a memory
+// latency past the bound its issue-to-writeback derivation sets, and mcf,
+// whose misses queue behind the MSHRs, runs on a machine at that bound
+// without the core's horizon assertion firing.
+func TestRunAtSchedulingHorizonBound(t *testing.T) {
+	m := DefaultMachine()
+	m.MemLat = 9000
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "config.SchedHorizon") {
+		t.Fatalf("MemLat 9000: Validate err = %v, want one naming the scheduling horizon", err)
+	}
+	for m.MemLat = 100; m.Validate() == nil; m.MemLat++ {
+	}
+	m.MemLat-- // the longest memory latency Validate accepts
+	res, err := NewSimulator(m).RunBenchmark("mcf", SchemeDCG, 20_000)
+	if err != nil {
+		t.Fatalf("mcf at MemLat %d: %v", m.MemLat, err)
+	}
+	if res.LeadViolations != 0 || res.GateViolations != 0 {
+		t.Errorf("mcf at MemLat %d: %d lead and %d gate violations, want 0",
+			m.MemLat, res.LeadViolations, res.GateViolations)
+	}
 }

@@ -14,15 +14,17 @@ import (
 const maxFuzzCycles = 2048
 
 // fuzzTiming maps fuzz input to a crafted trace of at most maxFuzzCycles
-// cycles. Each step reads an op byte. An op whose low two bits are zero
-// repeats the previous cycle's usage 1 + op>>2 times with no events, so
-// the stream carries repeat records; any other op writes a cycle from the
-// next 15 bytes (ten counts and masks, then one count per back-end latch
-// stage), followed by (op>>2)&3 issue events of 10 bytes each. Counts
-// range past every pool's capacity on the default machine, unit indices
-// past every pool, and event leads from zero to past
-// usagetrace.SchedHorizon, so schedules wrap the ring. An input that runs
-// out reads zeros.
+// cycles, with the latchvalue channel. Each step reads an op byte. An op
+// whose low two bits are zero repeats the previous cycle's usage 1 + op>>2
+// times with no events, so the stream carries repeat records; any other
+// op writes a cycle from the next 20 bytes (ten counts and masks, one
+// occupancy count per back-end latch stage, then one value-change count
+// per stage), followed by (op>>2)&3 issue events of 11 bytes each. Counts
+// range past every pool's capacity on the default machine, value-change
+// counts (0–15) above and below their stage's occupancy and past the
+// issue width, unit indices past every pool, and latencies (0–65535) and
+// event leads from zero to past usagetrace.SchedHorizon, so schedules
+// wrap the ring. An input that runs out reads zeros.
 func fuzzTiming(t testing.TB, data []byte) *Timing {
 	next := func() int {
 		if len(data) == 0 {
@@ -34,7 +36,7 @@ func fuzzTiming(t testing.TB, data []byte) *Timing {
 	}
 	wide := func() int { return next()<<8 | next() }
 	stages := DefaultMachine().BackEndLatchStages()
-	prev := cpu.Usage{BackLatch: make([]int, stages)}
+	prev := cpu.Usage{BackLatch: make([]int, stages), BackLatchNewVal: make([]int, stages)}
 	var usages []cpu.Usage
 	events := map[int][]cpu.IssueEvent{}
 	for len(data) > 0 && len(usages) < maxFuzzCycles {
@@ -51,17 +53,20 @@ func fuzzTiming(t testing.TB, data []byte) *Timing {
 			IntALUBusy: uint32(next()), IntMultBusy: uint32(next()),
 			FPALUBusy: uint32(next()), FPMultBusy: uint32(next()),
 			DPortUsed: next() % 8, ResultBus: next() % 32, WindowOccupancy: next() % 160,
-			BackLatch: make([]int, stages),
+			BackLatch: make([]int, stages), BackLatchNewVal: make([]int, stages),
 		}
 		for s := range u.BackLatch {
 			u.BackLatch[s] = next() % 10
+		}
+		for s := range u.BackLatchNewVal {
+			u.BackLatchNewVal[s] = next() % 16
 		}
 		for n := (op >> 2) & 3; n > 0; n-- {
 			flags := next()
 			ev := cpu.IssueEvent{
 				FUType: cpu.FUType(next() % int(cpu.NumFUTypes)), FUIdx: next() - 1,
 				IsLoad: flags&1 != 0, IsStore: flags&2 != 0, WritesReg: flags&4 != 0,
-				FULat: fuzzLatency(next()),
+				FULat: wide(),
 			}
 			ev.FUStart = uint64(c + wide())
 			ev.DPortCycle = uint64(c + wide())
@@ -71,18 +76,7 @@ func fuzzTiming(t testing.TB, data []byte) *Timing {
 		usages = append(usages, u)
 		prev = u
 	}
-	return craftTiming(t, usages, events)
-}
-
-// fuzzLatency maps an input byte to a unit latency: 1–32 cycles, or for
-// the top 16 values a multiple of a quarter ring, up to four ring
-// revolutions. The scalar engine marks every cycle of a latency, so
-// longer ones would only slow the fuzzer down.
-func fuzzLatency(b int) int {
-	if b < 240 {
-		return 1 + b%32
-	}
-	return (b - 239) * usagetrace.SchedHorizon / 4
+	return craftTiming(t, usages, events, usagetrace.ChannelLatchValue)
 }
 
 // fuzzInput encodes a crafted trace's first maxFuzzCycles cycles as
@@ -125,6 +119,11 @@ func fuzzInput(t testing.TB, tm *Timing) []byte {
 		for _, v := range u.BackLatch {
 			cur = append(cur, byte(v))
 		}
+		vals := make([]byte, len(u.BackLatch)) // zeros without the latchvalue channel
+		for s, v := range u.BackLatchNewVal {
+			vals[s] = byte(v)
+		}
+		cur = append(cur, vals...)
 		if len(events) == 0 && c > 0 && string(cur) == string(prev) {
 			if run++; run == 64 {
 				flush()
@@ -146,11 +145,8 @@ func fuzzInput(t testing.TB, tm *Timing) []byte {
 			if ev.WritesReg {
 				flags |= 4
 			}
-			lat := byte(max(ev.FULat, 1) - 1)
-			if ev.FULat > 32 {
-				lat = byte(min(239+(ev.FULat+usagetrace.SchedHorizon/4-1)/(usagetrace.SchedHorizon/4), 255))
-			}
-			out = append(out, flags, byte(ev.FUType), byte(ev.FUIdx+1), lat)
+			lat := min(ev.FULat, 0xffff)
+			out = append(out, flags, byte(ev.FUType), byte(ev.FUIdx+1), byte(lat>>8), byte(lat))
 			for _, at := range []uint64{ev.FUStart, ev.DPortCycle, ev.ResultBusCycle} {
 				hi, lo := lead(at, ev.Cycle)
 				out = append(out, hi, lo)
@@ -163,10 +159,10 @@ func fuzzInput(t testing.TB, tm *Timing) []byte {
 }
 
 // FuzzPackedMatchesScalar is the differential test of the two replay
-// engines: on a crafted trace, the router (which sends every scheme here
-// to the packed kernel) and the scalar fused engine must agree on none,
-// dcg, oracle, lector and every DCG ablation subset — the same error, or
-// Results equal in every field. The corpus is seeded with the shapes of
+// engines: on a crafted trace, the router (the packed kernel) and the
+// scalar fused engine must agree on every registered timing-neutral
+// scheme and every DCG ablation subset — the same error, or Results equal
+// in every field. The corpus is seeded with the shapes of
 // TestPackedReplayAdversarialTraces and runTraces.
 func FuzzPackedMatchesScalar(f *testing.F) {
 	seeds := adversarialTraces(f)
@@ -183,17 +179,13 @@ func FuzzPackedMatchesScalar(f *testing.F) {
 	}
 
 	sim := NewSimulator(DefaultMachine())
-	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector}
+	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector, SchemeDDCG, SchemeDCGDDCG}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tm := fuzzTiming(t, data)
-		fallback0 := PackedReplayFallbacks()
 		routed, routedErr := sim.EvaluateTimingSchemes(tm, append(schemesOf(t, sim, kinds...), allDCGSubsets()...))
 		scalar, scalarErr := sim.EvaluateScalar(tm, append(schemesOf(t, sim, kinds...), allDCGSubsets()...))
 		if (routedErr == nil) != (scalarErr == nil) || routedErr != nil && routedErr.Error() != scalarErr.Error() {
 			t.Fatalf("router err = %v, scalar err = %v", routedErr, scalarErr)
-		}
-		if n := PackedReplayFallbacks() - fallback0; n != 0 {
-			t.Fatalf("%d schemes fell back to the scalar engine; the comparison would not reach the kernel", n)
 		}
 		for i := range routed {
 			if !reflect.DeepEqual(routed[i], scalar[i]) {

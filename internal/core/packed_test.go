@@ -2,10 +2,16 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"dcg/internal/cpu"
 	"dcg/internal/gating"
+	"dcg/internal/power"
 	"dcg/internal/usagetrace"
 )
 
@@ -28,12 +34,12 @@ func schemesOf(t testing.TB, sim *Simulator, kinds ...SchemeKind) []gating.Schem
 // Results with the scalar engine's knows which engine ran.
 func packedOnly(t testing.TB, sim *Simulator, tm *Timing, schemes []gating.Scheme) []*Result {
 	t.Helper()
-	packed0, fallback0 := PackedReplaySchemes(), PackedReplayFallbacks()
+	packed0 := PackedReplaySchemes()
 	res, err := sim.EvaluateTimingSchemes(tm, schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := PackedReplaySchemes() - packed0; got != uint64(len(schemes)) || PackedReplayFallbacks() != fallback0 {
+	if got := PackedReplaySchemes() - packed0; got != uint64(len(schemes)) {
 		t.Fatalf("the packed kernel served %d of %d schemes", got, len(schemes))
 	}
 	return res
@@ -160,9 +166,10 @@ func varyingTrace(t testing.TB, n int) *Timing {
 // TestPackedReplayAdversarialTraces golden-tests the packed kernel
 // against the scalar engine on crafted traces that hit the
 // representation's edges (adversarialTraces) and on runTraces' repeat
-// records that are not quiet.
+// records that are not quiet; the value-dependent schemes join on every
+// trace that carries the latchvalue channel.
 func TestPackedReplayAdversarialTraces(t *testing.T) {
-	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector}
+	neutral := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector}
 	traces := adversarialTraces(t)
 	for name, tm := range runTraces(t) {
 		traces[name] = tm
@@ -170,6 +177,10 @@ func TestPackedReplayAdversarialTraces(t *testing.T) {
 
 	sim := NewSimulator(DefaultMachine())
 	for name, tm := range traces {
+		kinds := neutral
+		if tm.Trace.HasChannel(usagetrace.ChannelLatchValue) {
+			kinds = append(slices.Clip(neutral), SchemeDDCG, SchemeDCGDDCG)
+		}
 		scalarRes, err := sim.EvaluateScalar(tm, schemesOf(t, sim, kinds...))
 		if err != nil {
 			t.Fatalf("%s: scalar: %v", name, err)
@@ -197,6 +208,15 @@ func TestPackedReplayAdversarialTraces(t *testing.T) {
 	}
 	if res[0].GateViolations != 64 {
 		t.Errorf("saturated trace: %d gate violations under dcg, want 64 (every cycle)", res[0].GateViolations)
+	}
+	// Value-change counts above occupancy must cost ddcg more latch power
+	// than occupancy gating, or the trace never reached that edge.
+	res, err = sim.EvaluateScalar(traces["value-over-occupancy"], schemesOf(t, sim, SchemeDCG, SchemeDDCG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dcg, ddcg := res[0].Energy[power.CompLatchBack], res[1].Energy[power.CompLatchBack]; ddcg <= dcg {
+		t.Errorf("value-over-occupancy trace: ddcg back-latch energy %.1f, want above dcg's %.1f", ddcg, dcg)
 	}
 }
 
@@ -281,13 +301,78 @@ func adversarialTraces(t testing.TB) map[string]*Timing {
 		}},
 	}
 	traces["tail-word-events"] = craftTiming(t, usages, events)
+
+	// Value-change counts above each stage's occupancy, one stage's past
+	// the issue width, in single cycles and in a repeat record, with
+	// events: the latch floor the ddcg family gates to is then not the
+	// occupancy, yet the trace's aggregate stays within latch capacity.
+	value := make([]cpu.Usage, 200)
+	for c := range value {
+		value[c] = cpu.Usage{
+			IssueCount: c % 4, FetchCount: c % 9, WindowOccupancy: c % 129,
+			BackLatch:       []int{c % 3, c % 2, 0, c % 4, 1},
+			BackLatchNewVal: []int{(c + 3) % 10, 2 + c%2, c % 7, 5, 1},
+		}
+	}
+	for c := 120; c < 180; c++ {
+		value[c] = cpu.Usage{WindowOccupancy: 7,
+			BackLatch: []int{1, 0, 0, 0, 0}, BackLatchNewVal: []int{9, 3, 0, 4, 2}}
+	}
+	traces["value-over-occupancy"] = craftTiming(t, value, map[int][]cpu.IssueEvent{
+		10: {{FUIdx: 0, FUType: cpu.FUIntALU, FUStart: 12, FULat: 2,
+			WritesReg: true, ResultBusCycle: 15}},
+	}, usagetrace.ChannelLatchValue)
 	return traces
 }
 
-// TestPackedReplayRouting pins the automatic routing and its counters:
-// eligible sets ride the packed kernel, and a machine-mismatched scheme in
-// a mixed set falls back to the scalar engine alone (split-set routing)
-// while the eligible schemes around it stay packed.
+// TestLongFULatencyReplaysInOneRevolution: an FU grant marks at most one
+// revolution of the schedule ring (usagetrace.SchedSpan), so on the scalar
+// engine a 2^20-cycle latency costs what an 8192-cycle one does and sets
+// the same slots. The two traces' Results are equal, and equal to the
+// packed kernel's.
+func TestLongFULatencyReplaysInOneRevolution(t *testing.T) {
+	sim := NewSimulator(DefaultMachine())
+	schemes := func() []gating.Scheme { return schemesOf(t, sim, SchemeDCG, SchemeOracle) }
+	replay := func(lat int) (*Timing, []*Result, time.Duration) {
+		events := map[int][]cpu.IssueEvent{}
+		for c := 0; c < 64; c++ {
+			for i := 0; i < 8; i++ {
+				events[c] = append(events[c], cpu.IssueEvent{
+					FUIdx: i % 4, FUType: cpu.FUType(i % int(cpu.NumFUTypes)),
+					FUStart: uint64(c + 2), FULat: lat,
+				})
+			}
+		}
+		tm := craftTiming(t, make([]cpu.Usage, 100), events)
+		var res []*Result
+		best := time.Duration(math.MaxInt64)
+		for range 3 {
+			start := time.Now()
+			r, err := sim.EvaluateScalar(tm, schemes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, best = r, min(best, time.Since(start))
+		}
+		return tm, res, best
+	}
+	_, ring, ringTime := replay(usagetrace.SchedHorizon)
+	tm, long, longTime := replay(1 << 20)
+	if longTime > 4*ringTime+50*time.Millisecond {
+		t.Errorf("a 2^20-cycle latency replayed in %v, an 8192-cycle one in %v", longTime, ringTime)
+	}
+	if !reflect.DeepEqual(long, ring) {
+		t.Error("a 2^20-cycle latency and an 8192-cycle one replay to different Results")
+	}
+	if packed := packedOnly(t, sim, tm, schemes()); !reflect.DeepEqual(packed, long) {
+		t.Error("the packed kernel and the scalar engine disagree on a 2^20-cycle latency")
+	}
+}
+
+// TestPackedReplayRouting pins the routing and its counter: an eligible
+// set rides the packed kernel whole, and a set holding a scheme the
+// kernel cannot tally (a DCG built for a 4-wide machine) fails with an
+// error naming it instead of falling back to the scalar engine.
 func TestPackedReplayRouting(t *testing.T) {
 	sim := NewSimulator(DefaultMachine())
 	sim.Warmup = 10_000
@@ -298,83 +383,26 @@ func TestPackedReplayRouting(t *testing.T) {
 	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle}
 
 	packed0 := PackedReplaySchemes()
-	fallback0 := PackedReplayFallbacks()
-	fused0 := usagetrace.FusedSchemes()
-
 	if _, err := sim.EvaluateTimingAll(tm, kinds); err != nil {
 		t.Fatal(err)
 	}
 	if got := PackedReplaySchemes() - packed0; got != uint64(len(kinds)) {
 		t.Fatalf("packed-scheme counter advanced %d, want %d", got, len(kinds))
 	}
-	if got := usagetrace.FusedSchemes() - fused0; got != 0 {
-		t.Fatalf("packed evaluation fed %d sinks through the scalar engine, want 0", got)
-	}
-	if got := PackedReplayFallbacks() - fallback0; got != 0 {
-		t.Fatalf("eligible set recorded %d fallbacks, want 0", got)
-	}
 
-	// A scheme built for a foreign machine between two eligible ones:
-	// ineligible, so the automatic route splits the set — the eligible
-	// schemes still ride the packed kernel while only the mismatched one
-	// takes the scalar engine.
-	mixed := mixedSchemes()
-	results, err := sim.EvaluateTimingSchemes(tm, mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(mixed) {
-		t.Fatalf("fallback evaluation returned %d results, want %d", len(results), len(mixed))
-	}
-	if got := PackedReplayFallbacks() - fallback0; got != 1 {
-		t.Fatalf("fallback counter advanced %d, want 1 (only the mismatched scheme)", got)
-	}
-	if got := PackedReplaySchemes() - packed0; got != uint64(len(kinds))+2 {
-		t.Fatalf("packed-scheme counter advanced %d, want %d (eligible two of the mixed set)",
-			got, len(kinds)+2)
-	}
-	if got := usagetrace.FusedSchemes() - fused0; got != 1 {
-		t.Fatalf("fallback fed %d scalar sinks, want 1", got)
-	}
-	reference, err := sim.EvaluateScalar(tm, []gating.Scheme{gating.NewDCG(DefaultMachine())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "fallback/dcg", reference[0], results[0])
-}
-
-// mixedSchemes builds a mixed set: a scheme built for a foreign machine
-// between two packed-eligible ones.
-func mixedSchemes() []gating.Scheme {
 	other := DefaultMachine()
 	other.IssueWidth = 4
-	return []gating.Scheme{
+	mixed := []gating.Scheme{
 		gating.NewDCG(DefaultMachine()),
 		gating.NewDCG(other),
 		gating.NewOracle(DefaultMachine()),
 	}
-}
-
-// TestParallelReplayMixedSetSplit drives the split-set routing with a
-// genuinely mixed set — packed-eligible schemes around a
-// machine-mismatched one — checking every result stays identical to the
-// scalar engine's.
-func TestParallelReplayMixedSetSplit(t *testing.T) {
-	sim := NewSimulator(DefaultMachine())
-	tm, err := sim.CaptureBenchmark("gzip", 20_000)
-	if err != nil {
-		t.Fatal(err)
+	_, err = sim.EvaluateTimingSchemes(tm, mixed)
+	if err == nil || !strings.Contains(err.Error(), "scheme dcg (position 1)") {
+		t.Fatalf("set holding a foreign-machine DCG: err = %v, want one naming it", err)
 	}
-	reference, err := sim.EvaluateScalar(tm, mixedSchemes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.EvaluateTimingSchemes(tm, mixedSchemes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range reference {
-		assertBitIdentical(t, fmt.Sprintf("mixed[%d]", i), reference[i], res[i])
+	if got := PackedReplaySchemes() - packed0; got != uint64(len(kinds)) {
+		t.Fatalf("a refused set moved the packed-scheme counter by %d", got-uint64(len(kinds)))
 	}
 }
 

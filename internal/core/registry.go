@@ -30,7 +30,7 @@ const (
 )
 
 // ReplayCap classifies how a scheme's Result can be produced from a
-// captured timing, from most to least restrictive.
+// captured timing.
 type ReplayCap int
 
 const (
@@ -39,14 +39,10 @@ const (
 	// simulation; captured traces can never serve it.
 	ReplayFullRun ReplayCap = iota
 
-	// ReplayScalar marks a timing-neutral scheme that must be fed the
-	// per-cycle stream (stateful controllers, value-dependent gating):
-	// trace replay through the scalar fused engine.
-	ReplayScalar
-
-	// ReplayPacked marks a timing-neutral scheme whose tally has a
-	// closed form over the bit-packed planes: eligible for the
-	// word-at-a-time kernel (and for scalar replay, bit-identically).
+	// ReplayPacked marks a timing-neutral scheme: its tally has a closed
+	// form over the bit-packed planes, so trace replay runs on the
+	// word-at-a-time kernel (and on the scalar reference engine,
+	// bit-identically).
 	ReplayPacked
 )
 
@@ -55,8 +51,6 @@ func (c ReplayCap) String() string {
 	switch c {
 	case ReplayFullRun:
 		return "full-run"
-	case ReplayScalar:
-		return "scalar"
 	case ReplayPacked:
 		return "packed"
 	}
@@ -280,7 +274,7 @@ func init() {
 		Summary: "Data-dependent clock gating: back-end latch slots are clocked only when " +
 			"they capture a new value (per-lane comparators; latchvalue trace channel).",
 		Channels: []string{usagetrace.ChannelLatchValue},
-		Replay:   ReplayScalar,
+		Replay:   ReplayPacked,
 		New:      func(s *Simulator) gating.Scheme { return gating.NewDDCG(s.machine) },
 	})
 	RegisterScheme(SchemeInfo{
@@ -295,7 +289,7 @@ func init() {
 		Summary: "DCG with its latch gating tightened to value-change counts: the " +
 			"combined schedule-driven + data-dependent upper bound.",
 		Channels: []string{usagetrace.ChannelLatchValue},
-		Replay:   ReplayScalar,
+		Replay:   ReplayPacked,
 		New:      func(s *Simulator) gating.Scheme { return gating.NewDCGDDCG(s.machine) },
 	})
 	RegisterScheme(SchemeInfo{

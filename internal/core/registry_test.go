@@ -67,8 +67,8 @@ func TestRegistryVocabulary(t *testing.T) {
 // schemes: for every registered scheme, a replay from one shared capture
 // (carrying the union of all declared channels) is bit-identical to a
 // full live simulation, and the evaluation takes exactly the path the
-// registry declares — the packed kernel for ReplayPacked, the scalar
-// fused engine for ReplayScalar, and a loud refusal for ReplayFullRun.
+// registry declares — the packed kernel for ReplayPacked and a loud
+// refusal for ReplayFullRun.
 func TestEverySchemeRoutesByDeclaredCapability(t *testing.T) {
 	const bench, insts = "gzip", 30_000
 
@@ -110,24 +110,12 @@ func TestEverySchemeRoutesByDeclaredCapability(t *testing.T) {
 			}
 
 			packed0 := PackedReplaySchemes()
-			fused0 := usagetrace.FusedSchemes()
 			replayed, err := sim.EvaluateTimingAll(tm, []SchemeKind{info.Kind})
 			if err != nil {
 				t.Fatal(err)
 			}
-			packedDelta := PackedReplaySchemes() - packed0
-			fusedDelta := usagetrace.FusedSchemes() - fused0
-			switch info.Replay {
-			case ReplayPacked:
-				if packedDelta != 1 || fusedDelta != 0 {
-					t.Errorf("packed-capable scheme took packed=%d fused=%d, want the packed kernel",
-						packedDelta, fusedDelta)
-				}
-			case ReplayScalar:
-				if packedDelta != 0 || fusedDelta != 1 {
-					t.Errorf("scalar-only scheme took packed=%d fused=%d, want the scalar engine",
-						packedDelta, fusedDelta)
-				}
+			if got := PackedReplaySchemes() - packed0; got != 1 {
+				t.Errorf("timing-neutral scheme took the packed kernel %d times, want 1", got)
 			}
 			assertBitIdentical(t, string(info.Kind)+"/auto-replay", direct, replayed[0])
 

@@ -1,27 +1,44 @@
 package core
 
-// This file is the replay router: it evaluates timing-neutral schemes
-// against a captured Timing on one of two engines. Each scheme the packed
-// kernel accepts (gating.PackedTally: none, dcg and its ablations,
-// oracle, lector) is tallied from the trace's bit-planes (packed.go). The
-// rest (the value-dependent ddcg family, wrapped schemes, schemes built
-// for another machine) share one scalar fused pass, which streams the
-// encoded trace once and fans each cycle out to every scheme's gating
-// controller and power accountant. Both engines give the Result a live
-// run gives, bit for bit (golden-tested).
+// This file evaluates timing-neutral schemes against a captured Timing.
+// Production runs on one engine, the packed kernel: gating.PackedTally
+// tallies every registered timing-neutral scheme from the trace's
+// bit-packed view (usagetrace.Packed) in O(cycles/64)-ish work, and the
+// tally fills a lane's accountant. EvaluateScalar is the other engine,
+// the scalar fused pass, which streams the encoded trace once and fans
+// each cycle out to every scheme's gating controller and power
+// accountant. It is the reference the goldens and the differential
+// fuzzer hold the kernel to, and no production path reaches it. Both
+// give the Result a live run gives, bit for bit.
 
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"dcg/internal/gating"
 	"dcg/internal/usagetrace"
 )
 
+// packedSchemeCount counts the scheme evaluations the packed kernel has
+// served, process-wide, for the service's /metrics endpoint and the
+// routing regression tests.
+var packedSchemeCount atomic.Uint64
+
+// PackedReplaySchemes returns how many scheme evaluations the packed
+// kernel has served process-wide.
+func PackedReplaySchemes() uint64 { return packedSchemeCount.Load() }
+
+// PackedReplayFallbacks returns 0. Evaluations no longer fall back to
+// the scalar engine: EvaluateTimingSchemes refuses a scheme the packed
+// kernel cannot tally. The function stays only because the benchmark
+// harness (bench/) still reads it; ROADMAP item M deletes it with that
+// reader.
+func PackedReplayFallbacks() uint64 { return 0 }
+
 // EvaluateTimingAll evaluates every given timing-neutral scheme kind
-// against one captured timing, returning one Result per kind in order:
-// the packed-capable kinds read the trace's memoized packed view and the
-// rest share one streaming pass, regardless of how many schemes ride it.
+// against one captured timing on the packed kernel, returning one Result
+// per kind in order. Every kind reads the trace's memoized packed view.
 func (s *Simulator) EvaluateTimingAll(t *Timing, kinds []SchemeKind) ([]*Result, error) {
 	schemes := make([]gating.Scheme, len(kinds))
 	for i, k := range kinds {
@@ -38,49 +55,49 @@ func (s *Simulator) EvaluateTimingAll(t *Timing, kinds []SchemeKind) ([]*Result,
 }
 
 // EvaluateTimingSchemes is EvaluateTimingAll with caller-provided scheme
-// instances (partial-DCG ablations). Every scheme must be timing-neutral
-// — fresh, never throttling, deriving state only from the events and
-// usage vectors it is fed.
+// instances (partial-DCG ablations). Every scheme must be one the packed
+// kernel tallies: an unwrapped registered timing-neutral scheme or DCG
+// ablation, built for the timing's machine. Any other scheme fails the
+// call with an error naming it; nothing falls back to the scalar engine.
 func (s *Simulator) EvaluateTimingSchemes(t *Timing, schemes []gating.Scheme) ([]*Result, error) {
 	if err := s.checkReplay(t, schemes); err != nil || len(schemes) == 0 {
 		return nil, err
 	}
-	tallies, err := packedTallies(t, schemes)
+	p, err := t.Trace.Decode()
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*Result, len(schemes))
-	var scalarIdx []int
-	var scalar []gating.Scheme
-	for i, pt := range tallies {
-		if !pt.ok {
-			scalarIdx = append(scalarIdx, i)
-			scalar = append(scalar, schemes[i])
-			continue
-		}
-		if results[i], err = s.packedResult(t, schemes[i], pt); err != nil {
-			return nil, err
-		}
+	if p.Cycles() != t.CPUStats.Cycles {
+		return nil, fmt.Errorf("core: trace replays %d cycles but timing ran %d", p.Cycles(), t.CPUStats.Cycles)
 	}
-	packedSchemeCount.Add(uint64(len(schemes) - len(scalar)))
-	packedFallbackCount.Add(uint64(len(scalar)))
-	if len(scalar) > 0 {
-		scalarRes, err := s.scalarPass(t, scalar)
+	results := make([]*Result, len(schemes))
+	for i, scheme := range schemes {
+		tally, lead, ok := gating.PackedTally(p, scheme, t.Machine)
+		if !ok {
+			return nil, fmt.Errorf("core: scheme %s (position %d) has no packed tally: "+
+				"it is wrapped, custom, timing-changing, or built for another machine", scheme.Name(), i)
+		}
+		l, err := s.newLane(t.Machine, scheme)
 		if err != nil {
 			return nil, err
 		}
-		for j, i := range scalarIdx {
-			results[i] = scalarRes[j]
+		l.acct.Tally = tally
+		if results[i], err = l.result(t); err != nil {
+			return nil, err
 		}
+		// The scheme instance was never fed, so result's type switch read
+		// zero lead violations; install the packed kernel's count.
+		results[i].LeadViolations = lead
 	}
+	packedSchemeCount.Add(uint64(len(schemes)))
 	return results, nil
 }
 
-// EvaluateScalar evaluates every scheme on the scalar fused engine, the
-// route EvaluateTimingSchemes takes for the schemes the packed kernel
-// refuses. It is the reference the packed kernel is golden-tested
-// against. The schemes must be timing-neutral, as for
-// EvaluateTimingSchemes.
+// EvaluateScalar evaluates every scheme on the scalar fused engine. It is
+// the reference the packed kernel is golden-tested and fuzzed against,
+// and takes any timing-neutral scheme, wrapped or custom ones included:
+// fresh, never throttling, deriving state only from the events and usage
+// vectors it is fed.
 func (s *Simulator) EvaluateScalar(t *Timing, schemes []gating.Scheme) ([]*Result, error) {
 	if err := s.checkReplay(t, schemes); err != nil || len(schemes) == 0 {
 		return nil, err

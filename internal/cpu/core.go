@@ -34,10 +34,11 @@ import (
 
 // horizon is the scheduling ring-buffer length; it must exceed the longest
 // possible issue-to-writeback distance. The worst case is a load queued
-// behind a full MSHR file backed by a full LSQ: LSQSize x miss latency
-// (64 x ~114 = ~7300 cycles for the Table 1 machine), so 8192 covers it;
-// the issue path asserts the bound.
-const horizon = 8192
+// behind the MSHR file's share of a full LSQ of misses; config.Validate
+// derives that distance and refuses a machine whose distance reaches the
+// horizon (917 cycles on the Table 1 machine). The issue path still
+// asserts the bound, as an internal invariant.
+const horizon = config.SchedHorizon
 
 // Entry states.
 const (

@@ -10,13 +10,11 @@ import (
 	"dcg/internal/usagetrace"
 )
 
-// schedHorizon is the DCG controller's schedule depth in cycles; it must
-// exceed the longest issue-to-writeback distance — a load queued behind a
-// full MSHR file backed by a full LSQ (~7300 cycles on the Table 1
-// machine). It must also be at least the core's scheduling horizon so the
-// two rings wrap identically. The canonical constant lives in usagetrace,
-// whose packed decode pass mirrors this ring; the two must stay equal by
-// construction.
+// schedHorizon is the DCG controller's schedule depth in cycles: the
+// core's scheduling horizon, which config.Validate holds every machine's
+// issue-to-writeback distance below, so the two rings wrap identically.
+// It aliases usagetrace's constant, whose packed decode pass mirrors this
+// ring, so the two stay equal by construction.
 const schedHorizon = usagetrace.SchedHorizon
 
 // DCG implements deterministic clock gating (sections 2-3).
@@ -193,7 +191,7 @@ func (d *DCG) OnIssue(ev cpu.IssueEvent) {
 		if ev.FUStart <= ev.Cycle {
 			d.LeadViolations++
 		}
-		for c := ev.FUStart; c < ev.FUStart+uint64(ev.FULat); c++ {
+		for c := ev.FUStart; c < ev.FUStart+usagetrace.SchedSpan(ev.FULat); c++ {
 			r.fuSched[ev.FUType][c%schedHorizon] |= 1 << uint(ev.FUIdx)
 		}
 	}

@@ -1,6 +1,7 @@
 package gating
 
 import (
+	"math"
 	"math/bits"
 	"testing"
 
@@ -209,5 +210,23 @@ func TestSchedHorizonWraparound(t *testing.T) {
 	}
 	if d.LeadViolations != 0 {
 		t.Errorf("LeadViolations = %d, want 0", d.LeadViolations)
+	}
+}
+
+// TestDCGFUSpanIsBounded: a grant marks usagetrace.SchedSpan of its
+// latency, so a latency past any ring revolution enables the unit in
+// every slot, a negative one in none, and neither loops over the
+// latency itself.
+func TestDCGFUSpanIsBounded(t *testing.T) {
+	cfg := config.Default()
+	for lat, want := range map[int]uint32{math.MaxInt: 1, -3: 0} {
+		d := NewDCG(cfg)
+		d.OnIssue(cpu.IssueEvent{FUIdx: 0, FUType: cpu.FUIntALU, FUStart: 2, FULat: lat})
+		u := cpu.Usage{BackLatch: make([]int, cfg.BackEndLatchStages())}
+		for _, c := range []uint64{1, 2, schedHorizon - 1, schedHorizon} {
+			if got := d.Gates(c, &u).IntALUMask; got != want {
+				t.Errorf("latency %d: cycle %d IntALU mask %b, want %b", lat, c, got, want)
+			}
+		}
 	}
 }

@@ -1,17 +1,20 @@
 package gating
 
 // This file is the word-at-a-time evaluation of the timing-neutral
-// schemes: instead of replaying a trace cycle by cycle through
-// OnIssue/Gates/OnCycle callbacks, it derives each scheme's complete
-// power.Tally — the order-free integral the accountant would have
-// accumulated — directly from the bit-planes and schedule-mirror
-// aggregates of the trace's packed view (usagetrace.Packed). The scheme
+// schemes, the one engine production replays run on. Instead of
+// replaying a trace cycle by cycle through OnIssue/Gates/OnCycle
+// callbacks, as the scalar reference engine does, it derives each
+// scheme's complete power.Tally — the order-free integral the accountant
+// would have accumulated — directly from the bit-planes and
+// schedule-mirror aggregates of the trace's packed view
+// (usagetrace.Packed). The scheme
 // semantics are closed-form here because each structure class is
 // independent:
 //
 //   - a gated class's enabled-instance sum is a decode-time aggregate of
 //     the mirrored DCG schedule (popcounts of schedule masks, summed
-//     port/bus counts, summed latch occupancy);
+//     port/bus counts, summed latch occupancy or, for the value-dependent
+//     schemes, summed value-change counts);
 //   - an ungated class burns capacity x cycles;
 //   - gate violations are popcounts of OR'd violation bit-planes
 //     (usage-exceeded-schedule planes for gated classes, lazy
@@ -30,53 +33,39 @@ import (
 	"dcg/internal/usagetrace"
 )
 
-// Packable reports whether PackedTally knows the scheme's type. A
-// caller with no packable scheme in its set need not build the packed
-// view at all.
-func Packable(s Scheme) bool {
-	switch s.(type) {
-	case *None, *DCG, *Oracle, *Lector:
-		return true
-	}
-	return false
-}
-
 // PackedTally derives the power.Tally a full scalar replay of the scheme
 // over the trace would produce, plus the scheme's lead-violation count,
 // from the trace's packed view, without feeding the scheme a single
-// cycle. ok is false when the scheme cannot be packed-evaluated and the
-// caller must fall back to scalar replay: a type Packable rejects (PLB
-// throttles, Observed carries a telemetry recorder, the value-dependent
-// family needs the per-cycle stream), a scheme built for a different
-// machine than the trace's, or a bus schedule exceeding the histogram's
-// exact range. The scheme instance is never mutated.
+// cycle. It knows every registered timing-neutral scheme: none, DCG and
+// its ablations, oracle, lector, ddcg and dcg+ddcg. ok is false for
+// anything else — a timing-changing scheme (the PLB family), a wrapped
+// one (Observed), a custom type, a scheme built for a different machine
+// than the trace's, or a value-dependent scheme over a trace without the
+// latchvalue channel. The scheme instance is never mutated.
 func PackedTally(p *usagetrace.Packed, s Scheme, machine config.Config) (t power.Tally, lead uint64, ok bool) {
 	if p.BackLatchStages() != machine.BackEndLatchStages() {
 		return power.Tally{}, 0, false
 	}
 	switch sc := s.(type) {
 	case *None:
+		// The baseline is a DCG that gates nothing, without its control
+		// overhead.
 		if sc.cfg != machine {
 			return power.Tally{}, 0, false
 		}
-		t = fullTally(p, machine)
+		t = dcgTally(p, machine, DCGOptions{})
 		t.ControlCycles = 0
-		t.GateViolations = overFullViolations(p, machine)
 		return t, 0, true
 	case *DCG:
 		if sc.cfg != machine {
 			return power.Tally{}, 0, false
 		}
-		t, ok = dcgTally(p, machine, sc.opts)
-		return t, p.LeadViolations(), ok
+		return dcgTally(p, machine, sc.opts), p.LeadViolations(), true
 	case *Oracle:
 		if sc.cfg != machine || sc.frontDepth < 1 {
 			return power.Tally{}, 0, false
 		}
-		t, ok = dcgTally(p, machine, AllDCGOptions())
-		if !ok {
-			return power.Tally{}, 0, false
-		}
+		t = dcgTally(p, machine, AllDCGOptions())
 		t.IssueQueueFracSum = p.IssueQueueFracSum(machine.WindowSize)
 		t.FrontFullCycles = 0
 		t.FrontSlotsOn = p.FrontSlotsSum(sc.frontDepth)
@@ -86,8 +75,34 @@ func PackedTally(p *usagetrace.Packed, s Scheme, machine config.Config) (t power
 			return power.Tally{}, 0, false
 		}
 		return lectorTally(p, machine), 0, true
+	case *DDCG:
+		// ddcg is DCG gating the latches alone, each stage to its
+		// value-change count: everything else burns full capacity, and
+		// its latches never violate, since the accountant's latch floor
+		// is the very count they are gated to.
+		if sc.cfg != machine {
+			return power.Tally{}, 0, false
+		}
+		t, ok = valueTally(p, machine, DCGOptions{GateLatches: true})
+		return t, 0, ok
+	case *DCGDDCG:
+		if sc.dcg.cfg != machine {
+			return power.Tally{}, 0, false
+		}
+		t, ok = valueTally(p, machine, AllDCGOptions())
+		return t, p.LeadViolations(), ok
 	}
 	return power.Tally{}, 0, false
+}
+
+// valueTally is dcgTally with the back-end latches gated to their
+// value-change counts instead of their occupancy: the tally of the ddcg
+// family. ok is false when the trace lacks the latchvalue channel.
+func valueTally(p *usagetrace.Packed, cfg config.Config, opts DCGOptions) (power.Tally, bool) {
+	t := dcgTally(p, cfg, opts)
+	var ok bool
+	t.BackSlotsOn, ok = p.BackLatchNewValSum()
+	return t, ok
 }
 
 // lectorTally derives the stage-level occupancy scheme's tally in closed
@@ -96,7 +111,7 @@ func PackedTally(p *usagetrace.Packed, s Scheme, machine config.Config) (t power
 // collapsed to the single master gate — exactly the scalar Gates rule,
 // summed over the latch-non-zero planes.
 func lectorTally(p *usagetrace.Packed, cfg config.Config) power.Tally {
-	t := fullTally(p, cfg)
+	t := dcgTally(p, cfg, DCGOptions{}) // every class ungated, as the baseline
 	t.ControlCycles = 0
 	n := int64(p.Cycles())
 	stages := cfg.BackEndLatchStages()
@@ -116,20 +131,7 @@ func lectorTally(p *usagetrace.Packed, cfg config.Config) power.Tally {
 		gateCycles -= (n - anyNZ) * int64(stages-1)
 	}
 	t.ControlGateCycles = gateCycles
-	t.GateViolations = overFullViolations(p, cfg)
 	return t
-}
-
-// overFullViolations counts the cycles on which usage exceeded capacity
-// in any ungated structure class: the violation set of the baseline and
-// lector schemes.
-func overFullViolations(p *usagetrace.Packed, cfg config.Config) uint64 {
-	return p.ViolationCycles(
-		p.OverFullUnits(fuCounts(cfg)),
-		p.OverFullDPorts(cfg.DL1.Ports),
-		p.OverFullBus(cfg.IssueWidth),
-		p.OverFullLatch(cfg.IssueWidth),
-	)
 }
 
 // fuCounts collects the machine's FU pool sizes indexed by cpu.FUType.
@@ -170,8 +172,9 @@ func fullTally(p *usagetrace.Packed, cfg config.Config) power.Tally {
 // options: each gated class reads the decode-time schedule aggregates,
 // each ungated class the full-capacity terms, and the violation count is
 // the popcount of the OR of exactly the planes the scalar accountant's
-// per-cycle predicate would test.
-func dcgTally(p *usagetrace.Packed, cfg config.Config, opts DCGOptions) (power.Tally, bool) {
+// per-cycle predicate would test. With no class gated it is the
+// everything-on tally with the over-capacity violations of every class.
+func dcgTally(p *usagetrace.Packed, cfg config.Config, opts DCGOptions) power.Tally {
 	t := fullTally(p, cfg)
 	planes := make([][]uint64, 0, 5)
 
@@ -200,11 +203,7 @@ func dcgTally(p *usagetrace.Packed, cfg config.Config, opts DCGOptions) (power.T
 	}
 
 	if opts.GateBus {
-		sum, ok := p.BusSchedCappedSum(cfg.IssueWidth)
-		if !ok {
-			return power.Tally{}, false
-		}
-		t.BusOn = sum
+		t.BusOn = p.BusSchedCappedSum(cfg.IssueWidth)
 		// Enabled drivers are min(schedule, width): usage can exceed that
 		// by beating the raw schedule or by exceeding the width cap.
 		planes = append(planes, p.BusSchedViolationPlane(), p.OverFullBus(cfg.IssueWidth))
@@ -213,5 +212,5 @@ func dcgTally(p *usagetrace.Packed, cfg config.Config, opts DCGOptions) (power.T
 	}
 
 	t.GateViolations = p.ViolationCycles(planes...)
-	return t, true
+	return t
 }

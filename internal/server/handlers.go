@@ -418,8 +418,8 @@ type SchemeInfo struct {
 	Summary string `json:"summary"`
 
 	// Replay is how results are produced: "packed" (bit-packed replay
-	// kernel), "scalar" (per-cycle trace replay), or "full-run" (the
-	// scheme perturbs timing; every evaluation is a full simulation).
+	// kernel) or "full-run" (the scheme perturbs timing; every
+	// evaluation is a full simulation).
 	Replay string `json:"replay"`
 
 	// TimingNeutral reports whether the scheme shares captured timing

@@ -124,19 +124,15 @@ func (s *Server) newInstruments() *instruments {
 
 	// Replay counters (process-wide, maintained by the trace layer): how
 	// often a pass over an encoded usage trace built its packed view (a
-	// stored trace's load is that pass), how often packed evaluations
-	// reused an existing view, and how many scheme lanes rode streaming
-	// scalar replay passes. decodes ≪ packed schemes is the signature of
-	// the decode-once/evaluate-many path working.
+	// stored trace's load is that pass) and how often packed evaluations
+	// reused an existing view. decodes ≪ packed schemes is the signature
+	// of the decode-once/evaluate-many path working.
 	reg.CounterFunc("dcg_trace_decodes_total",
 		"Passes over encoded usage traces that built their packed view.",
 		func() float64 { return float64(usagetrace.Decodes()) })
 	reg.CounterFunc("dcg_trace_decode_reuses_total",
 		"Packed evaluations that reused a trace's packed view instead of decoding again.",
 		func() float64 { return float64(usagetrace.DecodeReuses()) })
-	reg.CounterFunc("dcg_replay_fused_schemes_total",
-		"Scheme lanes fed by streaming scalar replay passes.",
-		func() float64 { return float64(usagetrace.FusedSchemes()) })
 
 	// Warm-state cache (process-wide, maintained by the core layer): a
 	// built-in benchmark's run either restored its functional warm-up
@@ -149,17 +145,11 @@ func (s *Server) newInstruments() *instruments {
 		"Benchmark runs that found no warm-state snapshot and ran their functional warm-up.",
 		func() float64 { _, misses := core.WarmStateStats(); return float64(misses) })
 
-	// Packed-replay counters (process-wide, maintained by the core layer):
-	// how many scheme lanes the bit-packed columnar kernel served versus
-	// how many fell back to the scalar fused engine. packed ≫ fallbacks is
-	// the expected steady state; a rising fallback rate means evaluations
-	// are arriving with telemetry sinks or machine-mismatched schemes.
+	// Replay evaluations (process-wide, maintained by the core layer):
+	// every timing-neutral replay runs on the bit-packed columnar kernel.
 	reg.CounterFunc("dcg_replay_packed_schemes_total",
 		"Scheme lanes evaluated by the bit-packed columnar replay kernel.",
 		func() float64 { return float64(core.PackedReplaySchemes()) })
-	reg.CounterFunc("dcg_replay_packed_fallbacks_total",
-		"Scheme lanes that fell back from the packed kernel to scalar replay.",
-		func() float64 { return float64(core.PackedReplayFallbacks()) })
 
 	reg.GaugeFunc("go_goroutines", "Number of goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })

@@ -146,9 +146,7 @@ func TestMetricsExposition(t *testing.T) {
 		"dcgserve_timing_cache_hits_total":      "counter",
 		"dcg_trace_decodes_total":               "counter",
 		"dcg_trace_decode_reuses_total":         "counter",
-		"dcg_replay_fused_schemes_total":        "counter",
 		"dcg_replay_packed_schemes_total":       "counter",
-		"dcg_replay_packed_fallbacks_total":     "counter",
 		"dcg_warm_state_hits_total":             "counter",
 		"dcg_warm_state_misses_total":           "counter",
 		"go_goroutines":                         "gauge",

@@ -430,7 +430,7 @@ func TestSchemesEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("endpoint omits ddcg")
 	}
-	if ddcg.Replay != "scalar" || !ddcg.TimingNeutral ||
+	if ddcg.Replay != "packed" || !ddcg.TimingNeutral ||
 		len(ddcg.Channels) != 1 || ddcg.Channels[0] != "latchvalue" {
 		t.Errorf("ddcg entry wrong: %+v", ddcg)
 	}

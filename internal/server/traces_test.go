@@ -155,9 +155,9 @@ func TestTracedSimRequestSpanTree(t *testing.T) {
 		}
 	}
 
-	// A scalar-route replay streams the encoded trace: it has a replay
-	// span but no decode span, and decodes nothing. ddcg captures the
-	// latchvalue timing; dcg+ddcg then replays it.
+	// A value-dependent replay runs on the packed kernel too: ddcg
+	// captures the latchvalue timing, and dcg+ddcg's replay decodes it
+	// once, under its own trace.decode span.
 	get := func(query string) *http.Response {
 		t.Helper()
 		resp, err := ts.Client().Get(ts.URL + "/v1/sim?" + query)
@@ -185,11 +185,11 @@ func TestTracedSimRequestSpanTree(t *testing.T) {
 	spans3 := getTrace(t, ts, tid3)
 	assertConnectedTree(t, spans3)
 	names3 := spanNames(spans3)
-	if names3["sim.replay"] == 0 || names3["trace.decode"] != 0 {
-		t.Errorf("scalar-route replay spans %v, want sim.replay and no trace.decode", names3)
+	if names3["sim.replay"] == 0 || names3["trace.decode"] != 1 {
+		t.Errorf("value-dependent replay spans %v, want sim.replay and one trace.decode", names3)
 	}
-	if got := decodes() - decodes0; got != 0 {
-		t.Errorf("scalar-route replay moved dcg_trace_decodes_total by %v, want 0", got)
+	if got := decodes() - decodes0; got != 1 {
+		t.Errorf("value-dependent replay moved dcg_trace_decodes_total by %v, want 1", got)
 	}
 }
 

@@ -18,13 +18,13 @@ import (
 // dcg+ddcg — anything that cannot perturb the core's cycle-by-cycle
 // behaviour, as core.TimingNeutral reports) first consults the result
 // cache, then the timing cache: on a timing hit the scheme is evaluated by
-// replaying the cached trace (core.EvaluateTimingAll: the packed kernel,
-// or one scalar pass for the ddcg family), which skips the cycle-accurate
-// core entirely. On a timing miss the capture run evaluates the requested
-// scheme while recording, so the first scheme per workload pays no replay
-// on top of its simulation. Schemes that do perturb timing (the PLB
-// variants throttle issue width from IPC feedback) bypass the timing
-// level and always run the full simulation.
+// replaying the cached trace on the packed kernel (core.EvaluateTimingAll),
+// which skips the cycle-accurate core entirely. On a timing miss the
+// capture run evaluates the requested scheme while recording, so the
+// first scheme per workload pays no replay on top of its simulation.
+// Schemes that do perturb timing (the PLB variants throttle issue width
+// from IPC feedback) bypass the timing level and always run the full
+// simulation.
 //
 // Both levels coalesce concurrent identical requests, so a burst of
 // scheme evaluations for one workload performs exactly one timing pass.
@@ -197,18 +197,10 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 		rctx, sp := obs.StartSpan(ctx, "sim.replay")
 		sp.SetAttr("bench", k.Bench)
 		sp.SetAttr("scheme", k.Scheme.String())
-		info, known := core.SchemeInfoFor(k.Scheme)
-		if known {
-			// The registry's replay capability is what routes the scheme
-			// (bit-packed kernel vs the scalar fused engine), so the span
-			// records the route without racing on the global counters.
-			sp.SetAttr("engine", info.Replay.String())
-		}
-		if sp != nil && tm.Trace != nil && known && info.Replay == core.ReplayPacked {
-			// Only the packed kernel reads the decoded view (the scalar
-			// engine streams the encoded bytes), and Decode is memoized
-			// per trace, so forcing it here only moves the packed route's
-			// work under its own span: a fresh decode shows up as
+		if sp != nil && tm.Trace != nil {
+			// Every replay reads the decoded view, and Decode is memoized
+			// per trace, so forcing it here only moves the evaluation's
+			// decode under its own span: a fresh decode shows up as
 			// milliseconds, a reuse as nanoseconds. Skipped entirely when
 			// tracing is off.
 			_, dsp := obs.StartSpan(rctx, "trace.decode")

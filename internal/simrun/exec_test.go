@@ -196,16 +196,14 @@ func TestExecSharesOneDecodeAcrossNeutralSchemes(t *testing.T) {
 }
 
 // TestExecReplaysThroughPackedKernel pins the routing at the executor
-// level: follower evaluations of timing-neutral schemes ride the
-// bit-packed replay kernel, not the scalar fused engine.
+// level: follower evaluations of timing-neutral schemes, the
+// value-dependent ones included, ride the bit-packed replay kernel.
 func TestExecReplaysThroughPackedKernel(t *testing.T) {
 	e := NewExec(0, 0)
 	base := Key{Bench: "art", Insts: 15_000, Warmup: 10_000}
 	kinds := []core.SchemeKind{core.SchemeNone, core.SchemeDCG, core.SchemeOracle}
 
 	packed0 := core.PackedReplaySchemes()
-	fallback0 := core.PackedReplayFallbacks()
-	fused0 := usagetrace.FusedSchemes()
 	for _, kind := range kinds {
 		k := base
 		k.Scheme = kind
@@ -218,11 +216,19 @@ func TestExecReplaysThroughPackedKernel(t *testing.T) {
 	if got := core.PackedReplaySchemes() - packed0; got != uint64(len(kinds)-1) {
 		t.Errorf("packed replay served %d schemes, want %d (followers)", got, len(kinds)-1)
 	}
-	if got := core.PackedReplayFallbacks() - fallback0; got != 0 {
-		t.Errorf("packed replay recorded %d fallbacks, want 0", got)
+
+	// The value-dependent family shares one latchvalue capture: ddcg
+	// leads it, and dcg+ddcg replays it on the kernel too.
+	packed0 = core.PackedReplaySchemes()
+	for _, kind := range []core.SchemeKind{core.SchemeDDCG, core.SchemeDCGDDCG} {
+		k := base
+		k.Scheme = kind
+		if _, _, err := e.Do(context.Background(), k); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
 	}
-	if got := usagetrace.FusedSchemes() - fused0; got != 0 {
-		t.Errorf("%d schemes fell through to the scalar fused engine, want 0", got)
+	if got := core.PackedReplaySchemes() - packed0; got != 1 {
+		t.Errorf("packed replay served %d value-dependent schemes, want 1 (the follower)", got)
 	}
 }
 

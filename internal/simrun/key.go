@@ -158,11 +158,10 @@ func Capture(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {
 }
 
 // Evaluate replays a captured timing trace under the key's scheme. The
-// result is bit-identical to a full run with the same key. A
-// packed-capable scheme reads the trace's memoized packed view, so every
-// such Evaluate against the same *core.Timing — coalesced requests,
-// batch items, sweep followers — shares one decode; a scalar-only scheme
-// streams the encoded bytes.
+// result is bit-identical to a full run with the same key. Every scheme
+// reads the trace's memoized packed view, so every Evaluate against the
+// same *core.Timing — coalesced requests, batch items, sweep followers —
+// shares one decode.
 func Evaluate(k Key, t *core.Timing) (*core.Result, error) {
 	results, err := simulatorFor(t.Machine, k.Warmup).EvaluateTimingAll(t, []core.SchemeKind{k.Scheme})
 	if err != nil {

@@ -215,6 +215,18 @@ func corruptStreams() []corruptStream {
 			wantErr: "corrupt event count",
 		},
 		{
+			name: "FU latency past int32",
+			mutate: func(b []byte) []byte {
+				// Give the first record one event, an IntALU grant with a
+				// 2^40-cycle latency; the rest of the record is unchanged.
+				out := append([]byte{}, b[:headerLen+1]...)
+				out = append(out, 1, flagHasFU, 0, 2)
+				out = binary.AppendUvarint(out, 1<<40)
+				return append(out, b[headerLen+2:]...)
+			},
+			wantErr: "truncated event at cycle 0: corrupt FU grant (unit 0, latency 1099511627776)",
+		},
+		{
 			name:    "end marker count missing",
 			mutate:  func(b []byte) []byte { return b[:len(b)-1] },
 			wantErr: "truncated end marker",
@@ -375,6 +387,11 @@ func TestDecodeErrorPaths(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("err = %v, want it to contain %q", err, tc.wantErr)
+			}
+			// A Reader over the same bytes fails with the same diagnostic,
+			// in its header or at the record that carries the fault.
+			if _, err := readCycles(data); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Reader err = %v, want it to contain %q", err, tc.wantErr)
 			}
 		})
 	}

@@ -130,9 +130,8 @@ func checkAgainstStream(t *testing.T, tr *Trace, p *Packed) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.BackLatchStages() != rd.BackLatchStages() || p.HasLatchValue() != rd.hasLatchValue {
-		t.Fatalf("packed view has %d stages (latchvalue %v), stream %d (%v)",
-			p.BackLatchStages(), p.HasLatchValue(), rd.BackLatchStages(), rd.hasLatchValue)
+	if p.BackLatchStages() != rd.BackLatchStages() {
+		t.Fatalf("packed view has %d stages, stream %d", p.BackLatchStages(), rd.BackLatchStages())
 	}
 	// Tight limits, so the over-capacity planes fire on small values.
 	counts := [cpu.NumFUTypes]int{2, 1, 2, 1}
@@ -173,9 +172,6 @@ func checkAgainstStream(t *testing.T, tr *Trace, p *Packed) {
 			unitOn[ft] += int64(bits.OnesCount32(sched))
 			unitOver = unitOver || busy[ft]&^sched != 0
 			overFull = overFull || busy[ft]&^maskN(counts[ft]) != 0
-			if planeBit(p.FUBusyPlane(cpu.FUType(ft)), c) != (busy[ft] != 0) {
-				t.Fatalf("cycle %d: fu-busy[%d] plane disagrees with the stream", c, ft)
-			}
 		}
 		dp, bs := m.dport[idx], m.bus[idx]
 		m.dport[idx], m.bus[idx] = 0, 0
@@ -189,20 +185,14 @@ func checkAgainstStream(t *testing.T, tr *Trace, p *Packed) {
 				t.Fatalf("cycle %d: latch[%d] plane disagrees with the stream", c, s)
 			}
 		}
-		for s, v := range u.BackLatchNewVal {
+		for _, v := range u.BackLatchNewVal {
 			valSum += int64(v)
-			if planeBit(p.LatchValueChangePlane(s), c) != (v != 0) {
-				t.Fatalf("cycle %d: latchvalue[%d] plane disagrees with the stream", c, s)
-			}
 		}
 		for _, chk := range []struct {
 			name  string
 			plane []uint64
 			want  bool
 		}{
-			{"dport-use", p.DPortUsePlane(), u.DPortUsed > 0},
-			{"issue", p.IssueNonEmptyPlane(), u.IssueCount != 0},
-			{"commit", p.CommitNonEmptyPlane(), u.CommitCount != 0},
 			{"unit-sched-violation", p.UnitSchedViolationPlane(), unitOver},
 			{"dport-sched-violation", p.DPortSchedViolationPlane(), int64(u.DPortUsed) > dp},
 			{"bus-sched-violation", p.BusSchedViolationPlane(), int64(u.ResultBus) > bs},
@@ -223,14 +213,10 @@ func checkAgainstStream(t *testing.T, tr *Trace, p *Packed) {
 		t.Fatalf("geometry: packed %d cycles / %d words, trace %d, stream %d",
 			p.Cycles(), p.Words(), tr.Cycles(), cycles)
 	}
-	planes := [][]uint64{p.DPortUsePlane(), p.IssueNonEmptyPlane(), p.CommitNonEmptyPlane(),
-		p.UnitSchedViolationPlane(), p.DPortSchedViolationPlane(), p.BusSchedViolationPlane(),
-		overUnits, overPorts, overBus, overLatch}
-	for ft := cpu.FUType(0); ft < cpu.NumFUTypes; ft++ {
-		planes = append(planes, p.FUBusyPlane(ft))
-	}
+	planes := [][]uint64{p.UnitSchedViolationPlane(), p.DPortSchedViolationPlane(),
+		p.BusSchedViolationPlane(), overUnits, overPorts, overBus, overLatch}
 	for s := 0; s < p.BackLatchStages(); s++ {
-		planes = append(planes, p.LatchNonZeroPlane(s), p.LatchValueChangePlane(s))
+		planes = append(planes, p.LatchNonZeroPlane(s))
 	}
 	for i, pl := range planes {
 		if pl == nil {
@@ -256,14 +242,13 @@ func checkAgainstStream(t *testing.T, tr *Trace, p *Packed) {
 	if sum, ok := p.BackLatchNewValSum(); ok != rd.hasLatchValue || sum != valSum {
 		t.Fatalf("latchvalue sum %d (%v), stream %d", sum, ok, valSum)
 	}
-	for _, limit := range []int{8, busHistMax + 1} {
+	for _, limit := range []int{8, busHistMax} {
 		var want int64
 		for b, cnt := range busHist {
 			want += int64(min(b, limit)) * cnt
 		}
-		got, ok := p.BusSchedCappedSum(limit)
-		if exact := limit <= busHistMax || busHist[busHistMax] == 0; ok != exact || (ok && got != want) {
-			t.Fatalf("BusSchedCappedSum(%d) = %d, %v; stream %d, exact %v", limit, got, ok, want, exact)
+		if got := p.BusSchedCappedSum(limit); got != want {
+			t.Fatalf("BusSchedCappedSum(%d) = %d, stream %d", limit, got, want)
 		}
 	}
 	// Depth 70 is past the kept fetch tail and takes the re-read path.

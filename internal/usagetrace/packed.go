@@ -5,33 +5,42 @@ import (
 	"io"
 	"math/bits"
 
+	"dcg/internal/config"
 	"dcg/internal/cpu"
 )
 
 // SchedHorizon is the DCG controller's schedule-ring depth in cycles
 // (internal/gating keys its rings to this). The packed builder mirrors
-// that ring at decode time, so the constant lives here — the lower layer
-// — and gating aliases it.
-const SchedHorizon = 8192
+// that ring at decode time, so gating aliases the constant here, in the
+// lower layer. It is the core's ring depth, config.SchedHorizon.
+const SchedHorizon = config.SchedHorizon
+
+// SchedSpan returns how many consecutive schedule-ring slots an FU grant
+// of latency lat marks: lat clamped to [0, SchedHorizon]. OR into a slot
+// is idempotent, so a longer latency would only revisit the slots one
+// revolution already set. The DCG controller and the decode-time mirror
+// of its rings both mark this span, so the engines agree on every
+// latency and neither does more than one revolution of work per grant.
+func SchedSpan(lat int) uint64 { return uint64(min(max(lat, 0), SchedHorizon)) }
 
 // busHistMax is the last bucket of the bus-schedule histogram: schedule
 // counts >= busHistMax share one overflow bucket, which makes
-// BusSchedCappedSum exact for any cap <= busHistMax (every realistic
-// issue width) and detectably inexact beyond it.
+// BusSchedCappedSum exact for any cap <= busHistMax — every issue width
+// config.Validate accepts.
 const busHistMax = 64
 
 // Packed is a trace's decoded form: one uint64 word per 64 cycles per
 // boolean signal (bit c%64 of word c/64 is cycle c), plus the few
 // per-cycle values and the order-free aggregates the packed replay
-// kernel reads. One pass over the encoded bytes builds it (Trace.Decode,
-// ReadTrace); no per-field usage columns or event slices are ever
-// materialised. Two families of data live here:
+// kernel (gating.PackedTally) reads, and nothing it does not. One pass
+// over the encoded bytes builds it (Trace.Decode, ReadTrace); no
+// per-field usage columns or event slices are ever materialised. Two
+// families of data live here:
 //
-//   - Usage planes — FU-pool-busy, D-port-use, latch-stage-non-zero,
-//     issue-non-empty, commit-non-empty — the threshold form of the raw
-//     usage vectors. They are the substrate word-at-a-time gating
-//     kernels operate on (and what future multi-stage schemes in the
-//     LECTOR family would AND against their own activity masks).
+//   - Usage aggregates — per latch stage, the cycles it carried an
+//     instruction (a plane); the occupancy, value-change and fetch slot
+//     sums; the window-occupancy column; and the usage maxima behind the
+//     lazy over-capacity planes.
 //
 //   - A DCG schedule mirror — the pass replays every issue event
 //     through a ring identical to the gating controller's
@@ -60,17 +69,13 @@ type Packed struct {
 	// deep front ends) re-read it.
 	data []byte
 
-	// Usage planes.
-	fuBusy   [cpu.NumFUTypes][]uint64
-	dportUse []uint64
-	latchNZ  [][]uint64 // per back-end latch stage
-	issueNE  []uint64
-	commitNE []uint64
+	// latchNZ holds one plane per back-end latch stage: the cycles the
+	// stage carried an instruction.
+	latchNZ [][]uint64
 
-	// Latchvalue-channel planes and aggregates: per-stage value-change
-	// non-zero bits and the summed value-change slot count. nil/zero when
-	// the trace does not carry the latchvalue channel.
-	latchValNZ         [][]uint64
+	// latchValue reports the latchvalue channel; backLatchNewValSum is its
+	// summed value-change slot count.
+	latchValue         bool
 	backLatchNewValSum int64
 
 	// Schedule-violation planes: cycles where actual usage exceeded the
@@ -110,10 +115,8 @@ const fetchTailLen = 64
 
 // schedMirror replicates the DCG controller's schedule rings
 // (gating.DCG.fuSched/dportSched/busSched) cycle for cycle. The FU ring
-// writes are clamped to one full revolution — OR into a slot is
-// idempotent, so an event latency beyond SchedHorizon touches exactly
-// the same slot set either way — while the count rings take one
-// increment per event and need no clamp.
+// writes cover SchedSpan, as the controller's do, while the count rings
+// take one increment per event.
 type schedMirror struct {
 	fu    [cpu.NumFUTypes][SchedHorizon]uint32
 	dport [SchedHorizon]int64
@@ -129,11 +132,7 @@ func (m *schedMirror) onIssue(ev *cpu.IssueEvent, lead *uint64) {
 		if ev.FUStart <= ev.Cycle {
 			*lead++
 		}
-		lat := uint64(ev.FULat)
-		if lat > SchedHorizon {
-			lat = SchedHorizon
-		}
-		for c := ev.FUStart; c < ev.FUStart+lat; c++ {
+		for c := ev.FUStart; c < ev.FUStart+SchedSpan(ev.FULat); c++ {
 			m.fu[ev.FUType][c%SchedHorizon] |= 1 << uint(ev.FUIdx)
 		}
 	}
@@ -181,30 +180,18 @@ func decodePacked(data []byte, want uint64) (*Packed, *Reader, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &Packed{stages: rd.stages, data: data}
+	p := &Packed{stages: rd.stages, data: data, latchValue: rd.hasLatchValue}
 	size := want
 	if size > rd.limit {
 		size = 0 // the stream cannot hold them: build nothing
 	}
 	words := int((size + 63) / 64)
-	plane := func(pl *[]uint64) { *pl = make([]uint64, words) }
-	for t := range p.fuBusy {
-		plane(&p.fuBusy[t])
-	}
+	plane := func() []uint64 { return make([]uint64, words) }
 	p.latchNZ = make([][]uint64, rd.stages)
 	for s := range p.latchNZ {
-		plane(&p.latchNZ[s])
+		p.latchNZ[s] = plane()
 	}
-	if rd.hasLatchValue {
-		p.latchValNZ = make([][]uint64, rd.stages)
-		for s := range p.latchValNZ {
-			plane(&p.latchValNZ[s])
-		}
-	}
-	for _, pl := range []*[]uint64{&p.dportUse, &p.issueNE, &p.commitNE,
-		&p.unitOverSched, &p.dportOverSched, &p.busOverSched} {
-		plane(pl)
-	}
+	p.unitOverSched, p.dportOverSched, p.busOverSched = plane(), plane(), plane()
 	p.occ = make([]int, 0, size)
 
 	m := &schedMirror{}
@@ -272,9 +259,6 @@ func (p *Packed) addCycle(m *schedMirror, u *cpu.Usage) {
 		m.fu[t][idx] = 0
 		p.schedUnitOn[t] += int64(bits.OnesCount32(sched))
 		p.busyOr[t] |= busy[t]
-		if busy[t] != 0 {
-			p.fuBusy[t][w] |= bit
-		}
 		if busy[t]&^sched != 0 {
 			unitOver = true
 		}
@@ -283,9 +267,6 @@ func (p *Packed) addCycle(m *schedMirror, u *cpu.Usage) {
 		p.unitOverSched[w] |= bit
 	}
 
-	if u.DPortUsed > 0 {
-		p.dportUse[w] |= bit
-	}
 	p.maxDPort = max(p.maxDPort, u.DPortUsed)
 	if int64(u.DPortUsed) > dp {
 		p.dportOverSched[w] |= bit
@@ -296,13 +277,6 @@ func (p *Packed) addCycle(m *schedMirror, u *cpu.Usage) {
 		p.busOverSched[w] |= bit
 	}
 
-	if u.IssueCount != 0 {
-		p.issueNE[w] |= bit
-	}
-	if u.CommitCount != 0 {
-		p.commitNE[w] |= bit
-	}
-
 	for s, v := range u.BackLatch {
 		if v != 0 {
 			p.latchNZ[s][w] |= bit
@@ -310,13 +284,8 @@ func (p *Packed) addCycle(m *schedMirror, u *cpu.Usage) {
 		p.maxLatch = max(p.maxLatch, v)
 		p.backLatchSum += int64(v)
 	}
-	if p.latchValNZ != nil {
-		for s, v := range u.BackLatchNewVal {
-			if v != 0 {
-				p.latchValNZ[s][w] |= bit
-			}
-			p.backLatchNewValSum += int64(v)
-		}
+	for _, v := range u.BackLatchNewVal {
+		p.backLatchNewValSum += int64(v)
 	}
 	p.fetchSum += int64(u.FetchCount)
 	p.fetchTail[c%fetchTailLen] = u.FetchCount
@@ -336,12 +305,10 @@ func (p *Packed) addQuiet(u *cpu.Usage, n uint64) {
 	for t, b := range busy {
 		p.busyOr[t] |= b
 		if b != 0 {
-			setRange(p.fuBusy[t], lo, hi)
 			setRange(p.unitOverSched, lo, hi)
 		}
 	}
 	if u.DPortUsed > 0 {
-		setRange(p.dportUse, lo, hi)
 		setRange(p.dportOverSched, lo, hi)
 	}
 	p.maxDPort = max(p.maxDPort, u.DPortUsed)
@@ -349,12 +316,6 @@ func (p *Packed) addQuiet(u *cpu.Usage, n uint64) {
 		setRange(p.busOverSched, lo, hi)
 	}
 	p.maxBus = max(p.maxBus, u.ResultBus)
-	if u.IssueCount != 0 {
-		setRange(p.issueNE, lo, hi)
-	}
-	if u.CommitCount != 0 {
-		setRange(p.commitNE, lo, hi)
-	}
 
 	for s, v := range u.BackLatch {
 		if v != 0 {
@@ -363,13 +324,8 @@ func (p *Packed) addQuiet(u *cpu.Usage, n uint64) {
 		p.maxLatch = max(p.maxLatch, v)
 		p.backLatchSum += int64(v) * k
 	}
-	if p.latchValNZ != nil {
-		for s, v := range u.BackLatchNewVal {
-			if v != 0 {
-				setRange(p.latchValNZ[s], lo, hi)
-			}
-			p.backLatchNewValSum += int64(v) * k
-		}
+	for _, v := range u.BackLatchNewVal {
+		p.backLatchNewValSum += int64(v) * k
 	}
 	p.fetchSum += int64(u.FetchCount) * k
 	for c := max(lo, hi-min(hi, fetchTailLen)); c < hi; c++ {
@@ -429,25 +385,9 @@ func (p *Packed) BackLatchStages() int { return p.stages }
 // Words returns the per-plane word count, (Cycles+63)/64.
 func (p *Packed) Words() int { return p.words }
 
-// FUBusyPlane returns the plane with bit c set when FU pool t had any
-// busy unit at cycle c.
-func (p *Packed) FUBusyPlane(t cpu.FUType) []uint64 { return p.fuBusy[t] }
-
-// DPortUsePlane returns the plane with bit c set when any D-cache port
-// was used at cycle c.
-func (p *Packed) DPortUsePlane() []uint64 { return p.dportUse }
-
 // LatchNonZeroPlane returns the plane with bit c set when back-end latch
 // stage s carried any instruction at cycle c.
 func (p *Packed) LatchNonZeroPlane(s int) []uint64 { return p.latchNZ[s] }
-
-// IssueNonEmptyPlane returns the plane with bit c set when any
-// instruction issued at cycle c.
-func (p *Packed) IssueNonEmptyPlane() []uint64 { return p.issueNE }
-
-// CommitNonEmptyPlane returns the plane with bit c set when any
-// instruction committed at cycle c.
-func (p *Packed) CommitNonEmptyPlane() []uint64 { return p.commitNE }
 
 // UnitSchedViolationPlane returns the plane with bit c set when some FU
 // pool's busy mask escaped the mirrored schedule mask at cycle c — the
@@ -473,53 +413,26 @@ func (p *Packed) UnitSchedOnSum(t cpu.FUType) int64 { return p.schedUnitOn[t] }
 func (p *Packed) DPortSchedSum() int64 { return p.dportSchedOn }
 
 // BusSchedCappedSum returns the sum over cycles of min(schedule count,
-// cap) — a bus-gating scheme's enabled driver-cycles under issue width
-// cap. The histogram's overflow bucket lumps counts >= 64 together, so
-// the sum is exact only for cap <= 64 (or when no cycle overflowed);
-// otherwise ok is false and the caller must fall back to scalar replay.
-func (p *Packed) BusSchedCappedSum(limit int) (sum int64, ok bool) {
-	if limit > busHistMax && p.busSchedHist[busHistMax] != 0 {
-		return 0, false
-	}
+// limit) — a bus-gating scheme's enabled driver-cycles under issue width
+// limit. The histogram's overflow bucket lumps counts >= busHistMax
+// together, so the sum is exact for every limit <= busHistMax, which
+// config.Validate holds the issue width to.
+func (p *Packed) BusSchedCappedSum(limit int) (sum int64) {
 	for b, cnt := range p.busSchedHist {
-		if cnt == 0 {
-			continue
-		}
-		on := int64(b)
-		if on > int64(limit) {
-			on = int64(limit)
-		}
-		sum += on * cnt
+		sum += int64(min(b, limit)) * cnt
 	}
-	return sum, true
+	return sum
 }
 
 // BackLatchSum returns the summed back-end latch occupancy over all
 // stages and cycles — a latch-gating scheme's enabled slot-cycles.
 func (p *Packed) BackLatchSum() int64 { return p.backLatchSum }
 
-// HasLatchValue reports whether the trace carried the latchvalue channel,
-// i.e. whether the latch value-change planes and sums below are populated.
-func (p *Packed) HasLatchValue() bool { return p.latchValNZ != nil }
-
-// LatchValueChangePlane returns the plane with bit c set when back-end
-// latch stage s carried any value-changing instruction at cycle c, or nil
-// when the trace has no latchvalue channel.
-func (p *Packed) LatchValueChangePlane(s int) []uint64 {
-	if p.latchValNZ == nil {
-		return nil
-	}
-	return p.latchValNZ[s]
-}
-
 // BackLatchNewValSum returns the summed value-change slot count over all
 // stages and cycles — a value-dependent latch-gating scheme's enabled
 // slot-cycles. ok is false when the trace has no latchvalue channel.
 func (p *Packed) BackLatchNewValSum() (sum int64, ok bool) {
-	if p.latchValNZ == nil {
-		return 0, false
-	}
-	return p.backLatchNewValSum, true
+	return p.backLatchNewValSum, p.latchValue
 }
 
 // LeadViolations returns the mirrored controller's advance-knowledge

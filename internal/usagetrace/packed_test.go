@@ -2,7 +2,9 @@ package usagetrace
 
 import (
 	"bytes"
+	"math"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"dcg/internal/cpu"
@@ -40,7 +42,7 @@ func bit(plane []uint64, c int) bool {
 	return plane[c>>6]&(1<<(uint(c)&63)) != 0
 }
 
-// TestPackedPlanesMatchScalarColumns brute-force checks every usage
+// TestPackedPlanesMatchScalarColumns brute-force checks every latch
 // plane bit against its scalar-column predicate, on a trace sized so the
 // last word is partial (tail-word case) and busy/latch/port patterns
 // vary per cycle.
@@ -75,27 +77,8 @@ func TestPackedPlanesMatchScalarColumns(t *testing.T) {
 		t.Fatalf("packed geometry %d cycles / %d words, want %d / %d", p.Cycles(), p.Words(), n, (n+63)/64)
 	}
 
-	busyPlanes := [cpu.NumFUTypes][]uint64{
-		p.FUBusyPlane(cpu.FUIntALU), p.FUBusyPlane(cpu.FUIntMult),
-		p.FUBusyPlane(cpu.FUFPALU), p.FUBusyPlane(cpu.FUFPMult),
-	}
 	for c := 0; c < n; c++ {
 		u := &usages[c]
-		busy := [cpu.NumFUTypes]uint32{u.IntALUBusy, u.IntMultBusy, u.FPALUBusy, u.FPMultBusy}
-		for ft := 0; ft < int(cpu.NumFUTypes); ft++ {
-			if got, want := bit(busyPlanes[ft], c), busy[ft] != 0; got != want {
-				t.Fatalf("cycle %d: fu-busy[%d] plane bit %v, column says %v", c, ft, got, want)
-			}
-		}
-		if got, want := bit(p.DPortUsePlane(), c), u.DPortUsed > 0; got != want {
-			t.Fatalf("cycle %d: dport-use plane bit %v, column says %v", c, got, want)
-		}
-		if got, want := bit(p.IssueNonEmptyPlane(), c), u.IssueCount != 0; got != want {
-			t.Fatalf("cycle %d: issue plane bit %v, column says %v", c, got, want)
-		}
-		if got, want := bit(p.CommitNonEmptyPlane(), c), u.CommitCount != 0; got != want {
-			t.Fatalf("cycle %d: commit plane bit %v, column says %v", c, got, want)
-		}
 		for s := 0; s < stages; s++ {
 			if got, want := bit(p.LatchNonZeroPlane(s), c), u.BackLatch[s] != 0; got != want {
 				t.Fatalf("cycle %d: latch[%d] plane bit %v, column says %v", c, s, got, want)
@@ -106,10 +89,9 @@ func TestPackedPlanesMatchScalarColumns(t *testing.T) {
 	// Tail-word discipline: every bit at position >= n in the last word
 	// is zero, on every plane (kernels rely on this to popcount without
 	// masking).
-	planes := append([][]uint64{
-		p.DPortUsePlane(), p.IssueNonEmptyPlane(), p.CommitNonEmptyPlane(),
+	planes := [][]uint64{
 		p.UnitSchedViolationPlane(), p.DPortSchedViolationPlane(), p.BusSchedViolationPlane(),
-	}, busyPlanes[:]...)
+	}
 	for s := 0; s < stages; s++ {
 		planes = append(planes, p.LatchNonZeroPlane(s))
 	}
@@ -145,8 +127,8 @@ func TestPackedPlanesMatchScalarColumns(t *testing.T) {
 	if p.DPortSchedSum() != 0 || p.LeadViolations() != 0 {
 		t.Fatalf("eventless trace has schedule sums %d / lead %d", p.DPortSchedSum(), p.LeadViolations())
 	}
-	if sum, ok := p.BusSchedCappedSum(8); !ok || sum != 0 {
-		t.Fatalf("eventless bus sum = %d, %v", sum, ok)
+	if sum := p.BusSchedCappedSum(8); sum != 0 {
+		t.Fatalf("eventless bus sum = %d", sum)
 	}
 
 	// Aggregates against brute force.
@@ -258,8 +240,8 @@ func TestPackedScheduleMirror(t *testing.T) {
 		t.Fatalf("dport schedule sum = %d, want 2", got)
 	}
 	// Bus schedule: cycles 30 and 40 -> capped sum 2 under any cap >= 1.
-	if sum, ok := p.BusSchedCappedSum(8); !ok || sum != 2 {
-		t.Fatalf("bus capped sum = %d, %v, want 2, true", sum, ok)
+	if sum := p.BusSchedCappedSum(8); sum != 2 {
+		t.Fatalf("bus capped sum = %d, want 2", sum)
 	}
 
 	// Violation planes: unit violations exactly at cycle 12 (usage
@@ -334,9 +316,23 @@ func TestPackedOverFullPlanes(t *testing.T) {
 	}
 }
 
+// TestSchedSpan pins the FU grant span both engines mark: the latency,
+// clamped to one ring revolution, and nothing for a negative one.
+func TestSchedSpan(t *testing.T) {
+	for lat, want := range map[int]uint64{
+		math.MinInt: 0, -1: 0, 0: 0, 1: 1, SchedHorizon - 1: SchedHorizon - 1,
+		SchedHorizon: SchedHorizon, 1 << 20: SchedHorizon, math.MaxInt: SchedHorizon,
+	} {
+		if got := SchedSpan(lat); got != want {
+			t.Errorf("SchedSpan(%d) = %d, want %d", lat, got, want)
+		}
+	}
+}
+
 // TestPackedSingleCycle pins the smallest geometry: one cycle, one word.
 func TestPackedSingleCycle(t *testing.T) {
-	tr := craftTrace(t, 1, []cpu.Usage{{IssueCount: 1, FetchCount: 4, WindowOccupancy: 7}}, nil)
+	tr := craftTrace(t, 1, []cpu.Usage{{IssueCount: 1, FetchCount: 4, WindowOccupancy: 7,
+		BackLatch: []int{1}}}, nil)
 	p, err := tr.Decode()
 	if err != nil {
 		t.Fatal(err)
@@ -344,8 +340,8 @@ func TestPackedSingleCycle(t *testing.T) {
 	if p.Cycles() != 1 || p.Words() != 1 {
 		t.Fatalf("geometry %d/%d, want 1/1", p.Cycles(), p.Words())
 	}
-	if !bit(p.IssueNonEmptyPlane(), 0) {
-		t.Error("issue plane bit 0 clear")
+	if !bit(p.LatchNonZeroPlane(0), 0) {
+		t.Error("latch plane bit 0 clear")
 	}
 	// The single fetch is seen only by stage 0 before the run ends: the
 	// closed form's tail correction must cut depth x fetch down to 1 x.
@@ -403,10 +399,9 @@ func TestPackedSurvivesSerialisation(t *testing.T) {
 		if p1.UnitSchedOnSum(ft) != p2.UnitSchedOnSum(ft) {
 			t.Fatalf("pool %d schedule sum diverges", ft)
 		}
-		for w := range p1.FUBusyPlane(ft) {
-			if p1.FUBusyPlane(ft)[w] != p2.FUBusyPlane(ft)[w] {
-				t.Fatalf("pool %d busy plane word %d diverges", ft, w)
-			}
-		}
+	}
+	if !slices.Equal(p1.DPortSchedViolationPlane(), p2.DPortSchedViolationPlane()) ||
+		!slices.Equal(p1.BusSchedViolationPlane(), p2.BusSchedViolationPlane()) {
+		t.Fatal("schedule-violation planes diverge across serialisation")
 	}
 }

@@ -11,9 +11,10 @@
 // memory-bandwidth replay (internal/core.Simulator.EvaluateTimingAll).
 //
 // Two consumers read a stored trace, and both parse its encoded bytes in
-// memory through one Reader, which reads them in place. The scalar engine
-// (ReplayAll) hands the parsed records to scheme sinks; it needs no
-// decoded form. The packed kernel reads a Packed view — per-signal
+// memory through one Reader, which reads them in place. The scalar
+// reference engine (ReplayAll), which the goldens and the differential
+// fuzzer hold the packed kernel to, hands the parsed records to scheme
+// sinks; it needs no decoded form. The packed kernel reads a Packed view — per-signal
 // bit-planes plus order-free aggregates — that one pass over the bytes
 // builds (Trace.Decode, memoized; ReadTrace builds it while validating).
 // A stream that is not yet a Trace is read whole first: ReadTrace and
@@ -91,7 +92,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"dcg/internal/cpu"
 )
@@ -903,7 +903,8 @@ func (r *Reader) cycleRecord() error {
 }
 
 // event decodes one issue event of the current cycle into ev, which holds
-// the cycle and no FU; a bad FU type latches r.err.
+// the cycle and no FU. A bad FU type, or a unit index or latency past
+// int32 (no Writer records one), latches r.err.
 func (r *Reader) event(ev *cpu.IssueEvent) {
 	if r.pos >= len(r.data) {
 		r.err = io.EOF
@@ -917,9 +918,14 @@ func (r *Reader) event(ev *cpu.IssueEvent) {
 			r.err = fmt.Errorf("corrupt FU type %d", ev.FUType)
 			return
 		}
-		ev.FUIdx = int(r.uvarint())
+		idx := r.uvarint()
 		ev.FUStart = r.cycle + r.uvarint()
-		ev.FULat = int(r.uvarint())
+		lat := r.uvarint()
+		if idx > math.MaxInt32 || lat > math.MaxInt32 {
+			r.err = fmt.Errorf("corrupt FU grant (unit %d, latency %d)", idx, lat)
+			return
+		}
+		ev.FUIdx, ev.FULat = int(idx), int(lat)
 	}
 	ev.IsLoad = flags&flagIsLoad != 0
 	ev.IsStore = flags&flagIsStore != 0
@@ -939,14 +945,6 @@ type Sink struct {
 	Cycle cpu.Observer
 }
 
-// fusedSchemeCount backs FusedSchemes.
-var fusedSchemeCount atomic.Uint64
-
-// FusedSchemes returns how many scheme sinks replay passes have fed
-// process-wide (ReplayAll adds one per sink per pass), for the service's
-// /metrics endpoint and the routing regression tests.
-func FusedSchemes() uint64 { return fusedSchemeCount.Load() }
-
 // ReplayAll streams the trace through every sink in a single pass, in
 // the core's delivery order: each cycle's issue events strictly before
 // its usage vector. A repeat record reaches each sink's observer as one
@@ -959,7 +957,6 @@ func FusedSchemes() uint64 { return fusedSchemeCount.Load() }
 // between cycles (the live core's contract); sinks must not retain it.
 // It returns the replayed cycle count.
 func ReplayAll(r *Reader, sinks ...Sink) (uint64, error) {
-	fusedSchemeCount.Add(uint64(len(sinks)))
 	var cycles uint64
 	for {
 		events, u, n, err := r.NextRun()

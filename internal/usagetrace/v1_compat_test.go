@@ -159,13 +159,9 @@ func sameDecode(t *testing.T, a, b *Trace) {
 	checkAgainstStream(t, a, pa)
 	checkAgainstStream(t, b, pb)
 	planes := func(p *Packed) [][]uint64 {
-		pl := [][]uint64{p.DPortUsePlane(), p.IssueNonEmptyPlane(), p.CommitNonEmptyPlane(),
-			p.UnitSchedViolationPlane(), p.DPortSchedViolationPlane(), p.BusSchedViolationPlane()}
-		for ft := range pb.fuBusy {
-			pl = append(pl, p.fuBusy[ft])
-		}
+		pl := [][]uint64{p.UnitSchedViolationPlane(), p.DPortSchedViolationPlane(), p.BusSchedViolationPlane()}
 		for s := 0; s < p.BackLatchStages(); s++ {
-			pl = append(pl, p.LatchNonZeroPlane(s), p.LatchValueChangePlane(s))
+			pl = append(pl, p.LatchNonZeroPlane(s))
 		}
 		return pl
 	}
