@@ -231,12 +231,11 @@ func schemeNames() string {
 	return strings.Join(names, ", ")
 }
 
-// runSchemes evaluates every requested scheme on one benchmark. When two
-// or more of them are timing-neutral, the core timing is simulated once
-// and core.EvaluateTimingAll evaluates them all over the captured trace
-// on the packed kernel, from one decode of the trace, bit-identically to
-// direct runs. Schemes that perturb timing (PLB) always run the full
-// simulation.
+// runSchemes evaluates every requested scheme on one benchmark. The
+// timing-neutral ones share one capture of the core timing, and
+// core.EvaluateTimingAll evaluates them all on the packed view the
+// capture built, bit-identically to direct runs. Schemes that perturb
+// timing (PLB) always run the full simulation.
 func runSchemes(ctx context.Context, sim *core.Simulator, bench string, kinds []core.SchemeKind, n uint64) ([]*core.Result, error) {
 	var neutralKinds []core.SchemeKind
 	for _, k := range kinds {
@@ -245,7 +244,7 @@ func runSchemes(ctx context.Context, sim *core.Simulator, bench string, kinds []
 		}
 	}
 	out := make([]*core.Result, len(kinds))
-	if len(neutralKinds) >= 2 {
+	if len(neutralKinds) > 0 {
 		// The capture records the union of the trace channels the
 		// requested schemes need (e.g. latchvalue for the ddcg family).
 		_, csp := obs.StartSpan(ctx, "sim.capture")

@@ -100,6 +100,10 @@ func (f FUConfig) Total() int { return f.IntALU + f.IntMult + f.FPALU + f.FPMult
 // busy units as a 32-bit mask per cycle.
 const MaxPoolUnits = 32
 
+// MaxWindowSize bounds the instruction window: a trace's packed view
+// keeps the window occupancy of each cycle in 16 bits.
+const MaxWindowSize = 1<<16 - 1
+
 // PipelineConfig describes stage structure. The paper's baseline is the
 // 8-stage pipeline of Figure 3 (fetch, decode, rename, issue, regread,
 // execute, memory, writeback); section 5.6 studies a 20-stage variant where
@@ -129,6 +133,17 @@ const BaseStages = 8
 // DCG controller's rings that mirror them. Validate refuses a machine
 // that could book a cycle this far ahead of its issue cycle.
 const SchedHorizon = 8192
+
+// FUPoolHorizon is the depth, in cycles, of each functional unit pool's
+// busy-mask ring in the core. An operation selected at cycle X executes
+// over [X+2, X+2+L) and is booked into the ring at X, while the slot of
+// cycle X is still to be read that cycle; the booking stays clear of it
+// only if X+1+L < X+FUPoolHorizon. So MaxFULatency, the longest FU
+// latency Validate accepts, is FUPoolHorizon-2.
+const (
+	FUPoolHorizon = 128
+	MaxFULatency  = FUPoolHorizon - 2
+)
 
 // Validate checks the stage arithmetic.
 func (p PipelineConfig) Validate() error {
@@ -293,6 +308,9 @@ func (c Config) Validate() error {
 	if c.WindowSize < c.IssueWidth {
 		return fmt.Errorf("config: window %d smaller than issue width %d", c.WindowSize, c.IssueWidth)
 	}
+	if c.WindowSize > MaxWindowSize {
+		return fmt.Errorf("config: window %d larger than %d entries (config.MaxWindowSize)", c.WindowSize, MaxWindowSize)
+	}
 	if c.LSQSize < 1 {
 		return fmt.Errorf("config: LSQ size must be positive")
 	}
@@ -328,6 +346,11 @@ func (c Config) Validate() error {
 	if d := c.issueToWriteback(); d >= SchedHorizon {
 		return fmt.Errorf("config: worst-case issue-to-writeback distance of %d cycles reaches "+
 			"the %d-cycle scheduling horizon (config.SchedHorizon)", d, SchedHorizon)
+	}
+	if l := max(c.FU.IntALULat, c.FU.IntMultLat, c.FU.IntDivLat,
+		c.FU.FPALULat, c.FU.FPMultLat, c.FU.FPDivLat); l > MaxFULatency {
+		return fmt.Errorf("config: functional unit latency %d exceeds %d cycles, the reach of "+
+			"the %d-cycle FU pool ring (config.MaxFULatency)", l, MaxFULatency, FUPoolHorizon)
 	}
 	return nil
 }

@@ -100,6 +100,7 @@ func TestConfigValidation(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.IssueWidth = 0 },
 		func(c *Config) { c.WindowSize = 4 },
+		func(c *Config) { c.WindowSize = MaxWindowSize + 1 },
 		func(c *Config) { c.LSQSize = 0 },
 		func(c *Config) { c.OperandWidth = 48 },
 		func(c *Config) { c.FU = FUConfig{} },
@@ -146,7 +147,27 @@ func TestValidateBoundsIssueToWriteback(t *testing.T) {
 	}
 	c := Default()
 	c.FU.IntDivLat = SchedHorizon - 4
+	if d := c.issueToWriteback(); d >= SchedHorizon {
+		t.Errorf("divide latency one cycle inside the horizon reaches it: bound %d", d)
+	}
+}
+
+// TestValidateBoundsFULatency: an FU latency past the reach of the core's
+// FU pool ring fails Validate with an error naming the bound, and one at
+// the bound passes.
+func TestValidateBoundsFULatency(t *testing.T) {
+	c := Default()
+	c.FU.IntDivLat, c.FU.FPDivLat = 200, 200
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "exceeds 126 cycles") ||
+		!strings.Contains(err.Error(), "config.MaxFULatency") {
+		t.Errorf("divide latency 200: Validate err = %v, want one naming the 126-cycle bound", err)
+	}
+	c.FU.IntDivLat, c.FU.FPDivLat = MaxFULatency, MaxFULatency
 	if err := c.Validate(); err != nil {
-		t.Errorf("divide latency one cycle inside the horizon refused: %v", err)
+		t.Errorf("divide latency at the bound refused: %v", err)
+	}
+	c.FU.FPALULat = MaxFULatency + 1
+	if err := c.Validate(); err == nil {
+		t.Error("an FP ALU latency one past the bound passed Validate")
 	}
 }

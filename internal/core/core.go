@@ -13,8 +13,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strings"
 	"time"
 
@@ -198,13 +200,13 @@ type Simulator struct {
 	LeakageFrac float64
 
 	// Telemetry, when non-nil, observes the measured region of a live
-	// run: it receives every per-cycle usage vector (after any trace
-	// writer, before the power accountant) and — via a gating.Observed
-	// wrapper around the run's scheme — every per-cycle gating decision.
-	// The wrapper takes no runs of quiet cycles, so a run with telemetry
-	// steps every cycle instead of fast-forwarding. It applies to live runs
-	// only: an evaluation of a captured Timing with Telemetry set returns
-	// an error. The obs package's PipelineRecorder implements it; dcgsim
+	// run: it receives every per-cycle usage vector (before the power
+	// accountant) and — via a gating.Observed wrapper around the run's
+	// scheme — every per-cycle gating decision. The wrapper takes no runs
+	// of quiet cycles, so a run with telemetry steps every cycle instead
+	// of fast-forwarding. It applies to live runs only: a capture, or an
+	// evaluation of a captured Timing, with Telemetry set returns an
+	// error. The obs package's PipelineRecorder implements it; dcgsim
 	// -trace-out and the server's /v1/trace endpoint wire it up.
 	Telemetry RunTelemetry
 }
@@ -254,10 +256,10 @@ func (s *Simulator) RunBenchmark(name string, kind SchemeKind, maxInsts uint64) 
 // polled inside the cycle loop, so a canceled or timed-out request aborts
 // the simulation within a few thousand cycles and returns a context error.
 //
-// For timing-neutral schemes this is semantically the composition of the
-// capture and evaluation passes — RunAndCapture followed by discarding
-// the Timing — executed as a single direct pass; a golden test holds the
-// two paths bit-identical.
+// For timing-neutral schemes this gives the Result RunAndCapture gives —
+// a capture and then an evaluation of the captured Timing — in a single
+// live pass with the scheme attached; the goldens hold the two paths
+// bit-identical, and this one is their reference.
 func (s *Simulator) RunBenchmarkContext(ctx context.Context, name string, kind SchemeKind, maxInsts uint64) (*Result, error) {
 	scheme, err := s.makeScheme(kind)
 	if err != nil {
@@ -267,8 +269,7 @@ func (s *Simulator) RunBenchmarkContext(ctx context.Context, name string, kind S
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := s.runCapture(ctx, src, prepare, scheme, false, nil)
-	return res, err
+	return s.run(ctx, src, prepare, scheme)
 }
 
 // benchSources returns a built-in benchmark's measured stream and the step
@@ -312,8 +313,7 @@ func (s *Simulator) RunBenchmarkScheme(name string, scheme gating.Scheme, maxIns
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := s.runCapture(context.Background(), src, prepare, scheme, false, nil)
-	return res, err
+	return s.run(context.Background(), src, prepare, scheme)
 }
 
 // RunStream warms the machine on the stream's first Warmup instructions,
@@ -324,8 +324,8 @@ func (s *Simulator) RunStream(src trace.Source, kind SchemeKind, maxInsts uint64
 	if err != nil {
 		return nil, err
 	}
-	warm := trace.NewLimitSource(src, s.Warmup)
-	return s.run(context.Background(), warm, trace.NewLimitSource(src, maxInsts), scheme)
+	warm := func(c *cpu.Core) { c.Warm(trace.NewLimitSource(src, s.Warmup), ^uint64(0)) }
+	return s.run(context.Background(), trace.NewLimitSource(src, maxInsts), warm, scheme)
 }
 
 // RunSource simulates the given instruction source to exhaustion under the
@@ -342,7 +342,7 @@ func (s *Simulator) RunSource(src trace.Source, kind SchemeKind) (*Result, error
 // schemes and ablations). No warm-up pass is applied; use RunBenchmark for
 // warmed runs.
 func (s *Simulator) RunScheme(src trace.Source, scheme gating.Scheme) (*Result, error) {
-	return s.run(context.Background(), nil, src, scheme)
+	return s.run(context.Background(), src, nil, scheme)
 }
 
 // Timing is the product of one timing pass: everything a simulation run
@@ -370,109 +370,105 @@ type Timing struct {
 // Cycles returns the timing pass's cycle count.
 func (t *Timing) Cycles() uint64 { return t.CPUStats.Cycles }
 
-// run warms the machine on warmSrc (when non-nil), then simulates src
-// under the scheme: the original single-pass path, with timing and power
-// evaluated together.
-func (s *Simulator) run(ctx context.Context, warmSrc, src trace.Source, scheme gating.Scheme) (*Result, error) {
-	var warm func(*cpu.Core)
-	if warmSrc != nil {
-		warm = func(c *cpu.Core) { c.Warm(warmSrc, ^uint64(0)) }
-	}
-	res, _, err := s.runCapture(ctx, src, warm, scheme, false, nil)
-	return res, err
-}
-
-// runCapture executes the timing simulation; with capture set it also
-// records the usage trace through the cpu fan-out (the accountant and the
-// trace writer both observe the core's reused Usage buffer; the scheme
-// and the writer both hear every GRANT event), returning the scheme's
-// Result and the reusable Timing from one pass. channels names the extra
-// trace channels to record beyond the implicit usage channel (a capture
-// pass records only what some requested scheme needs). prepare, when
-// non-nil, brings the core to the measured region's start before the run:
-// a warm-up, or a restore of one.
-func (s *Simulator) runCapture(ctx context.Context, src trace.Source, prepare func(*cpu.Core), scheme gating.Scheme, capture bool, channels []string) (*Result, *Timing, error) {
-	start := time.Now()
-	machine := s.machine
-	c, err := cpu.New(machine, src)
+// run simulates src under the scheme, the live path: the scheme
+// throttles the core and hears every issue event, and its power
+// accountant observes every cycle, so timing and power are evaluated in
+// one pass. It serves schemes that change timing (the PLB family),
+// custom schemes and telemetry, and it is the reference the capture path
+// is held to.
+func (s *Simulator) run(ctx context.Context, src trace.Source, prepare func(*cpu.Core), scheme gating.Scheme) (*Result, error) {
+	c, err := cpu.New(s.machine, src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	c.SetCancel(ctx.Err)
 	if s.Telemetry != nil {
 		// Wrap the scheme so every Gates call is reported; lane.result
 		// unwraps before its concrete-scheme type switches.
 		scheme = gating.Observed{Scheme: scheme, OnGates: s.Telemetry.OnGates}
 	}
-	l, err := s.newLane(machine, scheme)
+	l, err := s.newLane(s.machine, scheme)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c.SetThrottle(scheme)
-	// Observer order: the trace writer first (it serialises each cycle
-	// exactly as the core published it, before anyone else consumes the
-	// reused buffer), telemetry next, the power accountant last.
-	var observers cpu.MultiObserver
-	var rec *usagetrace.Recorder
-	if capture {
-		rec, err = usagetrace.NewRecorder(src.Name(), machine.BackEndLatchStages(), channels...)
-		if err != nil {
-			return nil, nil, err
-		}
-		observers = append(observers, rec)
-		c.SetIssueListener(cpu.MultiIssueListener{rec, scheme})
-	} else {
-		c.SetIssueListener(scheme)
-	}
+	c.SetIssueListener(scheme)
 	if s.Telemetry != nil {
-		observers = append(observers, s.Telemetry)
-	}
-	observers = append(observers, l.acct)
-	if len(observers) == 1 {
-		c.SetObserver(l.acct)
+		c.SetObserver(cpu.MultiObserver{s.Telemetry, l.acct})
 	} else {
-		c.SetObserver(observers)
+		c.SetObserver(l.acct)
 	}
+	tm, err := s.execute(ctx, c, src.Name(), prepare, scheme.Name())
+	if err != nil {
+		return nil, err
+	}
+	return l.result(tm)
+}
+
+// capture simulates src with the usagetrace.Recorder as the core's only
+// observer and issue listener and no throttle: no gating scheme and no
+// power accountant run. The Timing it returns carries the trace with
+// its packed view built, ready for EvaluateTimingAll. channels names the
+// extra trace channels to record beyond the implicit usage channel.
+// Telemetry observes live runs only, so a simulator carrying it is
+// refused before the core runs.
+func (s *Simulator) capture(ctx context.Context, src trace.Source, prepare func(*cpu.Core), channels []string) (*Timing, error) {
+	if s.Telemetry != nil {
+		return nil, errTelemetry
+	}
+	c, err := cpu.New(s.machine, src)
+	if err != nil {
+		return nil, err
+	}
+	rec, err := usagetrace.NewRecorder(src.Name(), s.machine.BackEndLatchStages(), channels...)
+	if err != nil {
+		return nil, err
+	}
+	c.SetObserver(rec)
+	c.SetIssueListener(rec)
+	tm, err := s.execute(ctx, c, src.Name(), prepare, "capture")
+	if err != nil {
+		return nil, err
+	}
+	if tm.Trace, err = rec.Trace(); err != nil {
+		return nil, err
+	}
+	return tm, nil
+}
+
+// errTelemetry refuses a capture or an evaluation on a simulator that
+// carries Telemetry.
+var errTelemetry = errors.New("core: telemetry observes live runs only; capture or evaluate without it")
+
+// execute brings the core to the measured region's start (prepare, when
+// non-nil: a warm-up, or a restore of one), runs it until the stream
+// drains or ctx is canceled (a caller's timeout is the only backstop),
+// and returns the run's Timing, without a trace. what names the run in
+// the debug log.
+func (s *Simulator) execute(ctx context.Context, c *cpu.Core, bench string, prepare func(*cpu.Core), what string) (*Timing, error) {
+	start := time.Now()
+	c.SetCancel(ctx.Err)
 	if prepare != nil {
 		prepare(c)
 	}
-
-	// No cycle limit: the run ends when the stream drains, or when ctx
-	// is canceled (a caller's timeout is the only backstop).
 	if _, err := c.Run(0); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
 	st := c.Stats()
-	tm := &Timing{
-		Benchmark:      src.Name(),
-		Machine:        machine,
+	if lg := obs.Logger(ctx); lg.Enabled(ctx, slog.LevelDebug) {
+		lg.Debug("core: run complete", "bench", bench, "run", what,
+			"cycles", st.Cycles, "committed", st.Committed,
+			"elapsed_ms", float64(time.Since(start).Microseconds())/1000)
+	}
+	return &Timing{
+		Benchmark:      bench,
+		Machine:        s.machine,
 		CPUStats:       *st,
-		Util:           utilization(machine, st),
+		Util:           utilization(s.machine, st),
 		Stall:          stallStack(st),
 		BranchAccuracy: ratio(st.CondCorrect, st.CondBranches),
 		DL1MissRate:    c.Hierarchy().DL1.MissRate(),
 		L2MissRate:     c.Hierarchy().L2.MissRate(),
-	}
-	res, err := l.result(tm)
-	if err != nil {
-		return nil, nil, err
-	}
-	if lg := obs.Logger(ctx); lg.Enabled(ctx, slog.LevelDebug) {
-		lg.Debug("core: run complete",
-			"bench", tm.Benchmark, "scheme", scheme.Name(), "capture", capture,
-			"cycles", st.Cycles, "committed", st.Committed,
-			"elapsed_ms", float64(time.Since(start).Microseconds())/1000)
-	}
-	if !capture {
-		return res, nil, nil
-	}
-	tr, err := rec.Trace()
-	if err != nil {
-		return nil, nil, err
-	}
-	tm.Trace = tr
-	return res, tm, nil
+	}, nil
 }
 
 // lane is one scheme's evaluation: the machine's power model and an
@@ -548,54 +544,52 @@ func (l lane) result(t *Timing) (*Result, error) {
 	return res, nil
 }
 
-// RunAndCapture runs one benchmark simulation under a timing-neutral
-// scheme, returning both the scheme's Result and the captured Timing: the
-// timing pass and the first scheme evaluation cost a single core
-// simulation, and every further timing-neutral scheme is an
-// EvaluateTimingAll replay over the returned Timing. The trace records the
-// channels the scheme's registry entry requires; extra names additional
-// channels to record so the Timing can also serve schemes with richer
-// channel needs.
+// RunAndCapture captures one benchmark's timing and evaluates a
+// timing-neutral scheme on it: the capture only records (no scheme and
+// no power accountant run in the cycle loop), and the Result is
+// EvaluateTimingAll's, on the packed view the capture built. Every
+// further timing-neutral scheme is one more EvaluateTimingAll over the
+// returned Timing. The trace records the channels the scheme's registry
+// entry requires; extra names additional channels to record so the
+// Timing can also serve schemes with richer channel needs.
 func (s *Simulator) RunAndCapture(ctx context.Context, name string, kind SchemeKind, maxInsts uint64, extra ...string) (*Result, *Timing, error) {
 	if !TimingNeutral(kind) {
 		return nil, nil, fmt.Errorf("core: scheme %v changes timing; capture requires a timing-neutral scheme", kind)
 	}
-	scheme, err := s.makeScheme(kind)
+	tm, err := s.CaptureBenchmarkContext(ctx, name, maxInsts, append(SchemeChannels(kind), extra...)...)
 	if err != nil {
 		return nil, nil, err
 	}
-	src, prepare, err := s.benchSources(name, maxInsts)
+	res, err := s.EvaluateTimingAll(tm, []SchemeKind{kind})
 	if err != nil {
 		return nil, nil, err
 	}
-	channels := SchemeChannels(kind)
-	for _, ch := range extra {
-		dup := false
-		for _, have := range channels {
-			if have == ch {
-				dup = true
-			}
-		}
-		if !dup {
-			channels = append(channels, ch)
-		}
-	}
-	return s.runCapture(ctx, src, prepare, scheme, true, channels)
+	return res[0], tm, nil
 }
 
-// CaptureBenchmark runs the timing pass alone (under the no-gating
-// baseline) and returns the Timing for later evaluation passes. extra
-// names trace channels to record beyond the usage channel, so the Timing
-// can serve channel-requiring schemes (usagetrace.ChannelLatchValue for
-// the ddcg family).
+// CaptureBenchmark runs the timing pass alone and returns the Timing for
+// later evaluation passes: the core runs with only the trace Recorder
+// attached, and no scheme is evaluated. extra names trace channels to
+// record beyond the usage channel, so the Timing can serve
+// channel-requiring schemes (usagetrace.ChannelLatchValue for the ddcg
+// family); a name given twice is recorded once.
 func (s *Simulator) CaptureBenchmark(name string, maxInsts uint64, extra ...string) (*Timing, error) {
 	return s.CaptureBenchmarkContext(context.Background(), name, maxInsts, extra...)
 }
 
 // CaptureBenchmarkContext is CaptureBenchmark with cancellation.
 func (s *Simulator) CaptureBenchmarkContext(ctx context.Context, name string, maxInsts uint64, extra ...string) (*Timing, error) {
-	_, tm, err := s.RunAndCapture(ctx, name, SchemeNone, maxInsts, extra...)
-	return tm, err
+	var channels []string
+	for _, ch := range extra {
+		if !slices.Contains(channels, ch) {
+			channels = append(channels, ch)
+		}
+	}
+	src, prepare, err := s.benchSources(name, maxInsts)
+	if err != nil {
+		return nil, err
+	}
+	return s.capture(ctx, src, prepare, channels)
 }
 
 func utilization(m config.Config, st *cpu.Stats) Utilization {

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"strings"
 	"testing"
 
+	"dcg/internal/cpu"
 	"dcg/internal/gating"
+	"dcg/internal/power"
 	"dcg/internal/usagetrace"
 )
 
@@ -106,8 +110,8 @@ func TestFusedReplayRejectsPLB(t *testing.T) {
 }
 
 // TestEvaluationRefusesTelemetry: telemetry observes live runs only, so
-// the router and the scalar engine both refuse a simulator carrying it
-// rather than return Results its recorder never saw.
+// the router, the scalar engine and the capture all refuse a simulator
+// carrying it rather than return Results its recorder never saw.
 func TestEvaluationRefusesTelemetry(t *testing.T) {
 	sim := NewSimulator(DefaultMachine())
 	sim.Warmup = 10_000
@@ -122,14 +126,34 @@ func TestEvaluationRefusesTelemetry(t *testing.T) {
 	if _, err := sim.EvaluateScalar(tm, schemesOf(t, sim, SchemeDCG)); err == nil || !strings.Contains(err.Error(), "telemetry") {
 		t.Errorf("EvaluateScalar with telemetry: err = %v", err)
 	}
+	// A capture is not a live run either: it is refused before the core
+	// runs, so the telemetry sees no cycle.
+	counted := &countingTelemetry{}
+	sim.Telemetry = counted
+	if _, _, err := sim.RunAndCapture(context.Background(), "gzip", SchemeDCG, 10_000); err == nil || !strings.Contains(err.Error(), "telemetry") {
+		t.Errorf("RunAndCapture with telemetry: err = %v", err)
+	}
+	if _, err := sim.CaptureBenchmark("gzip", 10_000); err == nil || !strings.Contains(err.Error(), "telemetry") {
+		t.Errorf("CaptureBenchmark with telemetry: err = %v", err)
+	}
+	if counted.cycles != 0 {
+		t.Errorf("a refused capture showed the telemetry %d cycles", counted.cycles)
+	}
 }
+
+// countingTelemetry counts the cycles it observes.
+type countingTelemetry struct{ cycles int }
+
+func (c *countingTelemetry) OnCycle(*cpu.Usage)              { c.cycles++ }
+func (c *countingTelemetry) OnGates(uint64, power.GateState) {}
 
 // TestFusedReplayDecodesOnce pins the pass counts of the two replay
 // engines over one capture. The scalar fused engine streams the encoded
 // trace and builds no decoded form: its evaluations perform no decode.
-// The packed view is built at most once per Timing — the first Decode
-// pays the pass, and every packed evaluation after it reuses the
-// memoized view.
+// The packed view is built at most once per Timing: a capture builds it
+// while recording, so every packed evaluation of the capture reuses it
+// without a pass over the bytes, and a trace read back from its bytes
+// pays one pass, in ReadTrace, and reuses from then on.
 func TestFusedReplayDecodesOnce(t *testing.T) {
 	sim := NewSimulator(DefaultMachine())
 	sim.Warmup = 10_000
@@ -154,7 +178,7 @@ func TestFusedReplayDecodesOnce(t *testing.T) {
 		t.Fatalf("scalar fused evaluations reported %d decode reuses, want 0", got)
 	}
 
-	// The packed route decodes once and reuses from then on.
+	// The packed route reuses the view the capture built.
 	d, err := tm.Trace.Decode()
 	if err != nil {
 		t.Fatal(err)
@@ -162,11 +186,33 @@ func TestFusedReplayDecodesOnce(t *testing.T) {
 	if _, err := sim.EvaluateTimingAll(tm, kinds); err != nil {
 		t.Fatal(err)
 	}
-	if got := usagetrace.Decodes() - decodes0; got != 1 {
-		t.Fatalf("decode then packed evaluation ran %d decodes, want 1", got)
+	if got := usagetrace.Decodes() - decodes0; got != 0 {
+		t.Fatalf("decode then packed evaluation of a capture ran %d decodes, want 0", got)
 	}
-	if got := usagetrace.DecodeReuses() - reuses0; got != 1 {
-		t.Fatalf("packed evaluation after the decode reported %d reuses, want 1", got)
+	if got := usagetrace.DecodeReuses() - reuses0; got != 2 {
+		t.Fatalf("decode then packed evaluation of a capture reported %d reuses, want 2", got)
+	}
+
+	// Read back from its bytes, the trace decodes once and reuses from
+	// then on.
+	var buf bytes.Buffer
+	if _, err := tm.Trace.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := usagetrace.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloaded := *tm
+	reloaded.Trace = back
+	if _, err := sim.EvaluateTimingAll(&reloaded, kinds); err != nil {
+		t.Fatal(err)
+	}
+	if got := usagetrace.Decodes() - decodes0; got != 1 {
+		t.Fatalf("reading the trace back then a packed evaluation ran %d decodes, want 1", got)
+	}
+	if got := usagetrace.DecodeReuses() - reuses0; got != 3 {
+		t.Fatalf("a packed evaluation after ReadTrace reported %d reuses in all, want 3", got)
 	}
 
 	// The decode must describe exactly the captured run.

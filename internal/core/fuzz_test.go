@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"sort"
 	"testing"
 
 	"dcg/internal/cpu"
+	"dcg/internal/gating"
 	"dcg/internal/usagetrace"
 )
 
@@ -162,7 +165,10 @@ func fuzzInput(t testing.TB, tm *Timing) []byte {
 // engines: on a crafted trace, the router (the packed kernel) and the
 // scalar fused engine must agree on every registered timing-neutral
 // scheme and every DCG ablation subset — the same error, or Results equal
-// in every field. The corpus is seeded with the shapes of
+// in every field. One scheme whose accounting fails Validate fails a
+// joint evaluation, so when the joint calls fail alike each scheme is
+// evaluated alone on both engines and compared, and the others are
+// still held to each other. The corpus is seeded with the shapes of
 // TestPackedReplayAdversarialTraces and runTraces.
 func FuzzPackedMatchesScalar(f *testing.F) {
 	seeds := adversarialTraces(f)
@@ -180,20 +186,54 @@ func FuzzPackedMatchesScalar(f *testing.F) {
 
 	sim := NewSimulator(DefaultMachine())
 	kinds := []SchemeKind{SchemeNone, SchemeDCG, SchemeOracle, SchemeLector, SchemeDDCG, SchemeDCGDDCG}
+	schemes := func(t *testing.T) []gating.Scheme { return append(schemesOf(t, sim, kinds...), allDCGSubsets()...) }
+	scheme := func(t *testing.T, i int) []gating.Scheme {
+		if i < len(kinds) {
+			return schemesOf(t, sim, kinds[i])
+		}
+		return []gating.Scheme{dcgSubset(i - len(kinds))}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tm := fuzzTiming(t, data)
-		routed, routedErr := sim.EvaluateTimingSchemes(tm, append(schemesOf(t, sim, kinds...), allDCGSubsets()...))
-		scalar, scalarErr := sim.EvaluateScalar(tm, append(schemesOf(t, sim, kinds...), allDCGSubsets()...))
-		if (routedErr == nil) != (scalarErr == nil) || routedErr != nil && routedErr.Error() != scalarErr.Error() {
-			t.Fatalf("router err = %v, scalar err = %v", routedErr, scalarErr)
+		err := compareEngines(sim, tm, schemes(t), schemes(t))
+		if err != errSameFailure {
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
 		}
-		for i := range routed {
-			if !reflect.DeepEqual(routed[i], scalar[i]) {
-				t.Errorf("%s: results differ:\npacked %+v\nscalar %+v", scalar[i].Scheme, routed[i], scalar[i])
+		for i := range len(kinds) + 16 {
+			if err := compareEngines(sim, tm, scheme(t, i), scheme(t, i)); err != nil && err != errSameFailure {
+				t.Error(err)
 			}
 		}
 	})
 }
+
+// compareEngines evaluates one scheme set on each engine (a fresh
+// instance set each) and reports how they disagree: a mismatched error,
+// or a Result that differs in any field. A set both engines refuse with
+// the same error returns errSameFailure.
+func compareEngines(sim *Simulator, tm *Timing, routedSet, scalarSet []gating.Scheme) error {
+	routed, routedErr := sim.EvaluateTimingSchemes(tm, routedSet)
+	scalar, scalarErr := sim.EvaluateScalar(tm, scalarSet)
+	if (routedErr == nil) != (scalarErr == nil) || routedErr != nil && routedErr.Error() != scalarErr.Error() {
+		return fmt.Errorf("router err = %v, scalar err = %v", routedErr, scalarErr)
+	}
+	if routedErr != nil {
+		return errSameFailure
+	}
+	for i := range routed {
+		if !reflect.DeepEqual(routed[i], scalar[i]) {
+			return fmt.Errorf("%s: results differ:\npacked %+v\nscalar %+v", scalar[i].Scheme, routed[i], scalar[i])
+		}
+	}
+	return nil
+}
+
+// errSameFailure reports a scheme set that both engines refused with the
+// same error.
+var errSameFailure = errors.New("both engines refused the set alike")
 
 // TestFuzzInputRoundTrips: an encoded seed maps back to a trace that
 // encodes the same, so the corpus starts from the shapes it names rather

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -143,38 +144,92 @@ func TestReplayMatchesDirectRunAllDCGSubsets(t *testing.T) {
 	}
 }
 
-// TestRunAndCaptureMatchesPlainRun: for every timing-neutral scheme, the
-// capturing run's own Result (the accountant riding alongside the trace
-// writer) equals an uninstrumented run — capture must not perturb the
-// simulation — and the router's evaluation of the captured Timing equals
-// both, every field included.
+// TestRunAndCaptureMatchesPlainRun: for every timing-neutral scheme,
+// with the paper's zero leakage and with gated structures leaking a
+// quarter of their dynamic power, the Result RunAndCapture returns (a
+// record-only capture, then the router's evaluation of its view) equals
+// a live run's — capture must not perturb the simulation — and the
+// router's evaluation of the returned Timing equals both, every field
+// included.
 func TestRunAndCaptureMatchesPlainRun(t *testing.T) {
-	sim := NewSimulator(DefaultMachine())
-	sim.Warmup = 20_000
-	for _, kind := range AllSchemes() {
-		if !TimingNeutral(kind) {
-			continue
+	for _, leakage := range []float64{0, 0.25} {
+		sim := NewSimulator(DefaultMachine())
+		sim.Warmup = 20_000
+		sim.LeakageFrac = leakage
+		for _, kind := range AllSchemes() {
+			if !TimingNeutral(kind) {
+				continue
+			}
+			label := fmt.Sprintf("capture-run/leakage=%g/%s", leakage, kind)
+			capRes, tm, err := sim.RunAndCapture(context.Background(), "mcf", kind, 30_000, usagetrace.ChannelLatchValue)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := sim.RunBenchmark("mcf", kind, 30_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, label, direct, capRes)
+			if tm.Benchmark != "mcf" || tm.Trace == nil {
+				t.Fatalf("timing incomplete: %+v", tm)
+			}
+			routed, err := sim.EvaluateTimingAll(tm, []SchemeKind{kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(capRes, direct) || !reflect.DeepEqual(routed[0], direct) {
+				t.Errorf("%s: results differ:\ncapture %+v\ndirect  %+v\nrouted  %+v", label, capRes, direct, routed[0])
+			}
 		}
-		label := "capture-run/" + string(kind)
-		capRes, tm, err := sim.RunAndCapture(context.Background(), "mcf", kind, 30_000, usagetrace.ChannelLatchValue)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestRecordedViewMatchesDecode: the packed view a capture's Recorder
+// builds from the live core equals, in every field, the view ReadTrace
+// builds from the same bytes — on every benchmark, on the Table 1 and
+// deep machines, with and without the latchvalue channel.
+func TestRecordedViewMatchesDecode(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		cfg  config.Config
+	}{{"table1", DefaultMachine()}, {"deep", DeepMachine()}} {
+		sim := NewSimulator(m.cfg)
+		sim.Warmup = 10_000
+		for _, bench := range Benchmarks() {
+			for _, extra := range [][]string{nil, {usagetrace.ChannelLatchValue}} {
+				label := fmt.Sprintf("%s/%s/%v", m.name, bench, extra)
+				tm, err := sim.CaptureBenchmark(bench, 30_000, extra...)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertViewMatchesDecode(t, label, tm.Trace)
+			}
 		}
-		direct, err := sim.RunBenchmark("mcf", kind, 30_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, label, direct, capRes)
-		if tm.Benchmark != "mcf" || tm.Trace == nil {
-			t.Fatalf("timing incomplete: %+v", tm)
-		}
-		routed, err := sim.EvaluateTimingAll(tm, []SchemeKind{kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(capRes, direct) || !reflect.DeepEqual(routed[0], direct) {
-			t.Errorf("%s: results differ:\ncapture %+v\ndirect  %+v\nrouted  %+v", label, capRes, direct, routed[0])
-		}
+	}
+}
+
+// assertViewMatchesDecode fails unless tr's memoized packed view equals
+// the one ReadTrace builds from tr's bytes.
+func assertViewMatchesDecode(t testing.TB, label string, tr *usagetrace.Trace) {
+	t.Helper()
+	live, err := tr.Decode()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := usagetrace.ReadTrace(&buf)
+	if err != nil {
+		t.Fatalf("%s: reading the trace back: %v", label, err)
+	}
+	decoded, err := back.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live, decoded) {
+		t.Errorf("%s: the recorded packed view differs from the decoded one", label)
 	}
 }
 

@@ -47,17 +47,22 @@ func packedOnly(t testing.TB, sim *Simulator, tm *Timing, schemes []gating.Schem
 
 // allDCGSubsets builds one DCG instance per ablation subset.
 func allDCGSubsets() []gating.Scheme {
-	cfg := DefaultMachine()
 	schemes := make([]gating.Scheme, 0, 16)
 	for mask := 0; mask < 16; mask++ {
-		schemes = append(schemes, gating.NewDCGPartial(cfg, gating.DCGOptions{
-			GateUnits:   mask&1 != 0,
-			GateLatches: mask&2 != 0,
-			GateDCache:  mask&4 != 0,
-			GateBus:     mask&8 != 0,
-		}))
+		schemes = append(schemes, dcgSubset(mask))
 	}
 	return schemes
+}
+
+// dcgSubset builds the DCG ablation gating the structure classes whose
+// bits mask sets: units, latches, D-cache, result bus.
+func dcgSubset(mask int) gating.Scheme {
+	return gating.NewDCGPartial(DefaultMachine(), gating.DCGOptions{
+		GateUnits:   mask&1 != 0,
+		GateLatches: mask&2 != 0,
+		GateDCache:  mask&4 != 0,
+		GateBus:     mask&8 != 0,
+	})
 }
 
 // TestPackedReplayMatchesScalarBitForBit is the packed-kernel golden
@@ -107,6 +112,8 @@ func TestPackedReplayMatchesScalarDCGSubsets(t *testing.T) {
 // craftTiming captures a fully scripted trace against the default
 // machine and wraps it in a minimal Timing, so adversarial cycle
 // patterns that no real workload produces can drive both replay engines.
+// The packed view the Recorder built must equal the one its bytes decode
+// to.
 func craftTiming(t testing.TB, usages []cpu.Usage, events map[int][]cpu.IssueEvent, extra ...string) *Timing {
 	t.Helper()
 	machine := DefaultMachine()
@@ -134,6 +141,7 @@ func craftTiming(t testing.TB, usages []cpu.Usage, events map[int][]cpu.IssueEve
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertViewMatchesDecode(t, "crafted", tr)
 	tm := &Timing{Benchmark: "adversarial", Machine: machine, Trace: tr}
 	tm.CPUStats.Cycles = uint64(len(usages))
 	return tm

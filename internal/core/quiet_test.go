@@ -28,8 +28,10 @@ func (stepEveryCycle) OnGates(uint64, power.GateState) {}
 // machines (the 6-wide and 37-entry-window ones make PLB's width fraction
 // and the oracle's occupancy fraction inexact in binary), a run that
 // fast-forwards and one that steps every cycle must agree bit for bit on
-// the Result, the core statistics and PLB's mode cycles, and a capture
-// must write the same trace bytes.
+// the Result, the core statistics and PLB's mode cycles. A timing-neutral
+// scheme's fast side is a capture and its evaluation, and that capture
+// must write the same trace bytes, and build the same packed view, as a
+// capture that steps every cycle.
 func TestQuietSkipMatchesPerCycle(t *testing.T) {
 	const insts = 10_000
 	sixWide := config.Default()
@@ -52,23 +54,31 @@ func TestQuietSkipMatchesPerCycle(t *testing.T) {
 		slow.Warmup = 5_000
 		slow.Telemetry = stepEveryCycle{}
 		for _, bench := range []string{"mcf", "lucas", "gcc"} {
+			stepped := steppedCapture(t, fast, bench, insts)
 			for _, kind := range AllSchemes() {
 				label := m.name + "/" + bench + "/" + string(kind)
-				var a, b *Result
+				var a *Result
 				if TimingNeutral(kind) {
-					var ta, tb *Timing
+					var ta *Timing
 					a, ta = captureOn(t, fast, label, bench, kind, insts)
-					b, tb = captureOn(t, slow, label, bench, kind, insts)
 					var ba, bb bytes.Buffer
 					ta.Trace.WriteTo(&ba)
-					tb.Trace.WriteTo(&bb)
+					stepped.Trace.WriteTo(&bb)
 					if !bytes.Equal(ba.Bytes(), bb.Bytes()) {
 						t.Errorf("%s: fast-forwarded trace differs from the per-cycle one", label)
 					}
+					if !reflect.DeepEqual(ta.CPUStats, stepped.CPUStats) {
+						t.Errorf("%s: capture statistics differ from the per-cycle capture's", label)
+					}
+					va, _ := ta.Trace.Decode()
+					vb, _ := stepped.Trace.Decode()
+					if !reflect.DeepEqual(va, vb) {
+						t.Errorf("%s: fast-forwarded packed view differs from the per-cycle one", label)
+					}
 				} else {
 					a = runOn(t, fast, label, bench, kind, insts)
-					b = runOn(t, slow, label, bench, kind, insts)
 				}
+				b := runOn(t, slow, label, bench, kind, insts)
 				assertBitIdentical(t, label, b, a)
 				if !reflect.DeepEqual(a.CPUStats, b.CPUStats) {
 					t.Errorf("%s: core statistics differ:\nfast %+v\nslow %+v", label, a.CPUStats, b.CPUStats)
@@ -88,6 +98,40 @@ func captureOn(t *testing.T, sim *Simulator, label, bench string, kind SchemeKin
 		t.Fatalf("%s: %v", label, err)
 	}
 	return res, tm
+}
+
+// steppedCapture records bench with the latchvalue channel as a capture
+// does, the Recorder the core's only observer and issue listener, but
+// under a throttle that takes no runs of quiet cycles, so the core steps
+// every cycle.
+func steppedCapture(t *testing.T, sim *Simulator, bench string, insts uint64) *Timing {
+	t.Helper()
+	src, prepare, err := sim.benchSources(bench, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sim.Machine()
+	c, err := cpu.New(m, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Embedding the fixed throttle as a Throttle hides its QuietLimits.
+	c.SetThrottle(struct{ cpu.Throttle }{cpu.NewFixedThrottle(cpu.FullLimits(
+		m.IssueWidth, m.DL1.Ports, m.FU.IntALU, m.FU.IntMult, m.FU.FPALU, m.FU.FPMult))})
+	rec, err := usagetrace.NewRecorder(src.Name(), m.BackEndLatchStages(), usagetrace.ChannelLatchValue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetObserver(rec)
+	c.SetIssueListener(rec)
+	tm, err := sim.execute(context.Background(), c, src.Name(), prepare, "stepped capture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm.Trace, err = rec.Trace(); err != nil {
+		t.Fatal(err)
+	}
+	return tm
 }
 
 func runOn(t *testing.T, sim *Simulator, label, bench string, kind SchemeKind, insts uint64) *Result {

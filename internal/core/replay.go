@@ -113,7 +113,7 @@ func (s *Simulator) EvaluateScalar(t *Timing, schemes []gating.Scheme) ([]*Resul
 // trace would silently degrade, so the mismatch fails loudly here.
 func (s *Simulator) checkReplay(t *Timing, schemes []gating.Scheme) error {
 	if s.Telemetry != nil {
-		return errors.New("core: telemetry observes live runs only; evaluate the trace without it")
+		return errTelemetry
 	}
 	if t == nil || t.Trace == nil {
 		return errors.New("core: evaluation requires a captured timing trace")

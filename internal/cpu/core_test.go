@@ -738,3 +738,71 @@ func TestWarmTrainsPredictor(t *testing.T) {
 		t.Errorf("post-warm branch accuracy %.2f; warm-up did not train the predictor", acc)
 	}
 }
+
+// TestFUGrantsAtLatencyBound runs every benchmark, and a stream of
+// back-to-back divides, on a machine whose divides take
+// config.MaxFULatency cycles, the longest the FU pool ring reaches: no
+// grant may start on a unit before its previous grant ends, and every
+// cycle's busy mask must be exactly the union of the grants covering it.
+func TestFUGrantsAtLatencyBound(t *testing.T) {
+	cfg := config.Default()
+	cfg.FU.IntDivLat, cfg.FU.FPDivLat = config.MaxFULatency, config.MaxFULatency
+	divides := straightLine(4000, isa.OpDiv)
+	for i, d := range straightLine(4000, isa.OpFDiv) {
+		if i%2 == 0 {
+			divides[i] = d
+		}
+	}
+	sources := []trace.Source{trace.NewSliceSource("divides", divides)}
+	for _, name := range workload.Names() {
+		prof, _ := workload.ByName(name)
+		gen, err := workload.NewGenerator(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources = append(sources, trace.NewLimitSource(gen, 20_000))
+	}
+	for _, src := range sources {
+		c, err := New(cfg, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			end    [NumFUTypes][config.MaxPoolUnits]uint64
+			want   [NumFUTypes]map[uint64]uint32
+			grants int
+			bad    int
+		)
+		for ft := range want {
+			want[ft] = map[uint64]uint32{}
+		}
+		c.SetIssueListener(listenerFunc(func(ev IssueEvent) {
+			if ev.FUIdx < 0 {
+				return
+			}
+			grants++
+			if ev.FUStart < end[ev.FUType][ev.FUIdx] {
+				t.Errorf("%s: cycle %d: %v unit %d granted from %d, busy until %d",
+					src.Name(), ev.Cycle, ev.FUType, ev.FUIdx, ev.FUStart, end[ev.FUType][ev.FUIdx])
+			}
+			end[ev.FUType][ev.FUIdx] = ev.FUStart + uint64(ev.FULat)
+			for cyc := ev.FUStart; cyc < ev.FUStart+uint64(ev.FULat); cyc++ {
+				want[ev.FUType][cyc] |= 1 << ev.FUIdx
+			}
+		}))
+		c.SetObserver(observerFunc(func(u *Usage) {
+			for ft := FUType(0); ft < NumFUTypes; ft++ {
+				if u.FUBusy(ft) != want[ft][u.Cycle] {
+					bad++
+				}
+				delete(want[ft], u.Cycle)
+			}
+		}))
+		if _, err := c.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if bad != 0 {
+			t.Errorf("%s: %d busy masks differ from the union of their grants (%d grants)", src.Name(), bad, grants)
+		}
+	}
+}

@@ -6,9 +6,9 @@ package cpu
 // contract applies to each of them — consume the vector during OnCycle,
 // never retain the pointer or its slices.
 //
-// SetObserver overwrites, so a run that needs both the power accountant
-// and a trace capturer watching the same cycles installs
-// MultiObserver{capturer, accountant}.
+// SetObserver overwrites, so a run that needs both telemetry and the
+// power accountant watching the same cycles installs
+// MultiObserver{telemetry, accountant}.
 type MultiObserver []Observer
 
 // OnCycle implements Observer.
@@ -23,19 +23,5 @@ func (m MultiObserver) OnCycle(u *Usage) {
 func (m MultiObserver) OnQuiet(u *Usage, n uint64) {
 	for _, o := range m {
 		ObserveQuiet(o, u, n)
-	}
-}
-
-// MultiIssueListener fans each issue event out to several listeners, in
-// order. Events are small value types, so unlike Usage there is no
-// retention hazard; the fan-out exists because SetIssueListener
-// overwrites and a capturing run needs the gating scheme and the trace
-// writer to both see every GRANT signal.
-type MultiIssueListener []IssueListener
-
-// OnIssue implements IssueListener.
-func (m MultiIssueListener) OnIssue(ev IssueEvent) {
-	for _, l := range m {
-		l.OnIssue(ev)
 	}
 }

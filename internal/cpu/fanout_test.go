@@ -12,10 +12,6 @@ func (r *recordingObserver) OnCycle(u *Usage) {
 	r.shared = u
 }
 
-type recordingListener struct{ events []IssueEvent }
-
-func (r *recordingListener) OnIssue(ev IssueEvent) { r.events = append(r.events, ev) }
-
 func TestMultiObserverFansOutSameBuffer(t *testing.T) {
 	a, b := &recordingObserver{}, &recordingObserver{}
 	m := MultiObserver{a, b}
@@ -30,18 +26,6 @@ func TestMultiObserverFansOutSameBuffer(t *testing.T) {
 		}
 		if r.shared != u {
 			t.Fatal("observer did not receive the shared reused buffer")
-		}
-	}
-}
-
-func TestMultiIssueListenerFansOutInOrder(t *testing.T) {
-	a, b := &recordingListener{}, &recordingListener{}
-	m := MultiIssueListener{a, b}
-	m.OnIssue(IssueEvent{Cycle: 7, FUIdx: 2})
-	m.OnIssue(IssueEvent{Cycle: 8, FUIdx: -1, IsLoad: true})
-	for _, r := range []*recordingListener{a, b} {
-		if len(r.events) != 2 || r.events[0].Cycle != 7 || !r.events[1].IsLoad {
-			t.Fatalf("listener saw %+v, want both events in order", r.events)
 		}
 	}
 }

@@ -48,9 +48,10 @@ func FUTypeFor(c isa.OpClass) (FUType, bool) {
 	}
 }
 
-// poolHorizon is the per-pool usage schedule depth; it must exceed the
-// longest operation latency plus pipeline slack.
-const poolHorizon = 128
+// poolHorizon is the per-pool usage schedule depth. config.Validate holds
+// every FU latency to the ring's reach (config.MaxFULatency), so a
+// booking never wraps onto a slot still to be read.
+const poolHorizon = config.FUPoolHorizon
 
 // fuPool is a pool of identical units with the sequential priority policy
 // of section 3.1: among units of the same type, the lowest-index free unit
@@ -85,9 +86,6 @@ func newFUPool(n int) fuPool {
 func (p *fuPool) acquire(start uint64, lat int, enabled int) int {
 	if enabled > len(p.busyUntil) {
 		enabled = len(p.busyUntil)
-	}
-	if lat > poolHorizon {
-		lat = poolHorizon // clamp pathological latencies to the schedule depth
 	}
 	for k := 0; k < enabled; k++ {
 		i := k

@@ -20,11 +20,12 @@ import (
 // cache, then the timing cache: on a timing hit the scheme is evaluated by
 // replaying the cached trace on the packed kernel (core.EvaluateTimingAll),
 // which skips the cycle-accurate core entirely. On a timing miss the
-// capture run evaluates the requested scheme while recording, so the
-// first scheme per workload pays no replay on top of its simulation.
-// Schemes that do perturb timing (the PLB variants throttle issue width
-// from IPC feedback) bypass the timing level and always run the full
-// simulation.
+// capture records the run, building the trace's packed view as it goes,
+// and Capture hands back the kernel's evaluation of the requested scheme
+// on that view with the Timing, so the call that captured needs no
+// replay of its own. Schemes that do perturb timing (the PLB variants
+// throttle issue width from IPC feedback) bypass the timing level and
+// always run the full simulation.
 //
 // Both levels coalesce concurrent identical requests, so a burst of
 // scheme evaluations for one workload performs exactly one timing pass.
@@ -33,9 +34,10 @@ type Exec struct {
 	timings *Cache[TimingKey, *core.Timing]
 
 	// Full runs the complete simulation (timing + live scheme). Capture
-	// runs it while recording a trace; Evaluate replays a trace under a
-	// scheme. Exported as seams so tests can count or fake executions;
-	// NewExec installs the production implementations.
+	// records a trace of the timing pass and returns it with the key's
+	// scheme evaluated on it; Evaluate replays a trace under a scheme.
+	// Exported as seams so tests can count or fake executions; NewExec
+	// installs the production implementations.
 	Full     func(ctx context.Context, k Key) (*core.Result, error)
 	Capture  func(ctx context.Context, k Key) (*core.Result, *core.Timing, error)
 	Evaluate func(k Key, t *core.Timing) (*core.Result, error)
@@ -147,11 +149,11 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 			fromStore = true
 			return r, nil
 		}
-		// inline carries the capture run's own evaluation out of the
-		// timing-level closure: when this call is the one that executes
-		// the capture, the requested scheme rode along and no replay is
-		// needed. When the timing level hits (or coalesces with another
-		// scheme's capture), inline stays nil and we replay.
+		// inline carries the capture's evaluation out of the timing-level
+		// closure: when this call is the one that executes the capture,
+		// Capture already evaluated the requested scheme and no replay
+		// is needed. When the timing level hits (or coalesces with
+		// another scheme's capture), inline stays nil and we replay.
 		lg := obs.Logger(ctx)
 		var inline *core.Result
 		tm, _, err := e.timings.Do(ctx, k.TimingKey(), func(ctx context.Context) (*core.Timing, error) {

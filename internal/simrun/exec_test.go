@@ -170,9 +170,9 @@ func TestSingleLevelExecUsesRunnerOnly(t *testing.T) {
 // TestExecSharesOneDecodeAcrossNeutralSchemes drives the production hooks
 // end to end and asserts the tentpole property at the executor level: all
 // timing-neutral schemes riding one cached capture — coalesced requests,
-// batch items, sweep followers all land here — share a single trace
-// decode (its packed view). The leader's result rides the capture run itself (no
-// decode); the first follower decodes; every later follower reuses.
+// batch items, sweep followers all land here — share a single packed
+// view. The capture builds it while recording, so no evaluation parses
+// the trace: the leader's and every follower's evaluation reuses it.
 func TestExecSharesOneDecodeAcrossNeutralSchemes(t *testing.T) {
 	e := NewExec(0, 0)
 	base := Key{Bench: "swim", Insts: 15_000, Warmup: 10_000}
@@ -187,17 +187,18 @@ func TestExecSharesOneDecodeAcrossNeutralSchemes(t *testing.T) {
 			t.Fatalf("%v: %v", kind, err)
 		}
 	}
-	if got := usagetrace.Decodes() - decodes0; got != 1 {
-		t.Errorf("%d neutral schemes through the executor decoded the trace %d times, want 1", len(kinds), got)
+	if got := usagetrace.Decodes() - decodes0; got != 0 {
+		t.Errorf("%d neutral schemes through the executor decoded the trace %d times, want 0", len(kinds), got)
 	}
-	if got := usagetrace.DecodeReuses() - reuses0; got != uint64(len(kinds)-2) {
-		t.Errorf("decode reuses = %d, want %d (followers after the first)", got, len(kinds)-2)
+	if got := usagetrace.DecodeReuses() - reuses0; got != uint64(len(kinds)) {
+		t.Errorf("decode reuses = %d, want %d (the leader and each follower)", got, len(kinds))
 	}
 }
 
 // TestExecReplaysThroughPackedKernel pins the routing at the executor
-// level: follower evaluations of timing-neutral schemes, the
-// value-dependent ones included, ride the bit-packed replay kernel.
+// level: every evaluation of a timing-neutral scheme, the value-dependent
+// ones included, rides the bit-packed replay kernel — the leader's on
+// the view its capture built, each follower's on the cached one.
 func TestExecReplaysThroughPackedKernel(t *testing.T) {
 	e := NewExec(0, 0)
 	base := Key{Bench: "art", Insts: 15_000, Warmup: 10_000}
@@ -211,14 +212,14 @@ func TestExecReplaysThroughPackedKernel(t *testing.T) {
 			t.Fatalf("%v: %v", kind, err)
 		}
 	}
-	// The leader rides the capture run; each follower is one packed
-	// replay evaluation.
-	if got := core.PackedReplaySchemes() - packed0; got != uint64(len(kinds)-1) {
-		t.Errorf("packed replay served %d schemes, want %d (followers)", got, len(kinds)-1)
+	// The capture only records: the leader and each follower are one
+	// packed evaluation each.
+	if got := core.PackedReplaySchemes() - packed0; got != uint64(len(kinds)) {
+		t.Errorf("packed replay served %d schemes, want %d (leader and followers)", got, len(kinds))
 	}
 
 	// The value-dependent family shares one latchvalue capture: ddcg
-	// leads it, and dcg+ddcg replays it on the kernel too.
+	// leads it, and both evaluate on the kernel.
 	packed0 = core.PackedReplaySchemes()
 	for _, kind := range []core.SchemeKind{core.SchemeDDCG, core.SchemeDCGDDCG} {
 		k := base
@@ -227,8 +228,8 @@ func TestExecReplaysThroughPackedKernel(t *testing.T) {
 			t.Fatalf("%v: %v", kind, err)
 		}
 	}
-	if got := core.PackedReplaySchemes() - packed0; got != 1 {
-		t.Errorf("packed replay served %d value-dependent schemes, want 1 (the follower)", got)
+	if got := core.PackedReplaySchemes() - packed0; got != 2 {
+		t.Errorf("packed replay served %d value-dependent schemes, want 2 (leader and follower)", got)
 	}
 }
 

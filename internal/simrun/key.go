@@ -148,11 +148,12 @@ func Run(ctx context.Context, k Key) (*core.Result, error) {
 	return simulatorFor(k.Machine(), k.Warmup).RunBenchmarkContext(ctx, k.Bench, k.Scheme, k.Insts)
 }
 
-// Capture executes the timing simulation the key identifies while
-// recording its per-cycle usage trace. The returned Result is the
-// evaluation of k.Scheme riding along on the capture run (bit-identical
-// to a direct run); the Timing can then be replayed for any other
-// timing-neutral scheme. Fails for schemes that perturb timing.
+// Capture executes the timing simulation the key identifies, recording
+// its per-cycle usage trace and nothing else, and evaluates k.Scheme on
+// the trace's packed view (core.RunAndCapture). The returned Result is
+// the kernel's, bit-identical to a direct run; the Timing can then be
+// replayed for any other timing-neutral scheme. Fails for schemes that
+// perturb timing.
 func Capture(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {
 	return simulatorFor(k.Machine(), k.Warmup).RunAndCapture(ctx, k.Bench, k.Scheme, k.Insts)
 }

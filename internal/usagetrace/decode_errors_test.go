@@ -227,6 +227,23 @@ func corruptStreams() []corruptStream {
 			wantErr: "truncated event at cycle 0: corrupt FU grant (unit 0, latency 1099511627776)",
 		},
 		{
+			name: "window occupancy below zero",
+			mutate: func(b []byte) []byte {
+				b[headerLen+13] = 1 // the first record's occupancy delta, zigzag -1
+				return b
+			},
+			wantErr: "corrupt window occupancy -1 at cycle 0 (limit 65535)",
+		},
+		{
+			name: "window occupancy past 16 bits",
+			mutate: func(b []byte) []byte {
+				out := append([]byte{}, b[:headerLen+13]...)
+				out = binary.AppendUvarint(out, 2*(1<<16)) // zigzag +65536
+				return append(out, b[headerLen+14:]...)
+			},
+			wantErr: "corrupt window occupancy 65536 at cycle 0 (limit 65535)",
+		},
+		{
 			name:    "end marker count missing",
 			mutate:  func(b []byte) []byte { return b[:len(b)-1] },
 			wantErr: "truncated end marker",

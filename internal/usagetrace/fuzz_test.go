@@ -161,7 +161,7 @@ func checkAgainstStream(t *testing.T, tr *Trace, p *Packed) {
 			t.Fatalf("stream fails at cycle %d after ReadTrace accepted it: %v", cycles, err)
 		}
 		for i := range events {
-			m.onIssue(&events[i], &lead)
+			m.onIssue(&events[i], cycles, &lead)
 		}
 		c, idx := cycles, cycles%SchedHorizon
 		busy := [cpu.NumFUTypes]uint32{u.IntALUBusy, u.IntMultBusy, u.FPALUBusy, u.FPMultBusy}

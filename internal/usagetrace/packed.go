@@ -32,17 +32,20 @@ const busHistMax = 64
 // Packed is a trace's decoded form: one uint64 word per 64 cycles per
 // boolean signal (bit c%64 of word c/64 is cycle c), plus the few
 // per-cycle values and the order-free aggregates the packed replay
-// kernel (gating.PackedTally) reads, and nothing it does not. One pass
-// over the encoded bytes builds it (Trace.Decode, ReadTrace); no
-// per-field usage columns or event slices are ever materialised. Two
-// families of data live here:
+// kernel (gating.PackedTally) reads, and nothing it does not. One
+// builder (add) makes it from a stream of events and usage vectors,
+// driven by the Recorder from the live core while it captures, and by
+// one pass over the encoded bytes for a stored trace (ReadTrace,
+// Trace.Decode); the two views of one stream are equal. No per-field
+// usage columns or event slices are ever materialised. Two families of
+// data live here:
 //
 //   - Usage aggregates — per latch stage, the cycles it carried an
 //     instruction (a plane); the occupancy, value-change and fetch slot
-//     sums; the window-occupancy column; and the usage maxima behind the
-//     lazy over-capacity planes.
+//     sums; the 16-bit window-occupancy column; and the usage maxima
+//     behind the lazy over-capacity planes.
 //
-//   - A DCG schedule mirror — the pass replays every issue event
+//   - A DCG schedule mirror — the builder replays every issue event
 //     through a ring identical to the gating controller's
 //     (write-at-issue, read-and-clear at the scheduled cycle) and
 //     records, per cycle, whether actual usage exceeded the schedule
@@ -64,8 +67,8 @@ type Packed struct {
 	words  int
 	stages int
 
-	// data is the encoded stream the view was built from. Only the slow
-	// paths that no core capture reaches (over-capacity planes, very
+	// data is the encoded stream of the view's events and usage. Only the
+	// slow paths that no core capture reaches (over-capacity planes, very
 	// deep front ends) re-read it.
 	data []byte
 
@@ -94,9 +97,11 @@ type Packed struct {
 
 	// occ is the window-occupancy column: the oracle's issue-queue
 	// fraction is a float series that must be summed in cycle order.
-	// fetchTail holds the last fetchTailLen fetch counts, ring-indexed by
-	// cycle, for FrontSlotsSum's end-of-run correction.
-	occ       []int
+	// Occupancy fits 16 bits (config.MaxWindowSize), which keeps the
+	// column, most of a view's bytes, at two bytes a cycle. fetchTail
+	// holds the last fetchTailLen fetch counts, ring-indexed by cycle, for
+	// FrontSlotsSum's end-of-run correction.
+	occ       []uint16
 	fetchTail [fetchTailLen]int
 
 	// Usage maxima, so the lazy over-capacity planes can prove "no
@@ -113,6 +118,12 @@ type Packed struct {
 // three) without re-reading the stream.
 const fetchTailLen = 64
 
+// growFloorWords is the words a Recorder's view starts its planes with. A
+// Recorder cannot know its cycle count up front, so it grows every plane
+// and the occupancy column together (reserve), doubling from this floor
+// of 65,536 cycles, which keeps a capture's plane allocations few.
+const growFloorWords = 1024
+
 // schedMirror replicates the DCG controller's schedule rings
 // (gating.DCG.fuSched/dportSched/busSched) cycle for cycle. The FU ring
 // writes cover SchedSpan, as the controller's do, while the count rings
@@ -123,13 +134,13 @@ type schedMirror struct {
 	bus   [SchedHorizon]int64
 }
 
-// onIssue mirrors gating.DCG.OnIssue, including its per-aspect lead
-// accounting: an event late on its FU start, D-port cycle, and
-// result-bus cycle counts three violations, exactly as the controller
-// does.
-func (m *schedMirror) onIssue(ev *cpu.IssueEvent, lead *uint64) {
+// onIssue mirrors gating.DCG.OnIssue for an event issued at cycle,
+// including its per-aspect lead accounting: an event late on its FU
+// start, D-port cycle, and result-bus cycle counts three violations,
+// exactly as the controller does.
+func (m *schedMirror) onIssue(ev *cpu.IssueEvent, cycle uint64, lead *uint64) {
 	if ev.FUIdx >= 0 {
-		if ev.FUStart <= ev.Cycle {
+		if ev.FUStart <= cycle {
 			*lead++
 		}
 		for c := ev.FUStart; c < ev.FUStart+SchedSpan(ev.FULat); c++ {
@@ -137,13 +148,13 @@ func (m *schedMirror) onIssue(ev *cpu.IssueEvent, lead *uint64) {
 		}
 	}
 	if ev.IsLoad || ev.IsStore {
-		if ev.DPortCycle <= ev.Cycle {
+		if ev.DPortCycle <= cycle {
 			*lead++
 		}
 		m.dport[ev.DPortCycle%SchedHorizon]++
 	}
 	if ev.WritesReg {
-		if ev.ResultBusCycle <= ev.Cycle {
+		if ev.ResultBusCycle <= cycle {
 			*lead++
 		}
 		m.bus[ev.ResultBusCycle%SchedHorizon]++
@@ -163,37 +174,27 @@ func (m *schedMirror) empty(c, n uint64) uint64 {
 }
 
 // decodePacked parses the encoded trace once, in place, and builds its
-// packed view: each cycle's issue events feed the schedule mirror in the
-// core's delivery order (strictly before that cycle's usage), then the
-// usage vector sets the planes, aggregates and maxima; a repeat record's
-// cycles are added as runs. A stream that fails to parse anywhere, end
-// marker included, fails the decode, and so does one that claims more
-// cycles than maxCycles allows its length (the Reader refuses the record
-// that would pass it). want is the cycle count the stream must hold (a
-// trace header's, or the one its end marker declares), and the planes
-// are sized for it once, or not at all when want is past that bound. A
-// stream that runs past want is invalid whatever follows, so the rest is
-// only parsed, building nothing, to report its fault. The reader is
-// returned for its header metadata.
+// packed view, handing each record's events and usage to the builder
+// (add). A stream that fails to parse anywhere, end marker included,
+// fails the decode, and so does one that claims more cycles than
+// maxCycles allows its length (the Reader refuses the record that would
+// pass it). want is the cycle count the stream must hold (a trace
+// header's, or the one its end marker declares), and the planes are
+// sized for it once, before the loop, or not at all when want is past
+// that bound. A stream that runs past want is invalid whatever follows,
+// so the rest is only parsed, building nothing, to report its fault. The
+// reader is returned for its header metadata.
 func decodePacked(data []byte, want uint64) (*Packed, *Reader, error) {
 	rd, err := newReader(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &Packed{stages: rd.stages, data: data, latchValue: rd.hasLatchValue}
+	p := newPacked(rd.stages, rd.hasLatchValue)
 	size := want
 	if size > rd.limit {
 		size = 0 // the stream cannot hold them: build nothing
 	}
-	words := int((size + 63) / 64)
-	plane := func() []uint64 { return make([]uint64, words) }
-	p.latchNZ = make([][]uint64, rd.stages)
-	for s := range p.latchNZ {
-		p.latchNZ[s] = plane()
-	}
-	p.unitOverSched, p.dportOverSched, p.busOverSched = plane(), plane(), plane()
-	p.occ = make([]int, 0, size)
-
+	p.grow(int((size + 63) / 64))
 	m := &schedMirror{}
 	for {
 		events, u, n, err := rd.NextRun()
@@ -207,31 +208,98 @@ func decodePacked(data []byte, want uint64) (*Packed, *Reader, error) {
 			p.cycles += n
 			continue
 		}
-		for i := range events {
-			m.onIssue(&events[i], &p.leadViol)
-		}
-		if n == 1 {
-			p.addCycle(m, u)
-			continue
-		}
-		// Each stretch of a run's cycles whose schedule slots are empty is
-		// added at once; a cycle whose slot holds work goes alone.
-		for n > 0 {
-			if k := m.empty(p.cycles, n); k > 0 {
-				p.addQuiet(u, k)
-				n -= k
-			}
-			if n > 0 {
-				p.addCycle(m, u)
-				n--
-			}
-		}
+		p.add(m, events, u, n)
 	}
 	if p.cycles != want {
 		return nil, nil, fmt.Errorf("usagetrace: decoded %d cycles but trace header declares %d", p.cycles, want)
 	}
-	p.words = words
+	p.finish(data)
 	return p, rd, nil
+}
+
+// newPacked returns an empty view of a trace with the given latch stages
+// and channels, its planes not yet sized.
+func newPacked(stages int, latchValue bool) *Packed {
+	return &Packed{stages: stages, latchValue: latchValue, latchNZ: make([][]uint64, stages)}
+}
+
+// grow sizes every plane to words words and the occupancy column to
+// words*64 cycles, keeping what they hold.
+func (p *Packed) grow(words int) {
+	resize := func(plane []uint64) []uint64 {
+		out := make([]uint64, words)
+		copy(out, plane)
+		return out
+	}
+	for s := range p.latchNZ {
+		p.latchNZ[s] = resize(p.latchNZ[s])
+	}
+	p.unitOverSched = resize(p.unitOverSched)
+	p.dportOverSched = resize(p.dportOverSched)
+	p.busOverSched = resize(p.busOverSched)
+	occ := make([]uint16, len(p.occ), words*64)
+	copy(occ, p.occ)
+	p.occ = occ
+}
+
+// reserve makes room for n more cycles, doubling the planes when they
+// are full.
+func (p *Packed) reserve(n uint64) {
+	have := len(p.unitOverSched)
+	if need := (p.cycles + n + 63) / 64; need > uint64(have) {
+		p.grow(int(max(need, uint64(2*have))))
+	}
+}
+
+// finish trims the planes and the occupancy column to the cycles built
+// and records the encoded stream, data, that holds them. A view is held
+// as long as its trace is cached, so the columns a Recorder grew past
+// its cycles (doubling leaves up to half unused) are copied out at their
+// size; the decode sized them once and keeps them.
+func (p *Packed) finish(data []byte) {
+	p.words = int((p.cycles + 63) / 64)
+	trim := func(plane []uint64) []uint64 {
+		if cap(plane) == p.words {
+			return plane
+		}
+		return append(make([]uint64, 0, p.words), plane[:p.words]...)
+	}
+	for s := range p.latchNZ {
+		p.latchNZ[s] = trim(p.latchNZ[s])
+	}
+	p.unitOverSched = trim(p.unitOverSched)
+	p.dportOverSched = trim(p.dportOverSched)
+	p.busOverSched = trim(p.busOverSched)
+	if cap(p.occ)-len(p.occ) >= 64 {
+		p.occ = append(make([]uint16, 0, len(p.occ)), p.occ...)
+	}
+	p.data = data
+}
+
+// add folds a run of n cycles, each with usage u, into the view: the
+// events issued in its first cycle feed the schedule mirror, strictly
+// before that cycle's usage as the core delivers them, and then each
+// stretch of the run's cycles whose schedule slots are empty is added at
+// once, and a cycle whose slot holds work alone. The planes must have
+// room for the run.
+func (p *Packed) add(m *schedMirror, events []cpu.IssueEvent, u *cpu.Usage, n uint64) {
+	for i := range events {
+		m.onIssue(&events[i], p.cycles, &p.leadViol)
+	}
+	if n == 1 {
+		p.addCycle(m, u)
+		return
+	}
+	for n > 0 {
+		if k := m.empty(p.cycles, n); k > 0 {
+			p.addQuiet(u, k)
+			n -= k
+		}
+		if n > 0 {
+			p.addCycle(m, u)
+			n--
+		}
+	}
 }
 
 // addCycle folds one cycle's usage vector into the view, reading and
@@ -284,12 +352,14 @@ func (p *Packed) addCycle(m *schedMirror, u *cpu.Usage) {
 		p.maxLatch = max(p.maxLatch, v)
 		p.backLatchSum += int64(v)
 	}
-	for _, v := range u.BackLatchNewVal {
-		p.backLatchNewValSum += int64(v)
+	if p.latchValue {
+		for _, v := range u.BackLatchNewVal {
+			p.backLatchNewValSum += int64(v)
+		}
 	}
 	p.fetchSum += int64(u.FetchCount)
 	p.fetchTail[c%fetchTailLen] = u.FetchCount
-	p.occ = append(p.occ, u.WindowOccupancy)
+	p.occ = append(p.occ, uint16(u.WindowOccupancy))
 	p.cycles++
 }
 
@@ -324,15 +394,18 @@ func (p *Packed) addQuiet(u *cpu.Usage, n uint64) {
 		p.maxLatch = max(p.maxLatch, v)
 		p.backLatchSum += int64(v) * k
 	}
-	for _, v := range u.BackLatchNewVal {
-		p.backLatchNewValSum += int64(v) * k
+	if p.latchValue {
+		for _, v := range u.BackLatchNewVal {
+			p.backLatchNewValSum += int64(v) * k
+		}
 	}
 	p.fetchSum += int64(u.FetchCount) * k
 	for c := max(lo, hi-min(hi, fetchTailLen)); c < hi; c++ {
 		p.fetchTail[c%fetchTailLen] = u.FetchCount
 	}
+	occ := uint16(u.WindowOccupancy)
 	for range n {
-		p.occ = append(p.occ, u.WindowOccupancy)
+		p.occ = append(p.occ, occ)
 	}
 	p.cycles = hi
 }

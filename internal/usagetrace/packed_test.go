@@ -31,10 +31,8 @@ func craftTrace(t *testing.T, stages int, usages []cpu.Usage, events map[int][]c
 		}
 		rec.OnCycle(&u)
 	}
-	tr, err := rec.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustTrace(t, rec)
+	assertViewMatchesDecode(t, tr)
 	return tr
 }
 

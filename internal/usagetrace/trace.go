@@ -8,8 +8,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-
-	"dcg/internal/cpu"
 )
 
 // Trace is a complete, validated capture held in memory: the encoded
@@ -237,48 +235,4 @@ func inflate(data []byte, limit int) ([]byte, error) {
 			return nil, fmt.Errorf("usagetrace: bad gzip framing: %w", err)
 		}
 	}
-}
-
-// Recorder captures a run into an in-memory Trace. It implements
-// cpu.Observer and cpu.IssueListener by delegating to a Writer over an
-// in-memory buffer; Trace() finalises the stream.
-type Recorder struct {
-	buf bytes.Buffer
-	w   *Writer
-}
-
-// NewRecorder starts an in-memory capture for the named workload. extra
-// names additional channels beyond the implicit usage channel (see
-// NewWriter).
-func NewRecorder(name string, backLatchStages int, extra ...string) (*Recorder, error) {
-	rec := &Recorder{}
-	w, err := NewWriter(&rec.buf, name, backLatchStages, extra...)
-	if err != nil {
-		return nil, err
-	}
-	rec.w = w
-	return rec, nil
-}
-
-// OnIssue implements cpu.IssueListener.
-func (r *Recorder) OnIssue(ev cpu.IssueEvent) { r.w.OnIssue(ev) }
-
-// OnCycle implements cpu.Observer.
-func (r *Recorder) OnCycle(u *cpu.Usage) { r.w.OnCycle(u) }
-
-// OnQuiet implements cpu.QuietObserver.
-func (r *Recorder) OnQuiet(u *cpu.Usage, n uint64) { r.w.OnQuiet(u, n) }
-
-// Trace closes the stream and returns the completed capture.
-func (r *Recorder) Trace() (*Trace, error) {
-	if err := r.w.Close(); err != nil {
-		return nil, err
-	}
-	return &Trace{
-		name:     r.w.name,
-		stages:   r.w.stages,
-		cycles:   r.w.Cycles(),
-		channels: r.w.Channels(),
-		data:     r.buf.Bytes(),
-	}, nil
 }

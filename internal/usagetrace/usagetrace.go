@@ -10,15 +10,17 @@
 // machine-timing) turns every additional scheme evaluation into a
 // memory-bandwidth replay (internal/core.Simulator.EvaluateTimingAll).
 //
-// Two consumers read a stored trace, and both parse its encoded bytes in
-// memory through one Reader, which reads them in place. The scalar
-// reference engine (ReplayAll), which the goldens and the differential
-// fuzzer hold the packed kernel to, hands the parsed records to scheme
-// sinks; it needs no decoded form. The packed kernel reads a Packed view — per-signal
-// bit-planes plus order-free aggregates — that one pass over the bytes
-// builds (Trace.Decode, memoized; ReadTrace builds it while validating).
-// A stream that is not yet a Trace is read whole first: ReadTrace and
-// NewReader inflate a gzip-framed one, up to maxInflatedTrace bytes.
+// The Recorder captures a run: it encodes the core's events and usage
+// vectors and, from the same live values, builds the trace's Packed view
+// — per-signal bit-planes plus order-free aggregates — the packed kernel
+// reads, so a capture's evaluations never parse the bytes it wrote. A
+// stored trace is read back through one Reader, which parses its encoded
+// bytes in place: ReadTrace builds the same view in one validating pass
+// over them (Trace.Decode memoizes it), and the scalar reference engine
+// (ReplayAll), which the goldens and the differential fuzzer hold the
+// packed kernel to, hands the parsed records to scheme sinks. A stream
+// that is not yet a Trace is read whole first: ReadTrace and NewReader
+// inflate a gzip-framed one, up to maxInflatedTrace bytes.
 //
 // # Format (v3, channelized, run-length)
 //
@@ -53,14 +55,14 @@
 //
 // A repeat record stands for k cycles, each with no issue events and
 // exactly the previous cycle's usage vector and channel payloads,
-// occupancy included. The Writer emits one for every event-free cycle
+// occupancy included. The Recorder emits one for every event-free cycle
 // whose recorded fields equal the previous cycle's, so the quiet stretches
 // the core fast-forwards over cost a few bytes each, and the Reader hands
 // them back as runs (NextRun) or cycle by cycle (Next). A repeat with a
 // zero count or before the first cycle record is corruption, and so is a
 // stream that claims more than runBound times the cycles its length could
 // hold as plain cycle records: a few bytes may not make the decoder
-// allocate for millions of cycles. The Writer never produces such a
+// allocate for millions of cycles. The Recorder never produces such a
 // stream; past the bound it writes cycle records.
 //
 // The "usage" channel is always present and always first in the table;
@@ -72,7 +74,7 @@
 // uvarint backLatchStages, no channel table, usage-only cycle records)
 // are still accepted by the reader, so trace artifacts persisted before
 // either bump keep decoding bit-identically; a repeat record in them is
-// corruption. The writer always emits v3.
+// corruption. The Recorder always emits v3.
 //
 // Event timing fields are stored as deltas from the event's select cycle
 // (they always lie a small, bounded distance in the future — that is the
@@ -83,39 +85,27 @@
 package usagetrace
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 	"sync"
 
+	"dcg/internal/config"
 	"dcg/internal/cpu"
 )
 
-// Pooled gzip codecs and encode scratch: a sweep runs thousands of
-// captures and (store-warm) trace loads, and a fresh inflater or a
-// regrown encode buffer per use showed up as steady allocation churn.
-// The pools hand grown buffers from one capture/load to the next.
+// Pooled gzip codecs: a sweep runs thousands of captures and
+// (store-warm) trace loads, and a fresh inflater or deflater per use
+// showed up as steady allocation churn.
 var (
 	gzipReaderPool sync.Pool
 	gzipWriterPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
-	scratchPool    = sync.Pool{New: func() any { return &encodeScratch{buf: make([]byte, 0, 256)} }}
 )
-
-// encodeScratch is a Writer's reusable encode state: the record build
-// buffer appendEvent/OnCycle encode into, the pending issue-event buffer,
-// and the previous cycle's latch counts the repeat check compares against.
-// Handed back to scratchPool by Close.
-type encodeScratch struct {
-	buf     []byte
-	pending []cpu.IssueEvent
-	latch   []int
-	newVal  []int
-}
 
 // pooledGzipReader resets a pooled inflater onto r (or builds the pool's
 // first one). Callers must hand the reader back with putGzipReader.
@@ -213,79 +203,84 @@ func KnownChannels() []string { return []string{ChannelUsage, ChannelLatchValue}
 // validExtraChannel reports whether name is a known non-usage channel.
 func validExtraChannel(name string) bool { return name == ChannelLatchValue }
 
-// Writer serialises a capture stream. It implements cpu.Observer,
-// cpu.QuietObserver and cpu.IssueListener, so a capturing run installs it
-// (via the cpu fan-out types) next to the power accountant and the gating
-// scheme: issue events are buffered as they fire and flushed into the
-// cycle's record when the usage vector arrives, preserving the core's
-// events-then-usage delivery order for replay.
+// Recorder captures a run into an in-memory Trace. It implements
+// cpu.Observer, cpu.QuietObserver and cpu.IssueListener, so a capture
+// installs it as the core's observer and issue listener: issue events are
+// buffered as they fire and go into the cycle's record when the usage
+// vector arrives, preserving the core's events-then-usage delivery order
+// for replay.
 //
 // A cycle with no buffered events whose recorded fields equal the
 // previous cycle's extends a pending run, written as one repeat record
-// when a cycle that differs (or Close) ends it. OnCycle and OnQuiet follow
+// when a cycle that differs (or Trace) ends it. OnCycle and OnQuiet follow
 // that one rule, so a fast-forwarded capture writes the bytes a stepped
 // one does.
 //
-// Errors from the underlying writer are latched; Close (or Err) surfaces
-// the first one.
-type Writer struct {
-	w        *bufio.Writer
-	name     string
-	stages   int
-	channels []string // full channel list, usage first
+// As it encodes, the Recorder builds the trace's packed view from the
+// same events and usage vectors, with the builder the decode pass drives
+// (Packed.add), so the view equals the one ReadTrace builds from the
+// bytes and an in-process capture is never parsed.
+//
+// The first fault, a cycle out of order or a field the Reader would
+// refuse, is latched, and Trace reports it.
+type Recorder struct {
+	name       string
+	stages     int
+	channels   []string // full channel list, usage first
+	latchValue bool
 
-	hasLatchValue bool
-
+	// buf is the stream encoded so far, and pending the events of the
+	// cycle whose usage vector has not arrived yet.
+	buf     []byte
 	pending []cpu.IssueEvent
-	scratch []byte
-	sc      *encodeScratch // pool token backing pending/scratch/prev's latches
 	cycles  uint64
 
 	// prev holds the recorded fields of the last cycle record (its
-	// latch slices are the Writer's own copies; the next record's
-	// occupancy delta is from its occupancy), run the cycles repeating
-	// it that are not written yet, and size the bytes written so far,
-	// which bounds the cycles the stream may claim.
+	// latch slices are the Recorder's own copies; the next record's
+	// occupancy delta is from its occupancy), and run the cycles repeating
+	// it that are not written yet.
 	prev cpu.Usage
 	run  uint64
-	size uint64
 
-	err    error
-	closed bool
+	// view is the packed view under construction, and mirror its DCG
+	// schedule mirror.
+	view   *Packed
+	mirror *schedMirror
+
+	err error
 }
 
-// NewWriter writes the v3 header for a trace of the named workload on a
-// machine with backLatchStages gatable back-end latch stages. extra
-// names additional channels (beyond the implicit usage channel) whose
-// payloads every cycle record will carry, e.g. ChannelLatchValue for
-// value-dependent schemes. Unknown or duplicated channel names are
-// rejected.
-func NewWriter(w io.Writer, name string, backLatchStages int, extra ...string) (*Writer, error) {
+// recordSlack is the free room below which the Recorder doubles its
+// buffer before encoding a record; a bigger record still fits, by append.
+const recordSlack = 256
+
+// errRecorderDone is latched once Trace has returned the capture.
+var errRecorderDone = errors.New("usagetrace: the recorder's trace was already taken")
+
+// NewRecorder starts a v3 capture of the named workload on a machine with
+// backLatchStages gatable back-end latch stages. extra names additional
+// channels (beyond the implicit usage channel) whose payloads every cycle
+// record will carry, e.g. ChannelLatchValue for value-dependent schemes.
+// Unknown or duplicated channel names are rejected.
+func NewRecorder(name string, backLatchStages int, extra ...string) (*Recorder, error) {
 	if len(name) > 255 {
 		return nil, fmt.Errorf("usagetrace: workload name too long")
 	}
-	if backLatchStages < 0 {
-		return nil, fmt.Errorf("usagetrace: negative latch stage count")
+	if backLatchStages < 0 || backLatchStages > maxLatchStages {
+		return nil, fmt.Errorf("usagetrace: latch stage count %d out of range [0, %d]", backLatchStages, maxLatchStages)
 	}
 	channels := make([]string, 0, 1+len(extra))
 	channels = append(channels, ChannelUsage)
-	hasLatchValue := false
 	for _, ch := range extra {
 		if !validExtraChannel(ch) {
 			return nil, fmt.Errorf("usagetrace: unknown trace channel %q (known: %v)", ch, KnownChannels())
 		}
-		for _, have := range channels {
-			if have == ch {
-				return nil, fmt.Errorf("usagetrace: duplicate trace channel %q", ch)
-			}
+		if slices.Contains(channels, ch) {
+			return nil, fmt.Errorf("usagetrace: duplicate trace channel %q", ch)
 		}
 		channels = append(channels, ch)
-		if ch == ChannelLatchValue {
-			hasLatchValue = true
-		}
 	}
-	sc := scratchPool.Get().(*encodeScratch)
-	head := append(sc.buf[:0], traceMagic...)
+	head := append(make([]byte, 0, 4096), traceMagic...)
 	head = append(head, traceVersion, byte(len(name)))
 	head = append(head, name...)
 	head = binary.AppendUvarint(head, uint64(len(channels)))
@@ -294,89 +289,100 @@ func NewWriter(w io.Writer, name string, backLatchStages int, extra ...string) (
 		head = append(head, ch...)
 		head = binary.AppendUvarint(head, uint64(backLatchStages))
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(head); err != nil {
-		scratchPool.Put(sc)
-		return nil, err
-	}
-	t := &Writer{
-		w:             bw,
-		name:          name,
-		stages:        backLatchStages,
-		channels:      channels,
-		hasLatchValue: hasLatchValue,
-		scratch:       head[:0],
-		pending:       sc.pending[:0],
-		sc:            sc,
-		size:          uint64(len(head)),
-	}
-	t.prev.BackLatch = sc.latch[:0]
-	if hasLatchValue {
-		t.prev.BackLatchNewVal = sc.newVal[:0]
-	}
-	return t, nil
+	latchValue := slices.Contains(channels, ChannelLatchValue)
+	view := newPacked(backLatchStages, latchValue)
+	view.grow(growFloorWords)
+	return &Recorder{
+		name:       name,
+		stages:     backLatchStages,
+		channels:   channels,
+		latchValue: latchValue,
+		buf:        head,
+		view:       view,
+		mirror:     &schedMirror{},
+	}, nil
 }
 
 // OnIssue implements cpu.IssueListener: the event is buffered until the
-// cycle's usage vector closes the record.
-func (t *Writer) OnIssue(ev cpu.IssueEvent) {
-	if t.err != nil || t.closed {
+// cycle's usage vector closes the record. An FU grant the Reader would
+// refuse (a bad pool, or a unit or latency outside [0, MaxInt32]) fails
+// the capture.
+func (r *Recorder) OnIssue(ev cpu.IssueEvent) {
+	if r.err != nil {
 		return
 	}
-	t.pending = append(t.pending, ev)
+	if ev.FUIdx >= 0 && (ev.FUType < 0 || ev.FUType >= cpu.NumFUTypes ||
+		ev.FUIdx > math.MaxInt32 || ev.FULat < 0 || ev.FULat > math.MaxInt32) {
+		r.err = fmt.Errorf("usagetrace: corrupt FU grant at cycle %d (pool %d, unit %d, latency %d)",
+			r.cycles, ev.FUType, ev.FUIdx, ev.FULat)
+		return
+	}
+	r.pending = append(r.pending, ev)
 }
 
-// OnCycle implements cpu.Observer: it extends the pending run when the
-// cycle repeats the previous one, and otherwise writes the run and then
-// the cycle record (buffered events first, then the usage vector).
-func (t *Writer) OnCycle(u *cpu.Usage) {
-	if t.err != nil || t.closed {
+// OnCycle implements cpu.Observer.
+func (r *Recorder) OnCycle(u *cpu.Usage) { r.OnQuiet(u, 1) }
+
+// OnQuiet implements cpu.QuietObserver: the run's first cycle carries any
+// buffered events and the step to the run's occupancy, and the other n-1
+// repeat it. The view takes the whole run at once.
+func (r *Recorder) OnQuiet(u *cpu.Usage, n uint64) {
+	if n == 0 || r.err != nil {
 		return
 	}
-	if u.Cycle != t.cycles {
-		t.err = fmt.Errorf("usagetrace: non-contiguous cycle %d (expected %d)", u.Cycle, t.cycles)
+	if r.err = r.check(u); r.err != nil {
 		return
 	}
-	if len(t.pending) == 0 && t.cycles > 0 && t.repeats(u) {
-		t.extend(u, 1)
-		return
+	r.view.reserve(n)
+	r.view.add(r.mirror, r.pending, u, n)
+	if len(r.pending) > 0 || r.cycles == 0 || !r.repeats(u) {
+		r.record(u)
+		n--
 	}
-	t.record(u)
+	r.extend(u, n)
 }
 
-// OnQuiet implements cpu.QuietObserver: the run's first cycle goes
-// through OnCycle (it carries any buffered events and the step to the
-// run's occupancy), and the other n-1 repeat it.
-func (t *Writer) OnQuiet(u *cpu.Usage, n uint64) {
-	if n == 0 {
-		return
+// check refuses a usage vector the stream cannot record as it stands: a
+// cycle out of order, latch stages the trace does not declare, or a
+// window occupancy outside the view's 16 bits (config.MaxWindowSize).
+func (r *Recorder) check(u *cpu.Usage) error {
+	switch {
+	case u.Cycle != r.cycles:
+		return fmt.Errorf("usagetrace: non-contiguous cycle %d (expected %d)", u.Cycle, r.cycles)
+	case len(u.BackLatch) != r.stages:
+		return fmt.Errorf("usagetrace: usage has %d latch stages, trace declares %d", len(u.BackLatch), r.stages)
+	case r.latchValue && len(u.BackLatchNewVal) != r.stages:
+		return fmt.Errorf("usagetrace: usage has %d latchvalue stages, trace declares %d",
+			len(u.BackLatchNewVal), r.stages)
+	case u.WindowOccupancy < 0 || u.WindowOccupancy > config.MaxWindowSize:
+		return fmt.Errorf("usagetrace: window occupancy %d at cycle %d outside [0, %d]",
+			u.WindowOccupancy, u.Cycle, config.MaxWindowSize)
 	}
-	t.OnCycle(u)
-	t.extend(u, n-1)
+	return nil
 }
 
 // extend adds n cycles repeating the previous one, whose fields u holds,
 // to the pending run. A cycle the stream's size does not yet let it claim
 // (runBound) is written as a cycle record instead.
-func (t *Writer) extend(u *cpu.Usage, n uint64) {
-	for n > 0 && t.err == nil && !t.closed {
-		room := maxCycles(t.size, recordBytes(t.stages, t.hasLatchValue)) - t.cycles
+func (r *Recorder) extend(u *cpu.Usage, n uint64) {
+	for n > 0 {
+		room := maxCycles(uint64(len(r.buf)), recordBytes(r.stages, r.latchValue)) - r.cycles
 		if room == 0 {
-			t.record(u)
+			r.record(u)
 			n--
 			continue
 		}
 		k := min(n, room)
-		t.run += k
-		t.cycles += k
+		r.run += k
+		r.cycles += k
 		n -= k
 	}
 }
 
 // repeats reports whether u records the same fields as the previous
 // cycle.
-func (t *Writer) repeats(u *cpu.Usage) bool {
-	p := &t.prev
+func (r *Recorder) repeats(u *cpu.Usage) bool {
+	p := &r.prev
 	return u.IssueCount == p.IssueCount && u.FPIssueCount == p.FPIssueCount &&
 		u.MemIssueCount == p.MemIssueCount && u.IntALUBusy == p.IntALUBusy &&
 		u.IntMultBusy == p.IntMultBusy && u.FPALUBusy == p.FPALUBusy &&
@@ -384,63 +390,28 @@ func (t *Writer) repeats(u *cpu.Usage) bool {
 		u.ResultBus == p.ResultBus && u.CommitCount == p.CommitCount &&
 		u.FetchCount == p.FetchCount && u.WindowOccupancy == p.WindowOccupancy &&
 		slices.Equal(u.BackLatch, p.BackLatch) &&
-		(!t.hasLatchValue || slices.Equal(u.BackLatchNewVal, p.BackLatchNewVal))
+		(!r.latchValue || slices.Equal(u.BackLatchNewVal, p.BackLatchNewVal))
 }
 
-// record writes the pending run and then u's cycle record, and keeps u's
-// fields for the next cycle's repeat check.
-func (t *Writer) record(u *cpu.Usage) {
-	if !t.flushRun() || !t.encode(u) || !t.write(t.scratch) {
-		return
+// record writes the pending run as a repeat record and then u's cycle
+// record (buffered events, usage vector, extra channels' payloads), and
+// keeps u's fields for the next cycle's repeat check.
+func (r *Recorder) record(u *cpu.Usage) {
+	b := r.buf
+	if cap(b)-len(b) < recordSlack {
+		// Double, as append alone would not past a few kilobytes: a
+		// capture's stream then moves a handful of times, not dozens.
+		b = slices.Grow(b, cap(b))
 	}
-	latch, newVal := t.prev.BackLatch, t.prev.BackLatchNewVal
-	t.prev = *u
-	t.prev.BackLatch = append(latch[:0], u.BackLatch...)
-	t.prev.BackLatchNewVal = nil
-	if t.hasLatchValue {
-		t.prev.BackLatchNewVal = append(newVal[:0], u.BackLatchNewVal...)
+	if r.run > 0 {
+		b = append(b, tagRepeat)
+		b = binary.AppendUvarint(b, r.run)
+		r.run = 0
 	}
-	t.pending = t.pending[:0]
-	t.cycles++
-}
-
-// flushRun writes the pending run as a repeat record.
-func (t *Writer) flushRun() bool {
-	if t.run == 0 {
-		return true
-	}
-	b := append(t.scratch[:0], tagRepeat)
-	b = binary.AppendUvarint(b, t.run)
-	t.scratch = b
-	t.run = 0
-	return t.write(b)
-}
-
-// write hands b to the buffered writer, counting its bytes.
-func (t *Writer) write(b []byte) bool {
-	if _, err := t.w.Write(b); err != nil {
-		t.err = err
-		return false
-	}
-	t.size += uint64(len(b))
-	return true
-}
-
-// encode builds u's cycle record in t.scratch: the buffered events, the
-// usage vector and the extra channels' payloads. It latches an error and
-// returns false when u does not fit the trace's declared stages.
-func (t *Writer) encode(u *cpu.Usage) bool {
-	if len(u.BackLatch) != t.stages {
-		t.err = fmt.Errorf("usagetrace: usage has %d latch stages, trace declares %d",
-			len(u.BackLatch), t.stages)
-		return false
-	}
-
-	b := t.scratch[:0]
 	b = append(b, tagCycle)
-	b = binary.AppendUvarint(b, uint64(len(t.pending)))
-	for i := range t.pending {
-		b = appendEvent(b, &t.pending[i], u.Cycle)
+	b = binary.AppendUvarint(b, uint64(len(r.pending)))
+	for i := range r.pending {
+		b = appendEvent(b, &r.pending[i], r.cycles)
 	}
 	b = binary.AppendUvarint(b, uint64(u.IssueCount))
 	b = binary.AppendUvarint(b, uint64(u.FPIssueCount))
@@ -453,22 +424,26 @@ func (t *Writer) encode(u *cpu.Usage) bool {
 	b = binary.AppendUvarint(b, uint64(u.ResultBus))
 	b = binary.AppendUvarint(b, uint64(u.CommitCount))
 	b = binary.AppendUvarint(b, uint64(u.FetchCount))
-	b = binary.AppendVarint(b, int64(u.WindowOccupancy)-int64(t.prev.WindowOccupancy))
+	b = binary.AppendVarint(b, int64(u.WindowOccupancy)-int64(r.prev.WindowOccupancy))
 	for _, n := range u.BackLatch {
 		b = binary.AppendUvarint(b, uint64(n))
 	}
-	if t.hasLatchValue {
-		if len(u.BackLatchNewVal) != t.stages {
-			t.err = fmt.Errorf("usagetrace: usage has %d latchvalue stages, trace declares %d",
-				len(u.BackLatchNewVal), t.stages)
-			return false
-		}
+	if r.latchValue {
 		for _, n := range u.BackLatchNewVal {
 			b = binary.AppendUvarint(b, uint64(n))
 		}
 	}
-	t.scratch = b
-	return true
+	r.buf = b
+
+	latch, newVal := r.prev.BackLatch, r.prev.BackLatchNewVal
+	r.prev = *u
+	r.prev.BackLatch = append(latch[:0], u.BackLatch...)
+	r.prev.BackLatchNewVal = nil
+	if r.latchValue {
+		r.prev.BackLatchNewVal = append(newVal[:0], u.BackLatchNewVal...)
+	}
+	r.pending = r.pending[:0]
+	r.cycles++
 }
 
 // appendEvent encodes one issue event; future cycles are stored as deltas
@@ -502,58 +477,33 @@ func appendEvent(b []byte, ev *cpu.IssueEvent, cycle uint64) []byte {
 	return b
 }
 
-// Cycles returns the number of cycle records written so far.
-func (t *Writer) Cycles() uint64 { return t.cycles }
-
-// Channels returns the channel table being written, usage first.
-func (t *Writer) Channels() []string { return t.channels }
-
-// Err returns the first latched write error.
-func (t *Writer) Err() error { return t.err }
-
-// Close writes the pending run and the end marker (tag + total cycle
-// count) and flushes, then releases the pooled encode scratch. Events
-// buffered for a cycle whose usage vector never arrived are a capture bug
-// and fail the close.
-func (t *Writer) Close() error {
-	if t.closed {
-		return t.err
+// Trace writes the pending run and the end marker (tag and total cycle
+// count) and returns the completed capture, its packed view already
+// built: the trace's first Decode is a reuse. Events buffered for a
+// cycle whose usage vector never arrived are a capture bug and fail it.
+// The Recorder records nothing more after Trace.
+func (r *Recorder) Trace() (*Trace, error) {
+	if r.err == nil && len(r.pending) > 0 {
+		r.err = fmt.Errorf("usagetrace: %d issue events buffered past the last cycle record", len(r.pending))
 	}
-	t.closed = true
-	defer t.releaseScratch()
-	if t.err != nil {
-		return t.err
+	if r.err != nil {
+		return nil, r.err
 	}
-	if len(t.pending) > 0 {
-		t.err = fmt.Errorf("usagetrace: %d issue events buffered past the last cycle record", len(t.pending))
-		return t.err
+	b := r.buf
+	if r.run > 0 {
+		b = append(b, tagRepeat)
+		b = binary.AppendUvarint(b, r.run)
 	}
-	if !t.flushRun() {
-		return t.err
-	}
-	b := append(t.scratch[:0], tagEnd)
-	b = binary.AppendUvarint(b, t.cycles)
-	if !t.write(b) {
-		return t.err
-	}
-	t.err = t.w.Flush()
-	return t.err
-}
-
-// releaseScratch hands the (possibly grown) encode buffers back to the
-// pool for the next capture.
-func (t *Writer) releaseScratch() {
-	if t.sc == nil {
-		return
-	}
-	t.sc.buf = t.scratch[:0]
-	t.sc.pending = t.pending[:0]
-	t.sc.latch = t.prev.BackLatch[:0]
-	if t.hasLatchValue {
-		t.sc.newVal = t.prev.BackLatchNewVal[:0]
-	}
-	scratchPool.Put(t.sc)
-	t.sc, t.scratch, t.pending, t.prev = nil, nil, nil, cpu.Usage{}
+	b = append(b, tagEnd)
+	b = binary.AppendUvarint(b, r.cycles)
+	// The trace is held as long as it is cached: keep its bytes at their
+	// size, not the doubled buffer's.
+	b = bytes.Clone(b)
+	r.view.finish(b)
+	t := &Trace{name: r.name, stages: r.stages, cycles: r.cycles, channels: r.channels, data: b}
+	t.decodeOnce.Do(func() { t.packed = r.view })
+	*r = Recorder{err: errRecorderDone}
+	return t, nil
 }
 
 // Reader decodes a capture stream held in memory, as runs of cycles
@@ -891,6 +841,10 @@ func (r *Reader) cycleRecord() error {
 	if r.err != nil {
 		return fmt.Errorf("usagetrace: truncated usage at cycle %d: %w", r.cycle, r.err)
 	}
+	if r.lastOcc < 0 || r.lastOcc > config.MaxWindowSize {
+		return fmt.Errorf("usagetrace: corrupt window occupancy %d at cycle %d (limit %d)",
+			r.lastOcc, r.cycle, config.MaxWindowSize)
+	}
 	if r.hasLatchValue {
 		for s := range u.BackLatchNewVal {
 			u.BackLatchNewVal[s] = int(r.uvarint())
@@ -904,7 +858,7 @@ func (r *Reader) cycleRecord() error {
 
 // event decodes one issue event of the current cycle into ev, which holds
 // the cycle and no FU. A bad FU type, or a unit index or latency past
-// int32 (no Writer records one), latches r.err.
+// int32 (no Recorder records one), latches r.err.
 func (r *Reader) event(ev *cpu.IssueEvent) {
 	if r.pos >= len(r.data) {
 		r.err = io.EOF

@@ -3,7 +3,9 @@ package usagetrace
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -73,10 +75,8 @@ func synthCapture(t testing.TB, cycles int, stages int) (*Trace, [][]cpu.IssueEv
 		usages[c] = u
 		rec.OnCycle(&u)
 	}
-	tr, err := rec.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustTrace(t, rec)
+	assertViewMatchesDecode(t, tr)
 	return tr, events, usages
 }
 
@@ -267,19 +267,48 @@ func TestWriterRejectsStageMismatch(t *testing.T) {
 	}
 }
 
-// TestWriterQuietRunMatchesPerCycle: OnQuiet writes the bytes n OnCycle
-// calls would, including a run whose first record carries buffered events
-// and an occupancy step, a one-cycle run, and runs longer than one chunk of
-// repeated records.
-func TestWriterQuietRunMatchesPerCycle(t *testing.T) {
-	const stages = 5
-	for _, n := range []uint64{1, 2, 37, 1000, 5000} {
-		var bulk, step bytes.Buffer
-		wb, err := NewWriter(&bulk, "quiet", stages, ChannelLatchValue)
+// TestRecorderRefusesWhatTheReaderRefuses: a value the Reader refuses as
+// corruption fails the capture instead, so the view the Recorder builds
+// and the one the decode builds agree on every stream the Recorder
+// accepts.
+func TestRecorderRefusesWhatTheReaderRefuses(t *testing.T) {
+	for name, c := range map[string]struct {
+		occ int
+		ev  cpu.IssueEvent
+	}{
+		"occupancy below zero":     {occ: -1},
+		"occupancy past 16 bits":   {occ: 1 << 16},
+		"FU pool past the last":    {ev: cpu.IssueEvent{FUIdx: 0, FUType: cpu.NumFUTypes, FULat: 1}},
+		"negative FU latency":      {ev: cpu.IssueEvent{FUIdx: 0, FULat: -1}},
+		"FU latency past int32":    {ev: cpu.IssueEvent{FUIdx: 0, FULat: math.MaxInt32 + 1}},
+		"FU unit index past int32": {ev: cpu.IssueEvent{FUIdx: math.MaxInt32 + 1, FULat: 1}},
+	} {
+		rec, err := NewRecorder("refuse", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws, err := NewWriter(&step, "quiet", stages, ChannelLatchValue)
+		if c.ev != (cpu.IssueEvent{}) {
+			rec.OnIssue(c.ev)
+		}
+		rec.OnCycle(&cpu.Usage{WindowOccupancy: c.occ, BackLatch: []int{0}})
+		if _, err := rec.Trace(); err == nil {
+			t.Errorf("%s: the capture closed cleanly, want an error", name)
+		}
+	}
+}
+
+// TestWriterQuietRunMatchesPerCycle: OnQuiet writes the bytes n OnCycle
+// calls would, and builds the same packed view, including a run whose
+// first record carries buffered events and an occupancy step, a one-cycle
+// run, and runs longer than one chunk of repeated records.
+func TestWriterQuietRunMatchesPerCycle(t *testing.T) {
+	const stages = 5
+	for _, n := range []uint64{1, 2, 37, 1000, 5000} {
+		rb, err := NewRecorder("quiet", stages, ChannelLatchValue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := NewRecorder("quiet", stages, ChannelLatchValue)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,9 +318,9 @@ func TestWriterQuietRunMatchesPerCycle(t *testing.T) {
 			BackLatchNewVal: []int{1, 1, 0, 0, 0},
 		}
 		ev := cpu.IssueEvent{Cycle: 0, FUIdx: 1, FUStart: 2, FULat: 3, WritesReg: true, ResultBusCycle: 6}
-		for _, w := range []*Writer{wb, ws} {
-			w.OnIssue(ev)
-			w.OnCycle(&u)
+		for _, r := range []*Recorder{rb, rs} {
+			r.OnIssue(ev)
+			r.OnCycle(&u)
 		}
 
 		// The run's first record carries a late event and a new occupancy.
@@ -301,31 +330,66 @@ func TestWriterQuietRunMatchesPerCycle(t *testing.T) {
 			BackLatchNewVal: make([]int, stages),
 		}
 		late := cpu.IssueEvent{Cycle: 1, FUIdx: -1, IsStore: true, DPortCycle: 5}
-		wb.OnIssue(late)
-		ws.OnIssue(late)
-		wb.OnQuiet(&quiet, n)
+		rb.OnIssue(late)
+		rs.OnIssue(late)
+		rb.OnQuiet(&quiet, n)
 		if quiet.Cycle != 1 {
 			t.Fatalf("n=%d: OnQuiet left the usage at cycle %d, want 1", n, quiet.Cycle)
 		}
 		for i := uint64(0); i < n; i++ {
 			quiet.Cycle = 1 + i
-			ws.OnCycle(&quiet)
+			rs.OnCycle(&quiet)
 		}
 
 		u.Cycle = 1 + n
-		for _, w := range []*Writer{wb, ws} {
-			w.OnCycle(&u)
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+		rb.OnCycle(&u)
+		rs.OnCycle(&u)
+		bulk, step := mustTrace(t, rb), mustTrace(t, rs)
+		if bulk.Cycles() != n+2 {
+			t.Errorf("n=%d: bulk recorder counted %d cycles, want %d", n, bulk.Cycles(), n+2)
 		}
-		if wb.Cycles() != n+2 {
-			t.Errorf("n=%d: bulk writer counted %d cycles, want %d", n, wb.Cycles(), n+2)
-		}
-		if !bytes.Equal(bulk.Bytes(), step.Bytes()) {
+		if !bytes.Equal(bulk.data, step.data) {
 			t.Errorf("n=%d: OnQuiet stream (%d bytes) differs from per-cycle stream (%d bytes)",
-				n, bulk.Len(), step.Len())
+				n, bulk.SizeBytes(), step.SizeBytes())
 		}
+		assertViewMatchesDecode(t, bulk)
+		assertViewMatchesDecode(t, step)
+	}
+}
+
+// mustTrace ends a recording.
+func mustTrace(t testing.TB, rec *Recorder) *Trace {
+	t.Helper()
+	tr, err := rec.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// assertViewMatchesDecode checks that the packed view the Recorder built
+// while it captured tr equals the one ReadTrace builds from tr's bytes,
+// and that taking it is a reuse, not a pass over the bytes.
+func assertViewMatchesDecode(t testing.TB, tr *Trace) {
+	t.Helper()
+	decodes := Decodes()
+	live, err := tr.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Decodes() != decodes {
+		t.Fatal("a recorded trace's first Decode parsed its bytes")
+	}
+	back, err := ReadTrace(bytes.NewReader(tr.data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := back.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live, decoded) {
+		t.Fatalf("%s: the recorded view differs from the decoded one", tr.Name())
 	}
 }
 
@@ -401,10 +465,8 @@ func runCapture(tb testing.TB, bursts, stages int, extra ...string) (*Trace, [][
 			}
 		}
 	}
-	tr, err := rec.Trace()
-	if err != nil {
-		tb.Fatal(err)
-	}
+	tr := mustTrace(tb, rec)
+	assertViewMatchesDecode(tb, tr)
 	return tr, events, usages
 }
 
@@ -484,39 +546,35 @@ func TestRepeatRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMillionCycleRunRoundTrips: a million identical cycles, written as one
-// OnQuiet run and as a million OnCycle calls, give the same bytes, which
-// stay within the bound on the cycles a stream may claim (the Writer falls
-// back to cycle records) and round-trip through ReadTrace.
+// TestMillionCycleRunRoundTrips: a million identical cycles, recorded as
+// one OnQuiet run and as a million OnCycle calls, give the same bytes,
+// which stay within the bound on the cycles a stream may claim (the
+// Recorder falls back to cycle records) and round-trip through ReadTrace
+// to the view the Recorder built.
 func TestMillionCycleRunRoundTrips(t *testing.T) {
 	const n = 1_000_000
-	var bulk, step bytes.Buffer
-	wb, err := NewWriter(&bulk, "million", 2, ChannelLatchValue)
+	rb, err := NewRecorder("million", 2, ChannelLatchValue)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := NewWriter(&step, "million", 2, ChannelLatchValue)
+	rs, err := NewRecorder("million", 2, ChannelLatchValue)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := cpu.Usage{IntALUBusy: 1, WindowOccupancy: 9, BackLatch: []int{1, 0}, BackLatchNewVal: []int{1, 0}}
-	wb.OnQuiet(&u, n)
+	rb.OnQuiet(&u, n)
 	for c := uint64(0); c < n; c++ {
 		u.Cycle = c
-		ws.OnCycle(&u)
+		rs.OnCycle(&u)
 	}
-	for _, w := range []*Writer{wb, ws} {
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+	bulk, step := mustTrace(t, rb), mustTrace(t, rs)
+	if !bytes.Equal(bulk.data, step.data) {
+		t.Fatalf("OnQuiet stream (%d bytes) differs from the per-cycle stream (%d bytes)", bulk.SizeBytes(), step.SizeBytes())
 	}
-	if !bytes.Equal(bulk.Bytes(), step.Bytes()) {
-		t.Fatalf("OnQuiet stream (%d bytes) differs from the per-cycle stream (%d bytes)", bulk.Len(), step.Len())
+	if limit := maxCycles(uint64(bulk.SizeBytes()), recordBytes(2, true)); n > limit || n < limit/2 {
+		t.Fatalf("%d cycles in %d bytes, want at most the bound's %d and near it", n, bulk.SizeBytes(), limit)
 	}
-	if limit := maxCycles(uint64(bulk.Len()), recordBytes(2, true)); n > limit || n < limit/2 {
-		t.Fatalf("%d cycles in %d bytes, want at most the bound's %d and near it", n, bulk.Len(), limit)
-	}
-	tr, err := ReadTrace(&bulk)
+	tr, err := ReadTrace(bytes.NewReader(bulk.data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,6 +586,7 @@ func TestMillionCycleRunRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstStream(t, tr, p)
+	assertViewMatchesDecode(t, bulk)
 }
 
 // quietRecorder records the cycles it observes, and which of them came

@@ -43,8 +43,8 @@ func rewrite(t testing.TB, v3 []byte, version byte) []byte {
 			out = binary.AppendUvarint(out, uint64(rd.stages))
 		}
 	}
-	// The Writer's own record encoder, fed cycle by cycle.
-	w := &Writer{stages: rd.stages, hasLatchValue: rd.hasLatchValue}
+	// The Recorder's own record encoder, fed cycle by cycle.
+	rec := &Recorder{stages: rd.stages, latchValue: rd.hasLatchValue, buf: out}
 	for {
 		events, u, err := rd.Next()
 		if err == io.EOF {
@@ -53,14 +53,10 @@ func rewrite(t testing.TB, v3 []byte, version byte) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.pending = append(w.pending[:0], events...)
-		if !w.encode(u) {
-			t.Fatal(w.err)
-		}
-		out = append(out, w.scratch...)
-		w.prev.WindowOccupancy = u.WindowOccupancy
+		rec.pending = append(rec.pending[:0], events...)
+		rec.record(u)
 	}
-	out = append(out, tagEnd)
+	out = append(rec.buf, tagEnd)
 	return binary.AppendUvarint(out, rd.cycle)
 }
 
