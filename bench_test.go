@@ -25,6 +25,7 @@ import (
 	"dcg/internal/gating"
 	"dcg/internal/mem"
 	"dcg/internal/simrun"
+	"dcg/internal/store"
 	"dcg/internal/trace"
 	"dcg/internal/usagetrace"
 	"dcg/internal/workload"
@@ -520,6 +521,129 @@ func BenchmarkReplayScalarDDCG(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(100*results[0].Saving, "ddcg-save%")
+	}
+}
+
+// ---- Artifact store (put and get) ----
+
+// storeShapes are the captures the store benchmarks write and read, one
+// per workload of the repository benchmark that uses the store: a
+// value-batch op captures with the latchvalue channel (its ddcg item) and
+// writes the trace on the request path; a restart-sweep job reads a
+// usage-only trace its set-up wrote.
+var storeShapes = []struct {
+	name string
+	key  simrun.Key
+}{
+	{"value-batch", simrun.Key{Bench: "gcc", Scheme: core.SchemeDDCG, Insts: 100_000}},
+	{"restart-sweep", simrun.Key{Bench: "gcc", Scheme: core.SchemeNone, Insts: 150_000}},
+}
+
+// openBenchStore opens an unbounded store in a fresh directory.
+func openBenchStore(b *testing.B) *store.Store {
+	s, err := store.Open(b.TempDir(), 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// reportWritten reports the artifact bytes a put benchmark wrote per op.
+func reportWritten(b *testing.B, s *store.Store) {
+	b.ReportMetric(float64(s.Stats().SizeBytes)/float64(b.N)/1e6, "written-MB")
+}
+
+// BenchmarkStorePutTiming measures a timing artifact's put as a capture
+// pays it: JSON meta, the trace's deflate, the frame's CRC, and the
+// fsynced write and rename. A put skips an artifact that already exists,
+// so each op writes under a fresh address (the warm-up field of the key
+// counts the ops; the payload is the same capture).
+func BenchmarkStorePutTiming(b *testing.B) {
+	for _, shape := range storeShapes {
+		_, tm, err := simrun.Capture(context.Background(), shape.key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			s := openBenchStore(b)
+			tk := shape.key.TimingKey()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tk.Warmup = uint64(i) + 1
+				s.PutTiming(context.Background(), tk, tm)
+			}
+			b.StopTimer()
+			if st := s.Stats(); st.Writes != uint64(b.N) || st.WriteErrors != 0 {
+				b.Fatalf("%d writes and %d write errors for %d puts", st.Writes, st.WriteErrors, b.N)
+			}
+			reportWritten(b, s)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tm.Trace.Cycles()), "ns/cycle")
+		})
+	}
+}
+
+// BenchmarkStoreGetTiming measures a timing artifact's get as a stored
+// read pays it: the file read, the frame check, the meta and the trace's
+// inflate and validating pass (ReadTrace), which builds its packed view.
+func BenchmarkStoreGetTiming(b *testing.B) {
+	for _, shape := range storeShapes {
+		_, tm, err := simrun.Capture(context.Background(), shape.key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			s := openBenchStore(b)
+			tk := shape.key.TimingKey()
+			s.PutTiming(context.Background(), tk, tm)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := s.GetTiming(context.Background(), tk); !ok {
+					b.Fatal("stored timing artifact not served")
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(s.Stats().SizeBytes)/1e6, "read-MB")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tm.Trace.Cycles()), "ns/cycle")
+		})
+	}
+}
+
+// BenchmarkStorePutResult measures a result artifact's put: the Result's
+// JSON, its deflate, and the fsynced write and rename, under a fresh
+// address each op.
+func BenchmarkStorePutResult(b *testing.B) {
+	k := storeShapes[0].key
+	res, _, err := simrun.Capture(context.Background(), k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := openBenchStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Warmup = uint64(i) + 1
+		s.PutResult(context.Background(), k, res)
+	}
+	b.StopTimer()
+	reportWritten(b, s)
+}
+
+// BenchmarkStoreGetResult measures a result artifact's get: the file
+// read, the frame check, the inflate and the JSON decode.
+func BenchmarkStoreGetResult(b *testing.B) {
+	k := storeShapes[0].key
+	res, _, err := simrun.Capture(context.Background(), k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := openBenchStore(b)
+	s.PutResult(context.Background(), k, res)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.GetResult(context.Background(), k); !ok {
+			b.Fatal("stored result artifact not served")
+		}
 	}
 }
 

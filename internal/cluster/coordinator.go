@@ -458,6 +458,10 @@ func (c *Coordinator) Complete(rep CompleteRequest) error {
 		if rep.Result == nil {
 			return fmt.Errorf("cluster: ok report for item %d carries no result", rep.Index)
 		}
+		if r := rep.Result; !describes(r, st.item) {
+			return fmt.Errorf("cluster: ok report for item %d carries the row of %s/%s item %d",
+				st.item.Index, r.Bench, r.Scheme, r.Index)
+		}
 		rec := sweep.Record{
 			Type: "item", Index: st.item.Index, Status: "ok",
 			Outcome: rep.Outcome, Attempts: st.attempts + 1, Result: rep.Result,
@@ -517,6 +521,16 @@ func (c *Coordinator) Complete(rep CompleteRequest) error {
 
 	c.maybeFinishLocked()
 	return nil
+}
+
+// describes reports whether a result row names its item: the index and
+// every key field a worker copies from its grant (sweep.NewItemResult).
+// The row is checkpointed as the item's, so a row naming another item
+// would put that item's figures into results.jsonl.
+func describes(r *sweep.ItemResult, it sweep.Item) bool {
+	k := it.Key
+	return r.Index == it.Index && r.Bench == k.Bench && r.Scheme == k.Scheme.String() &&
+		r.Deep == k.Deep && r.IntALU == k.IntALU && r.Insts == k.Insts && r.Warmup == k.Warmup
 }
 
 func (c *Coordinator) finishLeaseSpanLocked(st *itemState, rep CompleteRequest, errStr string) {

@@ -220,6 +220,38 @@ func TestStaleReports(t *testing.T) {
 	}
 }
 
+// TestCompleteRefusesAnotherItemsRow: an ok report whose result row
+// names another item (index, benchmark, scheme or instruction count) is
+// refused, not checkpointed as this item's, and the item stays leased
+// until a report carrying its own row completes it.
+func TestCompleteRefusesAnotherItemsRow(t *testing.T) {
+	clock := newClock()
+	c := startJob(t, clock, soloSpec(), 0)
+	g, _ := c.Acquire("w1")
+	for _, mutate := range []func(r *sweep.ItemResult){
+		func(r *sweep.ItemResult) { r.Index = 1 },
+		func(r *sweep.ItemResult) { r.Bench = "mcf" },
+		func(r *sweep.ItemResult) { r.Scheme = "dcg" },
+		func(r *sweep.ItemResult) { r.Insts = 2000 },
+	} {
+		rep := okReport(g, "w1")
+		mutate(rep.Result)
+		if err := c.Complete(rep); err == nil || errors.Is(err, cluster.ErrLeaseLost) ||
+			!strings.Contains(err.Error(), "carries the row of") {
+			t.Fatalf("report with row %+v: err = %v, want a refusal", rep.Result, err)
+		}
+	}
+	if sum := c.Summary(); sum.Completed != 0 || c.LeasedCount() != 1 {
+		t.Fatalf("after refused reports: summary %+v, %d leased; want nothing completed, 1 leased", sum, c.LeasedCount())
+	}
+	if err := c.Complete(okReport(g, "w1")); err != nil {
+		t.Fatal(err)
+	}
+	if sum := c.Summary(); sum.Completed != 1 || !sum.Done {
+		t.Fatalf("summary = %+v, want the item completed and the job done", sum)
+	}
+}
+
 // TestFollowersGateOnLeader holds the replay follower back until its
 // timing group's capture leader is terminal, then routes it to the
 // worker that holds the capture.

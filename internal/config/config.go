@@ -104,6 +104,11 @@ const MaxPoolUnits = 32
 // keeps the window occupancy of each cycle in 16 bits.
 const MaxWindowSize = 1<<16 - 1
 
+// MaxLatchStages bounds a machine's back-end latch stage count: a usage
+// trace's header carries the count, and its reader refuses a larger one
+// as corruption before the count sizes any per-cycle buffer.
+const MaxLatchStages = 4096
+
 // PipelineConfig describes stage structure. The paper's baseline is the
 // 8-stage pipeline of Figure 3 (fetch, decode, rename, issue, regread,
 // execute, memory, writeback); section 5.6 studies a 20-stage variant where
@@ -342,6 +347,10 @@ func (c Config) Validate() error {
 	}
 	if err := c.Pipeline.Validate(); err != nil {
 		return err
+	}
+	if n := c.BackEndLatchStages(); n > MaxLatchStages {
+		return fmt.Errorf("config: %d back-end latch stages exceed the %d a usage trace holds "+
+			"(config.MaxLatchStages)", n, MaxLatchStages)
 	}
 	if d := c.issueToWriteback(); d >= SchedHorizon {
 		return fmt.Errorf("config: worst-case issue-to-writeback distance of %d cycles reaches "+

@@ -155,6 +155,26 @@ func TestValidateBoundsIssueToWriteback(t *testing.T) {
 // TestValidateBoundsFULatency: an FU latency past the reach of the core's
 // FU pool ring fails Validate with an error naming the bound, and one at
 // the bound passes.
+// TestValidateBoundsLatchStages refuses a machine with more back-end
+// latch stages than a usage trace holds: such a machine ran live but
+// failed its capture.
+func TestValidateBoundsLatchStages(t *testing.T) {
+	c := Default()
+	c.Pipeline = PipelineConfig{Depth: 5008, ExtraBackEnd: 5000}
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "5005 back-end latch stages exceed the 4096") ||
+		!strings.Contains(err.Error(), "config.MaxLatchStages") {
+		t.Errorf("5000 extra back-end stages: Validate err = %v, want one naming the 4096-stage bound", err)
+	}
+	c.Pipeline = PipelineConfig{Depth: 4099, ExtraBackEnd: 4091}
+	if err := c.Validate(); err != nil || c.BackEndLatchStages() != 4096 {
+		t.Errorf("%d back-end stages, at the bound: Validate err = %v", c.BackEndLatchStages(), err)
+	}
+	c.Pipeline = PipelineConfig{Depth: 4100, ExtraBackEnd: 4092}
+	if err := c.Validate(); err == nil {
+		t.Error("one back-end stage past the bound passed Validate")
+	}
+}
+
 func TestValidateBoundsFULatency(t *testing.T) {
 	c := Default()
 	c.FU.IntDivLat, c.FU.FPDivLat = 200, 200

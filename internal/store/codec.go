@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"dcg/internal/core"
 	"dcg/internal/usagetrace"
@@ -30,13 +31,22 @@ func encodeFrame(kind byte, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
 }
 
+// Pooled gzip codecs for result payloads, at gzip's default level. A
+// fresh deflater allocates about 800 KB of state to compress about 2.4 KB
+// of JSON, and every finished simulation writes one.
+var (
+	resultWriterPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+	resultReaderPool sync.Pool
+)
+
 // encodeResultPayload renders a result artifact payload: gzip-compressed
 // canonical JSON.
 func encodeResultPayload(r *core.Result) ([]byte, error) {
 	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
+	gz := resultWriterPool.Get().(*gzip.Writer)
+	gz.Reset(&buf)
+	defer resultWriterPool.Put(gz)
 	if err := json.NewEncoder(gz).Encode(r); err != nil {
-		gz.Close()
 		return nil, err
 	}
 	if err := gz.Close(); err != nil {
@@ -53,8 +63,12 @@ const maxResultJSON = 1 << 20
 
 // decodeResultPayload is the inverse of encodeResultPayload.
 func decodeResultPayload(payload []byte) (*core.Result, error) {
-	gz, err := gzip.NewReader(bytes.NewReader(payload))
-	if err != nil {
+	gz, _ := resultReaderPool.Get().(*gzip.Reader)
+	if gz == nil {
+		gz = new(gzip.Reader)
+	}
+	defer resultReaderPool.Put(gz)
+	if err := gz.Reset(bytes.NewReader(payload)); err != nil {
 		return nil, fmt.Errorf("result payload not gzip: %w", err)
 	}
 	raw, err := io.ReadAll(io.LimitReader(gz, maxResultJSON+1))

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dcg/internal/config"
 	"dcg/internal/cpu"
 )
 
@@ -179,7 +180,7 @@ func corruptStreams() []corruptStream {
 		{
 			name: "extra channel stage count implausible",
 			mutate: func(b []byte) []byte {
-				return withChannels(b, chEntry(ChannelLatchValue, maxLatchStages+1))
+				return withChannels(b, chEntry(ChannelLatchValue, config.MaxLatchStages+1))
 			},
 			wantErr: "implausible stage count",
 		},
@@ -267,7 +268,7 @@ func corruptStreams() []corruptStream {
 				// Splice a stage count past the hardening limit over the
 				// single-byte uvarint(2) closing the usage channel entry.
 				out := append([]byte{}, b[:headerLen-1]...)
-				out = binary.AppendUvarint(out, maxLatchStages+1)
+				out = binary.AppendUvarint(out, config.MaxLatchStages+1)
 				return append(out, b[headerLen:]...)
 			},
 			wantErr: "implausible stage count",

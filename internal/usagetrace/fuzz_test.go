@@ -49,7 +49,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parsed := len(data) + inflatedLen(data)
 		// The fixed part covers the schedule-mirror rings, the per-stage
-		// buffers a header may declare (up to maxLatchStages) and the
+		// buffers a header may declare (up to config.MaxLatchStages) and the
 		// reader's per-cycle event buffer (up to 2^16 events).
 		limit := uint64(64*parsed + 16<<20)
 		var tr *Trace

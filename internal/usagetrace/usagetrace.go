@@ -99,12 +99,22 @@ import (
 	"dcg/internal/cpu"
 )
 
+// gzipLevel is the deflate level EncodeGzip writes: the lowest whose
+// stored read stays within 5 % of one at gzip's default level 6. It
+// deflates the 16 benchmarks' traces about 1.8x faster than level 6 for
+// 6 % more bytes, and a stored read of them costs 3 % more (level 4's,
+// 6 %); docs/PERFORMANCE.md ("Store deflate level") has the measurements.
+const gzipLevel = 5
+
 // Pooled gzip codecs: a sweep runs thousands of captures and
 // (store-warm) trace loads, and a fresh inflater or deflater per use
 // showed up as steady allocation churn.
 var (
 	gzipReaderPool sync.Pool
-	gzipWriterPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+	gzipWriterPool = sync.Pool{New: func() any {
+		gz, _ := gzip.NewWriterLevel(io.Discard, gzipLevel) // a valid level never errs
+		return gz
+	}}
 )
 
 // pooledGzipReader resets a pooled inflater onto r (or builds the pool's
@@ -143,12 +153,6 @@ const (
 	// tooling) decodes transparently.
 	gzipMagic0 = 0x1f
 	gzipMagic1 = 0x8b
-
-	// maxLatchStages bounds the header's back-end latch stage count. The
-	// value is untrusted input sized per cycle record and per reader
-	// buffer, and a machine has a few latch stages, not thousands — a
-	// larger count is corruption, refused before it sizes any allocation.
-	maxLatchStages = 4096
 
 	// maxTraceChannels bounds the v2 header's channel table. The registry
 	// defines a handful of channel names; a larger count is corruption.
@@ -266,8 +270,8 @@ func NewRecorder(name string, backLatchStages int, extra ...string) (*Recorder, 
 	if len(name) > 255 {
 		return nil, fmt.Errorf("usagetrace: workload name too long")
 	}
-	if backLatchStages < 0 || backLatchStages > maxLatchStages {
-		return nil, fmt.Errorf("usagetrace: latch stage count %d out of range [0, %d]", backLatchStages, maxLatchStages)
+	if backLatchStages < 0 || backLatchStages > config.MaxLatchStages {
+		return nil, fmt.Errorf("usagetrace: latch stage count %d out of range [0, %d]", backLatchStages, config.MaxLatchStages)
 	}
 	channels := make([]string, 0, 1+len(extra))
 	channels = append(channels, ChannelUsage)
@@ -589,9 +593,9 @@ func newReader(data []byte) (*Reader, error) {
 		if err != nil {
 			return nil, fmt.Errorf("usagetrace: short header (latch stages): %w", err)
 		}
-		if stages > maxLatchStages {
+		if stages > config.MaxLatchStages {
 			return nil, fmt.Errorf("usagetrace: implausible latch stage count %d (limit %d)",
-				stages, maxLatchStages)
+				stages, config.MaxLatchStages)
 		}
 		rd.stages = int(stages)
 		rd.channels = []string{ChannelUsage}
@@ -624,9 +628,9 @@ func newReader(data []byte) (*Reader, error) {
 		if err != nil {
 			return nil, fmt.Errorf("usagetrace: short channel header %q: %w", ch, err)
 		}
-		if stages > maxLatchStages {
+		if stages > config.MaxLatchStages {
 			return nil, fmt.Errorf("usagetrace: channel %q declares implausible stage count %d (limit %d)",
-				ch, stages, maxLatchStages)
+				ch, stages, config.MaxLatchStages)
 		}
 		switch {
 		case i == 0:
