@@ -312,6 +312,45 @@ func BenchmarkDCGRun(b *testing.B) {
 	}
 }
 
+// BenchmarkPLBFamilyRun measures the full-run layer on gcc at 100k
+// instructions, with the warm-state cache filled before the timer: plb-ext
+// and dcg+plb each in a single-lane run of its own, and the two as one
+// timing-family pass (RunFamilyContext), which is what a request for
+// either costs the service. ns/cycle divides by the pass's cycles.
+func BenchmarkPLBFamilyRun(b *testing.B) {
+	const bench, insts = "gcc", 100_000
+	sim := core.NewSimulator(core.DefaultMachine())
+	runs := []struct {
+		name string
+		run  func() (*core.Result, error)
+	}{
+		{"plb-ext", func() (*core.Result, error) {
+			return sim.RunBenchmarkContext(context.Background(), bench, core.SchemePLBExt, insts)
+		}},
+		{"dcg+plb", func() (*core.Result, error) {
+			return sim.RunBenchmarkContext(context.Background(), bench, core.SchemeDCGPLB, insts)
+		}},
+		{"family", func() (*core.Result, error) {
+			return sim.RunFamilyContext(context.Background(), bench, core.SchemePLBExt, insts)
+		}},
+	}
+	for _, r := range runs {
+		b.Run(r.name, func(b *testing.B) {
+			res, err := r.run() // fills the warm-state cache
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res, err = r.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Cycles), "ns/cycle")
+		})
+	}
+}
+
 // ---- Capture-once / replay-many ----
 
 // BenchmarkCaptureTiming measures the capture side of the split: one core

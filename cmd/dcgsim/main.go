@@ -235,7 +235,9 @@ func schemeNames() string {
 // timing-neutral ones share one capture of the core timing, and
 // core.EvaluateTimingAll evaluates them all on the packed view the
 // capture built, bit-identically to direct runs. Schemes that perturb
-// timing (PLB) always run the full simulation.
+// timing (PLB) always run the full simulation: co-requested members of
+// one timing family (plb-ext and dcg+plb) share one RunFamilyContext
+// pass, and a lone member keeps the single-lane run.
 func runSchemes(ctx context.Context, sim *core.Simulator, bench string, kinds []core.SchemeKind, n uint64) ([]*core.Result, error) {
 	var neutralKinds []core.SchemeKind
 	for _, k := range kinds {
@@ -275,14 +277,35 @@ func runSchemes(ctx context.Context, sim *core.Simulator, bench string, kinds []
 		if out[i] != nil {
 			continue
 		}
+		lead := core.TimingFamily(k)[0]
+		var others []int // the other requested members of k's family
+		for j := i + 1; j < len(kinds); j++ {
+			if out[j] == nil && kinds[j] != k && core.TimingFamily(kinds[j])[0] == lead {
+				others = append(others, j)
+			}
+		}
 		_, fsp := obs.StartSpan(ctx, "sim.full")
 		fsp.SetAttr("scheme", k.String())
-		res, err := sim.RunBenchmark(bench, k, n)
+		var res *core.Result
+		var err error
+		if len(others) > 0 {
+			res, err = sim.RunFamilyContext(ctx, bench, k, n)
+		} else {
+			res, err = sim.RunBenchmarkContext(ctx, bench, k, n)
+		}
 		fsp.SetError(err)
 		fsp.Finish()
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", k, err)
 		}
+		for _, r := range res.Riders {
+			for _, j := range others {
+				if kinds[j].String() == r.Scheme {
+					out[j] = r
+				}
+			}
+		}
+		res.Riders = nil
 		out[i] = res
 	}
 	return out, nil

@@ -91,6 +91,10 @@ func main() {
 			*name = fmt.Sprintf("worker-%d", os.Getpid())
 		}
 	}
+	if len(*name) > cluster.MaxWorkerName {
+		fmt.Fprintf(os.Stderr, "dcgworker: -name is %d bytes; the coordinator takes at most %d\n", len(*name), cluster.MaxWorkerName)
+		os.Exit(2)
+	}
 	if *parallel <= 0 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}

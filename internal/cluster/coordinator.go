@@ -13,7 +13,6 @@ import (
 
 	"dcg/internal/core"
 	"dcg/internal/obs"
-	"dcg/internal/simrun"
 	"dcg/internal/sweep"
 )
 
@@ -104,23 +103,31 @@ type itemState struct {
 	// notBefore delays re-leasing after a failure report (retry pacing).
 	notBefore time.Time
 
-	group *group
+	group *group    // nil only for an item checkpointed before this run, never pending
 	span  *obs.Span // the current lease's span, nil when unleased/untraced
 }
 
 func (st *itemState) terminal() bool { return st.state == stateOK || st.state == stateFailed }
 
-// group is one timing group of the capture DAG: the items sharing a
-// TimingKey under timing-neutral schemes. The leader captures; the
-// followers stay ungrantable until the leader is terminal, then replay
-// — preferably on the worker now holding the capture.
+// group is one group of the DAG: the items sharing a TimingKey under
+// timing-neutral schemes, or a FamilyKey under full-run schemes. A
+// timing group's leader captures; a timing family's leader runs the full
+// pass its other members ride. The followers stay ungrantable until the
+// leader is terminal, then replay or take their rider's Result —
+// preferably on the worker now holding the capture or the pass.
 type group struct {
 	leader *itemState
 	// execWorker is the worker that completed the leader (it holds the
-	// timing capture in its local store); affinity routes followers there.
+	// timing capture in its local store, or the pass's Results in its
+	// executor); affinity routes followers there.
 	execWorker string
-	// routeKey is the rendezvous-hash input: the canonical timing key.
+	// routeKey is the rendezvous-hash input: the canonical timing or
+	// family key.
 	routeKey string
+	// family marks a timing family's group. Its followers are never
+	// stolen from a live execWorker: there each is a cache hit,
+	// elsewhere a second full pass.
+	family bool
 }
 
 // workerStats is the coordinator's per-worker accounting.
@@ -146,7 +153,7 @@ type Coordinator struct {
 	mu       sync.Mutex
 	states   []*itemState
 	byIndex  map[int]*itemState
-	groups   map[simrun.TimingKey]*group
+	groups   map[string]*group // by routeKey
 	results  map[int]*sweep.ItemResult
 	workers  map[string]*workerStats
 	seq      uint64
@@ -189,7 +196,7 @@ func newCoordinator(ctx context.Context, cfg JobConfig, spec *sweep.Spec,
 	c := &Coordinator{
 		cfg: cfg, spec: spec, items: items, man: man,
 		byIndex: make(map[int]*itemState),
-		groups:  make(map[simrun.TimingKey]*group),
+		groups:  make(map[string]*group),
 		results: make(map[int]*sweep.ItemResult, len(items)),
 		workers: make(map[string]*workerStats),
 		doneC:   make(chan struct{}),
@@ -210,21 +217,25 @@ func newCoordinator(ctx context.Context, cfg JobConfig, spec *sweep.Spec,
 		c.sum.TraceID = c.jobSpan.TraceID.String()
 	}
 
-	// Build the same DAG the engine builds: per timing group the first
-	// pending item is the capture leader, the rest gate on it. Items with
-	// a checkpointed result are terminal from the start.
+	// Build the same DAG the engine builds: per timing group or timing
+	// family the first pending item is the leader, the rest gate on it.
+	// Items with a checkpointed result are terminal from the start.
 	for _, it := range items {
 		st := &itemState{item: it}
 		if _, ok := done[it.Index]; ok {
 			st.state = stateOK
-		} else if core.TimingNeutral(it.Key.Scheme) {
-			tk := it.Key.TimingKey()
-			if g, ok := c.groups[tk]; ok {
-				st.group = g
-			} else {
-				c.groups[tk] = &group{leader: st, routeKey: fmt.Sprintf("%+v", tk)}
-				st.group = c.groups[tk]
+		} else {
+			neutral := core.TimingNeutral(it.Key.Scheme)
+			route := fmt.Sprintf("%+v", it.Key.FamilyKey())
+			if neutral {
+				route = fmt.Sprintf("%+v", it.Key.TimingKey())
 			}
+			g, ok := c.groups[route]
+			if !ok {
+				g = &group{leader: st, routeKey: route, family: !neutral}
+				c.groups[route] = g
+			}
+			st.group = g
 		}
 		c.states = append(c.states, st)
 		c.byIndex[it.Index] = st
@@ -245,8 +256,16 @@ func newCoordinator(ctx context.Context, cfg JobConfig, spec *sweep.Spec,
 // routing before it is presumed dead.
 func (c *Coordinator) livenessWindow() time.Duration { return 3 * c.cfg.LeaseTTL }
 
-// noteWorkerLocked records a heartbeat from worker.
+// noteWorkerLocked records a heartbeat from worker and drops the workers
+// silent past the liveness window that never claimed an item (so hold
+// no lease): names come off the network, and a worker that did work
+// keeps its progress row.
 func (c *Coordinator) noteWorkerLocked(worker string, now time.Time) *workerStats {
+	for name, ws := range c.workers {
+		if ws.claimed == 0 && now.Sub(ws.lastSeen) > c.livenessWindow() {
+			delete(c.workers, name)
+		}
+	}
 	ws := c.workers[worker]
 	if ws == nil {
 		ws = &workerStats{}
@@ -285,7 +304,7 @@ func (c *Coordinator) eligibleLocked(st *itemState, now time.Time) bool {
 	if st.state != statePending || now.Before(st.notBefore) {
 		return false
 	}
-	if st.group != nil && st.group.leader != st && !st.group.leader.terminal() {
+	if st.group.leader != st && !st.group.leader.terminal() {
 		return false
 	}
 	return true
@@ -305,20 +324,16 @@ func (c *Coordinator) liveWorkersLocked(now time.Time) []string {
 }
 
 // preferredLocked names the worker an item should land on: the holder
-// of its group's capture when one exists and is live, else the
+// of its group's capture or pass when one exists and is live, else the
 // rendezvous choice for its routing key over the live workers.
 func (c *Coordinator) preferredLocked(st *itemState, live []string, now time.Time) string {
-	if st.group != nil && st.group.execWorker != "" {
+	if st.group.execWorker != "" {
 		if ws := c.workers[st.group.execWorker]; ws != nil &&
 			now.Sub(ws.lastSeen) <= c.livenessWindow() {
 			return st.group.execWorker
 		}
 	}
-	key := fmt.Sprintf("%+v", st.item.Key)
-	if st.group != nil {
-		key = st.group.routeKey
-	}
-	return rendezvous(key, live)
+	return rendezvous(st.group.routeKey, live)
 }
 
 // rendezvous picks the highest-random-weight worker for a routing key:
@@ -368,7 +383,7 @@ func (c *Coordinator) Acquire(worker string) (*LeaseGrant, bool) {
 			chosen = st
 			break
 		}
-		if steal == nil {
+		if steal == nil && !(st.group.family && pref == st.group.execWorker) {
 			steal, stolenFrom = st, pref
 		}
 	}
@@ -474,9 +489,9 @@ func (c *Coordinator) Complete(rep CompleteRequest) error {
 		c.sum.Completed++
 		ws.done++
 		c.cfg.Metrics.item("ok")
-		if st.group != nil && st.group.leader == st {
-			// The capture now lives in this worker's store: route the
-			// group's replays there.
+		if st.group.leader == st {
+			// The capture (or the family pass) now lives on this worker:
+			// route the group's followers there.
 			st.group.execWorker = rep.Worker
 		}
 		c.finishLeaseSpanLocked(st, rep, "")

@@ -148,6 +148,54 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestFleetRunsOnePassPerTimingFamily runs both members of plb-ext's
+// timing family over three benchmarks on two workers, counting Full
+// calls by family: each family's rider follows its leader to the worker
+// that ran the pass, so the job makes one full pass per family and
+// still writes results.jsonl byte-identical to a single-node run's.
+func TestFleetRunsOnePassPerTimingFamily(t *testing.T) {
+	spec := &sweep.Spec{Name: "families", Benchmarks: []string{"gzip", "mcf", "art"},
+		Schemes: []string{"dcg+plb", "plb-ext"}, MaxInsts: 3000, Warmup: 500}
+	want := singleNodeResults(t, spec)
+
+	_, originURL := newFleetStore(t)
+	hub := cluster.NewHub(cluster.HubConfig{LeaseTTL: 5 * time.Second})
+	client := cluster.DirectClient{Hub: hub}
+	var mu sync.Mutex
+	passes := make(map[simrun.Key]int)
+	var workers []*cluster.Worker
+	for i := 0; i < 2; i++ {
+		w := newFleetWorker(t, fmt.Sprintf("w%d", i), originURL, client)
+		full := w.Exec.Full
+		w.Exec.Full = func(ctx context.Context, k simrun.Key) (*core.Result, error) {
+			mu.Lock()
+			passes[k.FamilyKey()]++
+			mu.Unlock()
+			return full(ctx, k)
+		}
+		workers = append(workers, w)
+	}
+	dir := t.TempDir()
+	if sum := runFleet(t, hub, dir, spec, workers); !sum.Done || sum.Failed != 0 {
+		t.Fatalf("fleet summary = %+v, want done with no failures", sum)
+	}
+	if len(passes) != len(spec.Benchmarks) {
+		t.Errorf("full passes ran for %d families, want %d: %v", len(passes), len(spec.Benchmarks), passes)
+	}
+	for k, n := range passes {
+		if n != 1 {
+			t.Errorf("family %s/%s ran %d full passes, want 1", k.Bench, k.Scheme, n)
+		}
+	}
+	got, err := cluster.ReadResults(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("results.jsonl of the family job differs from the single-node run's")
+	}
+}
+
 // TestFleetSurvivesWorkerDeath SIGKILLs (via context cancellation, which
 // abandons in-flight leases without a report — the same externally
 // visible behaviour) one of two workers mid-sweep. The job must still

@@ -90,9 +90,10 @@ func (j *hubJob) finish() *sweep.Summary {
 // never panic or answer 5xx, and answers only its documented codes: a
 // 200 from /lease decodes as a LeaseGrant of the running job, one from
 // /renew or /complete as {"status":"ok"}. When a report finishes the
-// job, every row of its results.jsonl describes its own item. The corpus
-// is seeded with the coordinator tests' okReport and failReport shapes,
-// fresh and stale.
+// job, every row of its results.jsonl describes its own item, and the hub
+// never remembers a worker name over MaxWorkerName. The corpus is seeded
+// with the coordinator tests' okReport and failReport shapes, fresh and
+// stale.
 func FuzzHubRequests(f *testing.F) {
 	marshal := func(v any) []byte {
 		b, err := json.Marshal(v)
@@ -135,6 +136,9 @@ func FuzzHubRequests(f *testing.F) {
 	for _, rep := range []cluster.CompleteRequest{noResult, badStatus, noItem} {
 		f.Add(byte(2), marshal(rep))
 	}
+	// A 64 KB worker name: before names were bounded, the hub and the
+	// job remembered a name of any length, forever.
+	f.Add(byte(0), marshal(cluster.LeaseRequest{Worker: strings.Repeat("w", 64<<10)}))
 	f.Add(byte(2), []byte(`{"worker":`))
 	f.Add(byte(2), []byte(`{"worker":"`+strings.Repeat("w", 1<<20)+`"}`))
 
@@ -143,6 +147,11 @@ func FuzzHubRequests(f *testing.F) {
 		j := startHubJob(t, op)
 		rec := httptest.NewRecorder()
 		j.hub.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		for _, name := range j.hub.WorkerNames() {
+			if len(name) > cluster.MaxWorkerName {
+				t.Fatalf("%s: the hub remembers a %d-byte worker name, over the %d-byte bound", path, len(name), cluster.MaxWorkerName)
+			}
+		}
 		sum := j.finish()
 
 		want := []int{http.StatusOK, http.StatusBadRequest, http.StatusGone}

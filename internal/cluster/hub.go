@@ -166,11 +166,28 @@ func (h *Hub) snapshot() []*Coordinator {
 	return out
 }
 
-// note records a fleet-wide worker heartbeat.
+// livenessWindow is how long a silent worker counts as active: three
+// lease TTLs, as each job's coordinator reckons it.
+func (h *Hub) livenessWindow() time.Duration {
+	if h.cfg.LeaseTTL <= 0 {
+		return 30 * time.Second
+	}
+	return 3 * h.cfg.LeaseTTL
+}
+
+// note records a fleet-wide worker heartbeat and forgets the workers
+// silent past the liveness window: names come off the network, so the
+// hub keeps only those heard from lately.
 func (h *Hub) note(worker string) {
 	h.mu.Lock()
-	h.lastSeen[worker] = h.cfg.Now()
-	h.mu.Unlock()
+	defer h.mu.Unlock()
+	now := h.cfg.Now()
+	for name, seen := range h.lastSeen {
+		if now.Sub(seen) > h.livenessWindow() {
+			delete(h.lastSeen, name)
+		}
+	}
+	h.lastSeen[worker] = now
 }
 
 // Lease grants worker an item from the oldest job with eligible work.
@@ -218,16 +235,12 @@ func (h *Hub) JobWorkers(id string) []WorkerProgress {
 
 // ActiveWorkers counts workers heard from within the liveness window.
 func (h *Hub) ActiveWorkers() int {
-	window := 3 * h.cfg.LeaseTTL
-	if window <= 0 {
-		window = 30 * time.Second
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	now := h.cfg.Now()
 	n := 0
 	for _, seen := range h.lastSeen {
-		if now.Sub(seen) <= window {
+		if now.Sub(seen) <= h.livenessWindow() {
 			n++
 		}
 	}
@@ -243,7 +256,8 @@ func (h *Hub) LeasesOutstanding() int {
 	return n
 }
 
-// WorkerNames lists every worker the hub has ever heard from, sorted.
+// WorkerNames lists the workers the hub remembers, sorted: those heard
+// from within the liveness window as of the last heartbeat.
 func (h *Hub) WorkerNames() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -323,12 +337,21 @@ func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// MaxWorkerName bounds the length in bytes of the worker name a protocol
+// request carries: the hub and each job's coordinator remember names.
+const MaxWorkerName = 256
+
 func requireWorker(w http.ResponseWriter, worker string) bool {
-	if worker == "" {
+	switch {
+	case worker == "":
 		http.Error(w, "request names no worker", http.StatusBadRequest)
-		return false
+	case len(worker) > MaxWorkerName:
+		http.Error(w, fmt.Sprintf("worker name of %d bytes exceeds the %d-byte bound", len(worker), MaxWorkerName),
+			http.StatusBadRequest)
+	default:
+		return true
 	}
-	return true
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

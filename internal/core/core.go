@@ -96,6 +96,13 @@ type Result struct {
 	// CPUStats is the raw core statistics snapshot.
 	CPUStats cpu.Stats
 
+	// Riders are the Results of the other members of the scheme's timing
+	// family that rode the same core pass (RunFamilyContext), in
+	// TimingFamily order; nil for a single-lane run. They are never
+	// serialised, and the simrun executor detaches them before a Result
+	// is cached, stored or served.
+	Riders []*Result `json:"-"`
+
 	// fullPerCycle is the machine's all-on per-cycle power per component,
 	// copied out of the run's power model. Results are cached by the
 	// simrun LRU; holding the model and accountant themselves would keep
@@ -261,15 +268,56 @@ func (s *Simulator) RunBenchmark(name string, kind SchemeKind, maxInsts uint64) 
 // live pass with the scheme attached; the goldens hold the two paths
 // bit-identical, and this one is their reference.
 func (s *Simulator) RunBenchmarkContext(ctx context.Context, name string, kind SchemeKind, maxInsts uint64) (*Result, error) {
-	scheme, err := s.makeScheme(kind)
-	if err != nil {
+	return s.runFamily(ctx, name, []SchemeKind{kind}, maxInsts)
+}
+
+// RunFamilyContext is RunBenchmarkContext for kind's whole timing family
+// (TimingFamily) in one core pass: every member keeps its own scheme and
+// power accountant, hears every issue event, and is asked for its Limits
+// each cycle. The returned Result is kind's, with the other members'
+// Results on its Riders. Each member's Result is the one its own
+// single-lane run gives, bit for bit (the goldens pin it), because the
+// members throttle the core identically; a pass on which they disagree
+// fails with an error naming the first cycle they part. A family of one
+// is a single-lane run.
+func (s *Simulator) RunFamilyContext(ctx context.Context, name string, kind SchemeKind, maxInsts uint64) (*Result, error) {
+	family := TimingFamily(kind)
+	if family == nil {
+		_, err := ParseScheme(string(kind))
 		return nil, err
+	}
+	kinds := []SchemeKind{kind}
+	for _, k := range family {
+		if k != kind {
+			kinds = append(kinds, k)
+		}
+	}
+	return s.runFamily(ctx, name, kinds, maxInsts)
+}
+
+// runFamily runs the named benchmark once with one lane per scheme in
+// kinds, which must share a core pass, and returns the first scheme's
+// Result carrying the rest as Riders (none for a single lane).
+func (s *Simulator) runFamily(ctx context.Context, name string, kinds []SchemeKind, maxInsts uint64) (*Result, error) {
+	schemes := make([]gating.Scheme, len(kinds))
+	for i, k := range kinds {
+		var err error
+		if schemes[i], err = s.makeScheme(k); err != nil {
+			return nil, err
+		}
 	}
 	src, prepare, err := s.benchSources(name, maxInsts)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, src, prepare, scheme)
+	results, err := s.run(ctx, src, prepare, schemes)
+	if err != nil {
+		return nil, err
+	}
+	if len(results) > 1 {
+		results[0].Riders = results[1:]
+	}
+	return results[0], nil
 }
 
 // benchSources returns a built-in benchmark's measured stream and the step
@@ -313,7 +361,7 @@ func (s *Simulator) RunBenchmarkScheme(name string, scheme gating.Scheme, maxIns
 	if err != nil {
 		return nil, err
 	}
-	return s.run(context.Background(), src, prepare, scheme)
+	return s.run1(context.Background(), src, prepare, scheme)
 }
 
 // RunStream warms the machine on the stream's first Warmup instructions,
@@ -325,7 +373,7 @@ func (s *Simulator) RunStream(src trace.Source, kind SchemeKind, maxInsts uint64
 		return nil, err
 	}
 	warm := func(c *cpu.Core) { c.Warm(trace.NewLimitSource(src, s.Warmup), ^uint64(0)) }
-	return s.run(context.Background(), trace.NewLimitSource(src, maxInsts), warm, scheme)
+	return s.run1(context.Background(), trace.NewLimitSource(src, maxInsts), warm, scheme)
 }
 
 // RunSource simulates the given instruction source to exhaustion under the
@@ -342,7 +390,7 @@ func (s *Simulator) RunSource(src trace.Source, kind SchemeKind) (*Result, error
 // schemes and ablations). No warm-up pass is applied; use RunBenchmark for
 // warmed runs.
 func (s *Simulator) RunScheme(src trace.Source, scheme gating.Scheme) (*Result, error) {
-	return s.run(context.Background(), src, nil, scheme)
+	return s.run1(context.Background(), src, nil, scheme)
 }
 
 // Timing is the product of one timing pass: everything a simulation run
@@ -370,38 +418,134 @@ type Timing struct {
 // Cycles returns the timing pass's cycle count.
 func (t *Timing) Cycles() uint64 { return t.CPUStats.Cycles }
 
-// run simulates src under the scheme, the live path: the scheme
-// throttles the core and hears every issue event, and its power
-// accountant observes every cycle, so timing and power are evaluated in
-// one pass. It serves schemes that change timing (the PLB family),
-// custom schemes and telemetry, and it is the reference the capture path
-// is held to.
-func (s *Simulator) run(ctx context.Context, src trace.Source, prepare func(*cpu.Core), scheme gating.Scheme) (*Result, error) {
+// run1 is run with a single lane.
+func (s *Simulator) run1(ctx context.Context, src trace.Source, prepare func(*cpu.Core), scheme gating.Scheme) (*Result, error) {
+	results, err := s.run(ctx, src, prepare, []gating.Scheme{scheme})
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// run simulates src under the schemes, the live path, and returns one
+// Result per scheme: each scheme is a lane with its own power accountant
+// observing every cycle, every lane hears every issue event, and the
+// lanes throttle the core together, so timing and power are evaluated
+// in one pass. With one lane the scheme is the core's throttle and
+// issue listener itself; with several, a familyThrottle fans out to
+// them and fails the pass on the first cycle their limits disagree. It
+// serves schemes that change timing (the PLB family), custom schemes
+// and telemetry, and it is the reference the capture path is held to.
+// Telemetry observes the first lane.
+func (s *Simulator) run(ctx context.Context, src trace.Source, prepare func(*cpu.Core), schemes []gating.Scheme) ([]*Result, error) {
 	c, err := cpu.New(s.machine, src)
 	if err != nil {
 		return nil, err
 	}
+	var observers cpu.MultiObserver
 	if s.Telemetry != nil {
 		// Wrap the scheme so every Gates call is reported; lane.result
 		// unwraps before its concrete-scheme type switches.
-		scheme = gating.Observed{Scheme: scheme, OnGates: s.Telemetry.OnGates}
+		schemes = slices.Clone(schemes)
+		schemes[0] = gating.Observed{Scheme: schemes[0], OnGates: s.Telemetry.OnGates}
+		observers = append(observers, s.Telemetry)
 	}
-	l, err := s.newLane(s.machine, scheme)
-	if err != nil {
-		return nil, err
+	lanes := make([]lane, len(schemes))
+	for i, scheme := range schemes {
+		if lanes[i], err = s.newLane(s.machine, scheme); err != nil {
+			return nil, err
+		}
+		observers = append(observers, lanes[i].acct)
 	}
-	c.SetThrottle(scheme)
-	c.SetIssueListener(scheme)
-	if s.Telemetry != nil {
-		c.SetObserver(cpu.MultiObserver{s.Telemetry, l.acct})
+	var fam *familyThrottle
+	if len(schemes) == 1 {
+		c.SetThrottle(schemes[0])
+		c.SetIssueListener(schemes[0])
 	} else {
-		c.SetObserver(l.acct)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+		fam = &familyThrottle{schemes: schemes, fail: cancel}
+		c.SetThrottle(fam)
+		c.SetIssueListener(fam)
 	}
-	tm, err := s.execute(ctx, c, src.Name(), prepare, scheme.Name())
+	if len(observers) == 1 {
+		c.SetObserver(observers[0])
+	} else {
+		c.SetObserver(observers)
+	}
+	tm, err := s.execute(ctx, c, src.Name(), prepare, schemes[0].Name())
+	if fam != nil && fam.err != nil {
+		return nil, fam.err
+	}
 	if err != nil {
 		return nil, err
 	}
-	return l.result(tm)
+	results := make([]*Result, len(lanes))
+	for i, l := range lanes {
+		if results[i], err = l.result(tm); err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// familyThrottle drives the core for the lanes of one live pass: every
+// lane's scheme is asked for its Limits (and QuietLimits) each cycle,
+// and the first lane's answer throttles the core. The lanes of a timing
+// family must agree on every cycle; the first disagreement is recorded
+// in err and cancels the pass through fail.
+type familyThrottle struct {
+	schemes []gating.Scheme
+	fail    context.CancelFunc
+	err     error
+}
+
+// Limits implements cpu.Throttle.
+func (f *familyThrottle) Limits(cycle uint64, fb cpu.CycleFeedback) cpu.Limits {
+	l := f.schemes[0].Limits(cycle, fb)
+	for _, s := range f.schemes[1:] {
+		if other := s.Limits(cycle, fb); other != l {
+			f.disagree(fmt.Errorf("core: %s and %s throttle differently at cycle %d (%+v vs %+v)",
+				f.schemes[0].Name(), s.Name(), cycle, l, other))
+		}
+	}
+	return l
+}
+
+// QuietLimits implements cpu.QuietThrottle: a run of quiet cycles is
+// taken only when every lane takes runs, and every lane must take the
+// same number of cycles. A lane that does not take runs makes the core
+// step each cycle instead.
+func (f *familyThrottle) QuietLimits(cycle, n uint64) uint64 {
+	for _, s := range f.schemes {
+		if _, ok := s.(cpu.QuietThrottle); !ok {
+			return 0
+		}
+	}
+	took := f.schemes[0].(cpu.QuietThrottle).QuietLimits(cycle, n)
+	for _, s := range f.schemes[1:] {
+		if other := s.(cpu.QuietThrottle).QuietLimits(cycle, n); other != took {
+			f.disagree(fmt.Errorf("core: %s and %s throttle differently at cycle %d (quiet run of %d vs %d cycles)",
+				f.schemes[0].Name(), s.Name(), cycle, took, other))
+		}
+	}
+	return took
+}
+
+// OnIssue implements cpu.IssueListener: every lane hears every event.
+func (f *familyThrottle) OnIssue(ev cpu.IssueEvent) {
+	for _, s := range f.schemes {
+		s.OnIssue(ev)
+	}
+}
+
+// disagree records the pass's first disagreement and cancels the pass.
+func (f *familyThrottle) disagree(err error) {
+	if f.err == nil {
+		f.err = err
+		f.fail()
+	}
 }
 
 // capture simulates src with the usagetrace.Recorder as the core's only

@@ -76,6 +76,12 @@ type SchemeInfo struct {
 	// Replay is the scheme's replay capability.
 	Replay ReplayCap
 
+	// Timing names the full-run scheme whose core pass this one rides:
+	// the two throttle the core identically, so one live run can carry
+	// both lanes (RunFamilyContext) and checks the claim every cycle.
+	// Empty means the scheme takes its own pass.
+	Timing SchemeKind
+
 	// New constructs a fresh scheme instance for the simulator's
 	// machine and tuning parameters.
 	New func(s *Simulator) gating.Scheme
@@ -88,8 +94,10 @@ var schemeRegistry struct {
 
 // RegisterScheme adds a scheme to the registry. Registration order is
 // presentation order (baseline first); duplicate names, empty names,
-// unknown channels, and nil constructors panic — the registry is
-// assembled at init time and a malformed entry is a programming error.
+// unknown channels, nil constructors, and a Timing that does not name an
+// earlier-registered full-run scheme taking its own pass panic — the
+// registry is assembled at init time and a malformed entry is a
+// programming error.
 func RegisterScheme(info SchemeInfo) {
 	if info.Kind == "" {
 		panic("core: RegisterScheme with empty scheme name")
@@ -112,6 +120,17 @@ func RegisterScheme(info SchemeInfo) {
 		}
 		if !known || ch == usagetrace.ChannelUsage {
 			panic(fmt.Sprintf("core: scheme %q requires invalid channel %q", info.Kind, ch))
+		}
+	}
+	if info.Timing != "" {
+		lead, ok := schemeRegistry.byKind[info.Timing]
+		switch {
+		case !ok:
+			panic(fmt.Sprintf("core: scheme %q rides unregistered scheme %q", info.Kind, info.Timing))
+		case lead.Replay != ReplayFullRun:
+			panic(fmt.Sprintf("core: scheme %q rides timing-neutral scheme %q", info.Kind, info.Timing))
+		case lead.Timing != "":
+			panic(fmt.Sprintf("core: scheme %q rides %q, itself a rider of %q", info.Kind, info.Timing, lead.Timing))
 		}
 	}
 	schemeRegistry.byKind[info.Kind] = info
@@ -167,6 +186,29 @@ func ParseScheme(s string) (SchemeKind, error) {
 func TimingNeutral(kind SchemeKind) bool {
 	info, ok := schemeRegistry.byKind[kind]
 	return ok && info.Replay != ReplayFullRun
+}
+
+// TimingFamily lists the schemes that share kind's core pass in a live
+// run, leader first: the scheme kind's Timing names (kind itself when
+// Timing is empty), then every scheme whose Timing names that leader, in
+// registration order. A scheme nothing rides is a family of one; an
+// unknown kind has none (nil).
+func TimingFamily(kind SchemeKind) []SchemeKind {
+	info, ok := schemeRegistry.byKind[kind]
+	if !ok {
+		return nil
+	}
+	lead := kind
+	if info.Timing != "" {
+		lead = info.Timing
+	}
+	family := []SchemeKind{lead}
+	for _, k := range schemeRegistry.order {
+		if schemeRegistry.byKind[k].Timing == lead {
+			family = append(family, k)
+		}
+	}
+	return family
 }
 
 // SchemeChannels returns the extra trace channels the scheme requires
@@ -297,6 +339,7 @@ func init() {
 		Summary: "PLB-ext's mode throttling with DCG's schedule-driven gating intersected " +
 			"per cycle: gates a structure unless both controllers keep it on.",
 		Replay: ReplayFullRun,
+		Timing: SchemePLBExt,
 		New:    func(s *Simulator) gating.Scheme { return gating.NewDCGPLB(s.machine, s.PLBParams) },
 	})
 }

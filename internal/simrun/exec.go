@@ -11,8 +11,10 @@ import (
 
 // Exec is the two-level simulation executor:
 //
-//	level 1 (timings): (workload, machine) → captured timing trace
-//	level 2 (results): (workload, machine, scheme) → evaluated Result
+//	level 1 (timings):  (workload, machine) → captured timing trace
+//	level 1 (families): (workload, machine, family leader) → one core
+//	                    pass's Results, one per member that rode it
+//	level 2 (results):  (workload, machine, scheme) → evaluated Result
 //
 // A request for a timing-neutral scheme (none, dcg, oracle, lector, ddcg,
 // dcg+ddcg — anything that cannot perturb the core's cycle-by-cycle
@@ -23,21 +25,36 @@ import (
 // capture records the run, building the trace's packed view as it goes,
 // and Capture hands back the kernel's evaluation of the requested scheme
 // on that view with the Timing, so the call that captured needs no
-// replay of its own. Schemes that do perturb timing (the PLB variants
-// throttle issue width from IPC feedback) bypass the timing level and
-// always run the full simulation.
+// replay of its own.
 //
-// Both levels coalesce concurrent identical requests, so a burst of
-// scheme evaluations for one workload performs exactly one timing pass.
+// Schemes that do perturb timing (the PLB variants throttle issue width
+// from IPC feedback) bypass the timing level and run the full
+// simulation, resolved through the family level: the members of a
+// timing family (core.TimingFamily — plb-ext and dcg+plb throttle the
+// core identically) share one entry there, keyed by the leader's Key.
+// The first request for any member runs Full, which carries every member
+// as a lane of one live pass and returns them as the Result's Riders;
+// the family level detaches them and keeps the pass's Results, so a
+// concurrent request for another member coalesces on the pass and a
+// later one hits it. A member is stored under its own key only when it
+// is requested, and nothing cached, stored or served carries riders. A
+// Full that returns no riders leaves each other member to its own call.
+//
+// Every level coalesces concurrent identical requests, so a burst of
+// scheme evaluations for one workload performs exactly one timing pass,
+// and a burst over one timing family exactly one full pass.
 type Exec struct {
-	results *Cache[Key, *core.Result]
-	timings *Cache[TimingKey, *core.Timing]
+	results  *Cache[Key, *core.Result]
+	timings  *Cache[TimingKey, *core.Timing]
+	families *Cache[Key, []*core.Result]
 
-	// Full runs the complete simulation (timing + live scheme). Capture
-	// records a trace of the timing pass and returns it with the key's
-	// scheme evaluated on it; Evaluate replays a trace under a scheme.
-	// Exported as seams so tests can count or fake executions; NewExec
-	// installs the production implementations.
+	// Full runs the complete simulation (timing + live scheme): the
+	// key's Result, carrying as Riders the Results of the other members
+	// of its timing family that rode the same core pass. Capture records
+	// a trace of the timing pass and returns it with the key's scheme
+	// evaluated on it; Evaluate replays a trace under a scheme. Exported
+	// as seams so tests can count or fake executions; NewExec installs
+	// the production implementations.
 	Full     func(ctx context.Context, k Key) (*core.Result, error)
 	Capture  func(ctx context.Context, k Key) (*core.Result, *core.Timing, error)
 	Evaluate func(k Key, t *core.Timing) (*core.Result, error)
@@ -66,22 +83,24 @@ type PersistentTier interface {
 }
 
 // NewExec builds the production two-level executor. resultCap bounds the
-// result cache and timingCap the timing cache; <= 0 means unbounded.
-// Timing traces are megabytes each (vs kilobytes per result), so serving
-// deployments should keep timingCap small.
+// result cache and the family level, timingCap the timing cache; <= 0
+// means unbounded. Timing traces are megabytes each (vs kilobytes per
+// result), so serving deployments should keep timingCap small.
 func NewExec(resultCap, timingCap int) *Exec {
 	return &Exec{
 		results:  NewCache[Key, *core.Result](resultCap),
 		timings:  NewCache[TimingKey, *core.Timing](timingCap),
+		families: NewCache[Key, []*core.Result](resultCap),
 		Full:     Run,
 		Capture:  Capture,
 		Evaluate: Evaluate,
 	}
 }
 
-// NewSingleLevelExec builds an executor with no timing cache: every miss
-// calls run. It preserves the old one-level behaviour for callers that
-// inject a custom runner (the server's test seam).
+// NewSingleLevelExec builds an executor with no timing cache and no
+// family level: every miss calls run. It preserves the old one-level
+// behaviour for callers that inject a custom runner (the server's test
+// seam).
 func NewSingleLevelExec(resultCap int, run func(ctx context.Context, k Key) (*core.Result, error)) *Exec {
 	return &Exec{
 		results: NewCache[Key, *core.Result](resultCap),
@@ -89,10 +108,11 @@ func NewSingleLevelExec(resultCap int, run func(ctx context.Context, k Key) (*co
 	}
 }
 
-// Do returns the result for k, reusing both cache levels. The outcome
+// Do returns the result for k, reusing every cache level. The outcome
 // reports how the call was served: OutcomeHit/OutcomeCoalesced from the
-// result cache, OutcomeReplayed when a cached timing trace was replayed,
-// OutcomeMiss when a full simulation (or capture) ran.
+// result cache or from another family member's full pass,
+// OutcomeReplayed when a cached timing trace was replayed, OutcomeMiss
+// when a full simulation (or capture) ran.
 func (e *Exec) Do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 	// The lookup span covers the whole two-level resolution; its outcome
 	// attribute is the cache-lookup verdict (cache/coalesced/replayed/
@@ -122,24 +142,24 @@ func (e *Exec) Do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 	fromStore := false
 	if e.timings == nil || !core.TimingNeutral(k.Scheme) {
+		fullOut := OutcomeMiss
 		res, out, err := e.results.Do(ctx, k, func(ctx context.Context) (*core.Result, error) {
 			if r, ok := e.storeResult(ctx, k); ok {
 				fromStore = true
 				return r, nil
 			}
-			_, sp := obs.StartSpan(ctx, "sim.full")
-			sp.SetAttr("bench", k.Bench)
-			sp.SetAttr("scheme", k.Scheme.String())
-			r, err := e.Full(ctx, k)
-			sp.SetError(err)
-			sp.Finish()
+			r, o, err := e.full(ctx, k)
+			fullOut = o
 			if err == nil && e.Store != nil {
 				e.Store.PutResult(ctx, k, r)
 			}
 			return r, err
 		})
-		if err == nil && out == OutcomeMiss && fromStore {
-			out = OutcomeStore
+		if err == nil && out == OutcomeMiss {
+			out = fullOut
+			if fromStore {
+				out = OutcomeStore
+			}
 		}
 		return res, out, err
 	}
@@ -236,6 +256,60 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 		}
 	}
 	return res, out, err
+}
+
+// full resolves a full-run key through the family level: the pass that
+// answers it is the one its family's entry holds, run now by this call
+// (OutcomeMiss), in flight for another member (OutcomeCoalesced) or
+// already done (OutcomeHit). A pass that did not carry k — a Full that
+// returns no riders — leaves k to a Full call of its own.
+func (e *Exec) full(ctx context.Context, k Key) (*core.Result, Outcome, error) {
+	if e.families == nil {
+		r, err := e.runFull(ctx, k)
+		return r, OutcomeMiss, err
+	}
+	members, out, err := e.families.Do(ctx, k.FamilyKey(), func(ctx context.Context) ([]*core.Result, error) {
+		r, err := e.runFull(ctx, k)
+		if err != nil {
+			return nil, err
+		}
+		// The Result Full returns is the Exec's to detach.
+		members := append([]*core.Result{r}, r.Riders...)
+		r.Riders = nil
+		return members, nil
+	})
+	if err != nil {
+		return nil, out, err
+	}
+	if out == OutcomeMiss {
+		return members[0], out, nil // this call's own pass: Full(k) leads
+	}
+	for _, r := range members {
+		if r.Scheme == k.Scheme.String() {
+			return r, out, nil
+		}
+	}
+	r, err := e.runFull(ctx, k)
+	return r, OutcomeMiss, err
+}
+
+// runFull runs Full under a sim.full span whose family attribute lists
+// the schemes the pass produced Results for.
+func (e *Exec) runFull(ctx context.Context, k Key) (*core.Result, error) {
+	_, sp := obs.StartSpan(ctx, "sim.full")
+	sp.SetAttr("bench", k.Bench)
+	sp.SetAttr("scheme", k.Scheme.String())
+	r, err := e.Full(ctx, k)
+	if err == nil && sp != nil {
+		family := r.Scheme
+		for _, rider := range r.Riders {
+			family += "," + rider.Scheme
+		}
+		sp.SetAttr("family", family)
+	}
+	sp.SetError(err)
+	sp.Finish()
+	return r, err
 }
 
 // storeResult consults the persistent tier for a finished result.

@@ -9,7 +9,8 @@
 // two-level Exec goes further: timing-neutral gating schemes (none, dcg,
 // oracle, lector, ddcg, dcg+ddcg) share one cycle-accurate timing capture
 // per (workload, machine, trace channels) and differ only in a cheap
-// trace replay.
+// trace replay, and the members of a timing family (plb-ext and dcg+plb)
+// share one full simulation per (workload, machine).
 package simrun
 
 import (
@@ -69,12 +70,24 @@ func (k Key) TimingKey() TimingKey {
 	}
 }
 
+// FamilyKey replaces k's scheme with the leader of its timing family
+// (core.TimingFamily): every member of a family on the same workload and
+// machine shares the FamilyKey, and with it one full pass in the Exec's
+// family level. A scheme nothing rides, or an unknown one, is its own
+// leader.
+func (k Key) FamilyKey() Key {
+	if family := core.TimingFamily(k.Scheme); family != nil {
+		k.Scheme = family[0]
+	}
+	return k
+}
+
 // TimingKey identifies one cycle-accurate timing pass: the workload, the
 // machine's timing-relevant configuration, and the captured trace's
 // extra channel set (canonical comma-joined form; "" = usage only) —
 // with no gating scheme. (Timing-neutral schemes do not perturb timing,
 // so they never appear here; PLB does and is excluded from the timing
-// cache entirely.)
+// cache entirely: its full runs resolve by FamilyKey.)
 type TimingKey struct {
 	Bench    string
 	Deep     bool
@@ -142,10 +155,14 @@ func simulatorFor(m config.Config, warmup uint64) *core.Simulator {
 }
 
 // Run executes the full simulation the key identifies: core timing with
-// the scheme attached live. The context is threaded into the cycle loop:
-// cancellation aborts the run within a few thousand simulated cycles.
+// the scheme attached live, and every other member of its timing family
+// (core.TimingFamily) riding the same pass as a lane of its own
+// (core.Simulator.RunFamilyContext). The Result is the key's, with the
+// other members' Results on its Riders. The context is threaded into the
+// cycle loop: cancellation aborts the run within a few thousand
+// simulated cycles.
 func Run(ctx context.Context, k Key) (*core.Result, error) {
-	return simulatorFor(k.Machine(), k.Warmup).RunBenchmarkContext(ctx, k.Bench, k.Scheme, k.Insts)
+	return simulatorFor(k.Machine(), k.Warmup).RunFamilyContext(ctx, k.Bench, k.Scheme, k.Insts)
 }
 
 // Capture executes the timing simulation the key identifies, recording

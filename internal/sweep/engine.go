@@ -136,12 +136,12 @@ func (e *Engine) run(ctx context.Context, spec *Spec, items []Item,
 type itemState struct {
 	item Item
 	// gate, when non-nil, must be closed before this item may start: it
-	// is a replay follower and the gate is its timing group's capture.
+	// is a follower and the gate is its group's leader.
 	gate chan struct{}
 	// release, when non-nil, is closed when this item finishes (however
-	// it finishes): it is a timing group's capture leader.
+	// it finishes): it is a group's leader.
 	release chan struct{}
-	// leader is the capture leader a follower gated on (nil otherwise).
+	// leader is the leader a follower gated on (nil otherwise).
 	leader *itemState
 	// spanID is the leader's item span, written before release closes so
 	// followers can link their spans to the capture that fed them.
@@ -179,26 +179,31 @@ func (e *Engine) runItems(ctx context.Context, name string, items []Item,
 	}
 
 	// Build the DAG: for each timing group (same TimingKey, timing-
-	// neutral scheme) the first pending item is the capture leader;
-	// the rest wait on it and then fan out as replays. PLB items and
-	// groups of one need no coordination.
+	// neutral scheme) the first pending item is the capture leader, and
+	// the rest wait on it and then fan out as replays. For each timing
+	// family (same FamilyKey, full-run scheme) the first pending item is
+	// the family leader, whose full pass carries the other members, and
+	// the rest wait on it and then hit the executor's family level.
+	// Groups of one need no coordination.
 	var pending []*itemState
-	leaders := make(map[simrun.TimingKey]*itemState)
+	leaders := make(map[any]*itemState) // by TimingKey or FamilyKey
 	for _, it := range items {
 		if _, ok := done[it.Index]; ok {
 			continue
 		}
 		st := &itemState{item: it}
+		var group any = it.Key.FamilyKey()
 		if core.TimingNeutral(it.Key.Scheme) {
-			if lead, ok := leaders[it.Key.TimingKey()]; ok {
-				if lead.release == nil {
-					lead.release = make(chan struct{})
-				}
-				st.gate = lead.release
-				st.leader = lead
-			} else {
-				leaders[it.Key.TimingKey()] = st
+			group = it.Key.TimingKey()
+		}
+		if lead, ok := leaders[group]; ok {
+			if lead.release == nil {
+				lead.release = make(chan struct{})
 			}
+			st.gate = lead.release
+			st.leader = lead
+		} else {
+			leaders[group] = st
 		}
 		pending = append(pending, st)
 	}
@@ -242,13 +247,13 @@ func (e *Engine) runItems(ctx context.Context, name string, items []Item,
 		go func(st *itemState) {
 			defer wg.Done()
 			// A leader that never runs must still release its followers
-			// (they will attempt the capture themselves through the
-			// executor's coalescing — correct, just less orderly).
+			// (they will attempt the capture or pass themselves through
+			// the executor's coalescing — correct, just less orderly).
 			if st.release != nil {
 				defer close(st.release)
 			}
-			// Followers wait for their capture outside the semaphore, so
-			// a blocked replay never occupies a worker slot.
+			// Followers wait for their leader outside the semaphore, so
+			// a blocked follower never occupies a worker slot.
 			if st.gate != nil {
 				select {
 				case <-st.gate:
@@ -270,11 +275,15 @@ func (e *Engine) runItems(ctx context.Context, name string, items []Item,
 			isp.SetAttrInt("index", int64(st.item.Index))
 			isp.SetAttr("bench", st.item.Key.Bench)
 			isp.SetAttr("scheme", st.item.Key.Scheme.String())
+			leaderRole, followerRole := "capture-leader", "replay-follower"
+			if !core.TimingNeutral(st.item.Key.Scheme) {
+				leaderRole, followerRole = "family-leader", "family-rider"
+			}
 			switch {
 			case st.release != nil:
-				isp.SetAttr("role", "capture-leader")
+				isp.SetAttr("role", leaderRole)
 			case st.leader != nil:
-				isp.SetAttr("role", "replay-follower")
+				isp.SetAttr("role", followerRole)
 				// The leader writes its span ID before release closes, so
 				// this read is ordered by the gate the follower waited on.
 				if id := st.leader.spanID; !id.IsZero() {

@@ -136,6 +136,45 @@ func TestEngineCapturesOncePerTimingGroup(t *testing.T) {
 	}
 }
 
+// TestEngineRunsOnePassPerTimingFamily: each benchmark's plb-ext and
+// dcg+plb items form one timing family. Its first item leads and runs
+// the full pass, and the rider waits for it and is served from the
+// executor's family level.
+func TestEngineRunsOnePassPerTimingFamily(t *testing.T) {
+	eng, fulls, _, _ := countingEngine()
+	full := eng.Exec.Full
+	eng.Exec.Full = func(ctx context.Context, k simrun.Key) (*core.Result, error) {
+		r, err := full(ctx, k)
+		rk := k
+		rk.Scheme = core.SchemePLBExt
+		r.Riders = []*core.Result{fakeResult(rk)}
+		return r, err
+	}
+	spec := &Spec{Name: "families", Benchmarks: []string{"gzip", "mcf", "art"},
+		Schemes: []string{"dcg+plb", "plb-ext"}, MaxInsts: 1000}
+	dir := t.TempDir()
+	sum, err := eng.Start(context.Background(), spec, dir)
+	if err != nil || !sum.Done {
+		t.Fatalf("summary %+v, err %v; want done", sum, err)
+	}
+	if n := fulls.Load(); n != 3 {
+		t.Errorf("full passes = %d, want 3 (one per benchmark's family)", n)
+	}
+	_, recs, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx, rec := range recs {
+		want := "simulated"
+		if rec.Result.Scheme == "plb-ext" {
+			want = "cache"
+		}
+		if rec.Outcome != want {
+			t.Errorf("item %d (%s) served %q, want %q", idx, rec.Result.Scheme, rec.Outcome, want)
+		}
+	}
+}
+
 // interruptAfter cancels a context once n items have completed.
 func interruptAfter(e *Engine, n int32) (context.Context, *atomic.Int32) {
 	ctx, cancel := context.WithCancel(context.Background())
