@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"dcg/internal/experiments"
-	"dcg/internal/report"
 )
 
 func main() {
@@ -142,7 +141,7 @@ func comparison(f func() (*experiments.Comparison, error),
 				return err
 			}
 			defer f.Close()
-			if err := report.ComparisonCSV(f, c); err != nil {
+			if err := c.WriteCSV(f); err != nil {
 				return err
 			}
 		}

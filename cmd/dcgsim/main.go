@@ -316,9 +316,7 @@ func runSchemes(ctx context.Context, sim *core.Simulator, bench string, kinds []
 // trace-event JSON (jsonPath) and/or per-window CSV (csvPath).
 func runPipeTrace(sim *core.Simulator, machine config.Config, bench string, kind core.SchemeKind, n uint64, jsonPath, csvPath string, window uint64, verbose bool) error {
 	rec := obs.NewPipelineRecorder(machine, window, bench+"/"+kind.String())
-	sim.Telemetry = rec
-	defer func() { sim.Telemetry = nil }()
-	res, err := sim.RunBenchmark(bench, kind, n)
+	res, err := sim.RunBenchmarkTelemetry(context.Background(), bench, kind, n, rec)
 	if err != nil {
 		return err
 	}

@@ -56,7 +56,6 @@ type runFlags struct {
 	retries     *int
 	storeDir    *string
 	storeMax    *int64
-	verbose     *bool
 	logLevel    *string
 	logFormat   *string
 	traceSpans  *int
@@ -77,8 +76,7 @@ func newRunFlags(name string) *runFlags {
 		retries:     fs.Int("retries", 1, "re-attempts per failed item"),
 		storeDir:    fs.String("store-dir", "", "persistent artifact store directory (shared with dcgserve)"),
 		storeMax:    fs.Int64("store-max-bytes", 0, "evict least-recently-used store artifacts above this size (0 = unbounded)"),
-		verbose:     fs.Bool("v", false, "log per-item progress (shorthand for -log-level info)"),
-		logLevel:    fs.String("log-level", "", "log verbosity: debug, info, warn, error (default warn; info with -v)"),
+		logLevel:    fs.String("log-level", "warn", "log verbosity: debug, info (per-item progress), warn, error"),
 		logFormat:   fs.String("log-format", "text", "log encoding: text or json"),
 		traceSpans:  fs.Int("trace-spans", 0, "retain up to this many finished spans for -trace-out (0 = tracing off)"),
 		traceSlowMS: fs.Int("trace-slow-ms", 0, "log spans slower than this many milliseconds at warn (0 = off)"),
@@ -92,17 +90,11 @@ func newRunFlags(name string) *runFlags {
 	return f
 }
 
-// logger builds the process logger. -log-level wins when set; otherwise
-// the historical behaviour holds: warn, or info under -v.
+// logger builds the process logger at -log-level.
 func (f *runFlags) logger() (*slog.Logger, error) {
-	level := slog.LevelWarn
-	if *f.verbose {
-		level = slog.LevelInfo
-	}
-	if *f.logLevel != "" {
-		if err := level.UnmarshalText([]byte(*f.logLevel)); err != nil {
-			return nil, fmt.Errorf("bad -log-level %q (want debug, info, warn or error)", *f.logLevel)
-		}
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*f.logLevel)); err != nil {
+		return nil, fmt.Errorf("bad -log-level %q (want debug, info, warn or error)", *f.logLevel)
 	}
 	opts := &slog.HandlerOptions{Level: level}
 	switch strings.ToLower(*f.logFormat) {

@@ -13,7 +13,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -114,8 +113,8 @@ type Result struct {
 
 // ComponentSaving exposes per-structure savings for the figure harnesses:
 // the energy the component group consumed versus always-on over the run.
-// The arithmetic mirrors power.Accountant.ComponentSaving term for term,
-// so replayed and direct results agree bit for bit.
+// It reads only the Result's energy and all-on vectors, so replayed and
+// direct results agree bit for bit.
 func (r *Result) ComponentSaving(comps ...power.Component) float64 {
 	var used, full float64
 	for _, c := range comps {
@@ -193,9 +192,6 @@ func (r *Result) Summary() string {
 type Simulator struct {
 	machine config.Config
 
-	// PLBParams configures the PLB trigger; zero value means defaults.
-	PLBParams gating.PLBParams
-
 	// Warmup is the number of instructions functionally streamed through
 	// the caches and branch predictor before the measured region starts
 	// (the stand-in for the paper's 2-billion-instruction fast-forward).
@@ -205,23 +201,17 @@ type Simulator struct {
 	// structures still burn this fraction of their dynamic power.
 	// Default 0, as in the paper (section 4.2).
 	LeakageFrac float64
-
-	// Telemetry, when non-nil, observes the measured region of a live
-	// run: it receives every per-cycle usage vector (before the power
-	// accountant) and — via a gating.Observed wrapper around the run's
-	// scheme — every per-cycle gating decision. The wrapper takes no runs
-	// of quiet cycles, so a run with telemetry steps every cycle instead
-	// of fast-forwarding. It applies to live runs only: a capture, or an
-	// evaluation of a captured Timing, with Telemetry set returns an
-	// error. The obs package's PipelineRecorder implements it; dcgsim
-	// -trace-out and the server's /v1/trace endpoint wire it up.
-	Telemetry RunTelemetry
 }
 
-// RunTelemetry observes a run: the usage stream plus each cycle's gating
-// decision. Implementations must follow the cpu.Observer contract (the
-// Usage buffer is reused; never retain it) and must not mutate the
-// GateState's slices.
+// RunTelemetry observes a live run's measured region: the usage stream
+// (before the power accountant) plus each cycle's gating decision, through
+// a gating.Observed wrapper around the run's scheme. The wrapper takes no
+// runs of quiet cycles, so a run with telemetry steps every cycle instead
+// of fast-forwarding. Implementations must follow the cpu.Observer
+// contract (the Usage buffer is reused; never retain it) and must not
+// mutate the GateState's slices. The obs package's PipelineRecorder
+// implements it; dcgsim -trace-out and the server's /v1/trace endpoint
+// hand one to RunBenchmarkTelemetry.
 type RunTelemetry interface {
 	cpu.Observer
 	OnGates(cycle uint64, gs power.GateState)
@@ -233,9 +223,8 @@ const DefaultWarmup = 200_000
 // NewSimulator builds a simulator for the given machine.
 func NewSimulator(machine config.Config) *Simulator {
 	return &Simulator{
-		machine:   machine,
-		PLBParams: gating.DefaultPLBParams(),
-		Warmup:    DefaultWarmup,
+		machine: machine,
+		Warmup:  DefaultWarmup,
 	}
 }
 
@@ -268,7 +257,13 @@ func (s *Simulator) RunBenchmark(name string, kind SchemeKind, maxInsts uint64) 
 // live pass with the scheme attached; the goldens hold the two paths
 // bit-identical, and this one is their reference.
 func (s *Simulator) RunBenchmarkContext(ctx context.Context, name string, kind SchemeKind, maxInsts uint64) (*Result, error) {
-	return s.runFamily(ctx, name, []SchemeKind{kind}, maxInsts)
+	return s.runFamily(ctx, name, []SchemeKind{kind}, maxInsts, nil)
+}
+
+// RunBenchmarkTelemetry is RunBenchmarkContext with tel observing the
+// run's measured region.
+func (s *Simulator) RunBenchmarkTelemetry(ctx context.Context, name string, kind SchemeKind, maxInsts uint64, tel RunTelemetry) (*Result, error) {
+	return s.runFamily(ctx, name, []SchemeKind{kind}, maxInsts, tel)
 }
 
 // RunFamilyContext is RunBenchmarkContext for kind's whole timing family
@@ -292,13 +287,14 @@ func (s *Simulator) RunFamilyContext(ctx context.Context, name string, kind Sche
 			kinds = append(kinds, k)
 		}
 	}
-	return s.runFamily(ctx, name, kinds, maxInsts)
+	return s.runFamily(ctx, name, kinds, maxInsts, nil)
 }
 
 // runFamily runs the named benchmark once with one lane per scheme in
 // kinds, which must share a core pass, and returns the first scheme's
-// Result carrying the rest as Riders (none for a single lane).
-func (s *Simulator) runFamily(ctx context.Context, name string, kinds []SchemeKind, maxInsts uint64) (*Result, error) {
+// Result carrying the rest as Riders (none for a single lane). tel, when
+// non-nil, observes the first lane.
+func (s *Simulator) runFamily(ctx context.Context, name string, kinds []SchemeKind, maxInsts uint64, tel RunTelemetry) (*Result, error) {
 	schemes := make([]gating.Scheme, len(kinds))
 	for i, k := range kinds {
 		var err error
@@ -310,7 +306,7 @@ func (s *Simulator) runFamily(ctx context.Context, name string, kinds []SchemeKi
 	if err != nil {
 		return nil, err
 	}
-	results, err := s.run(ctx, src, prepare, schemes)
+	results, err := s.run(ctx, src, prepare, schemes, tel)
 	if err != nil {
 		return nil, err
 	}
@@ -418,9 +414,9 @@ type Timing struct {
 // Cycles returns the timing pass's cycle count.
 func (t *Timing) Cycles() uint64 { return t.CPUStats.Cycles }
 
-// run1 is run with a single lane.
+// run1 is run with a single lane and no telemetry.
 func (s *Simulator) run1(ctx context.Context, src trace.Source, prepare func(*cpu.Core), scheme gating.Scheme) (*Result, error) {
-	results, err := s.run(ctx, src, prepare, []gating.Scheme{scheme})
+	results, err := s.run(ctx, src, prepare, []gating.Scheme{scheme}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -436,19 +432,19 @@ func (s *Simulator) run1(ctx context.Context, src trace.Source, prepare func(*cp
 // them and fails the pass on the first cycle their limits disagree. It
 // serves schemes that change timing (the PLB family), custom schemes
 // and telemetry, and it is the reference the capture path is held to.
-// Telemetry observes the first lane.
-func (s *Simulator) run(ctx context.Context, src trace.Source, prepare func(*cpu.Core), schemes []gating.Scheme) ([]*Result, error) {
+// tel, when non-nil, observes the first lane.
+func (s *Simulator) run(ctx context.Context, src trace.Source, prepare func(*cpu.Core), schemes []gating.Scheme, tel RunTelemetry) ([]*Result, error) {
 	c, err := cpu.New(s.machine, src)
 	if err != nil {
 		return nil, err
 	}
 	var observers cpu.MultiObserver
-	if s.Telemetry != nil {
+	if tel != nil {
 		// Wrap the scheme so every Gates call is reported; lane.result
 		// unwraps before its concrete-scheme type switches.
 		schemes = slices.Clone(schemes)
-		schemes[0] = gating.Observed{Scheme: schemes[0], OnGates: s.Telemetry.OnGates}
-		observers = append(observers, s.Telemetry)
+		schemes[0] = gating.Observed{Scheme: schemes[0], OnGates: tel.OnGates}
+		observers = append(observers, tel)
 	}
 	lanes := make([]lane, len(schemes))
 	for i, scheme := range schemes {
@@ -553,12 +549,7 @@ func (f *familyThrottle) disagree(err error) {
 // power accountant run. The Timing it returns carries the trace with
 // its packed view built, ready for EvaluateTimingAll. channels names the
 // extra trace channels to record beyond the implicit usage channel.
-// Telemetry observes live runs only, so a simulator carrying it is
-// refused before the core runs.
 func (s *Simulator) capture(ctx context.Context, src trace.Source, prepare func(*cpu.Core), channels []string) (*Timing, error) {
-	if s.Telemetry != nil {
-		return nil, errTelemetry
-	}
 	c, err := cpu.New(s.machine, src)
 	if err != nil {
 		return nil, err
@@ -578,10 +569,6 @@ func (s *Simulator) capture(ctx context.Context, src trace.Source, prepare func(
 	}
 	return tm, nil
 }
-
-// errTelemetry refuses a capture or an evaluation on a simulator that
-// carries Telemetry.
-var errTelemetry = errors.New("core: telemetry observes live runs only; capture or evaluate without it")
 
 // execute brings the core to the measured region's start (prepare, when
 // non-nil: a warm-up, or a restore of one), runs it until the stream

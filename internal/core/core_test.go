@@ -206,8 +206,7 @@ func TestPLBOnNonEightWideMachines(t *testing.T) {
 			sim := NewSimulator(m)
 			sim.Warmup = 5_000
 			iq := &maxIQFrac{}
-			sim.Telemetry = iq
-			res, err := sim.RunBenchmark("gcc", kind, 20_000)
+			res, err := sim.RunBenchmarkTelemetry(context.Background(), "gcc", kind, 20_000, iq)
 			if err != nil {
 				t.Fatalf("%s at %d wide: %v", kind, width, err)
 			}

@@ -72,7 +72,7 @@ func TestFamilyPassMatchesSingleLaneRuns(t *testing.T) {
 func TestFamilyPassRefusesDisagreeingLanes(t *testing.T) {
 	sim := NewSimulator(DefaultMachine())
 	sim.Warmup = 5_000
-	res, err := sim.runFamily(context.Background(), "mcf", []SchemeKind{SchemePLBExt, SchemePLBOrig}, 30_000)
+	res, err := sim.runFamily(context.Background(), "mcf", []SchemeKind{SchemePLBExt, SchemePLBOrig}, 30_000, nil)
 	if err == nil {
 		t.Fatalf("disagreeing lanes returned a Result (%d cycles), want an error", res.Cycles)
 	}

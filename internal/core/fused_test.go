@@ -2,13 +2,9 @@ package core
 
 import (
 	"bytes"
-	"context"
-	"strings"
 	"testing"
 
-	"dcg/internal/cpu"
 	"dcg/internal/gating"
-	"dcg/internal/power"
 	"dcg/internal/usagetrace"
 )
 
@@ -108,44 +104,6 @@ func TestFusedReplayRejectsPLB(t *testing.T) {
 		t.Error("scalar replay accepted a timing with no trace")
 	}
 }
-
-// TestEvaluationRefusesTelemetry: telemetry observes live runs only, so
-// the router, the scalar engine and the capture all refuse a simulator
-// carrying it rather than return Results its recorder never saw.
-func TestEvaluationRefusesTelemetry(t *testing.T) {
-	sim := NewSimulator(DefaultMachine())
-	sim.Warmup = 10_000
-	tm, err := sim.CaptureBenchmark("gzip", 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Telemetry = stepEveryCycle{}
-	if _, err := sim.EvaluateTimingAll(tm, []SchemeKind{SchemeDCG}); err == nil || !strings.Contains(err.Error(), "telemetry") {
-		t.Errorf("EvaluateTimingAll with telemetry: err = %v", err)
-	}
-	if _, err := sim.EvaluateScalar(tm, schemesOf(t, sim, SchemeDCG)); err == nil || !strings.Contains(err.Error(), "telemetry") {
-		t.Errorf("EvaluateScalar with telemetry: err = %v", err)
-	}
-	// A capture is not a live run either: it is refused before the core
-	// runs, so the telemetry sees no cycle.
-	counted := &countingTelemetry{}
-	sim.Telemetry = counted
-	if _, _, err := sim.RunAndCapture(context.Background(), "gzip", SchemeDCG, 10_000); err == nil || !strings.Contains(err.Error(), "telemetry") {
-		t.Errorf("RunAndCapture with telemetry: err = %v", err)
-	}
-	if _, err := sim.CaptureBenchmark("gzip", 10_000); err == nil || !strings.Contains(err.Error(), "telemetry") {
-		t.Errorf("CaptureBenchmark with telemetry: err = %v", err)
-	}
-	if counted.cycles != 0 {
-		t.Errorf("a refused capture showed the telemetry %d cycles", counted.cycles)
-	}
-}
-
-// countingTelemetry counts the cycles it observes.
-type countingTelemetry struct{ cycles int }
-
-func (c *countingTelemetry) OnCycle(*cpu.Usage)              { c.cycles++ }
-func (c *countingTelemetry) OnGates(uint64, power.GateState) {}
 
 // TestFusedReplayDecodesOnce pins the pass counts of the two replay
 // engines over one capture. The scalar fused engine streams the encoded

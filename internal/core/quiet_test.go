@@ -50,9 +50,6 @@ func TestQuietSkipMatchesPerCycle(t *testing.T) {
 	for _, m := range machines {
 		fast := NewSimulator(m.cfg)
 		fast.Warmup = 5_000
-		slow := NewSimulator(m.cfg)
-		slow.Warmup = 5_000
-		slow.Telemetry = stepEveryCycle{}
 		for _, bench := range []string{"mcf", "lucas", "gcc"} {
 			stepped := steppedCapture(t, fast, bench, insts)
 			for _, kind := range AllSchemes() {
@@ -78,7 +75,10 @@ func TestQuietSkipMatchesPerCycle(t *testing.T) {
 				} else {
 					a = runOn(t, fast, label, bench, kind, insts)
 				}
-				b := runOn(t, slow, label, bench, kind, insts)
+				b, err := fast.RunBenchmarkTelemetry(context.Background(), bench, kind, insts, stepEveryCycle{})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
 				assertBitIdentical(t, label, b, a)
 				if !reflect.DeepEqual(a.CPUStats, b.CPUStats) {
 					t.Errorf("%s: core statistics differ:\nfast %+v\nslow %+v", label, a.CPUStats, b.CPUStats)

@@ -295,14 +295,14 @@ func init() {
 		Summary: "Pipeline balancing, original variant: IPC-triggered issue-width modes " +
 			"gating execution units and the issue queue.",
 		Replay: ReplayFullRun,
-		New:    func(s *Simulator) gating.Scheme { return gating.NewPLB(s.machine, s.PLBParams, false) },
+		New:    func(s *Simulator) gating.Scheme { return gating.NewPLB(s.machine, gating.DefaultPLBParams(), false) },
 	})
 	RegisterScheme(SchemeInfo{
 		Kind: SchemePLBExt,
 		Summary: "Pipeline balancing, extended variant: additionally gates latches, " +
 			"D-cache decoders, and result buses per mode.",
 		Replay: ReplayFullRun,
-		New:    func(s *Simulator) gating.Scheme { return gating.NewPLB(s.machine, s.PLBParams, true) },
+		New:    func(s *Simulator) gating.Scheme { return gating.NewPLB(s.machine, gating.DefaultPLBParams(), true) },
 	})
 	RegisterScheme(SchemeInfo{
 		Kind: SchemeOracle,
@@ -340,6 +340,6 @@ func init() {
 			"per cycle: gates a structure unless both controllers keep it on.",
 		Replay: ReplayFullRun,
 		Timing: SchemePLBExt,
-		New:    func(s *Simulator) gating.Scheme { return gating.NewDCGPLB(s.machine, s.PLBParams) },
+		New:    func(s *Simulator) gating.Scheme { return gating.NewDCGPLB(s.machine, gating.DefaultPLBParams()) },
 	})
 }

@@ -105,16 +105,13 @@ func (s *Simulator) EvaluateScalar(t *Timing, schemes []gating.Scheme) ([]*Resul
 	return s.scalarPass(t, schemes)
 }
 
-// checkReplay refuses an evaluation no replay can serve: a simulator with
-// Telemetry (it observes live runs only), a Timing without a trace, and a
-// registered scheme whose channels the trace lacks. A scheme whose name
-// is not registered (partial-DCG ablations, custom controllers) is taken
-// as usage-only; a value-dependent scheme replayed over a channel-less
-// trace would silently degrade, so the mismatch fails loudly here.
+// checkReplay refuses an evaluation no replay can serve: a Timing without
+// a trace, and a registered scheme whose channels the trace lacks. A
+// scheme whose name is not registered (partial-DCG ablations, custom
+// controllers) is taken as usage-only; a value-dependent scheme replayed
+// over a channel-less trace would silently degrade, so the mismatch fails
+// loudly here.
 func (s *Simulator) checkReplay(t *Timing, schemes []gating.Scheme) error {
-	if s.Telemetry != nil {
-		return errTelemetry
-	}
 	if t == nil || t.Trace == nil {
 		return errors.New("core: evaluation requires a captured timing trace")
 	}

@@ -12,8 +12,11 @@ package experiments
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
+	"io"
 	"runtime"
+	"strconv"
 
 	"dcg/internal/config"
 	"dcg/internal/core"
@@ -173,6 +176,30 @@ func (c *Comparison) Table() *stats.Table {
 	t.AddRow(intRow...)
 	t.AddRow(fpRow...)
 	return t
+}
+
+// WriteCSV writes the comparison in the paper's plot layout: one row per
+// benchmark, one column per scheme series.
+func (c *Comparison) WriteCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	header := []string{"benchmark"}
+	for _, s := range c.Series {
+		header = append(header, s.Scheme)
+	}
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	for _, b := range c.Benches {
+		row := []string{b}
+		for _, s := range c.Series {
+			row = append(row, strconv.FormatFloat(s.Values[b], 'g', 10, 64))
+		}
+		if err := cw.Write(row); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // makeSeries assembles a SchemeSeries from per-benchmark values.

@@ -48,6 +48,15 @@ func TestFig10Shape(t *testing.T) {
 	if !strings.Contains(c.Table().String(), "int-avg") {
 		t.Error("table missing suite averages")
 	}
+	var csv strings.Builder
+	if err := c.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"benchmark,dcg,plb-orig,plb-ext\n", "\ngzip,", "\nswim,"} {
+		if !strings.Contains(csv.String(), want) {
+			t.Errorf("csv missing %q:\n%s", want, csv.String())
+		}
+	}
 }
 
 // TestFig10OneTimingRunPerBenchmark is the capture-once acceptance test:

@@ -7,7 +7,7 @@ import (
 
 // Observed wraps a Scheme and reports every per-cycle gating decision to
 // a callback, without perturbing the decision itself. The telemetry
-// layer (internal/obs.PipelineRecorder via core.Simulator.Telemetry)
+// layer (internal/obs.PipelineRecorder via core.Simulator.RunBenchmarkTelemetry)
 // uses it to record which units each scheme left enabled cycle by
 // cycle.
 //

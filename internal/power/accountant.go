@@ -316,48 +316,6 @@ func (a *Accountant) Saving() float64 {
 	return 1 - a.AvgPower()/base
 }
 
-// ComponentSaving returns the fractional saving of a component group:
-// the energy the group consumed versus always-on, over the accounted
-// cycles. Groups let the per-figure experiments reproduce the paper's
-// per-structure plots (integer units = CompIntALU+CompIntMult, etc).
-func (a *Accountant) ComponentSaving(comps ...Component) float64 {
-	b := a.Breakdown()
-	var used, full float64
-	for _, c := range comps {
-		used += b[c]
-		full += a.Model.perCycle[c] * float64(a.Cycles)
-	}
-	if full == 0 {
-		return 0
-	}
-	return 1 - used/full
-}
-
-// LatchSaving returns the paper's Figure 14 quantity: the saving over
-// total pipeline latch power (front + back), with the DCG control-latch
-// overhead charged against it.
-func (a *Accountant) LatchSaving() float64 {
-	b := a.Breakdown()
-	used := b[CompLatchFront] + b[CompLatchBack] + b[CompDCGControl]
-	full := a.Model.LatchPower() * float64(a.Cycles)
-	if full == 0 {
-		return 0
-	}
-	return 1 - used/full
-}
-
-// DCacheSaving returns the paper's Figure 15 quantity: the saving over
-// total D-cache power (decoders + rest).
-func (a *Accountant) DCacheSaving() float64 {
-	b := a.Breakdown()
-	used := b[CompDCacheDecoder] + b[CompDCacheOther]
-	full := a.Model.DCachePower() * float64(a.Cycles)
-	if full == 0 {
-		return 0
-	}
-	return 1 - used/full
-}
-
 // Validate checks energy-conservation invariants: every component's energy
 // is within [0, allOn] (property 4 in DESIGN.md).
 func (a *Accountant) Validate() error {

@@ -208,11 +208,12 @@ func TestComponentSaving(t *testing.T) {
 		u.Cycle = cyc
 		a.OnCycle(u)
 	}
-	if got := a.ComponentSaving(CompIntALU); math.Abs(got-1) > 1e-9 {
-		t.Errorf("fully gated component saving = %v, want 1", got)
+	b := a.Breakdown()
+	if got := b[CompIntALU]; math.Abs(got) > 1e-9 {
+		t.Errorf("fully gated component energy = %v, want 0", got)
 	}
-	if got := a.ComponentSaving(CompRegFile); math.Abs(got) > 1e-9 {
-		t.Errorf("ungated component saving = %v, want 0", got)
+	if got, full := b[CompRegFile], 10*m.PerCycle(CompRegFile); math.Abs(got-full) > 1e-9 {
+		t.Errorf("ungated component energy = %v, want all-on %v", got, full)
 	}
 }
 

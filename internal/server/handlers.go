@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -204,10 +203,7 @@ func (s *Server) routes() {
 		}
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metricz", s.handleMetricz)
-	s.mux.HandleFunc("/stats", s.handleMetricz)
 	s.mux.Handle("/metrics", s.m.reg.Handler())
-	s.mux.Handle("/debug/vars", expvar.Handler())
 	if s.cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -245,11 +241,9 @@ var spanlessRoutes = map[string]bool{
 // an inbound W3C traceparent when one is present — whose trace ID is
 // echoed in X-Trace-Id and stamped on every log line.
 func (s *Server) instrumented(route string, h http.HandlerFunc) http.HandlerFunc {
-	reqs := s.m.requests.With(route)
 	dur := s.m.reqDur.With(route)
 	traced := s.tracer != nil && !spanlessRoutes[route]
 	return func(w http.ResponseWriter, r *http.Request) {
-		reqs.Inc()
 		id := r.Header.Get("X-Request-Id")
 		if id == "" {
 			id = obs.NewRequestID()
@@ -473,12 +467,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, status, body)
 }
 
-// handleMetricz exposes the server's own counters as JSON (the same data
-// is published under /debug/vars as expvar "dcgserve").
-func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.Snapshot())
-}
-
 // TraceRequest is the wire form of one /v1/trace request: a simulation
 // request plus the telemetry parameters.
 type TraceRequest struct {
@@ -495,8 +483,9 @@ type TraceRequest struct {
 // handleTrace runs one fully instrumented simulation and streams its
 // pipeline telemetry. Telemetry requires a live pass, so this endpoint
 // bypasses both cache levels and always occupies a worker slot; it counts
-// toward sims_run but not sim_requests (it is not served from the
-// executor, so it must not skew the served-source accounting).
+// toward dcgserve_sims_run_total but not dcgserve_sim_served_total (it is
+// not served from the executor, so it must not skew the served-source
+// accounting).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	var req TraceRequest
 	switch r.Method {

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"expvar"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dcg/internal/core"
@@ -14,26 +12,21 @@ import (
 )
 
 // instruments is the server's typed metric set, registered in an
-// obs.Registry and served on /metrics in Prometheus text format. The
-// legacy JSON snapshot (/stats, /metricz, expvar "dcgserve") is derived
-// from the same instruments, so the two views can never disagree.
+// obs.Registry and served on /metrics in Prometheus text format — the
+// service's one counter surface.
 type instruments struct {
 	reg *obs.Registry
 
-	// HTTP layer.
-	requests *obs.CounterVec   // dcgserve_requests_total{route}
-	reqDur   *obs.HistogramVec // dcgserve_request_duration_seconds{route}
-	errors   *obs.Counter      // dcgserve_request_errors_total
+	// HTTP layer. A request's count is its duration histogram's _count.
+	reqDur *obs.HistogramVec // dcgserve_request_duration_seconds{route}
+	errors *obs.Counter      // dcgserve_request_errors_total
 
-	// Simulation requests through the two-level executor. Exactly one
-	// served-source counter increments per sim request, so
-	// cache + coalesced + replayed + simulated == sim_requests.
-	simRequests *obs.Counter    // dcgserve_sim_requests_total
-	served      *obs.CounterVec // dcgserve_sim_served_total{source}
+	// Simulation lookups through the two-level executor: exactly one
+	// served-source counter increments per lookup.
+	served *obs.CounterVec // dcgserve_sim_served_total{source}
 
 	// Simulation execution.
-	simsRun    *obs.Counter      // dcgserve_sims_run_total (full runs + captures)
-	timingRuns *obs.Counter      // dcgserve_timing_captures_total
+	simsRun    *obs.Counter      // dcgserve_sims_run_total (full runs, captures, traces)
 	activeSims *obs.Gauge        // dcgserve_sims_inflight
 	simDur     *obs.HistogramVec // dcgserve_sim_duration_seconds{mode}
 
@@ -46,7 +39,7 @@ type instruments struct {
 // fresh server scrapes zeros instead of missing series.
 var servedSources = []string{"simulated", "cache", "coalesced", "replayed", "store"}
 
-// instrumentedRoutes are the request-counter label values pre-created at
+// instrumentedRoutes are the request-duration label values pre-created at
 // startup (the middleware accepts any route, these just guarantee the
 // series exist from the first scrape).
 var instrumentedRoutes = []string{"/v1/sim", "/v1/batch", "/v1/trace", "/v1/benchmarks", "/v1/schemes"}
@@ -59,20 +52,14 @@ func (s *Server) newInstruments() *instruments {
 	reg := obs.NewRegistry()
 	m := &instruments{
 		reg: reg,
-		requests: reg.CounterVec("dcgserve_requests_total",
-			"HTTP requests served, by route.", "route"),
 		reqDur: reg.HistogramVec("dcgserve_request_duration_seconds",
 			"HTTP request latency in seconds, by route.", nil, "route"),
 		errors: reg.Counter("dcgserve_request_errors_total",
 			"HTTP error responses written."),
-		simRequests: reg.Counter("dcgserve_sim_requests_total",
-			"Simulation requests submitted to the executor (one per /v1/sim call and per /v1/batch item)."),
 		served: reg.CounterVec("dcgserve_sim_served_total",
-			"Simulation requests served, by source: simulated (full run), cache (result memo), coalesced (shared an in-flight run), replayed (cached timing trace), store (persistent artifact store).", "source"),
+			"Simulation lookups (one per /v1/sim call and per /v1/batch item) served, by source: simulated (full run), cache (result memo), coalesced (shared an in-flight run), replayed (cached timing trace), store (persistent artifact store).", "source"),
 		simsRun: reg.Counter("dcgserve_sims_run_total",
-			"Cycle-accurate simulations executed (full runs and timing captures)."),
-		timingRuns: reg.Counter("dcgserve_timing_captures_total",
-			"Timing simulations that also captured a usage trace."),
+			"Cycle-accurate simulations executed (full runs, timing captures and /v1/trace runs)."),
 		activeSims: reg.Gauge("dcgserve_sims_inflight",
 			"Simulations executing right now."),
 		simDur: reg.HistogramVec("dcgserve_sim_duration_seconds",
@@ -86,7 +73,6 @@ func (s *Server) newInstruments() *instruments {
 		m.served.With(src)
 	}
 	for _, r := range instrumentedRoutes {
-		m.requests.With(r)
 		m.reqDur.With(r)
 	}
 
@@ -196,86 +182,4 @@ func (s *memStatsSampler) get() runtime.MemStats {
 		s.last = time.Now()
 	}
 	return s.ms
-}
-
-// Snapshot is a point-in-time copy of the service counters, served on
-// /stats and /metricz and published under the expvar key "dcgserve".
-// The counters are the same instruments /metrics exports; CacheMisses
-// is derived as simulated + replayed + store (every request that missed
-// the in-memory result memo), so hits + misses + coalesced ==
-// sim_requests always holds — a replay or store load is never
-// double-counted.
-type Snapshot struct {
-	UptimeSec   float64 `json:"uptime_sec"`
-	Draining    bool    `json:"draining"`
-	Workers     int     `json:"workers"`
-	Requests    int64   `json:"requests"`
-	Batches     int64   `json:"batches"`
-	Errors      int64   `json:"errors"`
-	SimsRun     int64   `json:"sims_run"`
-	ActiveSims  int64   `json:"active_sims"`
-	SimRequests int64   `json:"sim_requests"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	Coalesced   int64   `json:"coalesced"`
-	StoreHits   int64   `json:"store_hits"`
-	CacheSize   int     `json:"cache_size"`
-	Evictions   uint64  `json:"cache_evictions"`
-
-	// Capture-once / replay-many counters: TimingRuns counts core timing
-	// simulations that also captured a trace, Replays counts requests
-	// answered by replaying one, TimingCached is the resident trace count.
-	TimingRuns   int64 `json:"timing_runs"`
-	Replays      int64 `json:"replays"`
-	TimingCached int   `json:"timing_cache_size"`
-}
-
-// Snapshot collects the current counter values.
-func (s *Server) Snapshot() Snapshot {
-	cs := s.exec.ResultStats()
-	ts := s.exec.TimingStats()
-	m := s.m
-	simulated := int64(m.served.With("simulated").Value())
-	replayed := int64(m.served.With("replayed").Value())
-	storeHits := int64(m.served.With("store").Value())
-	return Snapshot{
-		UptimeSec:    time.Since(s.startedAt).Seconds(),
-		Draining:     s.Draining(),
-		Workers:      s.cfg.Workers,
-		Requests:     int64(m.requests.With("/v1/sim").Value() + m.requests.With("/v1/batch").Value() + m.requests.With("/v1/trace").Value()),
-		Batches:      int64(m.requests.With("/v1/batch").Value()),
-		Errors:       int64(m.errors.Value()),
-		SimsRun:      int64(m.simsRun.Value()),
-		ActiveSims:   m.activeSims.Value(),
-		SimRequests:  int64(m.simRequests.Value()),
-		CacheHits:    int64(m.served.With("cache").Value()),
-		CacheMisses:  simulated + replayed + storeHits,
-		Coalesced:    int64(m.served.With("coalesced").Value()),
-		StoreHits:    storeHits,
-		CacheSize:    cs.Resident,
-		Evictions:    cs.Evictions,
-		TimingRuns:   int64(m.timingRuns.Value()),
-		Replays:      replayed,
-		TimingCached: ts.Resident,
-	}
-}
-
-// expvar.Publish panics on duplicate registration, and tests construct
-// many Servers per process, so the "dcgserve" var is registered once and
-// always reads through a pointer to the most recently built server.
-var (
-	expvarOnce   sync.Once
-	expvarServer atomic.Pointer[Server]
-)
-
-func (s *Server) publishExpvar() {
-	expvarServer.Store(s)
-	expvarOnce.Do(func() {
-		expvar.Publish("dcgserve", expvar.Func(func() any {
-			if srv := expvarServer.Load(); srv != nil {
-				return srv.Snapshot()
-			}
-			return nil
-		}))
-	})
 }

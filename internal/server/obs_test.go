@@ -6,10 +6,21 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// servedTotal sums dcgserve_sim_served_total over its sources: one per
+// executor lookup.
+func servedTotal(s *Server) uint64 {
+	var n uint64
+	for _, src := range servedSources {
+		n += s.m.served.With(src).Value()
+	}
+	return n
+}
 
 // exposition is a minimally parsed Prometheus text scrape: TYPE per
 // family plus every series line (name{labels} -> value), in file order.
@@ -106,7 +117,7 @@ func (e *exposition) checkHistogram(t *testing.T, family, labels string) {
 
 // TestMetricsExposition is the /metrics golden test: the endpoint serves
 // parseable Prometheus text including the request-latency histogram and
-// every counter the JSON snapshot carries.
+// the request, cache and simulation counters.
 func TestMetricsExposition(t *testing.T) {
 	s := NewWithRunner(Config{Workers: 2}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
@@ -126,13 +137,10 @@ func TestMetricsExposition(t *testing.T) {
 	e := parseExposition(t, resp.Body)
 
 	wantTypes := map[string]string{
-		"dcgserve_requests_total":               "counter",
 		"dcgserve_request_duration_seconds":     "histogram",
 		"dcgserve_request_errors_total":         "counter",
-		"dcgserve_sim_requests_total":           "counter",
 		"dcgserve_sim_served_total":             "counter",
 		"dcgserve_sims_run_total":               "counter",
-		"dcgserve_timing_captures_total":        "counter",
 		"dcgserve_sims_inflight":                "gauge",
 		"dcgserve_sim_duration_seconds":         "histogram",
 		"dcgserve_worker_queue_depth":           "gauge",
@@ -158,8 +166,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	checks := map[string]float64{
-		`dcgserve_requests_total{route="/v1/sim"}`:      2,
-		`dcgserve_sim_requests_total`:                   2,
 		`dcgserve_sim_served_total{source="simulated"}`: 1,
 		`dcgserve_sim_served_total{source="cache"}`:     1,
 		`dcgserve_sim_served_total{source="coalesced"}`: 0,
@@ -232,8 +238,8 @@ func TestWarmStateCounters(t *testing.T) {
 
 // TestServedAccountingInvariant is the regression test for the replayed
 // path: a request answered by trace replay must count once (as
-// "replayed"), not as both a miss and a replay, so hits + misses +
-// coalesced always equals the number of sim requests.
+// "replayed"), not as both a miss and a replay, so the sum of
+// dcgserve_sim_served_total over its sources equals the lookups made.
 func TestServedAccountingInvariant(t *testing.T) {
 	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -254,23 +260,89 @@ func TestServedAccountingInvariant(t *testing.T) {
 	if _, out := postSim(t, ts, req); out.Source != "simulated" {
 		t.Fatalf("plb source = %q, want simulated", out.Source)
 	}
+	const lookups = 4
 
-	snap := s.Snapshot()
-	if snap.SimRequests != 4 {
-		t.Fatalf("sim_requests = %d, want 4", snap.SimRequests)
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := snap.CacheHits + snap.CacheMisses + snap.Coalesced; got != snap.SimRequests {
-		t.Errorf("hits %d + misses %d + coalesced %d = %d, want sim_requests %d",
-			snap.CacheHits, snap.CacheMisses, snap.Coalesced, got, snap.SimRequests)
+	defer resp.Body.Close()
+	e := parseExposition(t, resp.Body)
+	served := func(src string) float64 {
+		return e.values[`dcgserve_sim_served_total{source="`+src+`"}`]
 	}
-	// The replayed request counts exactly once: as a replay inside the
-	// misses (it did miss the result memo), never double-booked.
-	if snap.CacheHits != 1 || snap.CacheMisses != 3 || snap.Replays != 1 {
-		t.Errorf("hits=%d misses=%d replays=%d, want 1/3/1",
-			snap.CacheHits, snap.CacheMisses, snap.Replays)
+	var sum float64
+	for _, src := range servedSources {
+		sum += served(src)
 	}
-	if snap.CacheMisses-snap.Replays != 2 { // the two full simulations
-		t.Errorf("misses %d - replays %d != 2 full runs", snap.CacheMisses, snap.Replays)
+	if sum != lookups {
+		t.Errorf("sum of dcgserve_sim_served_total = %v, want %d lookups", sum, lookups)
+	}
+	// The replayed request counts exactly once, never double-booked as a
+	// simulation too.
+	if served("cache") != 1 || served("replayed") != 1 || served("simulated") != 2 {
+		t.Errorf("served cache=%v replayed=%v simulated=%v, want 1/1/2",
+			served("cache"), served("replayed"), served("simulated"))
+	}
+	if sims := e.values["dcgserve_sims_run_total"]; sims != 2 { // the capture + the PLB full run
+		t.Errorf("dcgserve_sims_run_total = %v, want 2", sims)
+	}
+}
+
+// TestMetricFamilies pins the families a bare server exposes, so a new
+// series is a deliberate choice and none restates another.
+func TestMetricFamilies(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	e := parseExposition(t, resp.Body)
+	want := []string{
+		"dcg_build_info",
+		"dcg_replay_packed_schemes_total",
+		"dcg_trace_decode_reuses_total",
+		"dcg_trace_decodes_total",
+		"dcg_warm_state_hits_total",
+		"dcg_warm_state_misses_total",
+		"dcgserve_draining",
+		"dcgserve_request_duration_seconds",
+		"dcgserve_request_errors_total",
+		"dcgserve_result_cache_coalesced_total",
+		"dcgserve_result_cache_evictions_total",
+		"dcgserve_result_cache_hits_total",
+		"dcgserve_result_cache_misses_total",
+		"dcgserve_result_cache_resident",
+		"dcgserve_sim_duration_seconds",
+		"dcgserve_sim_served_total",
+		"dcgserve_sims_inflight",
+		"dcgserve_sims_run_total",
+		"dcgserve_timing_cache_coalesced_total",
+		"dcgserve_timing_cache_evictions_total",
+		"dcgserve_timing_cache_hits_total",
+		"dcgserve_timing_cache_misses_total",
+		"dcgserve_timing_cache_resident",
+		"dcgserve_uptime_seconds",
+		"dcgserve_worker_queue_depth",
+		"dcgserve_worker_wait_seconds",
+		"dcgserve_workers",
+		"go_gc_cycles_total",
+		"go_gc_pause_seconds_total",
+		"go_goroutines",
+		"go_memstats_heap_alloc_bytes",
+		"go_sched_gomaxprocs_threads",
+	}
+	got := make([]string, 0, len(e.types))
+	for name := range e.types {
+		got = append(got, name)
+	}
+	sort.Strings(got)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("metric families:\n%s\nwant %d:\n%s", strings.Join(got, "\n"), len(want), strings.Join(want, "\n"))
 	}
 }
 
@@ -299,29 +371,6 @@ func TestRequestIDHeader(t *testing.T) {
 	resp.Body.Close()
 	if got := resp.Header.Get("X-Request-Id"); got != "caller-chose-this" {
 		t.Errorf("X-Request-Id = %q, want the caller's ID echoed", got)
-	}
-}
-
-// TestStatsAlias: /stats serves the same snapshot JSON as /metricz.
-func TestStatsAlias(t *testing.T) {
-	s := NewWithRunner(Config{Workers: 7}, (&countingRunner{}).run)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	for _, path := range []string{"/stats", "/metricz"} {
-		resp, err := ts.Client().Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var snap Snapshot
-		err = json.NewDecoder(resp.Body).Decode(&snap)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if snap.Workers != 7 {
-			t.Errorf("%s: workers = %d, want 7", path, snap.Workers)
-		}
 	}
 }
 
@@ -406,12 +455,11 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 
 	// Trace runs bypass the caches entirely.
-	snap := s.Snapshot()
-	if snap.SimRequests != 0 {
-		t.Errorf("trace runs counted as sim requests: %d", snap.SimRequests)
+	if got := servedTotal(s); got != 0 {
+		t.Errorf("trace runs counted as sim lookups: %d", got)
 	}
-	if snap.SimsRun != 2 {
-		t.Errorf("sims_run = %d, want 2 (one per successful trace)", snap.SimsRun)
+	if sims := s.m.simsRun.Value(); sims != 2 {
+		t.Errorf("sims_run = %d, want 2 (one per successful trace)", sims)
 	}
 }
 
@@ -475,8 +523,5 @@ func TestErrorsCounted(t *testing.T) {
 	e := parseExposition(t, mresp.Body)
 	if e.values["dcgserve_request_errors_total"] != 1 {
 		t.Errorf("error counter = %v, want 1", e.values["dcgserve_request_errors_total"])
-	}
-	if snap := s.Snapshot(); snap.Errors != 1 {
-		t.Errorf("snapshot errors = %d, want 1", snap.Errors)
 	}
 }

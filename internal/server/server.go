@@ -8,7 +8,7 @@
 //     simulations execute at once, however many requests are in flight;
 //   - request coalescing: concurrent requests for the same simulation key
 //     execute it exactly once and share the result (singleflight);
-//   - a two-level cache (simrun.Exec): a sharded LRU memo over completed
+//   - a two-level cache (simrun.Exec): an LRU memo over completed
 //     results, plus a smaller LRU of captured timing traces. A request
 //     for a timing-neutral scheme (none, dcg, oracle) whose workload was
 //     already timed is answered by replaying the cached trace — orders of
@@ -48,7 +48,7 @@ type Config struct {
 	// Default: runtime.GOMAXPROCS(0).
 	Workers int
 
-	// CacheSize bounds the memoised result count (sharded LRU).
+	// CacheSize bounds the memoised result count (LRU).
 	// Default 1024; negative means unbounded.
 	CacheSize int
 
@@ -220,7 +220,6 @@ func newServer(cfg Config, exec *simrun.Exec) *Server {
 		}
 	}
 	s.routes()
-	s.publishExpvar()
 	return s
 }
 
@@ -282,7 +281,6 @@ func (s *Server) instrument() {
 			s.m.activeSims.Add(1)
 			defer s.m.activeSims.Add(-1)
 			s.m.simsRun.Inc()
-			s.m.timingRuns.Inc()
 			start := time.Now()
 			res, tm, err := capture(ctx, k)
 			s.m.simDur.With("capture").Observe(time.Since(start).Seconds())
@@ -315,14 +313,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // passes that actually simulate) the bounded worker pool. Cache hits,
 // coalesced waiters, and trace replays never occupy a worker slot.
 //
-// Accounting: every call increments sim_requests and exactly one
-// served{source} counter — a replayed request counts once under
-// "replayed", not as both a miss and a replay, and likewise a
-// persistent-store load counts once under "store" — so
-// served{cache}+served{coalesced}+served{replayed}+served{store}+
-// served{simulated} always equals sim_requests.
+// Accounting: every call increments exactly one served{source} counter
+// — a replayed request counts once under "replayed", not as both a miss
+// and a replay, and likewise a persistent-store load counts once under
+// "store" — so the sum over sources is the number of lookups.
 func (s *Server) simulate(ctx context.Context, k simrun.Key) (*core.Result, simrun.Outcome, error) {
-	s.m.simRequests.Inc()
 	res, outcome, err := s.exec.Do(ctx, k)
 	s.m.served.With(outcome.String()).Inc()
 	if err != nil {

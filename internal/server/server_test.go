@@ -102,13 +102,12 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 			t.Fatalf("request %d got wrong result: %+v", i, r)
 		}
 	}
-	snap := s.Snapshot()
-	if snap.SimsRun != 1 {
-		t.Errorf("metrics report %d sims run, want 1", snap.SimsRun)
+	if sims := s.m.simsRun.Value(); sims != 1 {
+		t.Errorf("metrics report %d sims run, want 1", sims)
 	}
-	if snap.Coalesced+snap.CacheHits != n-1 {
-		t.Errorf("coalesced %d + hits %d, want %d followers accounted for",
-			snap.Coalesced, snap.CacheHits, n-1)
+	coalesced, hits := s.m.served.With("coalesced").Value(), s.m.served.With("cache").Value()
+	if coalesced+hits != n-1 {
+		t.Errorf("coalesced %d + hits %d, want %d followers accounted for", coalesced, hits, n-1)
 	}
 }
 
@@ -322,7 +321,7 @@ func TestRequestBounds(t *testing.T) {
 			}
 		}
 	}
-	if got, sims := cr.runs.Load(), s.Snapshot().SimsRun; got != 0 || sims != 0 {
+	if got, sims := cr.runs.Load(), s.m.simsRun.Value(); got != 0 || sims != 0 {
 		t.Errorf("%d runs and sims_run %d, want none", got, sims)
 	}
 }
@@ -482,35 +481,35 @@ func TestProductionServerRepliesFromTimingCache(t *testing.T) {
 		t.Fatalf("plb-ext: status %d source %q, want simulated (PLB perturbs timing)", resp.StatusCode, out.Source)
 	}
 
-	snap := s.Snapshot()
-	if snap.TimingRuns != 1 || snap.Replays != 2 || snap.TimingCached != 1 {
-		t.Errorf("timing counters wrong: runs=%d replays=%d cached=%d, want 1/2/1",
-			snap.TimingRuns, snap.Replays, snap.TimingCached)
+	captures := s.m.simDur.With("capture").Count()
+	replays := s.m.served.With("replayed").Value()
+	cached := s.exec.TimingStats().Resident
+	if captures != 1 || replays != 2 || cached != 1 {
+		t.Errorf("timing counters wrong: captures=%d replays=%d cached=%d, want 1/2/1",
+			captures, replays, cached)
 	}
-	if snap.SimsRun != 2 { // the capture + the PLB full run
-		t.Errorf("sims_run = %d, want 2", snap.SimsRun)
+	if sims := s.m.simsRun.Value(); sims != 2 { // the capture + the PLB full run
+		t.Errorf("sims_run = %d, want 2", sims)
 	}
 }
 
+// TestMetricz: /metrics is the one counter surface; the JSON counter
+// views that restated it (/metricz, its /stats alias and the expvar
+// mirror on /debug/vars) are gone.
 func TestMetricz(t *testing.T) {
 	s := NewWithRunner(Config{Workers: 3}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	postSim(t, ts, SimRequest{Benchmark: "gzip", Insts: 1000})
-	postSim(t, ts, SimRequest{Benchmark: "gzip", Insts: 1000})
-
-	resp, err := ts.Client().Get(ts.URL + "/metricz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Workers != 3 || snap.SimsRun != 1 || snap.CacheHits != 1 || snap.Requests < 2 {
-		t.Fatalf("snapshot wrong: %+v", snap)
+	for _, path := range []string{"/metricz", "/stats", "/debug/vars"} {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -585,18 +584,6 @@ func TestRealSimulationSmoke(t *testing.T) {
 	}
 	if out.Source != "simulated" {
 		t.Errorf("source = %q", out.Source)
-	}
-}
-
-// TestExpvarPublishSurvivesManyServers guards the once-only expvar
-// registration: constructing many servers must not panic, and the
-// published var must track the newest server.
-func TestExpvarPublishSurvivesManyServers(t *testing.T) {
-	for i := 0; i < 3; i++ {
-		s := NewWithRunner(Config{Workers: i + 5}, (&countingRunner{}).run)
-		if got := expvarServer.Load(); got != s {
-			t.Fatalf("expvar pointer not tracking newest server (iteration %d)", i)
-		}
 	}
 }
 

@@ -57,18 +57,16 @@ func TestStoreMakesRestartWarm(t *testing.T) {
 		t.Fatalf("store round-trip changed the result:\nfirst  %+v\nsecond %+v", first, second)
 	}
 
-	// The accounting invariant holds with the new source, and the
-	// snapshot exposes it.
-	snap := s2.Snapshot()
-	if snap.StoreHits != 1 {
-		t.Errorf("store_hits = %d, want 1", snap.StoreHits)
+	// The accounting invariant holds with the new source: the one
+	// lookup counts once, under "store".
+	if got := s2.m.served.With("store").Value(); got != 1 {
+		t.Errorf("served{store} = %d, want 1", got)
 	}
-	if snap.CacheHits+snap.CacheMisses+snap.Coalesced != snap.SimRequests {
-		t.Errorf("hits %d + misses %d + coalesced %d != sim_requests %d",
-			snap.CacheHits, snap.CacheMisses, snap.Coalesced, snap.SimRequests)
+	if got := servedTotal(s2); got != 1 {
+		t.Errorf("served total = %d, want 1 (one lookup)", got)
 	}
-	if snap.SimsRun != 0 {
-		t.Errorf("second life ran %d simulations, want 0", snap.SimsRun)
+	if sims := s2.m.simsRun.Value(); sims != 0 {
+		t.Errorf("second life ran %d simulations, want 0", sims)
 	}
 
 	// A repeat within the second life is now an in-memory cache hit, not
@@ -152,15 +150,11 @@ func TestBatchClientDisconnectCancelsItems(t *testing.T) {
 		t.Fatalf("%d of %d in-flight simulations observed the disconnect", got, workers)
 	}
 	// And the queued items drain without ever simulating.
-	for time.Now().Before(deadline) {
-		snap := s.Snapshot()
-		if snap.ActiveSims == 0 {
-			break
-		}
+	for time.Now().Before(deadline) && s.m.activeSims.Value() != 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if snap := s.Snapshot(); snap.ActiveSims != 0 {
-		t.Fatalf("simulations still active after disconnect: %+v", snap)
+	if active := s.m.activeSims.Value(); active != 0 {
+		t.Fatalf("%d simulations still active after disconnect", active)
 	}
 	select {
 	case <-started:

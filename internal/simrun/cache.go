@@ -44,30 +44,22 @@ func (o Outcome) String() string {
 	}
 }
 
-// Hashable is the key constraint for Cache: map-usable equality plus a
-// 64-bit hash for shard selection.
-type Hashable interface {
-	comparable
-	Hash() uint64
-}
-
-// shardCount is the number of independent cache shards; a power of two so
-// shard selection is a mask. 16 comfortably exceeds the worker-pool sizes
-// the serving layer runs with, keeping lock contention negligible.
-const shardCount = 16
-
-// Cache is a sharded, request-coalescing LRU memo from K to V. Concurrent
-// Do calls with equal keys execute the underlying function exactly once
-// (singleflight); completed values are retained up to the capacity with
-// per-shard least-recently-used eviction. All methods are safe for
+// Cache is a request-coalescing LRU memo from K to V: one mutex over one
+// map and one recency list holding at most capacity completed values.
+// Concurrent Do calls with equal keys execute the underlying function
+// exactly once (singleflight); when an insert overflows the capacity the
+// least recently used value is evicted. All methods are safe for
 // concurrent use.
 //
-// The executor layers two of these: a Cache[Key, *core.Result] over final
+// The executor layers these: a Cache[Key, *core.Result] over final
 // evaluations and a Cache[TimingKey, *core.Timing] over the expensive
 // cycle-accurate timing passes that several evaluations share.
-type Cache[K Hashable, V any] struct {
-	shards   [shardCount]shard[K, V]
-	capShard int // max resident entries per shard; 0 = unbounded
+type Cache[K comparable, V any] struct {
+	mu       sync.Mutex
+	entries  map[K]*list.Element // resident values, value = *entry[K, V]
+	order    list.List           // front = most recently used
+	flight   map[K]*flight[V]
+	capacity int // max resident values; <= 0 = unbounded
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -75,15 +67,8 @@ type Cache[K Hashable, V any] struct {
 	evictions atomic.Uint64
 }
 
-type shard[K Hashable, V any] struct {
-	mu      sync.Mutex
-	entries map[K]*list.Element // resident values, value = *entry[K, V]
-	order   list.List           // front = most recently used
-	flight  map[K]*flight[V]
-}
-
 // entry is one resident cache value.
-type entry[K Hashable, V any] struct {
+type entry[K comparable, V any] struct {
 	key K
 	val V
 }
@@ -97,23 +82,12 @@ type flight[V any] struct {
 
 // NewCache builds a cache holding up to capacity completed values
 // (capacity <= 0 means unbounded — the batch experiments' configuration).
-// The bound is enforced per shard, so the effective capacity is rounded up
-// to a multiple of the shard count.
-func NewCache[K Hashable, V any](capacity int) *Cache[K, V] {
-	c := &Cache[K, V]{}
-	if capacity > 0 {
-		c.capShard = (capacity + shardCount - 1) / shardCount
+func NewCache[K comparable, V any](capacity int) *Cache[K, V] {
+	return &Cache[K, V]{
+		entries:  make(map[K]*list.Element),
+		flight:   make(map[K]*flight[V]),
+		capacity: capacity,
 	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[K]*list.Element)
-		c.shards[i].flight = make(map[K]*flight[V])
-		c.shards[i].order.Init()
-	}
-	return c
-}
-
-func (c *Cache[K, V]) shard(k K) *shard[K, V] {
-	return &c.shards[k.Hash()&(shardCount-1)]
 }
 
 // Do returns the memoised value for key, executing fn at most once per
@@ -125,16 +99,15 @@ func (c *Cache[K, V]) shard(k K) *shard[K, V] {
 // The executing caller's context drives the run; if it is canceled, its
 // waiters receive the cancellation error and a later Do re-executes.
 func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func(context.Context) (V, error)) (V, Outcome, error) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
-		s.mu.Unlock()
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.order.MoveToFront(el)
+		c.mu.Unlock()
 		c.hits.Add(1)
 		return el.Value.(*entry[K, V]).val, OutcomeHit, nil
 	}
-	if f, ok := s.flight[key]; ok {
-		s.mu.Unlock()
+	if f, ok := c.flight[key]; ok {
+		c.mu.Unlock()
 		c.coalesced.Add(1)
 		select {
 		case <-f.done:
@@ -145,35 +118,34 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func(context.Context) (V
 		}
 	}
 	f := &flight[V]{done: make(chan struct{})}
-	s.flight[key] = f
-	s.mu.Unlock()
+	c.flight[key] = f
+	c.mu.Unlock()
 	c.misses.Add(1)
 
 	f.val, f.err = fn(ctx)
 
-	s.mu.Lock()
-	delete(s.flight, key)
+	c.mu.Lock()
+	delete(c.flight, key)
 	if f.err == nil {
-		s.entries[key] = s.order.PushFront(&entry[K, V]{key: key, val: f.val})
-		if c.capShard > 0 && s.order.Len() > c.capShard {
-			oldest := s.order.Back()
-			s.order.Remove(oldest)
-			delete(s.entries, oldest.Value.(*entry[K, V]).key)
+		c.entries[key] = c.order.PushFront(&entry[K, V]{key: key, val: f.val})
+		if c.capacity > 0 && c.order.Len() > c.capacity {
+			oldest := c.order.Back()
+			c.order.Remove(oldest)
+			delete(c.entries, oldest.Value.(*entry[K, V]).key)
 			c.evictions.Add(1)
 		}
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	close(f.done)
 	return f.val, OutcomeMiss, f.err
 }
 
 // Get returns the memoised value for key without executing anything.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToFront(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.order.MoveToFront(el)
 		return el.Value.(*entry[K, V]).val, true
 	}
 	var zero V
@@ -182,14 +154,9 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 
 // Len returns the number of resident values.
 func (c *Cache[K, V]) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
 
 // Stats is a snapshot of a cache's activity counters.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dcg/internal/core"
+	"dcg/internal/workload"
 )
 
 // fakeResult builds a distinguishable placeholder result.
@@ -126,7 +127,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 }
 
 func TestLRUEvictionBoundsResidency(t *testing.T) {
-	c := NewCache[Key, *core.Result](1) // one entry per shard
+	c := NewCache[Key, *core.Result](1)
 	for i := 0; i < 200; i++ {
 		key := Key{Bench: fmt.Sprintf("b%03d", i), Scheme: core.SchemeDCG, Insts: uint64(i)}
 		if _, _, err := c.Do(context.Background(), key, func(context.Context) (*core.Result, error) {
@@ -136,11 +137,102 @@ func TestLRUEvictionBoundsResidency(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Resident > shardCount {
-		t.Errorf("resident %d exceeds capacity bound %d", st.Resident, shardCount)
+	if st.Resident > 1 {
+		t.Errorf("resident %d exceeds capacity bound 1", st.Resident)
 	}
 	if st.Evictions == 0 {
 		t.Error("no evictions recorded after overflowing the capacity")
+	}
+}
+
+// fill inserts keys into c in order through Do.
+func fill(t *testing.T, c *Cache[TimingKey, int], keys []TimingKey) {
+	t.Helper()
+	for i, k := range keys {
+		if _, out, err := c.Do(context.Background(), k, func(context.Context) (int, error) {
+			return i, nil
+		}); err != nil || out != OutcomeMiss {
+			t.Fatalf("insert %v: outcome=%v err=%v", k, out, err)
+		}
+	}
+}
+
+// timingKeys returns n distinct timing keys, one per built-in benchmark
+// name first (the suite's 16 timing keys at one budget), then more
+// budgets of the same names.
+func timingKeys(n int) []TimingKey {
+	names := workload.Names()
+	keys := make([]TimingKey, n)
+	for i := range keys {
+		keys[i] = TimingKey{Bench: names[i%len(names)], Insts: uint64(1000 + i/len(names))}
+	}
+	return keys
+}
+
+func TestLRUKeepsExactlyCapacity(t *testing.T) {
+	c := NewCache[TimingKey, int](16)
+	keys := timingKeys(17)
+	fill(t, c, keys)
+	if _, ok := c.Get(keys[0]); ok {
+		t.Error("first key still resident after a 17th insert into a 16-entry cache")
+	}
+	for _, k := range keys[1:] {
+		if _, ok := c.Get(k); !ok {
+			t.Errorf("%v evicted; want the last 16 of 17 resident", k)
+		}
+	}
+	if st := c.Stats(); st.Resident != 16 || st.Evictions != 1 {
+		t.Errorf("stats = %+v, want 16 resident and 1 eviction", st)
+	}
+}
+
+func TestLRUTouchProtectsFromEviction(t *testing.T) {
+	touches := map[string]func(c *Cache[TimingKey, int], k TimingKey) bool{
+		"get": func(c *Cache[TimingKey, int], k TimingKey) bool {
+			_, ok := c.Get(k)
+			return ok
+		},
+		"do-hit": func(c *Cache[TimingKey, int], k TimingKey) bool {
+			_, out, err := c.Do(context.Background(), k, func(context.Context) (int, error) {
+				return -1, errors.New("a resident key must not run")
+			})
+			return err == nil && out == OutcomeHit
+		},
+	}
+	for name, touch := range touches {
+		t.Run(name, func(t *testing.T) {
+			c := NewCache[TimingKey, int](4)
+			keys := timingKeys(5)
+			fill(t, c, keys[:4])
+			if !touch(c, keys[0]) {
+				t.Fatal("touch missed a resident key")
+			}
+			fill(t, c, keys[4:])
+			if _, ok := c.Get(keys[0]); !ok {
+				t.Error("the touched key was evicted")
+			}
+			if _, ok := c.Get(keys[1]); ok {
+				t.Error("the least recently used key survived the insert")
+			}
+			for _, k := range keys[2:] {
+				if _, ok := c.Get(k); !ok {
+					t.Errorf("%v evicted; only the least recently used key should go", k)
+				}
+			}
+		})
+	}
+}
+
+func TestLRUEvictsNothingUnderCapacity(t *testing.T) {
+	c := NewCache[TimingKey, int](1024)
+	keys := timingKeys(1025)
+	fill(t, c, keys[:1024])
+	if st := c.Stats(); st.Evictions != 0 || st.Resident != 1024 {
+		t.Fatalf("after 1024 distinct keys: stats = %+v, want 0 evictions and 1024 resident", st)
+	}
+	fill(t, c, keys[1024:])
+	if st := c.Stats(); st.Evictions != 1 || st.Resident != 1024 {
+		t.Errorf("after 1025 distinct keys: stats = %+v, want 1 eviction and 1024 resident", st)
 	}
 }
 

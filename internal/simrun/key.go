@@ -1,6 +1,6 @@
 // Package simrun is the shared simulation-run layer: canonical keys
 // identifying deterministic simulation work, executors that run it, and
-// sharded, request-coalescing LRU caches over the completed values.
+// request-coalescing LRU caches over the completed values.
 //
 // Both batch users (internal/experiments' figure harnesses) and the
 // serving layer (internal/server) memoise runs through this package, so a
@@ -102,50 +102,6 @@ func (k TimingKey) Machine() config.Config {
 	return Key{Bench: k.Bench, Deep: k.Deep, IntALU: k.IntALU, Insts: k.Insts, Warmup: k.Warmup}.Machine()
 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
-func fnvWords(h uint64, words ...uint64) uint64 {
-	for _, v := range words {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= fnvPrime
-		}
-	}
-	return h
-}
-
-func boolWord(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// Hash mixes every field FNV-1a style; the cache uses it to pick a shard.
-func (k Key) Hash() uint64 {
-	h := fnvString(fnvOffset, k.Bench)
-	h = fnvString(h, string(k.Scheme))
-	return fnvWords(h, boolWord(k.Deep), uint64(k.IntALU), k.Insts, k.Warmup)
-}
-
-// Hash mixes every field FNV-1a style; the cache uses it to pick a shard.
-func (k TimingKey) Hash() uint64 {
-	h := fnvString(fnvOffset, k.Bench)
-	h = fnvString(h, k.Channels)
-	return fnvWords(h, boolWord(k.Deep), uint64(k.IntALU), k.Insts, k.Warmup)
-}
-
 func simulatorFor(m config.Config, warmup uint64) *core.Simulator {
 	sim := core.NewSimulator(m)
 	if warmup > 0 {
@@ -193,7 +149,5 @@ func Evaluate(k Key, t *core.Timing) (*core.Result, error) {
 // decisions — the server's /v1/trace endpoint). Telemetry requires a
 // live pass, so this path never consults the caches.
 func RunTelemetry(ctx context.Context, k Key, tel core.RunTelemetry) (*core.Result, error) {
-	sim := simulatorFor(k.Machine(), k.Warmup)
-	sim.Telemetry = tel
-	return sim.RunBenchmarkContext(ctx, k.Bench, k.Scheme, k.Insts)
+	return simulatorFor(k.Machine(), k.Warmup).RunBenchmarkTelemetry(ctx, k.Bench, k.Scheme, k.Insts, tel)
 }

@@ -1,120 +1,11 @@
-// Package stats provides the counters, rate trackers, histograms and table
-// formatting used by the simulator and the experiment harness.
+// Package stats provides the mean, text tables and bar charts the
+// experiment harness and dcgsim print.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
-
-// Counter is a simple monotonically increasing event counter.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.Value += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Value++ }
-
-// Ratio is a numerator/denominator pair, e.g. hits/accesses.
-type Ratio struct {
-	Num, Den uint64
-}
-
-// Observe adds one observation; hit selects the numerator.
-func (r *Ratio) Observe(hit bool) {
-	r.Den++
-	if hit {
-		r.Num++
-	}
-}
-
-// AddNum adds to the numerator only.
-func (r *Ratio) AddNum(n uint64) { r.Num += n }
-
-// AddDen adds to the denominator only.
-func (r *Ratio) AddDen(n uint64) { r.Den += n }
-
-// Value returns num/den, or 0 when the denominator is zero.
-func (r Ratio) Value() float64 {
-	if r.Den == 0 {
-		return 0
-	}
-	return float64(r.Num) / float64(r.Den)
-}
-
-// Histogram accumulates integer observations in fixed-width buckets plus an
-// overflow bucket.
-type Histogram struct {
-	BucketWidth int
-	Buckets     []uint64
-	Overflow    uint64
-	Count       uint64
-	Sum         float64
-	SumSq       float64
-	MinV, MaxV  float64
-	any         bool
-}
-
-// NewHistogram creates a histogram with n buckets of the given width.
-func NewHistogram(nBuckets, width int) *Histogram {
-	if nBuckets <= 0 {
-		nBuckets = 1
-	}
-	if width <= 0 {
-		width = 1
-	}
-	return &Histogram{BucketWidth: width, Buckets: make([]uint64, nBuckets)}
-}
-
-// Observe records a value.
-func (h *Histogram) Observe(v float64) {
-	h.Count++
-	h.Sum += v
-	h.SumSq += v * v
-	if !h.any || v < h.MinV {
-		h.MinV = v
-	}
-	if !h.any || v > h.MaxV {
-		h.MaxV = v
-	}
-	h.any = true
-	top := float64(len(h.Buckets) * h.BucketWidth)
-	switch {
-	case v >= top:
-		h.Overflow++
-	case v < 0 || v != v: // negative or NaN: clamp to the first bucket
-		h.Buckets[0]++
-	default:
-		h.Buckets[int(v)/h.BucketWidth]++
-	}
-}
-
-// Mean returns the arithmetic mean of the observations.
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
-// StdDev returns the population standard deviation.
-func (h *Histogram) StdDev() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	m := h.Mean()
-	v := h.SumSq/float64(h.Count) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
 
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
@@ -127,24 +18,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// GeoMean returns the geometric mean of xs, which must all be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Pct formats a fraction as a percentage with one decimal.
-func Pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
 
 // Table is a simple fixed-column text table used by the experiment
 // harnesses to print paper-style rows.
@@ -223,17 +96,6 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortedKeys returns the keys of m in sorted order. Handy for deterministic
-// report output.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // BarRow is one bar of an ASCII bar chart.

@@ -2,14 +2,11 @@ package store
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"sync"
 
 	"dcg/internal/core"
 	"dcg/internal/usagetrace"
@@ -31,58 +28,26 @@ func encodeFrame(kind byte, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
 }
 
-// Pooled gzip codecs for result payloads, at gzip's default level. A
-// fresh deflater allocates about 800 KB of state to compress about 2.4 KB
-// of JSON, and every finished simulation writes one.
-var (
-	resultWriterPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
-	resultReaderPool sync.Pool
-)
-
-// encodeResultPayload renders a result artifact payload: gzip-compressed
-// canonical JSON.
+// encodeResultPayload renders a result artifact payload: canonical JSON,
+// stored bare. A Result's JSON is about 2.4 KB, too small for a
+// deflater's state to pay for itself.
 func encodeResultPayload(r *core.Result) ([]byte, error) {
-	var buf bytes.Buffer
-	gz := resultWriterPool.Get().(*gzip.Writer)
-	gz.Reset(&buf)
-	defer resultWriterPool.Put(gz)
-	if err := json.NewEncoder(gz).Encode(r); err != nil {
-		return nil, err
-	}
-	if err := gz.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return json.Marshal(r)
 }
 
-// maxResultJSON caps a result payload's inflated JSON, so a small crafted
-// upload (a gzip bomb) cannot make a decode allocate without bound. A
-// Result encodes to about 2.4 KB: the largest, a plb-ext run, is 2,412
-// bytes.
+// maxResultJSON caps a result payload, so a crafted upload cannot make a
+// decode allocate without bound. A Result encodes to about 2.4 KB: the
+// largest, a plb-ext run, is 2,412 bytes.
 const maxResultJSON = 1 << 20
 
-// decodeResultPayload is the inverse of encodeResultPayload.
+// decodeResultPayload is the inverse of encodeResultPayload. It refuses a
+// payload over maxResultJSON before unmarshalling any of it.
 func decodeResultPayload(payload []byte) (*core.Result, error) {
-	gz, _ := resultReaderPool.Get().(*gzip.Reader)
-	if gz == nil {
-		gz = new(gzip.Reader)
-	}
-	defer resultReaderPool.Put(gz)
-	if err := gz.Reset(bytes.NewReader(payload)); err != nil {
-		return nil, fmt.Errorf("result payload not gzip: %w", err)
-	}
-	raw, err := io.ReadAll(io.LimitReader(gz, maxResultJSON+1))
-	if err == nil && len(raw) > maxResultJSON {
-		err = fmt.Errorf("inflates past %d bytes", maxResultJSON)
-	}
-	if err == nil {
-		err = gz.Close()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("result gzip stream: %w", err)
+	if len(payload) > maxResultJSON {
+		return nil, fmt.Errorf("result payload of %d bytes exceeds %d", len(payload), maxResultJSON)
 	}
 	res := new(core.Result)
-	if err := json.Unmarshal(raw, res); err != nil {
+	if err := json.Unmarshal(payload, res); err != nil {
 		return nil, fmt.Errorf("result JSON: %w", err)
 	}
 	return res, nil

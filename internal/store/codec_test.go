@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -16,22 +17,73 @@ import (
 	"dcg/internal/simrun"
 )
 
-// TestResultGzipBombFailsAtTheCap: a result payload that inflates past
-// maxResultJSON, one byte past it or 64 times it, is refused having
-// allocated a few times the cap, not what the bomb inflates to.
+// TestResultGzipBombFailsAtTheCap: result payloads are plain JSON, so a
+// gzip bomb is refused as malformed JSON without being inflated, and a
+// payload one byte past maxResultJSON is refused by the cap before any of
+// it is unmarshalled, though it is valid JSON.
 func TestResultGzipBombFailsAtTheCap(t *testing.T) {
-	for _, n := range []int{maxResultJSON + 1, 64 * maxResultJSON} {
-		bomb := gzipBomb(t, n)
+	cases := []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"1 MiB bomb", gzipBomb(t, maxResultJSON+1), "result JSON"},
+		{"64 MiB bomb", gzipBomb(t, 64*maxResultJSON), "result JSON"},
+		{"oversize JSON", oversizeResultJSON(), "exceeds 1048576"},
+	}
+	for _, tc := range cases {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := decodeResultPayload(bomb)
+		_, err := decodeResultPayload(tc.payload)
 		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), "inflates past 1048576 bytes") {
-			t.Fatalf("%d-byte bomb: err = %v, want the cap error", n, err)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 8*maxResultJSON {
-			t.Errorf("%d-byte bomb: decode allocated %d bytes, cap %d", n, got, maxResultJSON)
+		if got := after.TotalAlloc - before.TotalAlloc; got > maxResultJSON/2 {
+			t.Errorf("%s: decode allocated %d bytes", tc.name, got)
 		}
+	}
+}
+
+// oversizeResultJSON returns a Result's JSON one byte longer than
+// maxResultJSON.
+func oversizeResultJSON() []byte {
+	head, tail := `{"Benchmark":"`, `"}`
+	name := strings.Repeat("a", maxResultJSON+1-len(head)-len(tail))
+	return []byte(head + name + tail)
+}
+
+// TestGzipEraResultNotAddressed: a result artifact at the address results
+// had while they were stored gzip-compressed is never read, so a store
+// written then serves no result and counts no corruption.
+func TestGzipEraResultNotAddressed(t *testing.T) {
+	ctx := context.Background()
+	k := simrun.Key{Bench: "gzip", Scheme: core.SchemeDCG, Insts: 3000, Warmup: 1000}
+	var payload bytes.Buffer
+	gz := gzip.NewWriter(&payload)
+	if err := json.NewEncoder(gz).Encode(&core.Result{Benchmark: "gzip", Cycles: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(t.TempDir(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := addr(fmt.Sprintf("result|v%d|bench=%s|scheme=%s|deep=%t|alu=%d|insts=%d|warmup=%d",
+		artifactVersion, k.Bench, k.Scheme, k.Deep, k.IntALU, k.Insts, k.Warmup))
+	if old == resultAddr(k) {
+		t.Fatal("results still address without their format tag")
+	}
+	if err := s.putFrame(s.path(old, extResult), encodeFrame(kindResult, payload.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetResult(ctx, k); ok {
+		t.Error("a gzip-era result artifact was served")
+	}
+	if st := s.Stats(); st.Corruptions != 0 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want one miss and no corruption", st)
 	}
 }
 
@@ -135,11 +187,10 @@ func TestTimingArtifactAnyDeflateLevel(t *testing.T) {
 }
 
 // TestPooledResultCodecRoundTrips interleaves result puts and gets from
-// several goroutines with artifacts whose payloads fail through the same
-// pooled inflaters: one cut off mid-inflate and one that inflates past
-// maxResultJSON. Each bad artifact must read as a miss and a corruption,
-// and every good Result must still round-trip (make race runs this under
-// the race detector).
+// several goroutines with artifacts whose payloads fail to decode: one
+// cut off mid-JSON and one over maxResultJSON. Each bad artifact must
+// read as a miss and a corruption, and every good Result must still
+// round-trip (make race runs this under the race detector).
 func TestPooledResultCodecRoundTrips(t *testing.T) {
 	ctx := context.Background()
 	proto, _, err := simrun.Capture(ctx, simrun.Key{Bench: "gzip", Scheme: core.SchemeDCG, Insts: 3000, Warmup: 1000})
@@ -150,7 +201,10 @@ func TestPooledResultCodecRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := [][]byte{good[:len(good)/2], gzipBomb(t, maxResultJSON+1)}
+	bad := [][]byte{
+		encodeFrame(kindResult, good[:len(good)/2]),
+		encodeFrame(kindResult, oversizeResultJSON()),
+	}
 	s, err := Open(t.TempDir(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +226,7 @@ func TestPooledResultCodecRoundTrips(t *testing.T) {
 
 				kb := k
 				kb.Scheme = core.SchemeNone
-				if err := s.putFrame(s.path(resultAddr(kb), extResult), encodeFrame(kindResult, bad[i%2])); err != nil {
+				if err := s.putFrame(s.path(resultAddr(kb), extResult), bad[i%2]); err != nil {
 					t.Error(err)
 					return
 				}

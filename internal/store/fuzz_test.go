@@ -24,10 +24,11 @@ func FuzzDecodeArtifact(f *testing.F) {
 	for _, frame := range frames {
 		f.Add(frame)
 	}
-	// A gzip bomb, framed as each kind and bare, and a timing payload
-	// whose trace is a stream of maximum-count repeat records.
+	// A result payload cut off mid-JSON, a gzip bomb framed as a timing
+	// and bare, and a timing payload whose trace is a stream of
+	// maximum-count repeat records.
+	f.Add(encodeFrame(kindResult, truncatedResult(f, frames)))
 	bomb := gzipBomb(f, maxResultJSON+1)
-	f.Add(encodeFrame(kindResult, bomb))
 	f.Add(encodeFrame(kindTiming, bomb))
 	f.Add(bomb)
 	f.Add(maxRepeatsTiming(f, frames))
@@ -113,6 +114,19 @@ func gzipBomb(tb testing.TB, n int) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// truncatedResult returns the first half of the seeded result artifact's
+// payload.
+func truncatedResult(tb testing.TB, frames [][]byte) []byte {
+	tb.Helper()
+	for _, frame := range frames {
+		if payload, err := decodeFrame(frame, kindResult); err == nil {
+			return payload[:len(payload)/2]
+		}
+	}
+	tb.Fatal("no result artifact among the seeds")
+	return nil
 }
 
 // maxRepeatsTiming returns a timing payload carrying the meta of the

@@ -8,8 +8,8 @@
 // unbounded number of entries. Every artifact is framed with a magic,
 // version, payload length, and CRC-32C; a mismatch on read is a loud
 // corruption error — the artifact is evicted and the caller recomputes,
-// it is never silently decoded. Results are stored as gzip-compressed
-// JSON; timing traces reuse the usagetrace gzip framing.
+// it is never silently decoded. Results are stored as plain JSON; timing
+// traces reuse the usagetrace gzip framing.
 //
 // Writes are atomic (temp file + rename into place), so a crashed or
 // killed process can never leave a partially visible artifact. The store
@@ -173,12 +173,13 @@ func (s *Store) Register(reg *obs.Registry) {
 }
 
 // resultAddr derives the content address of a result artifact. The
-// canonical string covers every Key field plus a format version, so a
-// layout change can never decode stale artifacts. Schemes address by
-// name: the registry's string names are stable where enum ordinals were
-// not.
+// canonical string covers every Key field plus a format version and the
+// payload's format tag, so a layout change can never decode stale
+// artifacts: results stored gzip-compressed, before the tag, are never
+// addressed. Schemes address by name: the registry's string names are
+// stable where enum ordinals were not.
 func resultAddr(k simrun.Key) string {
-	return addr(fmt.Sprintf("result|v%d|bench=%s|scheme=%s|deep=%t|alu=%d|insts=%d|warmup=%d",
+	return addr(fmt.Sprintf("result|v%d|json|bench=%s|scheme=%s|deep=%t|alu=%d|insts=%d|warmup=%d",
 		artifactVersion, k.Bench, k.Scheme, k.Deep, k.IntALU, k.Insts, k.Warmup))
 }
 
