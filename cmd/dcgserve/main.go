@@ -166,7 +166,11 @@ func main() {
 				host = "local"
 			}
 			exec := simrun.NewExec(*cacheSize, *timingCache)
-			exec.Store = artifacts
+			if artifacts != nil {
+				// A nil *store.Store in the interface would read as a
+				// store and be called.
+				exec.Store = artifacts
+			}
 			for i := 0; i < n; i++ {
 				w := &cluster.Worker{
 					Name:   host,

@@ -248,10 +248,12 @@ func runSchemes(ctx context.Context, sim *core.Simulator, bench string, kinds []
 	out := make([]*core.Result, len(kinds))
 	if len(neutralKinds) > 0 {
 		// The capture records the union of the trace channels the
-		// requested schemes need (e.g. latchvalue for the ddcg family).
+		// requested schemes need (e.g. latchvalue for the ddcg family),
+		// as a packed view alone: nothing here reads the trace's bytes.
 		_, csp := obs.StartSpan(ctx, "sim.capture")
 		csp.SetAttrInt("schemes", int64(len(neutralKinds)))
-		tm, err := sim.CaptureBenchmark(bench, n, core.ChannelUnion(neutralKinds...)...)
+		tm, err := sim.CaptureBenchmarkContext(core.WithViewOnlyCapture(ctx), bench, n,
+			core.ChannelUnion(neutralKinds...)...)
 		csp.SetError(err)
 		csp.Finish()
 		if err != nil {

@@ -109,6 +109,12 @@ const MaxWindowSize = 1<<16 - 1
 // as corruption before the count sizes any per-cycle buffer.
 const MaxLatchStages = 4096
 
+// MaxFrontEndStages bounds a machine's front-end latch stage count
+// (FrontEndLatchStages): a usage trace's packed view keeps the last
+// MaxFrontEndStages-1 fetch counts, which is what the oracle's front-latch
+// tally reads at the end of a run.
+const MaxFrontEndStages = 65
+
 // PipelineConfig describes stage structure. The paper's baseline is the
 // 8-stage pipeline of Figure 3 (fetch, decode, rename, issue, regread,
 // execute, memory, writeback); section 5.6 studies a 20-stage variant where
@@ -347,6 +353,10 @@ func (c Config) Validate() error {
 	}
 	if err := c.Pipeline.Validate(); err != nil {
 		return err
+	}
+	if n := c.FrontEndLatchStages(); n > MaxFrontEndStages {
+		return fmt.Errorf("config: %d front-end latch stages exceed the %d a usage trace's view covers "+
+			"(config.MaxFrontEndStages)", n, MaxFrontEndStages)
 	}
 	if n := c.BackEndLatchStages(); n > MaxLatchStages {
 		return fmt.Errorf("config: %d back-end latch stages exceed the %d a usage trace holds "+

@@ -175,6 +175,27 @@ func TestValidateBoundsLatchStages(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsFrontEndStages refuses a machine whose front end is
+// deeper than a usage trace's packed view covers, naming the bound, and
+// takes one at the bound.
+func TestValidateBoundsFrontEndStages(t *testing.T) {
+	c := Default()
+	c.Pipeline = PipelineConfig{Depth: 8 + 63, ExtraFrontEnd: 63}
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "66 front-end latch stages exceed the 65") ||
+		!strings.Contains(err.Error(), "config.MaxFrontEndStages") {
+		t.Errorf("63 extra front-end stages: Validate err = %v, want one naming the 65-stage bound", err)
+	}
+	c.Pipeline = PipelineConfig{Depth: 8 + 62, ExtraFrontEnd: 62}
+	if err := c.Validate(); err != nil || c.FrontEndLatchStages() != MaxFrontEndStages {
+		t.Errorf("%d front-end stages, at the bound: Validate err = %v", c.FrontEndLatchStages(), err)
+	}
+	for _, m := range []Config{Default(), Deep()} {
+		if n := m.FrontEndLatchStages(); n > MaxFrontEndStages {
+			t.Errorf("a shipped machine has %d front-end stages, past the bound", n)
+		}
+	}
+}
+
 func TestValidateBoundsFULatency(t *testing.T) {
 	c := Default()
 	c.FU.IntDivLat, c.FU.FPDivLat = 200, 200

@@ -544,17 +544,37 @@ func (f *familyThrottle) disagree(err error) {
 	}
 }
 
+// viewOnlyKey is the context key WithViewOnlyCapture sets.
+type viewOnlyKey struct{}
+
+// WithViewOnlyCapture returns ctx marked so that a capture run under it
+// (CaptureBenchmarkContext, RunAndCapture) keeps only its trace's packed
+// view and encodes no bytes (usagetrace.NewViewRecorder). The Timing
+// evaluates on the packed kernel exactly as one with bytes does, but its
+// trace cannot be stored, gzipped or re-read: a caller that will persist
+// or re-read the trace must not set this. An executor with no store, and
+// dcgsim, set it, since nothing they run reads the bytes.
+func WithViewOnlyCapture(ctx context.Context) context.Context {
+	return context.WithValue(ctx, viewOnlyKey{}, true)
+}
+
 // capture simulates src with the usagetrace.Recorder as the core's only
 // observer and issue listener and no throttle: no gating scheme and no
 // power accountant run. The Timing it returns carries the trace with
-// its packed view built, ready for EvaluateTimingAll. channels names the
-// extra trace channels to record beyond the implicit usage channel.
+// its packed view built, ready for EvaluateTimingAll, and its encoded
+// bytes unless ctx asks for a view-only capture (WithViewOnlyCapture).
+// channels names the extra trace channels to record beyond the implicit
+// usage channel.
 func (s *Simulator) capture(ctx context.Context, src trace.Source, prepare func(*cpu.Core), channels []string) (*Timing, error) {
 	c, err := cpu.New(s.machine, src)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := usagetrace.NewRecorder(src.Name(), s.machine.BackEndLatchStages(), channels...)
+	newRecorder := usagetrace.NewRecorder
+	if ctx.Value(viewOnlyKey{}) != nil {
+		newRecorder = usagetrace.NewViewRecorder
+	}
+	rec, err := newRecorder(src.Name(), s.machine.BackEndLatchStages(), channels...)
 	if err != nil {
 		return nil, err
 	}

@@ -72,10 +72,9 @@ func (s *Simulator) EvaluateTimingSchemes(t *Timing, schemes []gating.Scheme) ([
 	}
 	results := make([]*Result, len(schemes))
 	for i, scheme := range schemes {
-		tally, lead, ok := gating.PackedTally(p, scheme, t.Machine)
-		if !ok {
-			return nil, fmt.Errorf("core: scheme %s (position %d) has no packed tally: "+
-				"it is wrapped, custom, timing-changing, or built for another machine", scheme.Name(), i)
+		tally, lead, err := gating.PackedTally(p, scheme, t.Machine)
+		if err != nil {
+			return nil, fmt.Errorf("core: %s, scheme %s (position %d): %w", t.Benchmark, scheme.Name(), i, err)
 		}
 		l, err := s.newLane(t.Machine, scheme)
 		if err != nil {

@@ -25,6 +25,7 @@ package gating
 // are bit-identical to scalar replay (golden-tested in internal/core).
 
 import (
+	"fmt"
 	"math/bits"
 
 	"dcg/internal/config"
@@ -37,72 +38,102 @@ import (
 // over the trace would produce, plus the scheme's lead-violation count,
 // from the trace's packed view, without feeding the scheme a single
 // cycle. It knows every registered timing-neutral scheme: none, DCG and
-// its ablations, oracle, lector, ddcg and dcg+ddcg. ok is false for
-// anything else — a timing-changing scheme (the PLB family), a wrapped
-// one (Observed), a custom type, a scheme built for a different machine
-// than the trace's, or a value-dependent scheme over a trace without the
-// latchvalue channel. The scheme instance is never mutated.
-func PackedTally(p *usagetrace.Packed, s Scheme, machine config.Config) (t power.Tally, lead uint64, ok bool) {
+// its ablations, oracle, lector, ddcg and dcg+ddcg. Anything else fails,
+// naming the scheme — a timing-changing scheme (the PLB family), a
+// wrapped one (Observed), a custom type, a scheme built for a different
+// machine than the trace's, a value-dependent scheme over a trace
+// without the latchvalue channel, or an oracle over a front end deeper
+// than config.MaxFrontEndStages — and so does a tally that needs an
+// over-capacity plane from a view captured without its bytes. The scheme
+// instance is never mutated.
+func PackedTally(p *usagetrace.Packed, s Scheme, machine config.Config) (t power.Tally, lead uint64, err error) {
 	if p.BackLatchStages() != machine.BackEndLatchStages() {
-		return power.Tally{}, 0, false
+		return power.Tally{}, 0, errNoTally(s)
 	}
 	switch sc := s.(type) {
 	case *None:
 		// The baseline is a DCG that gates nothing, without its control
 		// overhead.
 		if sc.cfg != machine {
-			return power.Tally{}, 0, false
+			return power.Tally{}, 0, errNoTally(s)
 		}
-		t = dcgTally(p, machine, DCGOptions{})
+		if t, err = dcgTally(p, machine, DCGOptions{}); err != nil {
+			return power.Tally{}, 0, err
+		}
 		t.ControlCycles = 0
-		return t, 0, true
+		return t, 0, nil
 	case *DCG:
 		if sc.cfg != machine {
-			return power.Tally{}, 0, false
+			return power.Tally{}, 0, errNoTally(s)
 		}
-		return dcgTally(p, machine, sc.opts), p.LeadViolations(), true
+		if t, err = dcgTally(p, machine, sc.opts); err != nil {
+			return power.Tally{}, 0, err
+		}
+		return t, p.LeadViolations(), nil
 	case *Oracle:
 		if sc.cfg != machine || sc.frontDepth < 1 {
-			return power.Tally{}, 0, false
+			return power.Tally{}, 0, errNoTally(s)
 		}
-		t = dcgTally(p, machine, AllDCGOptions())
+		if sc.frontDepth > config.MaxFrontEndStages {
+			return power.Tally{}, 0, fmt.Errorf("gating: oracle over %d front-end stages has no packed tally: "+
+				"a view covers at most %d (config.MaxFrontEndStages)", sc.frontDepth, config.MaxFrontEndStages)
+		}
+		if t, err = dcgTally(p, machine, AllDCGOptions()); err != nil {
+			return power.Tally{}, 0, err
+		}
 		t.IssueQueueFracSum = p.IssueQueueFracSum(machine.WindowSize)
 		t.FrontFullCycles = 0
 		t.FrontSlotsOn = p.FrontSlotsSum(sc.frontDepth)
-		return t, p.LeadViolations(), true
+		return t, p.LeadViolations(), nil
 	case *Lector:
 		if sc.cfg != machine {
-			return power.Tally{}, 0, false
+			return power.Tally{}, 0, errNoTally(s)
 		}
-		return lectorTally(p, machine), 0, true
+		t, err = lectorTally(p, machine)
+		return t, 0, err
 	case *DDCG:
 		// ddcg is DCG gating the latches alone, each stage to its
 		// value-change count: everything else burns full capacity, and
 		// its latches never violate, since the accountant's latch floor
 		// is the very count they are gated to.
 		if sc.cfg != machine {
-			return power.Tally{}, 0, false
+			return power.Tally{}, 0, errNoTally(s)
 		}
-		t, ok = valueTally(p, machine, DCGOptions{GateLatches: true})
-		return t, 0, ok
+		t, err = valueTally(p, machine, DCGOptions{GateLatches: true}, sc.Name())
+		return t, 0, err
 	case *DCGDDCG:
 		if sc.dcg.cfg != machine {
-			return power.Tally{}, 0, false
+			return power.Tally{}, 0, errNoTally(s)
 		}
-		t, ok = valueTally(p, machine, AllDCGOptions())
-		return t, p.LeadViolations(), ok
+		if t, err = valueTally(p, machine, AllDCGOptions(), sc.Name()); err != nil {
+			return power.Tally{}, 0, err
+		}
+		return t, p.LeadViolations(), nil
 	}
-	return power.Tally{}, 0, false
+	return power.Tally{}, 0, errNoTally(s)
+}
+
+// errNoTally is PackedTally's refusal of a scheme it does not know.
+func errNoTally(s Scheme) error {
+	return fmt.Errorf("gating: scheme %s has no packed tally: it is wrapped, custom, timing-changing, "+
+		"or built for another machine", s.Name())
 }
 
 // valueTally is dcgTally with the back-end latches gated to their
 // value-change counts instead of their occupancy: the tally of the ddcg
-// family. ok is false when the trace lacks the latchvalue channel.
-func valueTally(p *usagetrace.Packed, cfg config.Config, opts DCGOptions) (power.Tally, bool) {
-	t := dcgTally(p, cfg, opts)
+// family. It fails, naming the scheme, when the trace lacks the
+// latchvalue channel.
+func valueTally(p *usagetrace.Packed, cfg config.Config, opts DCGOptions, scheme string) (power.Tally, error) {
+	t, err := dcgTally(p, cfg, opts)
+	if err != nil {
+		return t, err
+	}
 	var ok bool
-	t.BackSlotsOn, ok = p.BackLatchNewValSum()
-	return t, ok
+	if t.BackSlotsOn, ok = p.BackLatchNewValSum(); !ok {
+		return power.Tally{}, fmt.Errorf("gating: scheme %s needs the %s channel, which the trace lacks",
+			scheme, usagetrace.ChannelLatchValue)
+	}
+	return t, nil
 }
 
 // lectorTally derives the stage-level occupancy scheme's tally in closed
@@ -110,8 +141,11 @@ func valueTally(p *usagetrace.Packed, cfg config.Config, opts DCGOptions) (power
 // control-gate count is the empty-stage total with the all-idle cycles
 // collapsed to the single master gate — exactly the scalar Gates rule,
 // summed over the latch-non-zero planes.
-func lectorTally(p *usagetrace.Packed, cfg config.Config) power.Tally {
-	t := dcgTally(p, cfg, DCGOptions{}) // every class ungated, as the baseline
+func lectorTally(p *usagetrace.Packed, cfg config.Config) (power.Tally, error) {
+	t, err := dcgTally(p, cfg, DCGOptions{}) // every class ungated, as the baseline
+	if err != nil {
+		return t, err
+	}
 	t.ControlCycles = 0
 	n := int64(p.Cycles())
 	stages := cfg.BackEndLatchStages()
@@ -131,7 +165,7 @@ func lectorTally(p *usagetrace.Packed, cfg config.Config) power.Tally {
 		gateCycles -= (n - anyNZ) * int64(stages-1)
 	}
 	t.ControlGateCycles = gateCycles
-	return t
+	return t, nil
 }
 
 // fuCounts collects the machine's FU pool sizes indexed by cpu.FUType.
@@ -174,9 +208,18 @@ func fullTally(p *usagetrace.Packed, cfg config.Config) power.Tally {
 // the popcount of the OR of exactly the planes the scalar accountant's
 // per-cycle predicate would test. With no class gated it is the
 // everything-on tally with the over-capacity violations of every class.
-func dcgTally(p *usagetrace.Packed, cfg config.Config, opts DCGOptions) power.Tally {
+// It fails only when an over-capacity plane is needed from a view
+// without the encoded stream.
+func dcgTally(p *usagetrace.Packed, cfg config.Config, opts DCGOptions) (power.Tally, error) {
 	t := fullTally(p, cfg)
 	planes := make([][]uint64, 0, 5)
+	var err error
+	over := func(plane []uint64, e error) {
+		planes = append(planes, plane)
+		if err == nil {
+			err = e
+		}
+	}
 
 	if opts.GateUnits {
 		for ft := 0; ft < int(cpu.NumFUTypes); ft++ {
@@ -184,7 +227,7 @@ func dcgTally(p *usagetrace.Packed, cfg config.Config, opts DCGOptions) power.Ta
 		}
 		planes = append(planes, p.UnitSchedViolationPlane())
 	} else {
-		planes = append(planes, p.OverFullUnits(fuCounts(cfg)))
+		over(p.OverFullUnits(fuCounts(cfg)))
 	}
 
 	if opts.GateLatches {
@@ -192,25 +235,27 @@ func dcgTally(p *usagetrace.Packed, cfg config.Config, opts DCGOptions) power.Ta
 		// Gated latches copy the usage vector: enabled slots always cover
 		// used slots, no violation plane.
 	} else {
-		planes = append(planes, p.OverFullLatch(cfg.IssueWidth))
+		over(p.OverFullLatch(cfg.IssueWidth))
 	}
 
 	if opts.GateDCache {
 		t.DPortsOn = p.DPortSchedSum()
 		planes = append(planes, p.DPortSchedViolationPlane())
 	} else {
-		planes = append(planes, p.OverFullDPorts(cfg.DL1.Ports))
+		over(p.OverFullDPorts(cfg.DL1.Ports))
 	}
 
+	// Enabled drivers are min(schedule, width): gated, usage can exceed
+	// that by beating the raw schedule or by exceeding the width cap.
 	if opts.GateBus {
 		t.BusOn = p.BusSchedCappedSum(cfg.IssueWidth)
-		// Enabled drivers are min(schedule, width): usage can exceed that
-		// by beating the raw schedule or by exceeding the width cap.
-		planes = append(planes, p.BusSchedViolationPlane(), p.OverFullBus(cfg.IssueWidth))
-	} else {
-		planes = append(planes, p.OverFullBus(cfg.IssueWidth))
+		planes = append(planes, p.BusSchedViolationPlane())
 	}
+	over(p.OverFullBus(cfg.IssueWidth))
 
+	if err != nil {
+		return power.Tally{}, err
+	}
 	t.GateViolations = p.ViolationCycles(planes...)
-	return t
+	return t, nil
 }

@@ -376,11 +376,25 @@ func (in Inst) String() string {
 	return s
 }
 
-// Validate reports whether the instruction's operand pattern matches its
-// opcode's signature (used by property tests and the assembler).
+// Valid reports whether r names a register of either file (0..31 or
+// FPBase..FPBase+31) or is NoReg.
+func (r Reg) Valid() bool {
+	return r < NumIntRegs || (r >= FPBase && r < FPBase+NumFPRegs) || r == NoReg
+}
+
+// Validate reports whether the instruction's opcode is defined, its
+// operand pattern matches the opcode's signature, and every operand names
+// a register of either file or is NoReg (used by property tests, the
+// assembler and the trace-file reader).
 func (in Inst) Validate() error {
 	if int(in.Op) >= NumOpcodes {
 		return fmt.Errorf("isa: invalid opcode %d", in.Op)
+	}
+	for _, r := range [...]Reg{in.Dst, in.Src1, in.Src2} {
+		if !r.Valid() {
+			return fmt.Errorf("isa: register %d names neither file (0-%d, %d-%d)",
+				uint8(r), NumIntRegs-1, FPBase, FPBase+NumFPRegs-1)
+		}
 	}
 	info := opTable[in.Op]
 	if info.hasDst && in.Dst == NoReg {

@@ -155,6 +155,33 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsRegisters: an operand must name a register of
+// either file or be NoReg. Every other byte value would index past the
+// core's 32-entry rename tables.
+func TestValidateBoundsRegisters(t *testing.T) {
+	for r := 0; r < 256; r++ {
+		reg := Reg(r)
+		want := r < NumIntRegs || (r >= int(FPBase) && r < int(FPBase)+NumFPRegs) || reg == NoReg
+		if reg.Valid() != want {
+			t.Errorf("Reg(%d).Valid() = %v, want %v", r, reg.Valid(), want)
+		}
+		if reg == NoReg {
+			continue
+		}
+		for _, set := range []func(*Inst){
+			func(in *Inst) { in.Dst = reg },
+			func(in *Inst) { in.Src1 = reg },
+			func(in *Inst) { in.Src2 = reg },
+		} {
+			in := buildValid(OpAdd)
+			set(&in)
+			if err := in.Validate(); (err == nil) != want {
+				t.Errorf("add with register %d: Validate err = %v", r, err)
+			}
+		}
+	}
+}
+
 func TestDisassemblyMentionsOperands(t *testing.T) {
 	in := Inst{Op: OpAdd, Dst: IntReg(3), Src1: IntReg(4), Src2: IntReg(5)}
 	s := in.String()

@@ -64,7 +64,10 @@ type Exec struct {
 	// store before simulating, a timing-cache miss first asks the store
 	// before capturing, and every freshly computed result/timing is
 	// written back. Attaching a store is what makes a restarted process
-	// warm. Nil disables the tier.
+	// warm. Nil disables the tier, and then a capture keeps only its
+	// trace's packed view, with no encoded bytes (core.WithViewOnlyCapture):
+	// the store is the only reader of the bytes. The field is read at each
+	// capture, so a store attached after NewExec takes effect.
 	Store PersistentTier
 }
 
@@ -185,21 +188,32 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 			sp.SetAttrInt("insts", int64(k.Insts))
 			sp.SetAttr("channels", k.TimingKey().Channels)
 			start := time.Now()
-			r, t, err := e.Capture(ctx, k)
+			// Only a store reads a trace's encoded bytes, so without one
+			// the capture builds the packed view alone.
+			store := e.Store
+			cctx := ctx
+			if store == nil {
+				cctx = core.WithViewOnlyCapture(ctx)
+			}
+			r, t, err := e.Capture(cctx, k)
 			inline = r
 			sp.SetError(err)
 			if err == nil {
-				if sp != nil && t.Trace != nil {
-					sp.SetAttrInt("trace_bytes", int64(t.Trace.SizeBytes()))
+				size := traceBytes(t)
+				if size > 0 {
+					sp.SetAttrInt("trace_bytes", int64(size))
 				}
 				sp.Finish()
-				if e.Store != nil {
-					e.Store.PutTiming(ctx, k.TimingKey(), t)
+				if store != nil {
+					store.PutTiming(ctx, k.TimingKey(), t)
 				}
 				if lg.Enabled(ctx, slog.LevelDebug) {
-					lg.Debug("simrun: timing captured", "bench", k.Bench,
-						"insts", k.Insts, "trace_bytes", t.Trace.SizeBytes(),
-						"elapsed_ms", float64(time.Since(start).Microseconds())/1000)
+					attrs := []any{"bench", k.Bench, "insts", k.Insts}
+					if size > 0 {
+						attrs = append(attrs, "trace_bytes", size)
+					}
+					lg.Debug("simrun: timing captured", append(attrs,
+						"elapsed_ms", float64(time.Since(start).Microseconds())/1000)...)
 				}
 			} else {
 				sp.Finish()
@@ -226,7 +240,9 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 			// milliseconds, a reuse as nanoseconds. Skipped entirely when
 			// tracing is off.
 			_, dsp := obs.StartSpan(rctx, "trace.decode")
-			dsp.SetAttrInt("trace_bytes", int64(tm.Trace.SizeBytes()))
+			if size := tm.Trace.SizeBytes(); size > 0 {
+				dsp.SetAttrInt("trace_bytes", int64(size))
+			}
 			_, derr := tm.Trace.Decode()
 			dsp.SetError(derr)
 			dsp.Finish()
@@ -256,6 +272,15 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 		}
 	}
 	return res, out, err
+}
+
+// traceBytes is the encoded size of t's trace: 0 for a view-only
+// capture, and for a Timing without a trace (a test seam's).
+func traceBytes(t *core.Timing) int {
+	if t.Trace == nil {
+		return 0
+	}
+	return t.Trace.SizeBytes()
 }
 
 // full resolves a full-run key through the family level: the pass that

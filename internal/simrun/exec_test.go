@@ -3,11 +3,13 @@ package simrun
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"dcg/internal/core"
+	"dcg/internal/obs"
 	"dcg/internal/usagetrace"
 )
 
@@ -268,5 +270,87 @@ func TestExecReplayMatchesFullRun(t *testing.T) {
 	}
 	if st := e.TimingStats(); st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("timing stats = %+v, want 1 miss / 1 hit", st)
+	}
+}
+
+// timingTier is a PersistentTier that stores nothing and remembers the
+// timings it was asked to put.
+type timingTier struct {
+	mu   sync.Mutex
+	puts []*core.Timing
+}
+
+func (*timingTier) GetResult(context.Context, Key) (*core.Result, bool)       { return nil, false }
+func (*timingTier) PutResult(context.Context, Key, *core.Result)              {}
+func (*timingTier) GetTiming(context.Context, TimingKey) (*core.Timing, bool) { return nil, false }
+func (r *timingTier) PutTiming(_ context.Context, _ TimingKey, t *core.Timing) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.puts = append(r.puts, t)
+}
+
+// TestCaptureKeepsBytesOnlyForAStore: an Exec whose Store is nil when it
+// captures keeps no trace bytes, and its sim.capture and trace.decode
+// spans carry no trace_bytes attribute; once a store is attached, a
+// capture keeps its bytes, hands them to the store, and the span reports
+// their size.
+func TestCaptureKeepsBytesOnlyForAStore(t *testing.T) {
+	tracer := obs.NewTracer(256)
+	e := NewExec(0, 0)
+	var captured []*core.Timing
+	e.Capture = func(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {
+		r, tm, err := Capture(ctx, k)
+		if err == nil {
+			captured = append(captured, tm)
+		}
+		return r, tm, err
+	}
+	traceBytes := func(trace obs.TraceID, span string) (string, bool) {
+		for _, s := range tracer.Spans(obs.SpanFilter{Trace: trace}) {
+			if s.Name != span {
+				continue
+			}
+			for _, a := range s.Attrs {
+				if a.Key == "trace_bytes" {
+					return a.Value, true
+				}
+			}
+			return "", false
+		}
+		t.Fatalf("no %s span", span)
+		return "", false
+	}
+	do := func(k Key) obs.TraceID {
+		ctx, root := tracer.StartRoot(context.Background(), "test")
+		defer root.Finish()
+		if _, _, err := e.Do(ctx, k); err != nil {
+			t.Fatal(err)
+		}
+		return root.TraceID
+	}
+
+	k := Key{Bench: "gzip", Scheme: core.SchemeDCG, Insts: 5_000, Warmup: 1_000}
+	tr := do(k)
+	if len(captured) != 1 || captured[0].Trace.SizeBytes() != 0 {
+		t.Fatalf("a store-less capture kept %d bytes", captured[0].Trace.SizeBytes())
+	}
+	if v, ok := traceBytes(tr, "sim.capture"); ok {
+		t.Errorf("a store-less sim.capture span reports trace_bytes=%s", v)
+	}
+	k.Scheme = core.SchemeNone
+	if v, ok := traceBytes(do(k), "trace.decode"); ok {
+		t.Errorf("the replay of a store-less capture reports trace_bytes=%s", v)
+	}
+
+	tier := &timingTier{}
+	e.Store = tier
+	k = Key{Bench: "mcf", Scheme: core.SchemeDCG, Insts: 5_000, Warmup: 1_000}
+	tr = do(k)
+	size := captured[1].Trace.SizeBytes()
+	if size == 0 || len(tier.puts) != 1 || tier.puts[0] != captured[1] {
+		t.Fatalf("a capture with a store kept %d bytes and made %d puts", size, len(tier.puts))
+	}
+	if v, ok := traceBytes(tr, "sim.capture"); !ok || v != strconv.Itoa(size) {
+		t.Errorf("sim.capture trace_bytes = %q (present %v), want %d", v, ok, size)
 	}
 }

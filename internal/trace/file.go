@@ -98,10 +98,14 @@ func Record(w io.Writer, src Source, max uint64) (uint64, error) {
 	return tw.Count(), tw.Flush()
 }
 
-// FileSource replays a trace file; it implements Source.
+// FileSource replays a trace file; it implements Source. A record whose
+// instruction fails isa.Inst.Validate (an undefined opcode, an operand
+// pattern the opcode does not take, a register outside both files) ends
+// the stream, and Err names the record.
 type FileSource struct {
 	r    *bufio.Reader
 	name string
+	n    uint64 // records read
 	err  error
 }
 
@@ -129,7 +133,8 @@ func NewReader(r io.Reader) (*FileSource, error) {
 // Name implements Source.
 func (f *FileSource) Name() string { return f.name }
 
-// Err returns the first read error other than a clean end of stream.
+// Err returns the first read error other than a clean end of stream, or
+// the refusal of an invalid record.
 func (f *FileSource) Err() error { return f.err }
 
 // Next implements Source.
@@ -155,11 +160,16 @@ func (f *FileSource) Next() (DynInst, bool) {
 	d.Inst.Src1 = regFromByte(buf[42])
 	d.Inst.Src2 = regFromByte(buf[43])
 	d.Taken = buf[44]&flagTaken != 0
+	if err := d.Inst.Validate(); err != nil {
+		f.err = fmt.Errorf("trace: %s record %d: %w", f.name, f.n, err)
+		return DynInst{}, false
+	}
+	f.n++
 	return d, true
 }
 
 // opcodeFromByte and regFromByte convert raw record bytes back to the
-// typed ISA values.
+// typed ISA values; Next validates the instruction they make.
 func opcodeFromByte(b byte) isa.Opcode { return isa.Opcode(b) }
 
 func regFromByte(b byte) isa.Reg { return isa.Reg(b) }

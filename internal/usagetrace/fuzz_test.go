@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dcg/internal/config"
 	"dcg/internal/cpu"
 )
 
@@ -136,8 +137,15 @@ func checkAgainstStream(t *testing.T, tr *Trace, p *Packed) {
 	// Tight limits, so the over-capacity planes fire on small values.
 	counts := [cpu.NumFUTypes]int{2, 1, 2, 1}
 	const ports, width, window = 1, 2, 128
-	overUnits, overPorts := p.OverFullUnits(counts), p.OverFullDPorts(ports)
-	overBus, overLatch := p.OverFullBus(width), p.OverFullLatch(width)
+	overUnits, uerr := p.OverFullUnits(counts)
+	overPorts, perr := p.OverFullDPorts(ports)
+	overBus, berr := p.OverFullBus(width)
+	overLatch, lerr := p.OverFullLatch(width)
+	for _, err := range []error{uerr, perr, berr, lerr} {
+		if err != nil {
+			t.Fatalf("an over-capacity plane of a trace with its bytes failed: %v", err)
+		}
+	}
 	planeBit := func(plane []uint64, c uint64) bool {
 		return plane != nil && plane[c>>6]&(1<<(c&63)) != 0
 	}
@@ -251,8 +259,9 @@ func checkAgainstStream(t *testing.T, tr *Trace, p *Packed) {
 			t.Fatalf("BusSchedCappedSum(%d) = %d, stream %d", limit, got, want)
 		}
 	}
-	// Depth 70 is past the kept fetch tail and takes the re-read path.
-	for _, depth := range []int{1, 3, fetchTailLen + 6} {
+	// The deepest front end config.Validate accepts reads the whole kept
+	// fetch tail.
+	for _, depth := range []int{1, 3, config.MaxFrontEndStages} {
 		var want int64
 		for j, f := range fetch {
 			want += int64(min(depth, len(fetch)-j)) * int64(f)

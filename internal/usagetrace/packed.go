@@ -67,9 +67,9 @@ type Packed struct {
 	words  int
 	stages int
 
-	// data is the encoded stream of the view's events and usage. Only the
-	// slow paths that no core capture reaches (over-capacity planes, very
-	// deep front ends) re-read it.
+	// data is the encoded stream of the view's events and usage, nil for a
+	// view-only capture. Only the over-capacity planes, which no core
+	// capture needs, re-read it.
 	data []byte
 
 	// latchNZ holds one plane per back-end latch stage: the cycles the
@@ -114,9 +114,9 @@ type Packed struct {
 }
 
 // fetchTailLen is how many trailing fetch counts a Packed keeps: enough
-// for any front end up to fetchTailLen+1 stages deep (the baseline has
-// three) without re-reading the stream.
-const fetchTailLen = 64
+// for FrontSlotsSum over any front end config.Validate accepts, up to
+// config.MaxFrontEndStages deep (the baseline has three, Deep seven).
+const fetchTailLen = config.MaxFrontEndStages - 1
 
 // growFloorWords is the words a Recorder's view starts its planes with. A
 // Recorder cannot know its cycle count up front, so it grows every plane
@@ -252,10 +252,11 @@ func (p *Packed) reserve(n uint64) {
 }
 
 // finish trims the planes and the occupancy column to the cycles built
-// and records the encoded stream, data, that holds them. A view is held
-// as long as its trace is cached, so the columns a Recorder grew past
-// its cycles (doubling leaves up to half unused) are copied out at their
-// size; the decode sized them once and keeps them.
+// and records the encoded stream, data, that holds them (nil when the
+// capture kept none). A view is held as long as its trace is cached, so
+// the columns a Recorder grew past its cycles (doubling leaves up to
+// half unused) are copied out at their size; the decode sized them once
+// and keeps them.
 func (p *Packed) finish(data []byte) {
 	p.words = int((p.cycles + 63) / 64)
 	trim := func(plane []uint64) []uint64 {
@@ -419,33 +420,28 @@ func setRange(plane []uint64, lo, hi uint64) {
 	}
 }
 
-// scan re-reads the encoded stream, handing fn each cycle's usage vector
-// in cycle order. Only the slow paths use it. The stream was fully
-// parsed when the view was built and is immutable, so a read error here
-// is a bug, not bad input.
-func (p *Packed) scan(fn func(u *cpu.Usage)) {
+// planeWhere builds, in one pass over the encoded stream, the plane of
+// cycles whose usage vector satisfies pred. A view built without the
+// stream fails, naming the plane. The stream was fully parsed when the
+// view was built and is immutable, so a read error here is a bug, not
+// bad input.
+func (p *Packed) planeWhere(name string, pred func(u *cpu.Usage) bool) ([]uint64, error) {
+	if p.data == nil {
+		return nil, fmt.Errorf("usagetrace: the over-capacity %s plane re-reads the encoded stream, "+
+			"and this view was %w", name, ErrNoBytes)
+	}
+	plane := make([]uint64, p.words)
 	rd, err := newReader(p.data)
 	for err == nil {
 		var u *cpu.Usage
-		if _, u, err = rd.Next(); err == nil {
-			fn(u)
+		if _, u, err = rd.Next(); err == nil && pred(u) {
+			plane[u.Cycle>>6] |= 1 << (u.Cycle & 63)
 		}
 	}
 	if err != io.EOF {
 		panic("usagetrace: re-reading a decoded trace failed: " + err.Error())
 	}
-}
-
-// planeWhere builds, in one pass over the encoded stream, the plane of
-// cycles whose usage vector satisfies pred.
-func (p *Packed) planeWhere(pred func(u *cpu.Usage) bool) []uint64 {
-	plane := make([]uint64, p.words)
-	p.scan(func(u *cpu.Usage) {
-		if pred(u) {
-			plane[u.Cycle>>6] |= 1 << (u.Cycle & 63)
-		}
-	})
-	return plane
+	return plane, nil
 }
 
 // Cycles returns the decoded cycle count.
@@ -518,7 +514,8 @@ func (p *Packed) LeadViolations() uint64 { return p.leadViol }
 // the fetch flow delayed s cycles, so the fetch count of cycle j is
 // counted min(depth, n-j) times — depth times, minus the tail cycles
 // that fall off the end of the run. The correction reads the kept fetch
-// tail; a front end deeper than the tail re-reads the stream.
+// tail, which covers every depth up to config.MaxFrontEndStages, so depth
+// must not exceed it (gating.PackedTally refuses such an oracle).
 func (p *Packed) FrontSlotsSum(depth int) int64 {
 	if depth <= 0 {
 		return 0
@@ -526,14 +523,6 @@ func (p *Packed) FrontSlotsSum(depth int) int64 {
 	sum := int64(depth) * p.fetchSum
 	n := p.cycles
 	tail := min(uint64(depth-1), n)
-	if tail > fetchTailLen {
-		p.scan(func(u *cpu.Usage) {
-			if k := n - u.Cycle; k <= tail {
-				sum -= int64(uint64(depth)-k) * int64(u.FetchCount)
-			}
-		})
-		return sum
-	}
 	for k := uint64(1); k <= tail; k++ {
 		sum -= int64(uint64(depth)-k) * int64(p.fetchTail[(n-k)%fetchTailLen])
 	}
@@ -571,11 +560,12 @@ func maskN(n int) uint32 {
 // structure classes: usage beyond capacity. Each returns nil when the
 // recorded maximum proves no such cycle exists — the invariant on any
 // trace the core captured, making them free in the common case — and
-// otherwise builds its plane from one pass over the encoded stream.
+// otherwise builds its plane from one pass over the encoded stream, or
+// fails when the view has none (a view-only capture).
 
 // OverFullUnits returns the plane of cycles where some FU pool's busy
 // mask escaped even the all-enabled mask for the given pool sizes.
-func (p *Packed) OverFullUnits(counts [cpu.NumFUTypes]int) []uint64 {
+func (p *Packed) OverFullUnits(counts [cpu.NumFUTypes]int) ([]uint64, error) {
 	var enabled [cpu.NumFUTypes]uint32
 	possible := false
 	for t := range enabled {
@@ -585,9 +575,9 @@ func (p *Packed) OverFullUnits(counts [cpu.NumFUTypes]int) []uint64 {
 		}
 	}
 	if !possible {
-		return nil
+		return nil, nil
 	}
-	return p.planeWhere(func(u *cpu.Usage) bool {
+	return p.planeWhere("units", func(u *cpu.Usage) bool {
 		return u.IntALUBusy&^enabled[cpu.FUIntALU] != 0 ||
 			u.IntMultBusy&^enabled[cpu.FUIntMult] != 0 ||
 			u.FPALUBusy&^enabled[cpu.FUFPALU] != 0 ||
@@ -597,29 +587,29 @@ func (p *Packed) OverFullUnits(counts [cpu.NumFUTypes]int) []uint64 {
 
 // OverFullDPorts returns the plane of cycles using more D-cache ports
 // than the machine has.
-func (p *Packed) OverFullDPorts(ports int) []uint64 {
+func (p *Packed) OverFullDPorts(ports int) ([]uint64, error) {
 	if p.maxDPort <= ports {
-		return nil
+		return nil, nil
 	}
-	return p.planeWhere(func(u *cpu.Usage) bool { return u.DPortUsed > ports })
+	return p.planeWhere("D-port", func(u *cpu.Usage) bool { return u.DPortUsed > ports })
 }
 
 // OverFullBus returns the plane of cycles driving more result buses than
 // the issue width.
-func (p *Packed) OverFullBus(width int) []uint64 {
+func (p *Packed) OverFullBus(width int) ([]uint64, error) {
 	if p.maxBus <= width {
-		return nil
+		return nil, nil
 	}
-	return p.planeWhere(func(u *cpu.Usage) bool { return u.ResultBus > width })
+	return p.planeWhere("result-bus", func(u *cpu.Usage) bool { return u.ResultBus > width })
 }
 
 // OverFullLatch returns the plane of cycles where some back-end latch
 // stage carried more instructions than the issue width.
-func (p *Packed) OverFullLatch(width int) []uint64 {
+func (p *Packed) OverFullLatch(width int) ([]uint64, error) {
 	if p.maxLatch <= width {
-		return nil
+		return nil, nil
 	}
-	return p.planeWhere(func(u *cpu.Usage) bool {
+	return p.planeWhere("latch", func(u *cpu.Usage) bool {
 		for _, v := range u.BackLatch {
 			if v > width {
 				return true

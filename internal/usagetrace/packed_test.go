@@ -276,12 +276,20 @@ func TestPackedOverFullPlanes(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	plane := func(pl []uint64, err error) []uint64 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+
 	// Generous limits: every plane proves itself unnecessary without a
 	// scan (the maxima guards).
-	if p.OverFullUnits([cpu.NumFUTypes]int{32, 1, 1, 1}) != nil {
+	if plane(p.OverFullUnits([cpu.NumFUTypes]int{32, 1, 1, 1})) != nil {
 		t.Error("OverFullUnits not nil under full-width pool")
 	}
-	if p.OverFullDPorts(5) != nil || p.OverFullBus(20) != nil || p.OverFullLatch(9) != nil {
+	if plane(p.OverFullDPorts(5)) != nil || plane(p.OverFullBus(20)) != nil || plane(p.OverFullLatch(9)) != nil {
 		t.Error("over-full planes not nil under generous limits")
 	}
 
@@ -291,10 +299,10 @@ func TestPackedOverFullPlanes(t *testing.T) {
 		plane []uint64
 		want  int
 	}{
-		{"units", p.OverFullUnits([cpu.NumFUTypes]int{6, 2, 4, 4}), 3},
-		{"dports", p.OverFullDPorts(2), 10},
-		{"bus", p.OverFullBus(8), 11},
-		{"latch", p.OverFullLatch(8), 12},
+		{"units", plane(p.OverFullUnits([cpu.NumFUTypes]int{6, 2, 4, 4})), 3},
+		{"dports", plane(p.OverFullDPorts(2)), 10},
+		{"bus", plane(p.OverFullBus(8)), 11},
+		{"latch", plane(p.OverFullLatch(8)), 12},
 	}
 	for _, tc := range checks {
 		if tc.plane == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -15,12 +16,17 @@ import (
 // any number of replays (Reader/ReplayAll, Decode) may run over it
 // concurrently, which is what lets one timing pass serve many scheme
 // evaluations.
+//
+// A trace captured by a view-only Recorder (NewViewRecorder) holds its
+// packed view and metadata but no encoded stream: Decode serves the
+// view, and Reader, EncodeGzip and WriteTo fail with an error wrapping
+// ErrNoBytes.
 type Trace struct {
 	name     string
 	stages   int
 	cycles   uint64
 	channels []string
-	data     []byte
+	data     []byte // nil for a view-only capture
 
 	// The memoized packed view (Decode). The sync.Once makes a Trace
 	// non-copyable, which is deliberate: every consumer must share the
@@ -53,13 +59,29 @@ func (t *Trace) HasChannel(name string) bool {
 	return false
 }
 
-// SizeBytes returns the encoded size (the residency cost of caching the
-// trace).
+// SizeBytes returns the size of the trace's encoded stream, 0 for a
+// view-only capture. It does not count the packed view, which a cached
+// trace also holds.
 func (t *Trace) SizeBytes() int { return len(t.data) }
+
+// ErrNoBytes is wrapped by the error of every operation that needs the
+// encoded stream of a trace captured without one (NewViewRecorder).
+var ErrNoBytes = errors.New("captured without its encoded bytes")
+
+// needBytes fails, naming the trace, when it has no encoded stream.
+func (t *Trace) needBytes() error {
+	if t.data == nil {
+		return fmt.Errorf("usagetrace: trace %q was %w", t.name, ErrNoBytes)
+	}
+	return nil
+}
 
 // Reader opens a fresh decoder over the trace's bytes, which it shares.
 // Safe to call concurrently; each reader has independent state.
 func (t *Trace) Reader() (*Reader, error) {
+	if err := t.needBytes(); err != nil {
+		return nil, err
+	}
 	return newReader(t.data)
 }
 
@@ -108,6 +130,9 @@ func (t *Trace) Decode() (*Packed, error) {
 // WriteTo serialises the trace (header, records, end marker) to w, so a
 // capture can be persisted and later reloaded with ReadTrace.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
+	if err := t.needBytes(); err != nil {
+		return 0, err
+	}
 	n, err := w.Write(t.data)
 	return int64(n), err
 }
@@ -120,6 +145,9 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 // against 3.27 MB at level 6), which is what the persistent artifact
 // store and `dcgsim -trace-out foo.gz` style tooling want on disk.
 func (t *Trace) EncodeGzip(w io.Writer) error {
+	if err := t.needBytes(); err != nil {
+		return err
+	}
 	gz := gzipWriterPool.Get().(*gzip.Writer)
 	gz.Reset(w)
 	defer gzipWriterPool.Put(gz)

@@ -14,11 +14,13 @@
 // vectors and, from the same live values, builds the trace's Packed view
 // — per-signal bit-planes plus order-free aggregates — the packed kernel
 // reads, so a capture's evaluations never parse the bytes it wrote. A
-// stored trace is read back through one Reader, which parses its encoded
-// bytes in place: ReadTrace builds the same view in one validating pass
-// over them (Trace.Decode memoizes it), and the scalar reference engine
-// (ReplayAll), which the goldens and the differential fuzzer hold the
-// packed kernel to, hands the parsed records to scheme sinks. A stream
+// capture that no store will persist keeps the view alone
+// (NewViewRecorder) and encodes nothing. A stored trace is read back
+// through one Reader, which parses its encoded bytes in place: ReadTrace
+// builds the same view in one validating pass over them (Trace.Decode
+// memoizes it), and the scalar reference engine (ReplayAll), which the
+// goldens and the differential fuzzer hold the packed kernel to, hands
+// the parsed records to scheme sinks. A stream
 // that is not yet a Trace is read whole first: ReadTrace and NewReader
 // inflate a gzip-framed one, up to maxInflatedTrace bytes.
 //
@@ -225,13 +227,23 @@ func validExtraChannel(name string) bool { return name == ChannelLatchValue }
 // (Packed.add), so the view equals the one ReadTrace builds from the
 // bytes and an in-process capture is never parsed.
 //
+// A Recorder from NewViewRecorder builds the view alone and encodes
+// nothing: no repeat check, no records, no stream. Its Trace carries the
+// same view and metadata but no bytes, so it can be evaluated on the
+// packed kernel and never stored or re-read (Reader, EncodeGzip and
+// WriteTo refuse it). It is for a capture no store will persist.
+//
 // The first fault, a cycle out of order or a field the Reader would
-// refuse, is latched, and Trace reports it.
+// refuse, is latched, and Trace reports it, in either mode.
 type Recorder struct {
 	name       string
 	stages     int
 	channels   []string // full channel list, usage first
 	latchValue bool
+
+	// viewOnly skips the byte path: buf stays nil and Trace hands back a
+	// trace without bytes.
+	viewOnly bool
 
 	// buf is the stream encoded so far, and pending the events of the
 	// cycle whose usage vector has not arrived yet.
@@ -307,6 +319,18 @@ func NewRecorder(name string, backLatchStages int, extra ...string) (*Recorder, 
 	}, nil
 }
 
+// NewViewRecorder is NewRecorder for a capture that keeps only the
+// packed view: the Recorder checks every cycle and builds the view as
+// NewRecorder's does, but encodes no bytes, and its Trace has none.
+func NewViewRecorder(name string, backLatchStages int, extra ...string) (*Recorder, error) {
+	r, err := NewRecorder(name, backLatchStages, extra...)
+	if err != nil {
+		return nil, err
+	}
+	r.viewOnly, r.buf = true, nil
+	return r, nil
+}
+
 // OnIssue implements cpu.IssueListener: the event is buffered until the
 // cycle's usage vector closes the record. An FU grant the Reader would
 // refuse (a bad pool, or a unit or latency outside [0, MaxInt32]) fails
@@ -339,6 +363,11 @@ func (r *Recorder) OnQuiet(u *cpu.Usage, n uint64) {
 	}
 	r.view.reserve(n)
 	r.view.add(r.mirror, r.pending, u, n)
+	if r.viewOnly {
+		r.pending = r.pending[:0]
+		r.cycles += n
+		return
+	}
 	if len(r.pending) > 0 || r.cycles == 0 || !r.repeats(u) {
 		r.record(u)
 		n--
@@ -483,9 +512,10 @@ func appendEvent(b []byte, ev *cpu.IssueEvent, cycle uint64) []byte {
 
 // Trace writes the pending run and the end marker (tag and total cycle
 // count) and returns the completed capture, its packed view already
-// built: the trace's first Decode is a reuse. Events buffered for a
-// cycle whose usage vector never arrived are a capture bug and fail it.
-// The Recorder records nothing more after Trace.
+// built: the trace's first Decode is a reuse. A view-only Recorder
+// writes nothing and returns a trace without bytes. Events buffered for
+// a cycle whose usage vector never arrived are a capture bug and fail
+// it. The Recorder records nothing more after Trace.
 func (r *Recorder) Trace() (*Trace, error) {
 	if r.err == nil && len(r.pending) > 0 {
 		r.err = fmt.Errorf("usagetrace: %d issue events buffered past the last cycle record", len(r.pending))
@@ -493,16 +523,19 @@ func (r *Recorder) Trace() (*Trace, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	b := r.buf
-	if r.run > 0 {
-		b = append(b, tagRepeat)
-		b = binary.AppendUvarint(b, r.run)
+	var b []byte
+	if !r.viewOnly {
+		b = r.buf
+		if r.run > 0 {
+			b = append(b, tagRepeat)
+			b = binary.AppendUvarint(b, r.run)
+		}
+		b = append(b, tagEnd)
+		b = binary.AppendUvarint(b, r.cycles)
+		// The trace is held as long as it is cached: keep its bytes at
+		// their size, not the doubled buffer's.
+		b = bytes.Clone(b)
 	}
-	b = append(b, tagEnd)
-	b = binary.AppendUvarint(b, r.cycles)
-	// The trace is held as long as it is cached: keep its bytes at their
-	// size, not the doubled buffer's.
-	b = bytes.Clone(b)
 	r.view.finish(b)
 	t := &Trace{name: r.name, stages: r.stages, cycles: r.cycles, channels: r.channels, data: b}
 	t.decodeOnce.Do(func() { t.packed = r.view })

@@ -363,7 +363,7 @@ func (g *Generator) nextEA(tmpl *instTmpl) uint64 {
 		size = m.ColdBytes
 	}
 	if size == 0 {
-		size = 4096
+		size = defaultRegionBytes
 	}
 	switch {
 	case region == regionCold && m.PointerChase:
@@ -382,6 +382,10 @@ func (g *Generator) nextEA(tmpl *instTmpl) uint64 {
 		return regionBase[region] + cur
 	}
 }
+
+// defaultRegionBytes is the size of a memory region whose profile size
+// is 0.
+const defaultRegionBytes = 4096
 
 // buildProgram synthesises the static program for a profile.
 func buildProgram(p Profile, r *rng) *program {

@@ -147,16 +147,41 @@ type Profile struct {
 	SerialFrac float64
 }
 
-// Validate checks profile sanity.
+// MaxBlocks bounds a profile's static code footprint in basic blocks,
+// about ten times the largest built-in profile's, so a profile read from
+// a file cannot make NewGenerator allocate without bound.
+const MaxBlocks = 4096
+
+// Validate checks profile sanity: every fraction and probability in
+// [0, 1], the mixes summing to 1, a footprint of at most MaxBlocks
+// blocks, and a memory stride that fits every region.
 func (p Profile) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("workload: profile needs a name")
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Mix.IntALU", p.Mix.IntALU}, {"Mix.IntMult", p.Mix.IntMult}, {"Mix.IntDiv", p.Mix.IntDiv},
+		{"Mix.FPALU", p.Mix.FPALU}, {"Mix.FPMult", p.Mix.FPMult}, {"Mix.FPDiv", p.Mix.FPDiv},
+		{"Mix.Load", p.Mix.Load}, {"Mix.Store", p.Mix.Store}, {"Mix.Branch", p.Mix.Branch},
+		{"Mix.Jump", p.Mix.Jump},
+		{"Mem.HotFrac", p.Mem.HotFrac}, {"Mem.WarmFrac", p.Mem.WarmFrac}, {"Mem.ColdFrac", p.Mem.ColdFrac},
+		{"Mem.ChaseFrac", p.Mem.ChaseFrac},
+		{"Branch.LoopFrac", p.Branch.LoopFrac}, {"Branch.BiasedFrac", p.Branch.BiasedFrac},
+		{"Branch.RandomFrac", p.Branch.RandomFrac}, {"Branch.BiasedTakenProb", p.Branch.BiasedTakenProb},
+		{"Branch.CallFrac", p.Branch.CallFrac},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("workload: %s %s = %g outside [0, 1]", p.Name, f.name, f.v)
+		}
+	}
 	if s := p.Mix.Sum(); s < 0.99 || s > 1.01 {
 		return fmt.Errorf("workload: %s op mix sums to %.3f, want 1", p.Name, s)
 	}
-	if p.Blocks < 2 {
-		return fmt.Errorf("workload: %s needs at least 2 blocks", p.Name)
+	if p.Blocks < 2 || p.Blocks > MaxBlocks {
+		return fmt.Errorf("workload: %s has %d blocks, want 2 to %d (workload.MaxBlocks)", p.Name, p.Blocks, MaxBlocks)
 	}
 	if p.BlockLenMean < 2 {
 		return fmt.Errorf("workload: %s block length mean too small", p.Name)
@@ -172,6 +197,15 @@ func (p Profile) Validate() error {
 	}
 	if p.SerialFrac < 0 || p.SerialFrac > 1 {
 		return fmt.Errorf("workload: %s serial fraction out of [0,1]", p.Name)
+	}
+	for _, size := range []uint64{p.Mem.HotBytes, p.Mem.WarmBytes, p.Mem.ColdBytes} {
+		if size == 0 {
+			size = defaultRegionBytes
+		}
+		if p.Mem.Stride < 1 || p.Mem.Stride > size {
+			return fmt.Errorf("workload: %s memory stride %d outside [1, %d], the region's size",
+				p.Name, p.Mem.Stride, size)
+		}
 	}
 	return nil
 }

@@ -270,6 +270,34 @@ func TestValidateCatchesBadProfiles(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsFileProfiles: Validate refuses the profiles a file
+// could carry that would make NewGenerator panic or allocate without
+// bound: a fraction outside [0, 1] even when the mix still sums to 1, a
+// footprint past MaxBlocks, and a memory stride of 0 or past a region.
+func TestValidateBoundsFileProfiles(t *testing.T) {
+	good, _ := ByName("gzip")
+	for name, mutate := range map[string]func(p *Profile){
+		"negative op share":       func(p *Profile) { p.Mix.IntMult, p.Mix.IntDiv = 1e6, p.Mix.IntDiv-1e6 },
+		"call probability 2":      func(p *Profile) { p.Branch.CallFrac = 2 },
+		"chase fraction -1":       func(p *Profile) { p.Mem.ChaseFrac = -1 },
+		"blocks past the bound":   func(p *Profile) { p.Blocks = MaxBlocks + 1 },
+		"zero stride":             func(p *Profile) { p.Mem.Stride = 0 },
+		"stride past a region":    func(p *Profile) { p.Mem.Stride = p.Mem.HotBytes + 1 },
+		"stride past the default": func(p *Profile) { p.Mem.WarmBytes, p.Mem.Stride = 0, defaultRegionBytes+8 },
+	} {
+		bad := good
+		mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	at := good
+	at.Blocks = MaxBlocks
+	if err := at.Validate(); err != nil {
+		t.Errorf("a footprint of MaxBlocks refused: %v", err)
+	}
+}
+
 func TestOpMixNormalize(t *testing.T) {
 	m := OpMix{IntALU: 2, Load: 1, Branch: 1}
 	n := m.Normalize()
