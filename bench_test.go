@@ -312,27 +312,37 @@ func BenchmarkDCGRun(b *testing.B) {
 	}
 }
 
-// BenchmarkPLBFamilyRun measures the full-run layer on gcc at 100k
-// instructions, with the warm-state cache filled before the timer: plb-ext
-// and dcg+plb each in a single-lane run of its own, and the two as one
-// timing-family pass (RunFamilyContext), which is what a request for
-// either costs the service. ns/cycle divides by the pass's cycles.
-func BenchmarkPLBFamilyRun(b *testing.B) {
+// BenchmarkPLBRun measures the PLB family on gcc at 100k instructions,
+// with the warm-state cache filled before the timer: the live single-lane
+// plb-ext and plb-orig runs, the references, and what a request costs the
+// service — a capture under the scheme's throttle plus the packed
+// kernel's evaluation, for plb-ext alone, for plb-ext and dcg+plb on one
+// capture, and for plb-orig. ns/cycle divides by the run's cycles.
+func BenchmarkPLBRun(b *testing.B) {
 	const bench, insts = "gcc", 100_000
 	sim := core.NewSimulator(core.DefaultMachine())
+	ctx := context.Background()
+	live := func(kind core.SchemeKind) func() (*core.Result, error) {
+		return func() (*core.Result, error) { return sim.RunBenchmarkContext(ctx, bench, kind, insts) }
+	}
+	kernel := func(kind core.SchemeKind, more ...core.SchemeKind) func() (*core.Result, error) {
+		return func() (*core.Result, error) {
+			res, tm, err := sim.RunAndCapture(ctx, bench, kind, insts)
+			if err == nil && len(more) > 0 {
+				_, err = sim.EvaluateTimingAll(tm, more)
+			}
+			return res, err
+		}
+	}
 	runs := []struct {
 		name string
 		run  func() (*core.Result, error)
 	}{
-		{"plb-ext", func() (*core.Result, error) {
-			return sim.RunBenchmarkContext(context.Background(), bench, core.SchemePLBExt, insts)
-		}},
-		{"dcg+plb", func() (*core.Result, error) {
-			return sim.RunBenchmarkContext(context.Background(), bench, core.SchemeDCGPLB, insts)
-		}},
-		{"family", func() (*core.Result, error) {
-			return sim.RunFamilyContext(context.Background(), bench, core.SchemePLBExt, insts)
-		}},
+		{"live-plb-ext", live(core.SchemePLBExt)},
+		{"live-plb-orig", live(core.SchemePLBOrig)},
+		{"kernel-plb-ext", kernel(core.SchemePLBExt)},
+		{"kernel-plb-ext+dcg+plb", kernel(core.SchemePLBExt, core.SchemeDCGPLB)},
+		{"kernel-plb-orig", kernel(core.SchemePLBOrig)},
 	}
 	for _, r := range runs {
 		b.Run(r.name, func(b *testing.B) {

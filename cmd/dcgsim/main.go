@@ -231,84 +231,55 @@ func schemeNames() string {
 	return strings.Join(names, ", ")
 }
 
-// runSchemes evaluates every requested scheme on one benchmark. The
-// timing-neutral ones share one capture of the core timing, and
-// core.EvaluateTimingAll evaluates them all on the packed view the
-// capture built, bit-identically to direct runs. Schemes that perturb
-// timing (PLB) always run the full simulation: co-requested members of
-// one timing family (plb-ext and dcg+plb) share one RunFamilyContext
-// pass, and a lone member keeps the single-lane run.
+// runSchemes evaluates every requested scheme on one benchmark with one
+// capture per capture throttle (core.SchemeInfo.Timing): the
+// timing-neutral schemes share an unthrottled capture, plb-ext and
+// dcg+plb one under plb-ext's throttle, and plb-orig one under its own.
+// Each capture records the union of the trace channels its schemes need
+// (e.g. latchvalue for the ddcg family) as a packed view alone, since
+// nothing here reads the trace's bytes, and core.EvaluateTimingAll
+// evaluates the rest of its schemes on it, bit-identically to direct
+// runs.
 func runSchemes(ctx context.Context, sim *core.Simulator, bench string, kinds []core.SchemeKind, n uint64) ([]*core.Result, error) {
-	var neutralKinds []core.SchemeKind
-	for _, k := range kinds {
-		if core.TimingNeutral(k) {
-			neutralKinds = append(neutralKinds, k)
-		}
-	}
 	out := make([]*core.Result, len(kinds))
-	if len(neutralKinds) > 0 {
-		// The capture records the union of the trace channels the
-		// requested schemes need (e.g. latchvalue for the ddcg family),
-		// as a packed view alone: nothing here reads the trace's bytes.
+	for i, k := range kinds {
+		if out[i] != nil {
+			continue
+		}
+		info, _ := core.SchemeInfoFor(k)
+		var rest []core.SchemeKind // the later kinds sharing k's throttle, at idx
+		var idx []int
+		for j := i + 1; j < len(kinds); j++ {
+			if other, _ := core.SchemeInfoFor(kinds[j]); other.Timing == info.Timing {
+				rest, idx = append(rest, kinds[j]), append(idx, j)
+			}
+		}
 		_, csp := obs.StartSpan(ctx, "sim.capture")
-		csp.SetAttrInt("schemes", int64(len(neutralKinds)))
-		tm, err := sim.CaptureBenchmarkContext(core.WithViewOnlyCapture(ctx), bench, n,
-			core.ChannelUnion(neutralKinds...)...)
+		csp.SetAttrInt("schemes", int64(1+len(rest)))
+		if info.Timing != "" {
+			csp.SetAttr("throttle", info.Timing.String())
+		}
+		res, tm, err := sim.RunAndCapture(core.WithViewOnlyCapture(ctx), bench, k, n, core.ChannelUnion(rest...)...)
 		csp.SetError(err)
 		csp.Finish()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%v: %w", k, err)
+		}
+		out[i] = res
+		if len(rest) == 0 {
+			continue
 		}
 		_, rsp := obs.StartSpan(ctx, "sim.replay")
-		rsp.SetAttrInt("schemes", int64(len(neutralKinds)))
-		replayed, err := sim.EvaluateTimingAll(tm, neutralKinds)
+		rsp.SetAttrInt("schemes", int64(len(rest)))
+		more, err := sim.EvaluateTimingAll(tm, rest)
 		rsp.SetError(err)
 		rsp.Finish()
 		if err != nil {
 			return nil, err
 		}
-		j := 0
-		for i, k := range kinds {
-			if core.TimingNeutral(k) {
-				out[i] = replayed[j]
-				j++
-			}
+		for j, r := range more {
+			out[idx[j]] = r
 		}
-	}
-	for i, k := range kinds {
-		if out[i] != nil {
-			continue
-		}
-		lead := core.TimingFamily(k)[0]
-		var others []int // the other requested members of k's family
-		for j := i + 1; j < len(kinds); j++ {
-			if out[j] == nil && kinds[j] != k && core.TimingFamily(kinds[j])[0] == lead {
-				others = append(others, j)
-			}
-		}
-		_, fsp := obs.StartSpan(ctx, "sim.full")
-		fsp.SetAttr("scheme", k.String())
-		var res *core.Result
-		var err error
-		if len(others) > 0 {
-			res, err = sim.RunFamilyContext(ctx, bench, k, n)
-		} else {
-			res, err = sim.RunBenchmarkContext(ctx, bench, k, n)
-		}
-		fsp.SetError(err)
-		fsp.Finish()
-		if err != nil {
-			return nil, fmt.Errorf("%v: %w", k, err)
-		}
-		for _, r := range res.Riders {
-			for _, j := range others {
-				if kinds[j].String() == r.Scheme {
-					out[j] = r
-				}
-			}
-		}
-		res.Riders = nil
-		out[i] = res
 	}
 	return out, nil
 }
@@ -375,29 +346,36 @@ func recordTrace(path, bench string, n uint64) error {
 	return nil
 }
 
-// replayTrace simulates a recorded trace file.
+// replayTrace simulates a recorded trace file and prints the run.
 func replayTrace(sim *core.Simulator, path string, kind core.SchemeKind, verbose bool) error {
-	f, err := os.Open(path)
+	res, err := runTraceFile(sim, path, kind)
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	src, err := trace.NewReader(f)
-	if err != nil {
-		return err
-	}
-	res, err := sim.RunSource(src, kind)
-	if err != nil {
-		return err
-	}
-	if src.Err() != nil {
-		return src.Err()
 	}
 	fmt.Print(res.Summary())
 	if verbose {
 		fmt.Println(res.Energy.String())
 	}
 	return nil
+}
+
+// runTraceFile simulates a recorded trace file's every record under the
+// scheme.
+func runTraceFile(sim *core.Simulator, path string, kind core.SchemeKind) (*core.Result, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	src, err := trace.NewReader(f)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sim.RunSource(src, kind)
+	if err != nil {
+		return nil, err
+	}
+	return res, src.Err()
 }
 
 // runProfile simulates a custom JSON workload profile.

@@ -14,34 +14,35 @@ import (
 	"dcg/internal/workload"
 )
 
-// TestCoRequestedFamilyMatchesSingleSchemeRuns: -scheme with both members
-// of plb-ext's timing family (and a timing-neutral scheme between them)
-// gives each scheme the Result a run of that scheme alone gives, which
-// is every number dcgsim prints for it.
+// TestCoRequestedFamilyMatchesSingleSchemeRuns: -scheme with both
+// schemes of plb-ext's throttle (and a timing-neutral scheme between
+// them), evaluated on one capture per throttle, gives each scheme the
+// Result a live run of that scheme alone gives, which is every number
+// dcgsim prints for it.
 func TestCoRequestedFamilyMatchesSingleSchemeRuns(t *testing.T) {
 	sim := core.NewSimulator(core.DefaultMachine())
 	sim.Warmup = 5_000
 	const bench, n = "gcc", 20_000
-	kinds := []core.SchemeKind{core.SchemeDCGPLB, core.SchemeNone, core.SchemePLBExt}
+	kinds := []core.SchemeKind{core.SchemePLBExt, core.SchemeDCGPLB, core.SchemeNone}
 	together, err := runSchemes(context.Background(), sim, bench, kinds, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range kinds {
-		alone, err := runSchemes(context.Background(), sim, bench, []core.SchemeKind{k}, n)
+		live, err := sim.RunBenchmarkContext(context.Background(), bench, k, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(together[i], alone[0]) {
-			t.Errorf("%v requested with %v differs from %v alone:\n got %+v\nwant %+v", k, kinds, k, together[i], alone[0])
+		if !reflect.DeepEqual(together[i], live) {
+			t.Errorf("%v requested with %v differs from its live run:\n got %+v\nwant %+v", k, kinds, together[i], live)
 		}
 	}
 }
 
 // TestRecordRoundTripsEveryBenchmark: -record writes each of the 16
 // benchmarks' streams as a file whose every record the replay reader
-// accepts and hands back as the generator produced it, but for the
-// carried value, which the format leaves out.
+// accepts and hands back as the generator produced it, carried value
+// included.
 func TestRecordRoundTripsEveryBenchmark(t *testing.T) {
 	const n = 20_000
 	dir := t.TempDir()
@@ -66,7 +67,6 @@ func TestRecordRoundTripsEveryBenchmark(t *testing.T) {
 		count := 0
 		for d, ok := src.Next(); ok; d, ok = src.Next() {
 			want, _ := gen.Next()
-			want.Value = 0 // the file format does not carry it
 			if d != want {
 				t.Fatalf("%s record %d: read %+v, generated %+v", bench, count, d, want)
 			}
@@ -76,6 +76,36 @@ func TestRecordRoundTripsEveryBenchmark(t *testing.T) {
 		if src.Err() != nil || count != n {
 			t.Fatalf("%s: read %d of %d records, err %v", bench, count, n, src.Err())
 		}
+	}
+}
+
+// TestRecordedStreamReplaysValueDependentGating: gcc's first 20,000
+// instructions, recorded with -record and run with -replay, give ddcg the
+// Result a direct run of the same stream gives: the file carries every
+// instruction's value, which ddcg's latch gating compares.
+func TestRecordedStreamReplaysValueDependentGating(t *testing.T) {
+	const bench, n = "gcc", 20_000
+	path := filepath.Join(t.TempDir(), bench+".trace")
+	if err := recordTrace(path, bench, n); err != nil {
+		t.Fatal(err)
+	}
+	sim := core.NewSimulator(core.DefaultMachine())
+	replayed, err := runTraceFile(sim, path, core.SchemeDDCG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _ := workload.ByName(bench)
+	gen, err := workload.NewGenerator(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sim.RunSource(trace.NewLimitSource(gen, n), core.SchemeDDCG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(replayed, direct) {
+		t.Errorf("ddcg on the replayed file saves %.4f, on the direct stream %.4f:\n got %+v\nwant %+v",
+			replayed.Saving, direct.Saving, replayed, direct)
 	}
 }
 
@@ -94,9 +124,9 @@ func TestReplayRefusesCraftedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The header is the magic, the version, the name's length and the
-	// name; a record is 45 bytes, its opcode at offset 40 and its three
+	// name; a record is 53 bytes, its opcode at offset 40 and its three
 	// register bytes after it.
-	const recordSize, opAt = 45, 40
+	const recordSize, opAt = 53, 40
 	head := 4 + 1 + 1 + len("gcc")
 	for _, tc := range []struct {
 		name   string

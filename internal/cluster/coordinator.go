@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"dcg/internal/core"
 	"dcg/internal/obs"
 	"dcg/internal/sweep"
 )
@@ -109,25 +108,18 @@ type itemState struct {
 
 func (st *itemState) terminal() bool { return st.state == stateOK || st.state == stateFailed }
 
-// group is one group of the DAG: the items sharing a TimingKey under
-// timing-neutral schemes, or a FamilyKey under full-run schemes. A
-// timing group's leader captures; a timing family's leader runs the full
-// pass its other members ride. The followers stay ungrantable until the
-// leader is terminal, then replay or take their rider's Result —
-// preferably on the worker now holding the capture or the pass.
+// group is one group of the DAG: the items sharing a TimingKey. The
+// leader captures; the followers stay ungrantable until the leader is
+// terminal, then replay — preferably on the worker now holding the
+// capture.
 type group struct {
 	leader *itemState
 	// execWorker is the worker that completed the leader (it holds the
-	// timing capture in its local store, or the pass's Results in its
-	// executor); affinity routes followers there.
+	// timing capture in its executor, and in its local store when the
+	// capture is unthrottled); affinity routes followers there.
 	execWorker string
-	// routeKey is the rendezvous-hash input: the canonical timing or
-	// family key.
+	// routeKey is the rendezvous-hash input: the canonical timing key.
 	routeKey string
-	// family marks a timing family's group. Its followers are never
-	// stolen from a live execWorker: there each is a cache hit,
-	// elsewhere a second full pass.
-	family bool
 }
 
 // workerStats is the coordinator's per-worker accounting.
@@ -217,22 +209,18 @@ func newCoordinator(ctx context.Context, cfg JobConfig, spec *sweep.Spec,
 		c.sum.TraceID = c.jobSpan.TraceID.String()
 	}
 
-	// Build the same DAG the engine builds: per timing group or timing
-	// family the first pending item is the leader, the rest gate on it.
-	// Items with a checkpointed result are terminal from the start.
+	// Build the same DAG the engine builds: per timing group the first
+	// pending item is the leader, the rest gate on it. Items with a
+	// checkpointed result are terminal from the start.
 	for _, it := range items {
 		st := &itemState{item: it}
 		if _, ok := done[it.Index]; ok {
 			st.state = stateOK
 		} else {
-			neutral := core.TimingNeutral(it.Key.Scheme)
-			route := fmt.Sprintf("%+v", it.Key.FamilyKey())
-			if neutral {
-				route = fmt.Sprintf("%+v", it.Key.TimingKey())
-			}
+			route := fmt.Sprintf("%+v", it.Key.TimingKey())
 			g, ok := c.groups[route]
 			if !ok {
-				g = &group{leader: st, routeKey: route, family: !neutral}
+				g = &group{leader: st, routeKey: route}
 				c.groups[route] = g
 			}
 			st.group = g
@@ -383,7 +371,7 @@ func (c *Coordinator) Acquire(worker string) (*LeaseGrant, bool) {
 			chosen = st
 			break
 		}
-		if steal == nil && !(st.group.family && pref == st.group.execWorker) {
+		if steal == nil {
 			steal, stolenFrom = st, pref
 		}
 	}
@@ -490,8 +478,8 @@ func (c *Coordinator) Complete(rep CompleteRequest) error {
 		ws.done++
 		c.cfg.Metrics.item("ok")
 		if st.group.leader == st {
-			// The capture (or the family pass) now lives on this worker:
-			// route the group's followers there.
+			// The capture now lives on this worker: route the group's
+			// followers there.
 			st.group.execWorker = rep.Worker
 		}
 		c.finishLeaseSpanLocked(st, rep, "")

@@ -314,41 +314,6 @@ func TestStealWhenAffinityWorkerBusy(t *testing.T) {
 	}
 }
 
-// familySpec expands to the two members of plb-ext's timing family on
-// one benchmark, dcg+plb first so that it leads the family's pass.
-func familySpec() *sweep.Spec {
-	return &sweep.Spec{Name: "family", Benchmarks: []string{"gzip"},
-		Schemes: []string{"dcg+plb", "plb-ext"}, MaxInsts: 1000}
-}
-
-// TestFamilyRiderStaysWithItsPass holds a timing family's rider back
-// until its leader is terminal, then keeps it for the worker that ran the
-// leader's pass — another worker may not steal it while that one is live,
-// since there it is a cache hit and elsewhere a second pass — and lets
-// it go elsewhere once that worker falls silent.
-func TestFamilyRiderStaysWithItsPass(t *testing.T) {
-	clock := newClock()
-	c := startJob(t, clock, familySpec(), 0)
-	g1, ok := c.Acquire("w1")
-	if !ok || g1.Key.Scheme.String() != "dcg+plb" {
-		t.Fatalf("family leader not granted first: %+v", g1)
-	}
-	if g, ok := c.Acquire("w2"); ok {
-		t.Fatalf("rider granted before its family leader finished (item %d)", g.Index)
-	}
-	if err := c.Complete(okReport(g1, "w1")); err != nil {
-		t.Fatal(err)
-	}
-	if g, ok := c.Acquire("w2"); ok {
-		t.Fatalf("w2 stole the rider (item %d) from w1, which holds the family's pass", g.Index)
-	}
-	clock.Advance(31 * time.Second) // w1 falls silent
-	g2, ok := c.Acquire("w2")
-	if !ok || g2.Key.Scheme.String() != "plb-ext" {
-		t.Fatalf("rider not granted once its pass's worker fell silent: %+v", g2)
-	}
-}
-
 // TestResumeServesOnlyUnfinishedItems closes a half-done job and resumes
 // it under a new coordinator: checkpointed items are skipped, pending
 // ones are leasable, and a fully checkpointed job finishes immediately.

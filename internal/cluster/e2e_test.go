@@ -148,12 +148,13 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// TestFleetRunsOnePassPerTimingFamily runs both members of plb-ext's
-// timing family over three benchmarks on two workers, counting Full
-// calls by family: each family's rider follows its leader to the worker
-// that ran the pass, so the job makes one full pass per family and
-// still writes results.jsonl byte-identical to a single-node run's.
-func TestFleetRunsOnePassPerTimingFamily(t *testing.T) {
+// TestFleetRunsOneCapturePerThrottledTiming runs plb-ext and dcg+plb,
+// which share plb-ext's throttled TimingKey, over three benchmarks on two
+// workers, counting captures by TimingKey: each key's follower follows
+// its leader to the worker that holds the capture, so the job makes one
+// capture per key, never calls Full, and still writes results.jsonl
+// byte-identical to a single-node run's.
+func TestFleetRunsOneCapturePerThrottledTiming(t *testing.T) {
 	spec := &sweep.Spec{Name: "families", Benchmarks: []string{"gzip", "mcf", "art"},
 		Schemes: []string{"dcg+plb", "plb-ext"}, MaxInsts: 3000, Warmup: 500}
 	want := singleNodeResults(t, spec)
@@ -162,15 +163,21 @@ func TestFleetRunsOnePassPerTimingFamily(t *testing.T) {
 	hub := cluster.NewHub(cluster.HubConfig{LeaseTTL: 5 * time.Second})
 	client := cluster.DirectClient{Hub: hub}
 	var mu sync.Mutex
-	passes := make(map[simrun.Key]int)
+	captures := make(map[simrun.TimingKey]int)
+	var fulls atomic.Int32
 	var workers []*cluster.Worker
 	for i := 0; i < 2; i++ {
 		w := newFleetWorker(t, fmt.Sprintf("w%d", i), originURL, client)
+		capture := w.Exec.Capture
+		w.Exec.Capture = func(ctx context.Context, k simrun.Key) (*core.Result, *core.Timing, error) {
+			mu.Lock()
+			captures[k.TimingKey()]++
+			mu.Unlock()
+			return capture(ctx, k)
+		}
 		full := w.Exec.Full
 		w.Exec.Full = func(ctx context.Context, k simrun.Key) (*core.Result, error) {
-			mu.Lock()
-			passes[k.FamilyKey()]++
-			mu.Unlock()
+			fulls.Add(1)
 			return full(ctx, k)
 		}
 		workers = append(workers, w)
@@ -179,20 +186,23 @@ func TestFleetRunsOnePassPerTimingFamily(t *testing.T) {
 	if sum := runFleet(t, hub, dir, spec, workers); !sum.Done || sum.Failed != 0 {
 		t.Fatalf("fleet summary = %+v, want done with no failures", sum)
 	}
-	if len(passes) != len(spec.Benchmarks) {
-		t.Errorf("full passes ran for %d families, want %d: %v", len(passes), len(spec.Benchmarks), passes)
+	if len(captures) != len(spec.Benchmarks) {
+		t.Errorf("captures ran for %d timing keys, want %d: %v", len(captures), len(spec.Benchmarks), captures)
 	}
-	for k, n := range passes {
-		if n != 1 {
-			t.Errorf("family %s/%s ran %d full passes, want 1", k.Bench, k.Scheme, n)
+	for k, n := range captures {
+		if n != 1 || k.Throttle != core.SchemePLBExt {
+			t.Errorf("timing %s under %q ran %d captures, want 1 under plb-ext", k.Bench, k.Throttle, n)
 		}
+	}
+	if n := fulls.Load(); n != 0 {
+		t.Errorf("Full ran %d times, want 0", n)
 	}
 	got, err := cluster.ReadResults(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("results.jsonl of the family job differs from the single-node run's")
+		t.Fatal("results.jsonl of the throttled job differs from the single-node run's")
 	}
 }
 

@@ -7,12 +7,11 @@
 // The protocol is a work-stealing pull model. Workers poll the
 // coordinator for leases; the coordinator hands out eligible items —
 // honouring the DAG (replay followers stay gated until their timing
-// group's capture leader is terminal, and a timing family's riders
-// until the leader whose full pass carries them is) and leader
-// affinity (a group's items prefer the worker that holds its capture or
-// pass, chosen by rendezvous hashing of the group's simrun key over the
-// live workers, so a workload+config's capture lands on one worker and
-// its replays coalesce there). A lease carries a TTL; workers renew it as
+// group's capture leader is terminal) and leader affinity (a group's
+// items prefer the worker that holds its capture, chosen by rendezvous
+// hashing of the group's TimingKey over the live workers, so a
+// workload+config's capture lands on one worker and its replays
+// coalesce there). A lease carries a TTL; workers renew it as
 // a heartbeat while executing. A worker that dies simply stops
 // renewing — the lease expires and the item requeues, which is NOT a
 // failure attempt (exactly as a SIGKILLed single-node sweep does not

@@ -143,9 +143,8 @@ func (c *HTTPClient) Complete(ctx context.Context, rep CompleteRequest) error {
 // sharing one Exec (and one Name) for a multi-slot node.
 type Worker struct {
 	// Name identifies this node to the coordinator. Affinity routes a
-	// timing group's replays to the Name that executed its capture, and
-	// a timing family's riders to the Name that ran its pass, so all
-	// loops sharing an Exec (and thus a store) must share a Name. The
+	// timing group's replays to the Name that executed its capture, so
+	// all loops sharing an Exec (and thus a store) must share a Name. The
 	// hub refuses a name over MaxWorkerName bytes.
 	Name   string
 	Client Client

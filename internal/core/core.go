@@ -95,13 +95,6 @@ type Result struct {
 	// CPUStats is the raw core statistics snapshot.
 	CPUStats cpu.Stats
 
-	// Riders are the Results of the other members of the scheme's timing
-	// family that rode the same core pass (RunFamilyContext), in
-	// TimingFamily order; nil for a single-lane run. They are never
-	// serialised, and the simrun executor detaches them before a Result
-	// is cached, stored or served.
-	Riders []*Result `json:"-"`
-
 	// fullPerCycle is the machine's all-on per-cycle power per component,
 	// copied out of the run's power model. Results are cached by the
 	// simrun LRU; holding the model and accountant themselves would keep
@@ -252,68 +245,27 @@ func (s *Simulator) RunBenchmark(name string, kind SchemeKind, maxInsts uint64) 
 // polled inside the cycle loop, so a canceled or timed-out request aborts
 // the simulation within a few thousand cycles and returns a context error.
 //
-// For timing-neutral schemes this gives the Result RunAndCapture gives —
-// a capture and then an evaluation of the captured Timing — in a single
+// For every registered scheme this gives the Result RunAndCapture gives —
+// a capture, under the scheme's throttle for the PLB family, and then an
+// evaluation of the captured Timing on the packed kernel — in a single
 // live pass with the scheme attached; the goldens hold the two paths
 // bit-identical, and this one is their reference.
 func (s *Simulator) RunBenchmarkContext(ctx context.Context, name string, kind SchemeKind, maxInsts uint64) (*Result, error) {
-	return s.runFamily(ctx, name, []SchemeKind{kind}, maxInsts, nil)
+	return s.RunBenchmarkTelemetry(ctx, name, kind, maxInsts, nil)
 }
 
-// RunBenchmarkTelemetry is RunBenchmarkContext with tel observing the
-// run's measured region.
+// RunBenchmarkTelemetry is RunBenchmarkContext with tel, when non-nil,
+// observing the run's measured region.
 func (s *Simulator) RunBenchmarkTelemetry(ctx context.Context, name string, kind SchemeKind, maxInsts uint64, tel RunTelemetry) (*Result, error) {
-	return s.runFamily(ctx, name, []SchemeKind{kind}, maxInsts, tel)
-}
-
-// RunFamilyContext is RunBenchmarkContext for kind's whole timing family
-// (TimingFamily) in one core pass: every member keeps its own scheme and
-// power accountant, hears every issue event, and is asked for its Limits
-// each cycle. The returned Result is kind's, with the other members'
-// Results on its Riders. Each member's Result is the one its own
-// single-lane run gives, bit for bit (the goldens pin it), because the
-// members throttle the core identically; a pass on which they disagree
-// fails with an error naming the first cycle they part. A family of one
-// is a single-lane run.
-func (s *Simulator) RunFamilyContext(ctx context.Context, name string, kind SchemeKind, maxInsts uint64) (*Result, error) {
-	family := TimingFamily(kind)
-	if family == nil {
-		_, err := ParseScheme(string(kind))
+	scheme, err := s.makeScheme(kind)
+	if err != nil {
 		return nil, err
-	}
-	kinds := []SchemeKind{kind}
-	for _, k := range family {
-		if k != kind {
-			kinds = append(kinds, k)
-		}
-	}
-	return s.runFamily(ctx, name, kinds, maxInsts, nil)
-}
-
-// runFamily runs the named benchmark once with one lane per scheme in
-// kinds, which must share a core pass, and returns the first scheme's
-// Result carrying the rest as Riders (none for a single lane). tel, when
-// non-nil, observes the first lane.
-func (s *Simulator) runFamily(ctx context.Context, name string, kinds []SchemeKind, maxInsts uint64, tel RunTelemetry) (*Result, error) {
-	schemes := make([]gating.Scheme, len(kinds))
-	for i, k := range kinds {
-		var err error
-		if schemes[i], err = s.makeScheme(k); err != nil {
-			return nil, err
-		}
 	}
 	src, prepare, err := s.benchSources(name, maxInsts)
 	if err != nil {
 		return nil, err
 	}
-	results, err := s.run(ctx, src, prepare, schemes, tel)
-	if err != nil {
-		return nil, err
-	}
-	if len(results) > 1 {
-		results[0].Riders = results[1:]
-	}
-	return results[0], nil
+	return s.run(ctx, src, prepare, scheme, tel)
 }
 
 // benchSources returns a built-in benchmark's measured stream and the step
@@ -357,7 +309,7 @@ func (s *Simulator) RunBenchmarkScheme(name string, scheme gating.Scheme, maxIns
 	if err != nil {
 		return nil, err
 	}
-	return s.run1(context.Background(), src, prepare, scheme)
+	return s.run(context.Background(), src, prepare, scheme, nil)
 }
 
 // RunStream warms the machine on the stream's first Warmup instructions,
@@ -369,31 +321,25 @@ func (s *Simulator) RunStream(src trace.Source, kind SchemeKind, maxInsts uint64
 		return nil, err
 	}
 	warm := func(c *cpu.Core) { c.Warm(trace.NewLimitSource(src, s.Warmup), ^uint64(0)) }
-	return s.run1(context.Background(), trace.NewLimitSource(src, maxInsts), warm, scheme)
+	return s.run(context.Background(), trace.NewLimitSource(src, maxInsts), warm, scheme, nil)
 }
 
 // RunSource simulates the given instruction source to exhaustion under the
-// given scheme.
+// given scheme, with no warm-up pass; use RunBenchmark for warmed runs.
 func (s *Simulator) RunSource(src trace.Source, kind SchemeKind) (*Result, error) {
 	scheme, err := s.makeScheme(kind)
 	if err != nil {
 		return nil, err
 	}
-	return s.RunScheme(src, scheme)
-}
-
-// RunScheme simulates with a caller-provided gating scheme (for custom
-// schemes and ablations). No warm-up pass is applied; use RunBenchmark for
-// warmed runs.
-func (s *Simulator) RunScheme(src trace.Source, scheme gating.Scheme) (*Result, error) {
-	return s.run1(context.Background(), src, nil, scheme)
+	return s.run(context.Background(), src, nil, scheme, nil)
 }
 
 // Timing is the product of one timing pass: everything a simulation run
 // determines about the machine's cycle-by-cycle behaviour that does not
-// depend on the gating scheme. For timing-neutral schemes (TimingNeutral)
-// the attached usage trace replays through any scheme + power accountant
-// (EvaluateTimingAll) to produce the same Result a full simulation would.
+// depend on the gating scheme's power accounting. Every scheme whose
+// throttle (SchemeInfo.Timing) is the one the capture ran under — none,
+// for the timing-neutral schemes — is evaluated from the attached trace
+// (EvaluateTimingAll) to the same Result a full simulation gives.
 type Timing struct {
 	Benchmark string
 	Machine   config.Config
@@ -409,139 +355,50 @@ type Timing struct {
 
 	// Trace is the captured per-cycle usage + issue-event stream.
 	Trace *usagetrace.Trace
+
+	// Throttle names the registered scheme whose throttle drove the
+	// capture, empty for none, and PLBModeCycles is that throttle's cycles
+	// per issue-width mode (PLB counts a window's decision cycle in the
+	// mode it leaves, which the trace's limits do not show). A throttled
+	// trace is view-only, since the stream has no field for the limits.
+	Throttle      SchemeKind
+	PLBModeCycles map[int]uint64
 }
 
 // Cycles returns the timing pass's cycle count.
 func (t *Timing) Cycles() uint64 { return t.CPUStats.Cycles }
 
-// run1 is run with a single lane and no telemetry.
-func (s *Simulator) run1(ctx context.Context, src trace.Source, prepare func(*cpu.Core), scheme gating.Scheme) (*Result, error) {
-	results, err := s.run(ctx, src, prepare, []gating.Scheme{scheme}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-// run simulates src under the schemes, the live path, and returns one
-// Result per scheme: each scheme is a lane with its own power accountant
-// observing every cycle, every lane hears every issue event, and the
-// lanes throttle the core together, so timing and power are evaluated
-// in one pass. With one lane the scheme is the core's throttle and
-// issue listener itself; with several, a familyThrottle fans out to
-// them and fails the pass on the first cycle their limits disagree. It
-// serves schemes that change timing (the PLB family), custom schemes
-// and telemetry, and it is the reference the capture path is held to.
-// tel, when non-nil, observes the first lane.
-func (s *Simulator) run(ctx context.Context, src trace.Source, prepare func(*cpu.Core), schemes []gating.Scheme, tel RunTelemetry) ([]*Result, error) {
+// run simulates src under the scheme, the live path: the scheme is the
+// core's throttle and issue listener, and its power accountant observes
+// every cycle, so timing and power are evaluated in one pass. It serves
+// custom schemes and telemetry, and it is the reference every capture
+// and kernel evaluation is held to. tel, when non-nil, observes the run.
+func (s *Simulator) run(ctx context.Context, src trace.Source, prepare func(*cpu.Core), scheme gating.Scheme, tel RunTelemetry) (*Result, error) {
 	c, err := cpu.New(s.machine, src)
 	if err != nil {
 		return nil, err
 	}
-	var observers cpu.MultiObserver
 	if tel != nil {
 		// Wrap the scheme so every Gates call is reported; lane.result
 		// unwraps before its concrete-scheme type switches.
-		schemes = slices.Clone(schemes)
-		schemes[0] = gating.Observed{Scheme: schemes[0], OnGates: tel.OnGates}
-		observers = append(observers, tel)
+		scheme = gating.Observed{Scheme: scheme, OnGates: tel.OnGates}
 	}
-	lanes := make([]lane, len(schemes))
-	for i, scheme := range schemes {
-		if lanes[i], err = s.newLane(s.machine, scheme); err != nil {
-			return nil, err
-		}
-		observers = append(observers, lanes[i].acct)
-	}
-	var fam *familyThrottle
-	if len(schemes) == 1 {
-		c.SetThrottle(schemes[0])
-		c.SetIssueListener(schemes[0])
-	} else {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		fam = &familyThrottle{schemes: schemes, fail: cancel}
-		c.SetThrottle(fam)
-		c.SetIssueListener(fam)
-	}
-	if len(observers) == 1 {
-		c.SetObserver(observers[0])
-	} else {
-		c.SetObserver(observers)
-	}
-	tm, err := s.execute(ctx, c, src.Name(), prepare, schemes[0].Name())
-	if fam != nil && fam.err != nil {
-		return nil, fam.err
-	}
+	l, err := s.newLane(s.machine, scheme)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*Result, len(lanes))
-	for i, l := range lanes {
-		if results[i], err = l.result(tm); err != nil {
-			return nil, err
-		}
+	c.SetThrottle(scheme)
+	c.SetIssueListener(scheme)
+	if tel != nil {
+		c.SetObserver(cpu.MultiObserver{tel, l.acct})
+	} else {
+		c.SetObserver(l.acct)
 	}
-	return results, nil
-}
-
-// familyThrottle drives the core for the lanes of one live pass: every
-// lane's scheme is asked for its Limits (and QuietLimits) each cycle,
-// and the first lane's answer throttles the core. The lanes of a timing
-// family must agree on every cycle; the first disagreement is recorded
-// in err and cancels the pass through fail.
-type familyThrottle struct {
-	schemes []gating.Scheme
-	fail    context.CancelFunc
-	err     error
-}
-
-// Limits implements cpu.Throttle.
-func (f *familyThrottle) Limits(cycle uint64, fb cpu.CycleFeedback) cpu.Limits {
-	l := f.schemes[0].Limits(cycle, fb)
-	for _, s := range f.schemes[1:] {
-		if other := s.Limits(cycle, fb); other != l {
-			f.disagree(fmt.Errorf("core: %s and %s throttle differently at cycle %d (%+v vs %+v)",
-				f.schemes[0].Name(), s.Name(), cycle, l, other))
-		}
+	tm, err := s.execute(ctx, c, src.Name(), prepare, scheme.Name())
+	if err != nil {
+		return nil, err
 	}
-	return l
-}
-
-// QuietLimits implements cpu.QuietThrottle: a run of quiet cycles is
-// taken only when every lane takes runs, and every lane must take the
-// same number of cycles. A lane that does not take runs makes the core
-// step each cycle instead.
-func (f *familyThrottle) QuietLimits(cycle, n uint64) uint64 {
-	for _, s := range f.schemes {
-		if _, ok := s.(cpu.QuietThrottle); !ok {
-			return 0
-		}
-	}
-	took := f.schemes[0].(cpu.QuietThrottle).QuietLimits(cycle, n)
-	for _, s := range f.schemes[1:] {
-		if other := s.(cpu.QuietThrottle).QuietLimits(cycle, n); other != took {
-			f.disagree(fmt.Errorf("core: %s and %s throttle differently at cycle %d (quiet run of %d vs %d cycles)",
-				f.schemes[0].Name(), s.Name(), cycle, took, other))
-		}
-	}
-	return took
-}
-
-// OnIssue implements cpu.IssueListener: every lane hears every event.
-func (f *familyThrottle) OnIssue(ev cpu.IssueEvent) {
-	for _, s := range f.schemes {
-		s.OnIssue(ev)
-	}
-}
-
-// disagree records the pass's first disagreement and cancels the pass.
-func (f *familyThrottle) disagree(err error) {
-	if f.err == nil {
-		f.err = err
-		f.fail()
-	}
+	return l.result(tm)
 }
 
 // viewOnlyKey is the context key WithViewOnlyCapture sets.
@@ -558,25 +415,51 @@ func WithViewOnlyCapture(ctx context.Context) context.Context {
 	return context.WithValue(ctx, viewOnlyKey{}, true)
 }
 
-// capture simulates src with the usagetrace.Recorder as the core's only
-// observer and issue listener and no throttle: no gating scheme and no
-// power accountant run. The Timing it returns carries the trace with
-// its packed view built, ready for EvaluateTimingAll, and its encoded
-// bytes unless ctx asks for a view-only capture (WithViewOnlyCapture).
-// channels names the extra trace channels to record beyond the implicit
-// usage channel.
-func (s *Simulator) capture(ctx context.Context, src trace.Source, prepare func(*cpu.Core), channels []string) (*Timing, error) {
+// capture simulates the named benchmark with the usagetrace.Recorder as
+// the core's only observer and issue listener: no gating scheme and no
+// power accountant run. Without a throttle the core runs unthrottled.
+// With one, the name of a registered scheme that throttles
+// (SchemeInfo.Timing), a fresh instance of it drives the core through the
+// Recorder, which sums each cycle's usage under the Limits it returned,
+// and the Timing notes its name and mode cycles. The Timing carries the
+// trace with its packed view built, ready for EvaluateTimingAll, and its
+// encoded bytes unless ctx asks for a view-only capture
+// (WithViewOnlyCapture) or the capture is throttled: a throttled trace is
+// always view-only. extra names the trace channels to record, once each,
+// beyond the implicit usage channel.
+func (s *Simulator) capture(ctx context.Context, name string, maxInsts uint64, throttle SchemeKind, extra []string) (*Timing, error) {
+	var channels []string
+	for _, ch := range extra {
+		if !slices.Contains(channels, ch) {
+			channels = append(channels, ch)
+		}
+	}
+	var th gating.Scheme
+	if throttle != "" {
+		var err error
+		if th, err = s.makeScheme(throttle); err != nil {
+			return nil, err
+		}
+	}
+	src, prepare, err := s.benchSources(name, maxInsts)
+	if err != nil {
+		return nil, err
+	}
 	c, err := cpu.New(s.machine, src)
 	if err != nil {
 		return nil, err
 	}
 	newRecorder := usagetrace.NewRecorder
-	if ctx.Value(viewOnlyKey{}) != nil {
+	if ctx.Value(viewOnlyKey{}) != nil || th != nil {
 		newRecorder = usagetrace.NewViewRecorder
 	}
 	rec, err := newRecorder(src.Name(), s.machine.BackEndLatchStages(), channels...)
 	if err != nil {
 		return nil, err
+	}
+	if th != nil {
+		rec.SetThrottle(th, s.machine.DL1.Ports)
+		c.SetThrottle(rec)
 	}
 	c.SetObserver(rec)
 	c.SetIssueListener(rec)
@@ -586,6 +469,12 @@ func (s *Simulator) capture(ctx context.Context, src trace.Source, prepare func(
 	}
 	if tm.Trace, err = rec.Trace(); err != nil {
 		return nil, err
+	}
+	if th != nil {
+		tm.Throttle = throttle
+		if plb, ok := th.(interface{ ModeCycles() map[int]uint64 }); ok {
+			tm.PLBModeCycles = plb.ModeCycles()
+		}
 	}
 	return tm, nil
 }
@@ -695,19 +584,22 @@ func (l lane) result(t *Timing) (*Result, error) {
 	return res, nil
 }
 
-// RunAndCapture captures one benchmark's timing and evaluates a
-// timing-neutral scheme on it: the capture only records (no scheme and
-// no power accountant run in the cycle loop), and the Result is
-// EvaluateTimingAll's, on the packed view the capture built. Every
-// further timing-neutral scheme is one more EvaluateTimingAll over the
+// RunAndCapture captures one benchmark's timing for a registered scheme
+// and evaluates the scheme on it: the capture only records (no scheme
+// and no power accountant run in the cycle loop; a PLB-family scheme's
+// throttle drives the core), and the Result is EvaluateTimingAll's, on
+// the packed view the capture built. Every further scheme with the same
+// throttle (SchemeInfo.Timing) is one more EvaluateTimingAll over the
 // returned Timing. The trace records the channels the scheme's registry
 // entry requires; extra names additional channels to record so the
 // Timing can also serve schemes with richer channel needs.
 func (s *Simulator) RunAndCapture(ctx context.Context, name string, kind SchemeKind, maxInsts uint64, extra ...string) (*Result, *Timing, error) {
-	if !TimingNeutral(kind) {
-		return nil, nil, fmt.Errorf("core: scheme %v changes timing; capture requires a timing-neutral scheme", kind)
+	info, ok := SchemeInfoFor(kind)
+	if !ok {
+		_, err := ParseScheme(string(kind))
+		return nil, nil, err
 	}
-	tm, err := s.CaptureBenchmarkContext(ctx, name, maxInsts, append(SchemeChannels(kind), extra...)...)
+	tm, err := s.capture(ctx, name, maxInsts, info.Timing, append(SchemeChannels(kind), extra...))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -730,17 +622,7 @@ func (s *Simulator) CaptureBenchmark(name string, maxInsts uint64, extra ...stri
 
 // CaptureBenchmarkContext is CaptureBenchmark with cancellation.
 func (s *Simulator) CaptureBenchmarkContext(ctx context.Context, name string, maxInsts uint64, extra ...string) (*Timing, error) {
-	var channels []string
-	for _, ch := range extra {
-		if !slices.Contains(channels, ch) {
-			channels = append(channels, ch)
-		}
-	}
-	src, prepare, err := s.benchSources(name, maxInsts)
-	if err != nil {
-		return nil, err
-	}
-	return s.capture(ctx, src, prepare, channels)
+	return s.capture(ctx, name, maxInsts, "", extra)
 }
 
 func utilization(m config.Config, st *cpu.Stats) Utilization {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dcg/internal/config"
@@ -263,20 +264,52 @@ func TestTimingSurvivesSerialisation(t *testing.T) {
 	assertBitIdentical(t, "serialised", a[0], b[0])
 }
 
+// TestCaptureAndReplayRejectPLB: a scheme is evaluated only on a capture
+// its own throttle drove, so an unthrottled capture refuses the PLB
+// family and a throttled one every scheme of another throttle, and a PLB
+// only with the registered parameters; every refusal names the scheme.
 func TestCaptureAndReplayRejectPLB(t *testing.T) {
 	sim := NewSimulator(DefaultMachine())
-	sim.Warmup = 10_000
-	if _, _, err := sim.RunAndCapture(context.Background(), "gzip", SchemePLBExt, 10_000); err == nil {
-		t.Error("capture accepted PLB, which throttles timing")
-	}
-	tm, err := sim.CaptureBenchmark("gzip", 10_000)
+	sim.Warmup = 5_000
+	const bench, insts = "mcf", 10_000
+	neutral, err := sim.CaptureBenchmark(bench, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []SchemeKind{SchemePLBOrig, SchemePLBExt} {
-		if _, err := sim.EvaluateTimingAll(tm, []SchemeKind{kind}); err == nil {
-			t.Errorf("replay accepted %v, which throttles timing", kind)
+	_, ext, err := sim.RunAndCapture(context.Background(), bench, SchemePLBExt, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sim.Machine()
+	window := gating.DefaultPLBParams()
+	window.Window = 512
+	oracle := gating.NewPLB(m, gating.DefaultPLBParams(), true)
+	oracle.SetOracleSchedule([]int{gating.Mode8, gating.Mode4})
+	for _, tc := range []struct {
+		what   string
+		timing *Timing
+		scheme gating.Scheme
+		want   string
+	}{
+		{"plb-orig on a neutral capture", neutral, gating.NewPLB(m, gating.DefaultPLBParams(), false), "plb-orig"},
+		{"plb-ext on a neutral capture", neutral, gating.NewPLB(m, gating.DefaultPLBParams(), true), "plb-ext"},
+		{"dcg+plb on a neutral capture", neutral, gating.NewDCGPLB(m, gating.DefaultPLBParams()), "dcg+plb"},
+		{"dcg on a throttled capture", ext, gating.NewDCG(m), "dcg"},
+		{"none on a throttled capture", ext, gating.NewNone(m), "none"},
+		{"plb-ext with a 512-cycle window", ext, gating.NewPLB(m, window, true), "plb-ext"},
+		{"plb-ext with an oracle schedule", neutral, oracle, "plb-ext-oracle"},
+	} {
+		res, err := sim.EvaluateTimingSchemes(tc.timing, []gating.Scheme{tc.scheme})
+		if err == nil {
+			t.Errorf("%s: evaluated (%d Results), want a refusal", tc.what, len(res))
+			continue
 		}
+		if !strings.Contains(err.Error(), "scheme "+tc.want) {
+			t.Errorf("%s: error %q does not name scheme %s", tc.what, err, tc.want)
+		}
+	}
+	if _, err := sim.EvaluateTimingAll(ext, []SchemeKind{SchemePLBExt, SchemeDCGPLB}); err != nil {
+		t.Errorf("plb-ext and dcg+plb on plb-ext's capture: %v", err)
 	}
 	if _, err := sim.EvaluateTimingAll(&Timing{}, []SchemeKind{SchemeDCG}); err == nil {
 		t.Error("replay accepted a timing with no trace")

@@ -29,29 +29,18 @@ const (
 	SchemeDCGPLB  SchemeKind = "dcg+plb"
 )
 
-// ReplayCap classifies how a scheme's Result can be produced from a
-// captured timing.
+// ReplayCap classifies how a scheme's Result is produced from a captured
+// timing. Every registered scheme has a closed-form tally over its
+// capture's bit-packed view, so ReplayPacked, the zero value, is the one
+// capability; the discovery endpoint reports it.
 type ReplayCap int
 
-const (
-	// ReplayFullRun marks a timing-changing scheme (it throttles the
-	// pipeline from its own feedback): every evaluation is a full core
-	// simulation; captured traces can never serve it.
-	ReplayFullRun ReplayCap = iota
+// ReplayPacked marks evaluation on the word-at-a-time packed kernel.
+const ReplayPacked ReplayCap = 0
 
-	// ReplayPacked marks a timing-neutral scheme: its tally has a closed
-	// form over the bit-packed planes, so trace replay runs on the
-	// word-at-a-time kernel (and on the scalar reference engine,
-	// bit-identically).
-	ReplayPacked
-)
-
-// String names the capability for the discovery endpoint and docs table.
+// String names the capability for the discovery endpoint.
 func (c ReplayCap) String() string {
-	switch c {
-	case ReplayFullRun:
-		return "full-run"
-	case ReplayPacked:
+	if c == ReplayPacked {
 		return "packed"
 	}
 	return fmt.Sprintf("replaycap(%d)", int(c))
@@ -73,13 +62,15 @@ type SchemeInfo struct {
 	// them.
 	Channels []string
 
-	// Replay is the scheme's replay capability.
+	// Replay is the scheme's replay capability, ReplayPacked for every
+	// registered scheme.
 	Replay ReplayCap
 
-	// Timing names the full-run scheme whose core pass this one rides:
-	// the two throttle the core identically, so one live run can carry
-	// both lanes (RunFamilyContext) and checks the claim every cycle.
-	// Empty means the scheme takes its own pass.
+	// Timing names the registered scheme whose throttle drives the
+	// scheme's captures: the scheme itself when it throttles the core
+	// (plb-orig, plb-ext), the scheme it throttles identically to when
+	// it rides that one's captures (dcg+plb names plb-ext), and none for
+	// a timing-neutral scheme, whose captures run unthrottled.
 	Timing SchemeKind
 
 	// New constructs a fresh scheme instance for the simulator's
@@ -94,10 +85,10 @@ var schemeRegistry struct {
 
 // RegisterScheme adds a scheme to the registry. Registration order is
 // presentation order (baseline first); duplicate names, empty names,
-// unknown channels, nil constructors, and a Timing that does not name an
-// earlier-registered full-run scheme taking its own pass panic — the
-// registry is assembled at init time and a malformed entry is a
-// programming error.
+// unknown channels, nil constructors, and a Timing that names neither the
+// scheme itself nor an earlier-registered scheme that is its own throttle
+// panic — the registry is assembled at init time and a malformed entry is
+// a programming error.
 func RegisterScheme(info SchemeInfo) {
 	if info.Kind == "" {
 		panic("core: RegisterScheme with empty scheme name")
@@ -122,15 +113,14 @@ func RegisterScheme(info SchemeInfo) {
 			panic(fmt.Sprintf("core: scheme %q requires invalid channel %q", info.Kind, ch))
 		}
 	}
-	if info.Timing != "" {
-		lead, ok := schemeRegistry.byKind[info.Timing]
+	if info.Timing != "" && info.Timing != info.Kind {
+		throttle, ok := schemeRegistry.byKind[info.Timing]
 		switch {
 		case !ok:
-			panic(fmt.Sprintf("core: scheme %q rides unregistered scheme %q", info.Kind, info.Timing))
-		case lead.Replay != ReplayFullRun:
-			panic(fmt.Sprintf("core: scheme %q rides timing-neutral scheme %q", info.Kind, info.Timing))
-		case lead.Timing != "":
-			panic(fmt.Sprintf("core: scheme %q rides %q, itself a rider of %q", info.Kind, info.Timing, lead.Timing))
+			panic(fmt.Sprintf("core: scheme %q names unregistered throttle %q", info.Kind, info.Timing))
+		case throttle.Timing != throttle.Kind:
+			panic(fmt.Sprintf("core: scheme %q names %q as its throttle, but %q is not its own throttle",
+				info.Kind, info.Timing, info.Timing))
 		}
 	}
 	schemeRegistry.byKind[info.Kind] = info
@@ -176,39 +166,16 @@ func ParseScheme(s string) (SchemeKind, error) {
 	return "", fmt.Errorf("core: unknown scheme %q (want %s)", s, strings.Join(names, "|"))
 }
 
-// TimingNeutral reports whether the scheme cannot change the core's
-// timing: its gating decisions are derived from the issue stage's GRANT
-// signals, per-cycle usage, or pure observation, and it never throttles
-// the pipeline, so its run is cycle-identical to the baseline's and a
-// captured usage trace replays it exactly. Timing-changing schemes (the
-// PLB family throttles issue width from IPC feedback) must be fully
-// simulated. Unknown kinds are conservatively not neutral.
+// TimingNeutral reports whether the scheme has no throttle: its gating
+// decisions are derived from the issue stage's GRANT signals, per-cycle
+// usage, or pure observation, and it never throttles the pipeline, so its
+// run is cycle-identical to the baseline's and every such scheme shares
+// one unthrottled capture. The PLB family throttles issue width from IPC
+// feedback, so its captures run under its throttle (SchemeInfo.Timing).
+// Unknown kinds are not neutral.
 func TimingNeutral(kind SchemeKind) bool {
 	info, ok := schemeRegistry.byKind[kind]
-	return ok && info.Replay != ReplayFullRun
-}
-
-// TimingFamily lists the schemes that share kind's core pass in a live
-// run, leader first: the scheme kind's Timing names (kind itself when
-// Timing is empty), then every scheme whose Timing names that leader, in
-// registration order. A scheme nothing rides is a family of one; an
-// unknown kind has none (nil).
-func TimingFamily(kind SchemeKind) []SchemeKind {
-	info, ok := schemeRegistry.byKind[kind]
-	if !ok {
-		return nil
-	}
-	lead := kind
-	if info.Timing != "" {
-		lead = info.Timing
-	}
-	family := []SchemeKind{lead}
-	for _, k := range schemeRegistry.order {
-		if schemeRegistry.byKind[k].Timing == lead {
-			family = append(family, k)
-		}
-	}
-	return family
+	return ok && info.Timing == ""
 }
 
 // SchemeChannels returns the extra trace channels the scheme requires
@@ -263,15 +230,18 @@ func ChannelKey(channels []string) string {
 // checks the embeds against this rendering).
 func SchemeTableMarkdown() string {
 	var b strings.Builder
-	b.WriteString("| Scheme | Replay | Extra channels | Description |\n")
-	b.WriteString("|--------|--------|----------------|-------------|\n")
+	b.WriteString("| Scheme | Capture throttle | Extra channels | Description |\n")
+	b.WriteString("|--------|------------------|----------------|-------------|\n")
 	for _, info := range Schemes() {
-		channels := "—"
+		throttle, channels := "—", "—"
+		if info.Timing != "" {
+			throttle = "`" + string(info.Timing) + "`"
+		}
 		if len(info.Channels) > 0 {
 			channels = strings.Join(info.Channels, ", ")
 		}
 		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n",
-			info.Kind, info.Replay, channels, info.Summary)
+			info.Kind, throttle, channels, info.Summary)
 	}
 	return b.String()
 }
@@ -280,65 +250,58 @@ func init() {
 	RegisterScheme(SchemeInfo{
 		Kind:    SchemeNone,
 		Summary: "No clock gating: the all-on baseline every saving is measured against.",
-		Replay:  ReplayPacked,
 		New:     func(s *Simulator) gating.Scheme { return gating.NewNone(s.machine) },
 	})
 	RegisterScheme(SchemeInfo{
 		Kind: SchemeDCG,
 		Summary: "Deterministic clock gating (the paper): issue-stage GRANT signals gate " +
 			"units, back-end latches, D-cache decoders, and result buses with zero timing impact.",
-		Replay: ReplayPacked,
-		New:    func(s *Simulator) gating.Scheme { return gating.NewDCG(s.machine) },
+		New: func(s *Simulator) gating.Scheme { return gating.NewDCG(s.machine) },
 	})
 	RegisterScheme(SchemeInfo{
 		Kind: SchemePLBOrig,
 		Summary: "Pipeline balancing, original variant: IPC-triggered issue-width modes " +
 			"gating execution units and the issue queue.",
-		Replay: ReplayFullRun,
+		Timing: SchemePLBOrig,
 		New:    func(s *Simulator) gating.Scheme { return gating.NewPLB(s.machine, gating.DefaultPLBParams(), false) },
 	})
 	RegisterScheme(SchemeInfo{
 		Kind: SchemePLBExt,
 		Summary: "Pipeline balancing, extended variant: additionally gates latches, " +
 			"D-cache decoders, and result buses per mode.",
-		Replay: ReplayFullRun,
+		Timing: SchemePLBExt,
 		New:    func(s *Simulator) gating.Scheme { return gating.NewPLB(s.machine, gating.DefaultPLBParams(), true) },
 	})
 	RegisterScheme(SchemeInfo{
 		Kind: SchemeOracle,
 		Summary: "DCG extended with issue-queue and front-end latch gating under oracle " +
 			"knowledge: the headroom bound of sections 2.2/5.7.",
-		Replay: ReplayPacked,
-		New:    func(s *Simulator) gating.Scheme { return gating.NewOracle(s.machine) },
+		New: func(s *Simulator) gating.Scheme { return gating.NewOracle(s.machine) },
 	})
 	RegisterScheme(SchemeInfo{
 		Kind: SchemeDDCG,
 		Summary: "Data-dependent clock gating: back-end latch slots are clocked only when " +
 			"they capture a new value (per-lane comparators; latchvalue trace channel).",
 		Channels: []string{usagetrace.ChannelLatchValue},
-		Replay:   ReplayPacked,
 		New:      func(s *Simulator) gating.Scheme { return gating.NewDDCG(s.machine) },
 	})
 	RegisterScheme(SchemeInfo{
 		Kind: SchemeLector,
 		Summary: "Stage-level occupancy gating (LECTOR family): each back-end latch stage " +
 			"has one coarse gate with explicit per-gate control overhead.",
-		Replay: ReplayPacked,
-		New:    func(s *Simulator) gating.Scheme { return gating.NewLector(s.machine) },
+		New: func(s *Simulator) gating.Scheme { return gating.NewLector(s.machine) },
 	})
 	RegisterScheme(SchemeInfo{
 		Kind: SchemeDCGDDCG,
 		Summary: "DCG with its latch gating tightened to value-change counts: the " +
 			"combined schedule-driven + data-dependent upper bound.",
 		Channels: []string{usagetrace.ChannelLatchValue},
-		Replay:   ReplayPacked,
 		New:      func(s *Simulator) gating.Scheme { return gating.NewDCGDDCG(s.machine) },
 	})
 	RegisterScheme(SchemeInfo{
 		Kind: SchemeDCGPLB,
 		Summary: "PLB-ext's mode throttling with DCG's schedule-driven gating intersected " +
 			"per cycle: gates a structure unless both controllers keep it on.",
-		Replay: ReplayFullRun,
 		Timing: SchemePLBExt,
 		New:    func(s *Simulator) gating.Scheme { return gating.NewDCGPLB(s.machine, gating.DefaultPLBParams()) },
 	})

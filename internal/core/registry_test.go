@@ -11,7 +11,7 @@ import (
 // TestRegistryVocabulary pins the registry as the single source of the
 // scheme vocabulary: names parse back to themselves, the parse error
 // enumerates every registered name, and the rendered docs table carries
-// one row per scheme with its replay capability and channel set.
+// one row per scheme with its capture throttle and channel set.
 func TestRegistryVocabulary(t *testing.T) {
 	kinds := AllSchemes()
 	if len(kinds) < 9 {
@@ -46,8 +46,8 @@ func TestRegistryVocabulary(t *testing.T) {
 		if !strings.Contains(table, "`"+string(info.Kind)+"`") {
 			t.Errorf("docs table omits scheme %v", info.Kind)
 		}
-		if !strings.Contains(table, info.Replay.String()) {
-			t.Errorf("docs table omits replay capability %v", info.Replay)
+		if info.Timing != "" && !strings.Contains(table, "| `"+string(info.Kind)+"` | `"+string(info.Timing)+"` |") {
+			t.Errorf("docs table omits scheme %v's capture throttle %v", info.Kind, info.Timing)
 		}
 	}
 
@@ -64,11 +64,11 @@ func TestRegistryVocabulary(t *testing.T) {
 
 // TestEverySchemeRoutesByDeclaredCapability is the registry's routing
 // property test, and the end-to-end golden test for the value-dependent
-// schemes: for every registered scheme, a replay from one shared capture
-// (carrying the union of all declared channels) is bit-identical to a
-// full live simulation, and the evaluation takes exactly the path the
-// registry declares — the packed kernel for ReplayPacked and a loud
-// refusal for ReplayFullRun.
+// schemes: for every registered scheme, an evaluation on the packed
+// kernel is bit-identical to a full live simulation — from one shared
+// capture (carrying the union of all declared channels) for a
+// timing-neutral scheme, from a capture under its throttle for the PLB
+// family, which the shared capture refuses.
 func TestEverySchemeRoutesByDeclaredCapability(t *testing.T) {
 	const bench, insts = "gzip", 30_000
 
@@ -96,17 +96,26 @@ func TestEverySchemeRoutesByDeclaredCapability(t *testing.T) {
 				t.Errorf("result labels scheme %q, want %q", direct.Scheme, info.Kind)
 			}
 
-			if info.Replay == ReplayFullRun {
-				if _, err := sim.EvaluateTimingAll(tm, []SchemeKind{info.Kind}); err == nil {
-					t.Error("timing-changing scheme was accepted for replay")
-				}
-				if TimingNeutral(info.Kind) {
-					t.Error("TimingNeutral disagrees with the registry capability")
-				}
-				return
+			if info.Replay != ReplayPacked {
+				t.Errorf("replay capability %v, want packed", info.Replay)
 			}
-			if !TimingNeutral(info.Kind) {
-				t.Error("TimingNeutral disagrees with the registry capability")
+			if TimingNeutral(info.Kind) != (info.Timing == "") {
+				t.Error("TimingNeutral disagrees with the registry's throttle")
+			}
+			if info.Timing != "" {
+				if _, err := sim.EvaluateTimingAll(tm, []SchemeKind{info.Kind}); err == nil {
+					t.Error("a throttled scheme was accepted on the unthrottled capture")
+				}
+				packed0 := PackedReplaySchemes()
+				captured, _, err := sim.RunAndCapture(context.Background(), bench, info.Kind, insts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := PackedReplaySchemes() - packed0; got != 1 {
+					t.Errorf("throttled scheme took the packed kernel %d times, want 1", got)
+				}
+				assertBitIdentical(t, string(info.Kind)+"/throttled-capture", direct, captured)
+				return
 			}
 
 			packed0 := PackedReplaySchemes()

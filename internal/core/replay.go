@@ -1,19 +1,21 @@
 package core
 
-// This file evaluates timing-neutral schemes against a captured Timing.
-// Production runs on one engine, the packed kernel: gating.PackedTally
-// tallies every registered timing-neutral scheme from the trace's
-// bit-packed view (usagetrace.Packed) in O(cycles/64)-ish work, and the
-// tally fills a lane's accountant. EvaluateScalar is the other engine,
-// the scalar fused pass, which streams the encoded trace once and fans
-// each cycle out to every scheme's gating controller and power
-// accountant. It is the reference the goldens and the differential
-// fuzzer hold the kernel to, and no production path reaches it. Both
-// give the Result a live run gives, bit for bit.
+// This file evaluates schemes against a captured Timing. Production runs
+// on one engine, the packed kernel: gating.PackedTally tallies every
+// registered scheme from the trace's bit-packed view (usagetrace.Packed)
+// in O(cycles/64)-ish work — the PLB family from a capture its throttle
+// drove — and the tally fills a lane's accountant. EvaluateScalar is the
+// other engine, the scalar fused pass, which streams the encoded trace
+// once and fans each cycle out to every scheme's gating controller and
+// power accountant. It is the reference the goldens and the differential
+// fuzzer hold the kernel to for the timing-neutral schemes, and no
+// production path reaches it. Both give the Result a live run gives, bit
+// for bit.
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync/atomic"
 
 	"dcg/internal/gating"
@@ -36,15 +38,13 @@ func PackedReplaySchemes() uint64 { return packedSchemeCount.Load() }
 // reader.
 func PackedReplayFallbacks() uint64 { return 0 }
 
-// EvaluateTimingAll evaluates every given timing-neutral scheme kind
-// against one captured timing on the packed kernel, returning one Result
-// per kind in order. Every kind reads the trace's memoized packed view.
+// EvaluateTimingAll evaluates every given scheme kind against one
+// captured timing on the packed kernel, returning one Result per kind in
+// order. Every kind reads the trace's memoized packed view, and each must
+// have the throttle the timing was captured under (EvaluateTimingSchemes).
 func (s *Simulator) EvaluateTimingAll(t *Timing, kinds []SchemeKind) ([]*Result, error) {
 	schemes := make([]gating.Scheme, len(kinds))
 	for i, k := range kinds {
-		if !TimingNeutral(k) {
-			return nil, fmt.Errorf("core: scheme %v changes timing and cannot be evaluated by replay", k)
-		}
 		sc, err := s.makeScheme(k)
 		if err != nil {
 			return nil, err
@@ -56,9 +56,13 @@ func (s *Simulator) EvaluateTimingAll(t *Timing, kinds []SchemeKind) ([]*Result,
 
 // EvaluateTimingSchemes is EvaluateTimingAll with caller-provided scheme
 // instances (partial-DCG ablations). Every scheme must be one the packed
-// kernel tallies: an unwrapped registered timing-neutral scheme or DCG
-// ablation, built for the timing's machine. Any other scheme fails the
-// call with an error naming it; nothing falls back to the scalar engine.
+// kernel tallies: an unwrapped registered scheme or DCG ablation, built
+// for the timing's machine, whose throttle is the one the timing ran
+// under — none for the timing-neutral schemes and the ablations, the
+// registered PLB's for the PLB family, whose parameters must be the
+// registered ones. Any other scheme fails the call with an error naming
+// it; nothing falls back to the scalar engine. The window and
+// oracle-schedule ablations of PLB run live (RunBenchmarkScheme).
 func (s *Simulator) EvaluateTimingSchemes(t *Timing, schemes []gating.Scheme) ([]*Result, error) {
 	if err := s.checkReplay(t, schemes); err != nil || len(schemes) == 0 {
 		return nil, err
@@ -85,8 +89,12 @@ func (s *Simulator) EvaluateTimingSchemes(t *Timing, schemes []gating.Scheme) ([
 			return nil, err
 		}
 		// The scheme instance was never fed, so result's type switch read
-		// zero lead violations; install the packed kernel's count.
+		// zero lead violations and no mode cycles; install the packed
+		// kernel's count and the capture throttle's modes.
 		results[i].LeadViolations = lead
+		if results[i].PLBModeCycles != nil {
+			results[i].PLBModeCycles = maps.Clone(t.PLBModeCycles)
+		}
 	}
 	packedSchemeCount.Add(uint64(len(schemes)))
 	return results, nil
@@ -105,19 +113,23 @@ func (s *Simulator) EvaluateScalar(t *Timing, schemes []gating.Scheme) ([]*Resul
 }
 
 // checkReplay refuses an evaluation no replay can serve: a Timing without
-// a trace, and a registered scheme whose channels the trace lacks. A
-// scheme whose name is not registered (partial-DCG ablations, custom
-// controllers) is taken as usage-only; a value-dependent scheme replayed
-// over a channel-less trace would silently degrade, so the mismatch fails
+// a trace, a scheme whose throttle is not the one the timing ran under,
+// and a registered scheme whose channels the trace lacks. A scheme whose
+// name is not registered (partial-DCG ablations, custom controllers) is
+// taken as unthrottled and usage-only; a value-dependent scheme replayed
+// over a channel-less trace would silently degrade, and a scheme over a
+// timing another throttle shaped would be wrong, so the mismatch fails
 // loudly here.
 func (s *Simulator) checkReplay(t *Timing, schemes []gating.Scheme) error {
 	if t == nil || t.Trace == nil {
 		return errors.New("core: evaluation requires a captured timing trace")
 	}
 	for _, scheme := range schemes {
-		info, ok := SchemeInfoFor(SchemeKind(gating.UnwrapScheme(scheme).Name()))
-		if !ok {
-			continue
+		name := gating.UnwrapScheme(scheme).Name()
+		info, _ := SchemeInfoFor(SchemeKind(name))
+		if info.Timing != t.Throttle {
+			return fmt.Errorf("core: scheme %s needs a capture under throttle %q, but the timing ran under %q "+
+				`("" is none)`, name, info.Timing, t.Throttle)
 		}
 		for _, ch := range info.Channels {
 			if !t.Trace.HasChannel(ch) {

@@ -46,10 +46,11 @@ func DefaultOptions() Options {
 
 // Runner executes and memoises simulation runs shared across experiments.
 // Memoisation, request coalescing, and the capture-once/replay-many split
-// live in simrun.Exec (shared with the serving layer): the timing-neutral
-// schemes (none, dcg, oracle) of one benchmark share a single core timing
+// live in simrun.Exec (shared with the serving layer): the schemes of one
+// benchmark with the same capture throttle share a single core timing
 // simulation and differ only in a cheap trace replay, so e.g. Figure 10
-// performs exactly one timing pass per benchmark. Uncached runs execute in
+// performs exactly one timing pass per benchmark for none and dcg, and
+// one under each PLB variant's throttle. Uncached runs execute in
 // parallel (each simulation is independent and fully deterministic, so
 // parallel order cannot change any result).
 type Runner struct {

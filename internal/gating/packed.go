@@ -1,7 +1,7 @@
 package gating
 
-// This file is the word-at-a-time evaluation of the timing-neutral
-// schemes, the one engine production replays run on. Instead of
+// This file is the word-at-a-time evaluation of every registered scheme,
+// the one engine production replays run on. Instead of
 // replaying a trace cycle by cycle through OnIssue/Gates/OnCycle
 // callbacks, as the scalar reference engine does, it derives each
 // scheme's complete power.Tally — the order-free integral the accountant
@@ -37,11 +37,13 @@ import (
 // PackedTally derives the power.Tally a full scalar replay of the scheme
 // over the trace would produce, plus the scheme's lead-violation count,
 // from the trace's packed view, without feeding the scheme a single
-// cycle. It knows every registered timing-neutral scheme: none, DCG and
-// its ablations, oracle, lector, ddcg and dcg+ddcg. Anything else fails,
-// naming the scheme — a timing-changing scheme (the PLB family), a
-// wrapped one (Observed), a custom type, a scheme built for a different
-// machine than the trace's, a value-dependent scheme over a trace
+// cycle. It knows every registered scheme: none, DCG and its ablations,
+// oracle, lector, ddcg and dcg+ddcg over any view, and plb-orig, plb-ext
+// and dcg+plb over a view their own throttle drove (plbTally). Anything
+// else fails, naming the scheme — a wrapped one (Observed), a custom
+// type, a scheme built for a different machine than the trace's, a PLB
+// with other than the default parameters or with an oracle schedule, a
+// PLB over a view no PLB throttled, a value-dependent scheme over a trace
 // without the latchvalue channel, or an oracle over a front end deeper
 // than config.MaxFrontEndStages — and so does a tally that needs an
 // over-capacity plane from a view captured without its bytes. The scheme
@@ -109,14 +111,85 @@ func PackedTally(p *usagetrace.Packed, s Scheme, machine config.Config) (t power
 			return power.Tally{}, 0, err
 		}
 		return t, p.LeadViolations(), nil
+	case *PLB:
+		if sc.cfg != machine {
+			return power.Tally{}, 0, errNoTally(s)
+		}
+		t, err = plbTally(p, machine, sc, false)
+		return t, 0, err
+	case *DCGPLB:
+		if sc.dcg.cfg != machine || sc.plb.cfg != machine || sc.dcg.opts != AllDCGOptions() {
+			return power.Tally{}, 0, errNoTally(s)
+		}
+		if t, err = plbTally(p, machine, sc.plb, true); err != nil {
+			return power.Tally{}, 0, fmt.Errorf("gating: %s: %w", sc.Name(), err)
+		}
+		return t, p.LeadViolations(), nil
 	}
 	return power.Tally{}, 0, errNoTally(s)
 }
 
 // errNoTally is PackedTally's refusal of a scheme it does not know.
 func errNoTally(s Scheme) error {
-	return fmt.Errorf("gating: scheme %s has no packed tally: it is wrapped, custom, timing-changing, "+
+	return fmt.Errorf("gating: scheme %s has no packed tally: it is wrapped, custom, "+
 		"or built for another machine", s.Name())
+}
+
+// plbTally derives the tally of plb, a PLB controller with the default
+// parameters, or with dcg that of dcg+plb over it, from a view that
+// plb's own throttle drove. PLB's Gates reads nothing of its mode but the
+// mode's Limits, and the view sums every cycle's usage under the Limits
+// the throttle returned (usagetrace.LimitsSums): PLB enables mask(limit)
+// | busy units and, in PLB-ext, max(limit, used) latch slots, D-ports and
+// result buses; dcg+plb the minimum of those and DCG's schedule. The
+// issue-queue fraction is the mode width over the machine's, summed in
+// cycle order. Everything else is DCG's tally with the classes PLB
+// leaves ungated ungated: PLB's drained state covers every cycle's
+// usage, so its violations are those of its ungated classes, and
+// dcg+plb's are DCG's. Every Limits value in the view must be one of
+// plb's modes', which also bounds each width by the machine's, so
+// dcg+plb's bus minimum is DCG's width-capped one.
+func plbTally(p *usagetrace.Packed, cfg config.Config, plb *PLB, dcg bool) (power.Tally, error) {
+	if plb.params != DefaultPLBParams() || plb.oracle != nil {
+		return power.Tally{}, fmt.Errorf("gating: scheme %s has no packed tally: only the default "+
+			"parameters without an oracle schedule are tallied; run it live", plb.Name())
+	}
+	sums := p.Limits()
+	if len(sums) == 0 {
+		return power.Tally{}, fmt.Errorf("gating: scheme %s needs a capture its own throttle drove", plb.Name())
+	}
+	var on usagetrace.LimitsSums
+	for _, s := range sums {
+		if s.Limits != plb.limits(Mode8) && s.Limits != plb.limits(Mode6) && s.Limits != plb.limits(Mode4) {
+			return power.Tally{}, fmt.Errorf("gating: scheme %s: the capture's throttle returned %+v, "+
+				"which none of its modes has", plb.Name(), s.Limits)
+		}
+		for ft := range on.UnitOn {
+			on.UnitOn[ft] += s.UnitOn[ft]
+			on.UnitSchedOn[ft] += s.UnitSchedOn[ft]
+		}
+		on.LatchOn, on.DPortOn, on.BusOn = on.LatchOn+s.LatchOn, on.DPortOn+s.DPortOn, on.BusOn+s.BusOn
+		on.DPortSchedOn, on.BusSchedOn = on.DPortSchedOn+s.DPortSchedOn, on.BusSchedOn+s.BusSchedOn
+	}
+	opts := DCGOptions{}
+	if dcg {
+		opts = AllDCGOptions()
+	}
+	t, err := dcgTally(p, cfg, opts)
+	if err != nil {
+		return power.Tally{}, err
+	}
+	t.IssueQueueFracSum = p.IssueWidthFracSum(cfg.IssueWidth)
+	switch {
+	case dcg:
+		t.UnitOn, t.DPortsOn, t.BusOn = on.UnitSchedOn, on.DPortSchedOn, on.BusSchedOn
+	case plb.ext:
+		t.UnitOn, t.BackSlotsOn, t.DPortsOn, t.BusOn = on.UnitOn, on.LatchOn, on.DPortOn, on.BusOn
+		t.ControlCycles, t.GateViolations = 0, 0
+	default:
+		t.UnitOn, t.ControlCycles = on.UnitOn, 0
+	}
+	return t, nil
 }
 
 // valueTally is dcgTally with the back-end latches gated to their

@@ -117,9 +117,6 @@ func (p *PLB) Name() string {
 	return name
 }
 
-// Ext reports whether this is the extended variant.
-func (p *PLB) Ext() bool { return p.ext }
-
 // enabledUnits returns the per-pool enabled unit counts for a mode
 // (section 4.3: 6-wide disables 1 integer ALU, 1 FPU and 1 FP mult/div;
 // 4-wide disables 3 integer ALUs, 1 integer mult/div, 2 FPUs and 2 FP
@@ -170,10 +167,16 @@ func (p *PLB) Limits(cycle uint64, fb cpu.CycleFeedback) cpu.Limits {
 		p.decide()
 		p.winCyc, p.winIss, p.winFP = 0, 0, 0
 	}
-	ia, im, fa, fm := p.enabledUnits(p.mode)
+	return p.limits(p.mode)
+}
+
+// limits returns a mode's resource restrictions. Gates reads nothing of
+// the mode but these, so a mode's gate state follows from its Limits.
+func (p *PLB) limits(mode int) cpu.Limits {
+	ia, im, fa, fm := p.enabledUnits(mode)
 	return cpu.Limits{
-		IssueWidth: p.width(),
-		DPorts:     p.dports(p.mode),
+		IssueWidth: min(mode, p.cfg.IssueWidth),
+		DPorts:     p.dports(mode),
 		IntALU:     ia,
 		IntMult:    im,
 		FPALU:      fa,

@@ -411,13 +411,14 @@ type SchemeInfo struct {
 	// Summary is the one-line description from the registry.
 	Summary string `json:"summary"`
 
-	// Replay is how results are produced: "packed" (bit-packed replay
-	// kernel) or "full-run" (the scheme perturbs timing; every
-	// evaluation is a full simulation).
+	// Replay is how results are produced: "packed" for every scheme, an
+	// evaluation on the bit-packed replay kernel of the scheme's capture.
 	Replay string `json:"replay"`
 
-	// TimingNeutral reports whether the scheme shares captured timing
-	// traces with other neutral schemes.
+	// TimingNeutral reports whether the scheme has no capture throttle,
+	// and so shares unthrottled captures with every other neutral scheme.
+	// A scheme that is not neutral (the PLB family) shares a capture only
+	// with the schemes its throttle drives.
 	TimingNeutral bool `json:"timing_neutral"`
 
 	// Channels lists the extra trace channels the scheme's captures
@@ -440,7 +441,7 @@ func (s *Server) handleSchemes(w http.ResponseWriter, r *http.Request) {
 			Name:          string(info.Kind),
 			Summary:       info.Summary,
 			Replay:        info.Replay.String(),
-			TimingNeutral: info.Replay != core.ReplayFullRun,
+			TimingNeutral: info.Timing == "",
 			Channels:      info.Channels,
 		}
 	}

@@ -167,9 +167,8 @@ type Server struct {
 	sweeps *sweepJobs // nil unless cfg.SweepDir is set
 }
 
-// New builds a Server with the production two-level executor: full runs
-// for timing-perturbing schemes, capture-once/replay-many for the
-// timing-neutral ones.
+// New builds a Server with the production two-level executor:
+// capture-once/replay-many for every scheme, one capture per TimingKey.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return newServer(cfg, simrun.NewExec(cfg.CacheSize, cfg.TimingCacheSize))

@@ -433,7 +433,7 @@ func TestSchemesEndpoint(t *testing.T) {
 		len(ddcg.Channels) != 1 || ddcg.Channels[0] != "latchvalue" {
 		t.Errorf("ddcg entry wrong: %+v", ddcg)
 	}
-	if plb := byName["plb-ext"]; plb.Replay != "full-run" || plb.TimingNeutral {
+	if plb := byName["plb-ext"]; plb.Replay != "packed" || plb.TimingNeutral {
 		t.Errorf("plb-ext entry wrong: %+v", plb)
 	}
 	if dcg := byName["dcg"]; dcg.Replay != "packed" || len(dcg.Channels) != 0 {
@@ -454,7 +454,8 @@ func TestSchemesEndpoint(t *testing.T) {
 // TestProductionServerRepliesFromTimingCache drives the real two-level
 // executor end to end: after the baseline scheme simulates (and captures
 // its timing trace), other timing-neutral schemes for the same workload
-// are answered by replay, while PLB still runs the full simulator.
+// are answered by replay, while PLB takes a capture of its own, under its
+// throttle.
 func TestProductionServerRepliesFromTimingCache(t *testing.T) {
 	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -484,11 +485,14 @@ func TestProductionServerRepliesFromTimingCache(t *testing.T) {
 	captures := s.m.simDur.With("capture").Count()
 	replays := s.m.served.With("replayed").Value()
 	cached := s.exec.TimingStats().Resident
-	if captures != 1 || replays != 2 || cached != 1 {
-		t.Errorf("timing counters wrong: captures=%d replays=%d cached=%d, want 1/2/1",
+	if captures != 2 || replays != 2 || cached != 2 {
+		t.Errorf("timing counters wrong: captures=%d replays=%d cached=%d, want 2/2/2",
 			captures, replays, cached)
 	}
-	if sims := s.m.simsRun.Value(); sims != 2 { // the capture + the PLB full run
+	if full := s.m.simDur.With("full").Count(); full != 0 {
+		t.Errorf("%d full runs, want none", full)
+	}
+	if sims := s.m.simsRun.Value(); sims != 2 { // the unthrottled and the PLB capture
 		t.Errorf("sims_run = %d, want 2", sims)
 	}
 }

@@ -11,50 +11,41 @@ import (
 
 // Exec is the two-level simulation executor:
 //
-//	level 1 (timings):  (workload, machine) → captured timing trace
-//	level 1 (families): (workload, machine, family leader) → one core
-//	                    pass's Results, one per member that rode it
-//	level 2 (results):  (workload, machine, scheme) → evaluated Result
+//	level 1 (timings): (workload, machine, channels, throttle) → captured
+//	                   timing trace
+//	level 2 (results): (workload, machine, scheme) → evaluated Result
 //
-// A request for a timing-neutral scheme (none, dcg, oracle, lector, ddcg,
-// dcg+ddcg — anything that cannot perturb the core's cycle-by-cycle
-// behaviour, as core.TimingNeutral reports) first consults the result
-// cache, then the timing cache: on a timing hit the scheme is evaluated by
-// replaying the cached trace on the packed kernel (core.EvaluateTimingAll),
-// which skips the cycle-accurate core entirely. On a timing miss the
-// capture records the run, building the trace's packed view as it goes,
-// and Capture hands back the kernel's evaluation of the requested scheme
-// on that view with the Timing, so the call that captured needs no
-// replay of its own.
+// A request for any registered scheme first consults the result cache,
+// then the timing cache under its TimingKey: on a timing hit the scheme
+// is evaluated on the cached trace's packed view by the packed kernel
+// (core.EvaluateTimingAll), which skips the cycle-accurate core
+// entirely. On a timing miss the capture records the run, building the
+// trace's packed view as it goes, and Capture hands back the kernel's
+// evaluation of the requested scheme on that view with the Timing, so
+// the call that captured needs no evaluation of its own.
 //
-// Schemes that do perturb timing (the PLB variants throttle issue width
-// from IPC feedback) bypass the timing level and run the full
-// simulation, resolved through the family level: the members of a
-// timing family (core.TimingFamily — plb-ext and dcg+plb throttle the
-// core identically) share one entry there, keyed by the leader's Key.
-// The first request for any member runs Full, which carries every member
-// as a lane of one live pass and returns them as the Result's Riders;
-// the family level detaches them and keeps the pass's Results, so a
-// concurrent request for another member coalesces on the pass and a
-// later one hits it. A member is stored under its own key only when it
-// is requested, and nothing cached, stored or served carries riders. A
-// Full that returns no riders leaves each other member to its own call.
+// The timing-neutral schemes (none, dcg, oracle, lector, ddcg, dcg+ddcg —
+// anything that cannot perturb the core's cycle-by-cycle behaviour, as
+// core.TimingNeutral reports) share unthrottled captures. The PLB family
+// throttles issue width from IPC feedback, so its captures run under a
+// throttle (core.SchemeInfo.Timing): plb-ext and dcg+plb throttle the
+// core identically and share plb-ext's capture, and plb-orig has its
+// own. A throttled trace carries no encoded bytes, so it is cached in
+// memory only, never read from or written to the store; its Results are
+// stored as every other scheme's are.
 //
 // Every level coalesces concurrent identical requests, so a burst of
-// scheme evaluations for one workload performs exactly one timing pass,
-// and a burst over one timing family exactly one full pass.
+// scheme evaluations for one TimingKey performs exactly one timing pass.
 type Exec struct {
-	results  *Cache[Key, *core.Result]
-	timings  *Cache[TimingKey, *core.Timing]
-	families *Cache[Key, []*core.Result]
+	results *Cache[Key, *core.Result]
+	timings *Cache[TimingKey, *core.Timing]
 
-	// Full runs the complete simulation (timing + live scheme): the
-	// key's Result, carrying as Riders the Results of the other members
-	// of its timing family that rode the same core pass. Capture records
-	// a trace of the timing pass and returns it with the key's scheme
-	// evaluated on it; Evaluate replays a trace under a scheme. Exported
-	// as seams so tests can count or fake executions; NewExec installs
-	// the production implementations.
+	// Full runs the complete simulation (timing + live scheme), the
+	// single-level executor's runner; the two-level executor never calls
+	// it, and NewExec installs none. Capture records a trace of the timing
+	// pass and returns it with the key's scheme evaluated on it; Evaluate
+	// evaluates a scheme on a trace. Exported as seams so tests can count
+	// or fake executions; NewExec installs the production implementations.
 	Full     func(ctx context.Context, k Key) (*core.Result, error)
 	Capture  func(ctx context.Context, k Key) (*core.Result, *core.Timing, error)
 	Evaluate func(k Key, t *core.Timing) (*core.Result, error)
@@ -86,24 +77,21 @@ type PersistentTier interface {
 }
 
 // NewExec builds the production two-level executor. resultCap bounds the
-// result cache and the family level, timingCap the timing cache; <= 0
-// means unbounded. Timing traces are megabytes each (vs kilobytes per
-// result), so serving deployments should keep timingCap small.
+// result cache, timingCap the timing cache; <= 0 means unbounded. Timing
+// traces are megabytes each (vs kilobytes per result), so serving
+// deployments should keep timingCap small.
 func NewExec(resultCap, timingCap int) *Exec {
 	return &Exec{
 		results:  NewCache[Key, *core.Result](resultCap),
 		timings:  NewCache[TimingKey, *core.Timing](timingCap),
-		families: NewCache[Key, []*core.Result](resultCap),
-		Full:     Run,
 		Capture:  Capture,
 		Evaluate: Evaluate,
 	}
 }
 
-// NewSingleLevelExec builds an executor with no timing cache and no
-// family level: every miss calls run. It preserves the old one-level
-// behaviour for callers that inject a custom runner (the server's test
-// seam).
+// NewSingleLevelExec builds an executor with no timing cache: every miss
+// calls run. It preserves the old one-level behaviour for callers that
+// inject a custom runner (the server's test seam).
 func NewSingleLevelExec(resultCap int, run func(ctx context.Context, k Key) (*core.Result, error)) *Exec {
 	return &Exec{
 		results: NewCache[Key, *core.Result](resultCap),
@@ -113,9 +101,10 @@ func NewSingleLevelExec(resultCap int, run func(ctx context.Context, k Key) (*co
 
 // Do returns the result for k, reusing every cache level. The outcome
 // reports how the call was served: OutcomeHit/OutcomeCoalesced from the
-// result cache or from another family member's full pass,
-// OutcomeReplayed when a cached timing trace was replayed, OutcomeMiss
-// when a full simulation (or capture) ran.
+// result cache, OutcomeReplayed when a cached or another request's
+// timing trace was evaluated, OutcomeMiss when a capture (or, in a
+// single-level executor, a full simulation) ran. A scheme the registry
+// does not know fails before any cache is consulted.
 func (e *Exec) Do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 	// The lookup span covers the whole two-level resolution; its outcome
 	// attribute is the cache-lookup verdict (cache/coalesced/replayed/
@@ -144,27 +133,34 @@ func (e *Exec) Do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 // do is Do without the logging wrapper.
 func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 	fromStore := false
-	if e.timings == nil || !core.TimingNeutral(k.Scheme) {
-		fullOut := OutcomeMiss
+	if e.timings == nil {
 		res, out, err := e.results.Do(ctx, k, func(ctx context.Context) (*core.Result, error) {
 			if r, ok := e.storeResult(ctx, k); ok {
 				fromStore = true
 				return r, nil
 			}
-			r, o, err := e.full(ctx, k)
-			fullOut = o
+			r, err := e.runFull(ctx, k)
 			if err == nil && e.Store != nil {
 				e.Store.PutResult(ctx, k, r)
 			}
 			return r, err
 		})
-		if err == nil && out == OutcomeMiss {
-			out = fullOut
-			if fromStore {
-				out = OutcomeStore
-			}
+		if err == nil && out == OutcomeMiss && fromStore {
+			out = OutcomeStore
 		}
 		return res, out, err
+	}
+	// An unknown scheme would share a TimingKey with the neutral ones and
+	// fail the capture another request coalesced on.
+	if _, err := core.ParseScheme(string(k.Scheme)); err != nil {
+		return nil, OutcomeMiss, err
+	}
+	tk := k.TimingKey()
+	// A throttled trace has no bytes: it is neither read from nor written
+	// to the store.
+	store := e.Store
+	if tk.Throttle != "" {
+		store = nil
 	}
 	replayed := false
 	res, out, err := e.results.Do(ctx, k, func(ctx context.Context) (*core.Result, error) {
@@ -179,18 +175,23 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 		// another scheme's capture), inline stays nil and we replay.
 		lg := obs.Logger(ctx)
 		var inline *core.Result
-		tm, _, err := e.timings.Do(ctx, k.TimingKey(), func(ctx context.Context) (*core.Timing, error) {
-			if t, ok := e.storeTiming(ctx, k.TimingKey()); ok {
-				return t, nil
+		tm, _, err := e.timings.Do(ctx, tk, func(ctx context.Context) (*core.Timing, error) {
+			if store != nil {
+				if t, ok := store.GetTiming(ctx, tk); ok {
+					lg.Debug("simrun: timing from store", "bench", k.Bench, "insts", k.Insts)
+					return t, nil
+				}
 			}
 			_, sp := obs.StartSpan(ctx, "sim.capture")
 			sp.SetAttr("bench", k.Bench)
 			sp.SetAttrInt("insts", int64(k.Insts))
-			sp.SetAttr("channels", k.TimingKey().Channels)
+			sp.SetAttr("channels", tk.Channels)
+			if tk.Throttle != "" {
+				sp.SetAttr("throttle", tk.Throttle.String())
+			}
 			start := time.Now()
 			// Only a store reads a trace's encoded bytes, so without one
 			// the capture builds the packed view alone.
-			store := e.Store
 			cctx := ctx
 			if store == nil {
 				cctx = core.WithViewOnlyCapture(ctx)
@@ -205,7 +206,7 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 				}
 				sp.Finish()
 				if store != nil {
-					store.PutTiming(ctx, k.TimingKey(), t)
+					store.PutTiming(ctx, tk, t)
 				}
 				if lg.Enabled(ctx, slog.LevelDebug) {
 					attrs := []any{"bench", k.Bench, "insts", k.Insts}
@@ -283,55 +284,12 @@ func traceBytes(t *core.Timing) int {
 	return t.Trace.SizeBytes()
 }
 
-// full resolves a full-run key through the family level: the pass that
-// answers it is the one its family's entry holds, run now by this call
-// (OutcomeMiss), in flight for another member (OutcomeCoalesced) or
-// already done (OutcomeHit). A pass that did not carry k — a Full that
-// returns no riders — leaves k to a Full call of its own.
-func (e *Exec) full(ctx context.Context, k Key) (*core.Result, Outcome, error) {
-	if e.families == nil {
-		r, err := e.runFull(ctx, k)
-		return r, OutcomeMiss, err
-	}
-	members, out, err := e.families.Do(ctx, k.FamilyKey(), func(ctx context.Context) ([]*core.Result, error) {
-		r, err := e.runFull(ctx, k)
-		if err != nil {
-			return nil, err
-		}
-		// The Result Full returns is the Exec's to detach.
-		members := append([]*core.Result{r}, r.Riders...)
-		r.Riders = nil
-		return members, nil
-	})
-	if err != nil {
-		return nil, out, err
-	}
-	if out == OutcomeMiss {
-		return members[0], out, nil // this call's own pass: Full(k) leads
-	}
-	for _, r := range members {
-		if r.Scheme == k.Scheme.String() {
-			return r, out, nil
-		}
-	}
-	r, err := e.runFull(ctx, k)
-	return r, OutcomeMiss, err
-}
-
-// runFull runs Full under a sim.full span whose family attribute lists
-// the schemes the pass produced Results for.
+// runFull runs Full under a sim.full span.
 func (e *Exec) runFull(ctx context.Context, k Key) (*core.Result, error) {
 	_, sp := obs.StartSpan(ctx, "sim.full")
 	sp.SetAttr("bench", k.Bench)
 	sp.SetAttr("scheme", k.Scheme.String())
 	r, err := e.Full(ctx, k)
-	if err == nil && sp != nil {
-		family := r.Scheme
-		for _, rider := range r.Riders {
-			family += "," + rider.Scheme
-		}
-		sp.SetAttr("family", family)
-	}
 	sp.SetError(err)
 	sp.Finish()
 	return r, err
@@ -349,20 +307,6 @@ func (e *Exec) storeResult(ctx context.Context, k Key) (*core.Result, bool) {
 		}
 	}
 	return r, ok
-}
-
-// storeTiming consults the persistent tier for a captured timing trace.
-func (e *Exec) storeTiming(ctx context.Context, k TimingKey) (*core.Timing, bool) {
-	if e.Store == nil {
-		return nil, false
-	}
-	t, ok := e.Store.GetTiming(ctx, k)
-	if ok {
-		if lg := obs.Logger(ctx); lg.Enabled(ctx, slog.LevelDebug) {
-			lg.Debug("simrun: timing from store", "bench", k.Bench, "insts", k.Insts)
-		}
-	}
-	return t, ok
 }
 
 // Get returns the memoised result for k without executing anything.

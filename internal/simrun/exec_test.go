@@ -82,23 +82,39 @@ func TestExecSharesOneTimingAcrossNeutralSchemes(t *testing.T) {
 	}
 }
 
-func TestExecPLBBypassesTimingCache(t *testing.T) {
-	e, fulls, captures, _ := countingExec()
-	for _, kind := range []core.SchemeKind{core.SchemePLBOrig, core.SchemePLBExt} {
-		k := Key{Bench: "mcf", Scheme: kind, Insts: 500}
-		_, out, err := e.Do(context.Background(), k)
-		if err != nil || out != OutcomeMiss {
-			t.Fatalf("%v: outcome=%v err=%v", kind, out, err)
+// TestExecServesEverySchemeWithoutFull: the production executor serves
+// every registered scheme from captures, one per TimingKey — the
+// unthrottled usage-only and latchvalue ones, and one under each PLB
+// throttle — and never calls Full.
+func TestExecServesEverySchemeWithoutFull(t *testing.T) {
+	e := NewExec(0, 0)
+	var fulls, captures atomic.Int32
+	capture := e.Capture
+	e.Full = func(ctx context.Context, k Key) (*core.Result, error) {
+		fulls.Add(1)
+		return nil, errors.New("Full called")
+	}
+	e.Capture = func(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {
+		captures.Add(1)
+		return capture(ctx, k)
+	}
+	keys := map[TimingKey]bool{}
+	for _, kind := range core.AllSchemes() {
+		k := Key{Bench: "mcf", Scheme: kind, Insts: 5_000, Warmup: 2_000}
+		keys[k.TimingKey()] = true
+		res, _, err := e.Do(context.Background(), k)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if res.Scheme != kind.String() {
+			t.Errorf("%v served a %s Result", kind, res.Scheme)
 		}
 	}
-	if n := fulls.Load(); n != 2 {
-		t.Errorf("full ran %d times, want 2", n)
+	if n := fulls.Load(); n != 0 {
+		t.Errorf("Full ran %d times, want 0", n)
 	}
-	if n := captures.Load(); n != 0 {
-		t.Errorf("PLB triggered %d captures, want 0", n)
-	}
-	if st := e.TimingStats(); st.Misses != 0 {
-		t.Errorf("PLB polluted the timing cache: %+v", st)
+	if n := captures.Load(); n != 4 || len(keys) != 4 {
+		t.Errorf("%d captures over %d timing keys, want 4 of each", n, len(keys))
 	}
 }
 

@@ -12,49 +12,27 @@ import (
 	"dcg/internal/core"
 )
 
-// familyExec is an Exec whose Full fakes a family pass: the key's Result
-// with every other member of its timing family as a rider, each a fresh
-// fakeResult. withRiders false fakes a Full that carries no riders.
-func familyExec(withRiders bool) (*Exec, *atomic.Int32) {
-	e := NewExec(0, 0)
-	var fulls atomic.Int32
-	e.Full = func(ctx context.Context, k Key) (*core.Result, error) {
-		fulls.Add(1)
-		r := fakeResult(k)
-		if withRiders {
-			for _, kind := range core.TimingFamily(k.Scheme) {
-				if kind != k.Scheme {
-					rk := k
-					rk.Scheme = kind
-					r.Riders = append(r.Riders, fakeResult(rk))
-				}
-			}
-		}
-		return r, nil
-	}
-	return e, &fulls
-}
-
+// plbFamily are the schemes that share plb-ext's throttled capture.
 var plbFamily = []core.SchemeKind{core.SchemePLBExt, core.SchemeDCGPLB}
 
 func familyKey(kind core.SchemeKind) Key {
 	return Key{Bench: "gcc", Scheme: kind, Insts: 2000}
 }
 
-// servedOK checks a served Result is the key's and carries no riders.
+// servedOK checks a served Result is the key's.
 func servedOK(t *testing.T, k Key, res *core.Result) {
 	t.Helper()
 	if res == nil || res.Scheme != k.Scheme.String() || res.Benchmark != k.Bench {
 		t.Fatalf("%v: served %+v", k.Scheme, res)
 	}
-	if res.Riders != nil {
-		t.Errorf("%v: served Result carries %d riders", k.Scheme, len(res.Riders))
-	}
 }
 
 func TestExecFamilySequentialRequestsShareOnePass(t *testing.T) {
+	if a, b := familyKey(plbFamily[0]).TimingKey(), familyKey(plbFamily[1]).TimingKey(); a != b || a.Throttle != core.SchemePLBExt {
+		t.Fatalf("family timing keys %+v and %+v, want one key under plb-ext's throttle", a, b)
+	}
 	for _, first := range plbFamily {
-		e, fulls := familyExec(true)
+		e, fulls, captures, _ := countingExec()
 		second := plbFamily[0]
 		if first == second {
 			second = plbFamily[1]
@@ -66,13 +44,16 @@ func TestExecFamilySequentialRequestsShareOnePass(t *testing.T) {
 				t.Fatal(err)
 			}
 			servedOK(t, k, res)
-			want := []Outcome{OutcomeMiss, OutcomeHit}[i]
+			want := []Outcome{OutcomeMiss, OutcomeReplayed}[i]
 			if out != want {
 				t.Errorf("%v then %v: %v served %v, want %v", first, second, kind, out, want)
 			}
 		}
-		if n := fulls.Load(); n != 1 {
-			t.Errorf("%v first: Full ran %d times, want 1", first, n)
+		if n := captures.Load(); n != 1 {
+			t.Errorf("%v first: %d captures, want 1", first, n)
+		}
+		if n := fulls.Load(); n != 0 {
+			t.Errorf("%v first: Full ran %d times, want 0", first, n)
 		}
 		if _, out, _ := e.Do(context.Background(), familyKey(second)); out != OutcomeHit {
 			t.Errorf("repeat of %v served %v, want a result-cache hit", second, out)
@@ -80,20 +61,24 @@ func TestExecFamilySequentialRequestsShareOnePass(t *testing.T) {
 	}
 }
 
+// TestExecFamilyConcurrentRequestsCoalesce: a burst of plb-ext and
+// dcg+plb requests for one key runs exactly one capture; one request is
+// simulated and every other one coalesced or replayed.
 func TestExecFamilyConcurrentRequestsCoalesce(t *testing.T) {
-	e, fulls := familyExec(true)
+	e, fulls, captures, _ := countingExec()
 	started, release := make(chan struct{}), make(chan struct{})
-	full := e.Full
-	e.Full = func(ctx context.Context, k Key) (*core.Result, error) {
+	capture := e.Capture
+	e.Capture = func(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {
 		close(started)
 		<-release
-		return full(ctx, k)
+		return capture(ctx, k)
 	}
-	outs := make([]Outcome, len(plbFamily))
+	const burst = 8
+	outs := make([]Outcome, burst)
 	var wg sync.WaitGroup
 	do := func(i int) {
 		defer wg.Done()
-		k := familyKey(plbFamily[i])
+		k := familyKey(plbFamily[i%len(plbFamily)])
 		res, out, err := e.Do(context.Background(), k)
 		if err != nil {
 			t.Error(err)
@@ -102,45 +87,71 @@ func TestExecFamilyConcurrentRequestsCoalesce(t *testing.T) {
 		servedOK(t, k, res)
 		outs[i] = out
 	}
-	wg.Add(2)
-	go do(1)
-	<-started
+	wg.Add(burst)
 	go do(0)
-	// The second request waits on the first's pass once the family
-	// level counts it as coalesced.
-	for e.families.Stats().Coalesced == 0 {
+	<-started
+	for i := 1; i < burst; i++ {
+		go do(i)
+	}
+	// Every other request waits, on the capture at the timing level or on
+	// a request for its own key at the result level.
+	for e.timings.Stats().Coalesced+e.results.Stats().Coalesced < burst-1 {
 		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
-	if n := fulls.Load(); n != 1 {
-		t.Errorf("Full ran %d times for two concurrent members, want 1", n)
+	if n := captures.Load(); n != 1 {
+		t.Errorf("%d concurrent family requests ran %d captures, want 1", burst, n)
 	}
-	if outs[1] != OutcomeMiss || outs[0] != OutcomeCoalesced {
-		t.Errorf("outcomes: %v (ran the pass) %v, %v (waited) %v; want simulated and coalesced",
-			plbFamily[1], outs[1], plbFamily[0], outs[0])
+	if n := fulls.Load(); n != 0 {
+		t.Errorf("Full ran %d times, want 0", n)
+	}
+	simulated := 0
+	for i, out := range outs {
+		switch out {
+		case OutcomeMiss:
+			simulated++
+		case OutcomeCoalesced, OutcomeReplayed:
+		default:
+			t.Errorf("request %d (%v) served %v", i, plbFamily[i%len(plbFamily)], out)
+		}
+	}
+	if simulated != 1 {
+		t.Errorf("%d requests served simulated, want 1 (outcomes %v)", simulated, outs)
 	}
 }
 
-// recordingTier is a PersistentTier that remembers what was put.
+// recordingTier is a PersistentTier that remembers what was put and
+// counts the timing calls.
 type recordingTier struct {
-	mu   sync.Mutex
-	puts map[Key]*core.Result
+	mu                     sync.Mutex
+	puts                   map[Key]*core.Result
+	timingGets, timingPuts int
 }
 
 func (r *recordingTier) GetResult(context.Context, Key) (*core.Result, bool) { return nil, false }
 func (r *recordingTier) GetTiming(context.Context, TimingKey) (*core.Timing, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.timingGets++
 	return nil, false
 }
-func (r *recordingTier) PutTiming(context.Context, TimingKey, *core.Timing) {}
+func (r *recordingTier) PutTiming(context.Context, TimingKey, *core.Timing) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.timingPuts++
+}
 func (r *recordingTier) PutResult(_ context.Context, k Key, res *core.Result) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.puts[k] = res
 }
 
+// TestExecFamilyStoresARiderOnlyWhenRequested: a throttled key never
+// reaches GetTiming or PutTiming, and each member's Result is stored when
+// it is requested, not before; an unthrottled key reaches both.
 func TestExecFamilyStoresARiderOnlyWhenRequested(t *testing.T) {
-	e, fulls := familyExec(true)
+	e, _, captures, _ := countingExec()
 	tier := &recordingTier{puts: map[Key]*core.Result{}}
 	e.Store = tier
 	lead, rider := familyKey(core.SchemePLBExt), familyKey(core.SchemeDCGPLB)
@@ -159,38 +170,34 @@ func TestExecFamilyStoresARiderOnlyWhenRequested(t *testing.T) {
 	for k, res := range tier.puts {
 		servedOK(t, k, res)
 	}
-	if n := fulls.Load(); n != 1 {
-		t.Errorf("Full ran %d times, want 1", n)
+	if n := captures.Load(); n != 1 {
+		t.Errorf("%d captures, want 1", n)
+	}
+	if tier.timingGets != 0 || tier.timingPuts != 0 {
+		t.Errorf("a throttled key reached the store's timing tier: %d gets, %d puts", tier.timingGets, tier.timingPuts)
+	}
+	if _, _, err := e.Do(context.Background(), familyKey(core.SchemeDCG)); err != nil {
+		t.Fatal(err)
+	}
+	if tier.timingGets != 1 || tier.timingPuts != 1 {
+		t.Errorf("an unthrottled key: %d timing gets, %d puts; want 1 each", tier.timingGets, tier.timingPuts)
 	}
 }
 
-func TestExecFamilyFullWithoutRidersRunsEachMember(t *testing.T) {
-	e, fulls := familyExec(false)
-	for _, kind := range plbFamily {
-		k := familyKey(kind)
-		res, out, err := e.Do(context.Background(), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		servedOK(t, k, res)
-		if out != OutcomeMiss {
-			t.Errorf("%v served %v, want simulated", kind, out)
-		}
-	}
-	if n := fulls.Load(); n != 2 {
-		t.Errorf("Full ran %d times for two members without riders, want 2", n)
-	}
-}
-
-// TestExecFamilyPassMatchesSingleLaneRuns drives the production Full:
-// one pass answers both members, each equal to its single-lane run.
+// TestExecFamilyPassMatchesSingleLaneRuns drives the production Capture:
+// one throttled capture answers both members, each equal to its
+// single-lane live run, and Full never runs.
 func TestExecFamilyPassMatchesSingleLaneRuns(t *testing.T) {
 	e := NewExec(0, 0)
-	var fulls atomic.Int32
-	full := e.Full
+	var fulls, captures atomic.Int32
+	full, capture := e.Full, e.Capture
 	e.Full = func(ctx context.Context, k Key) (*core.Result, error) {
 		fulls.Add(1)
 		return full(ctx, k)
+	}
+	e.Capture = func(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {
+		captures.Add(1)
+		return capture(ctx, k)
 	}
 	for _, kind := range plbFamily {
 		k := Key{Bench: "mcf", Scheme: kind, Insts: 20_000, Warmup: 10_000}
@@ -203,26 +210,29 @@ func TestExecFamilyPassMatchesSingleLaneRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res, want) {
-			t.Errorf("%v from the family pass differs from its single-lane run", kind)
+			t.Errorf("%v from the throttled capture differs from its single-lane run", kind)
 		}
 	}
-	if n := fulls.Load(); n != 1 {
-		t.Errorf("Full ran %d times, want 1", n)
+	if n := captures.Load(); n != 1 {
+		t.Errorf("%d captures, want 1", n)
+	}
+	if n := fulls.Load(); n != 0 {
+		t.Errorf("Full ran %d times, want 0", n)
 	}
 }
 
-// TestExecFamilyPassErrorsRetry: a failed pass reaches its caller and is
-// not kept, so the next request for either member runs a pass again.
+// TestExecFamilyPassErrorsRetry: a failed capture reaches its caller and
+// is not kept, so the next request for either member captures again.
 func TestExecFamilyPassErrorsRetry(t *testing.T) {
-	e, fulls := familyExec(true)
+	e, _, captures, _ := countingExec()
 	boom := errors.New("boom")
-	full := e.Full
-	e.Full = func(ctx context.Context, k Key) (*core.Result, error) {
-		if fulls.Load() == 0 {
-			fulls.Add(1)
-			return nil, boom
+	capture := e.Capture
+	e.Capture = func(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {
+		if captures.Load() == 0 {
+			captures.Add(1)
+			return nil, nil, boom
 		}
-		return full(ctx, k)
+		return capture(ctx, k)
 	}
 	if _, _, err := e.Do(context.Background(), familyKey(core.SchemePLBExt)); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -230,7 +240,10 @@ func TestExecFamilyPassErrorsRetry(t *testing.T) {
 	k := familyKey(core.SchemeDCGPLB)
 	res, out, err := e.Do(context.Background(), k)
 	if err != nil || out != OutcomeMiss {
-		t.Fatalf("after a failed pass: outcome %v, err %v; want a fresh pass", out, err)
+		t.Fatalf("after a failed capture: outcome %v, err %v; want a fresh capture", out, err)
 	}
 	servedOK(t, k, res)
+	if n := captures.Load(); n != 2 {
+		t.Errorf("%d captures, want 2", n)
+	}
 }

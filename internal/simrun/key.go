@@ -6,11 +6,13 @@
 // serving layer (internal/server) memoise runs through this package, so a
 // simulation configuration is only ever executed once per process no
 // matter how many experiments or concurrent requests ask for it. The
-// two-level Exec goes further: timing-neutral gating schemes (none, dcg,
-// oracle, lector, ddcg, dcg+ddcg) share one cycle-accurate timing capture
-// per (workload, machine, trace channels) and differ only in a cheap
-// trace replay, and the members of a timing family (plb-ext and dcg+plb)
-// share one full simulation per (workload, machine).
+// two-level Exec goes further: the gating schemes that share a capture
+// throttle share one cycle-accurate timing capture per (workload,
+// machine, trace channels, throttle) and differ only in a cheap
+// evaluation on the packed kernel — the timing-neutral schemes (none,
+// dcg, oracle, lector, ddcg, dcg+ddcg) an unthrottled capture, plb-ext
+// and dcg+plb one under plb-ext's throttle, and plb-orig one under its
+// own.
 package simrun
 
 import (
@@ -56,38 +58,30 @@ func (k Key) Machine() config.Config {
 }
 
 // TimingKey strips the gating scheme from a Key, keeping only the trace
-// channel set the scheme requires: it identifies the core timing
-// simulation alone. Every timing-neutral scheme with the same channel
-// needs evaluated on the same workload and machine shares one TimingKey
-// — and therefore one captured trace in the Exec's timing cache. The
-// channel set stays part of the key so a usage-only capture (including
-// every pre-channel v1 artifact in a persistent store) is never served
-// to a value-dependent scheme.
+// channel set the scheme requires and its capture throttle
+// (core.SchemeInfo.Timing): it identifies the core timing simulation
+// alone. Every scheme with the same channel needs and throttle evaluated
+// on the same workload and machine shares one TimingKey — and therefore
+// one captured trace in the Exec's timing cache. The channel set stays
+// part of the key so a usage-only capture (including every pre-channel
+// v1 artifact in a persistent store) is never served to a value-dependent
+// scheme, and the throttle so a capture only ever serves the schemes its
+// throttle shaped.
 func (k Key) TimingKey() TimingKey {
+	info, _ := core.SchemeInfoFor(k.Scheme)
 	return TimingKey{
 		Bench: k.Bench, Deep: k.Deep, IntALU: k.IntALU, Insts: k.Insts, Warmup: k.Warmup,
 		Channels: core.ChannelKey(core.SchemeChannels(k.Scheme)),
+		Throttle: info.Timing,
 	}
-}
-
-// FamilyKey replaces k's scheme with the leader of its timing family
-// (core.TimingFamily): every member of a family on the same workload and
-// machine shares the FamilyKey, and with it one full pass in the Exec's
-// family level. A scheme nothing rides, or an unknown one, is its own
-// leader.
-func (k Key) FamilyKey() Key {
-	if family := core.TimingFamily(k.Scheme); family != nil {
-		k.Scheme = family[0]
-	}
-	return k
 }
 
 // TimingKey identifies one cycle-accurate timing pass: the workload, the
-// machine's timing-relevant configuration, and the captured trace's
-// extra channel set (canonical comma-joined form; "" = usage only) —
-// with no gating scheme. (Timing-neutral schemes do not perturb timing,
-// so they never appear here; PLB does and is excluded from the timing
-// cache entirely: its full runs resolve by FamilyKey.)
+// machine's timing-relevant configuration, the captured trace's extra
+// channel set (canonical comma-joined form; "" = usage only) and the
+// registered scheme whose throttle drives the core ("" = none, every
+// timing-neutral scheme's) — with no gating scheme. A throttled timing
+// is kept in memory only: its trace has no encoded bytes to store.
 type TimingKey struct {
 	Bench    string
 	Deep     bool
@@ -95,11 +89,7 @@ type TimingKey struct {
 	Insts    uint64
 	Warmup   uint64
 	Channels string
-}
-
-// Machine returns the processor configuration the timing key selects.
-func (k TimingKey) Machine() config.Config {
-	return Key{Bench: k.Bench, Deep: k.Deep, IntALU: k.IntALU, Insts: k.Insts, Warmup: k.Warmup}.Machine()
+	Throttle core.SchemeKind
 }
 
 func simulatorFor(m config.Config, warmup uint64) *core.Simulator {
@@ -111,27 +101,25 @@ func simulatorFor(m config.Config, warmup uint64) *core.Simulator {
 }
 
 // Run executes the full simulation the key identifies: core timing with
-// the scheme attached live, and every other member of its timing family
-// (core.TimingFamily) riding the same pass as a lane of its own
-// (core.Simulator.RunFamilyContext). The Result is the key's, with the
-// other members' Results on its Riders. The context is threaded into the
+// the scheme attached live (core.Simulator.RunBenchmarkContext), the
+// reference every capture is held to. The context is threaded into the
 // cycle loop: cancellation aborts the run within a few thousand
 // simulated cycles.
 func Run(ctx context.Context, k Key) (*core.Result, error) {
-	return simulatorFor(k.Machine(), k.Warmup).RunFamilyContext(ctx, k.Bench, k.Scheme, k.Insts)
+	return simulatorFor(k.Machine(), k.Warmup).RunBenchmarkContext(ctx, k.Bench, k.Scheme, k.Insts)
 }
 
-// Capture executes the timing simulation the key identifies, recording
-// its per-cycle usage trace and nothing else, and evaluates k.Scheme on
-// the trace's packed view (core.RunAndCapture). The returned Result is
-// the kernel's, bit-identical to a direct run; the Timing can then be
-// replayed for any other timing-neutral scheme. Fails for schemes that
-// perturb timing.
+// Capture executes the timing simulation the key identifies, under the
+// scheme's capture throttle when it has one, recording its per-cycle
+// usage trace and nothing else, and evaluates k.Scheme on the trace's
+// packed view (core.RunAndCapture). The returned Result is the kernel's,
+// bit-identical to a direct run; the Timing can then be evaluated for
+// any other scheme with the same TimingKey.
 func Capture(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {
 	return simulatorFor(k.Machine(), k.Warmup).RunAndCapture(ctx, k.Bench, k.Scheme, k.Insts)
 }
 
-// Evaluate replays a captured timing trace under the key's scheme. The
+// Evaluate evaluates the key's scheme on a captured timing trace. The
 // result is bit-identical to a full run with the same key. Every scheme
 // reads the trace's memoized packed view, so every Evaluate against the
 // same *core.Timing — coalesced requests, batch items, sweep followers —

@@ -245,3 +245,35 @@ func TestPooledResultCodecRoundTrips(t *testing.T) {
 		t.Errorf("stats = %+v, want %d corruptions and %d hits", st, workers*rounds, workers*rounds)
 	}
 }
+
+// TestAddressesPinned pins the content addresses of unthrottled timing
+// keys, usage-only and latchvalue, and of a result key, byte for byte, so
+// a store written before capture throttles existed keeps serving; a
+// throttled key addresses apart from its unthrottled twin.
+func TestAddressesPinned(t *testing.T) {
+	k := simrun.Key{Bench: "gcc", Scheme: core.SchemeDCG, Insts: 300_000}
+	kv := k
+	kv.Scheme = core.SchemeDDCG
+	kp := k
+	kp.Scheme = core.SchemePLBExt
+	for _, tc := range []struct {
+		what, got, want string
+	}{
+		{"usage-only timing", timingAddr(k.TimingKey()), "35c8427b089f48137902c951c29576a350318d267cdb61a4ca36700bf8c4e524"},
+		{"latchvalue timing", timingAddr(kv.TimingKey()), "69088022bda4e505cd3ff556f755e1d1a23010733f379e2fe52c7cf381f35202"},
+		{"plb-ext result", resultAddr(kp), "4c62540bde3c7388d8436490e18e8ea48ed32bc2ab01aedd53d746c0b9368b7c"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s address %s, want %s", tc.what, tc.got, tc.want)
+		}
+	}
+	throttled := kp.TimingKey()
+	twin := throttled
+	twin.Throttle = ""
+	if twin != k.TimingKey() {
+		t.Fatalf("plb-ext's timing key %+v differs from dcg's by more than its throttle", throttled)
+	}
+	if timingAddr(throttled) == timingAddr(twin) {
+		t.Error("a throttled timing key addresses its unthrottled twin's artifact")
+	}
+}

@@ -184,15 +184,21 @@ func resultAddr(k simrun.Key) string {
 }
 
 // timingAddr derives the content address of a timing artifact. The
-// channel set is appended only when non-empty, so every usage-only
-// timing artifact written before trace channels existed keeps its
-// address — old stores stay warm — while channelized captures address
-// separately and a v1 artifact can never serve a value-dependent scheme.
+// channel set and the capture throttle are appended only when non-empty,
+// so every usage-only timing artifact written before trace channels
+// existed keeps its address — old stores stay warm — while channelized
+// captures address separately and a v1 artifact can never serve a
+// value-dependent scheme. A throttled key never addresses an unthrottled
+// artifact; the executor stores no throttled timing, since its trace has
+// no bytes.
 func timingAddr(k simrun.TimingKey) string {
 	canonical := fmt.Sprintf("timing|v%d|bench=%s|deep=%t|alu=%d|insts=%d|warmup=%d",
 		artifactVersion, k.Bench, k.Deep, k.IntALU, k.Insts, k.Warmup)
 	if k.Channels != "" {
 		canonical += "|channels=" + k.Channels
+	}
+	if k.Throttle != "" {
+		canonical += "|throttle=" + string(k.Throttle)
 	}
 	return addr(canonical)
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"dcg/internal/core"
 	"dcg/internal/obs"
 	"dcg/internal/simrun"
 )
@@ -178,24 +177,17 @@ func (e *Engine) runItems(ctx context.Context, name string, items []Item,
 		log = log.With("trace", tid)
 	}
 
-	// Build the DAG: for each timing group (same TimingKey, timing-
-	// neutral scheme) the first pending item is the capture leader, and
-	// the rest wait on it and then fan out as replays. For each timing
-	// family (same FamilyKey, full-run scheme) the first pending item is
-	// the family leader, whose full pass carries the other members, and
-	// the rest wait on it and then hit the executor's family level.
-	// Groups of one need no coordination.
+	// Build the DAG: for each timing group (same TimingKey) the first
+	// pending item is the capture leader, and the rest wait on it and then
+	// fan out as replays. Groups of one need no coordination.
 	var pending []*itemState
-	leaders := make(map[any]*itemState) // by TimingKey or FamilyKey
+	leaders := make(map[simrun.TimingKey]*itemState)
 	for _, it := range items {
 		if _, ok := done[it.Index]; ok {
 			continue
 		}
 		st := &itemState{item: it}
-		var group any = it.Key.FamilyKey()
-		if core.TimingNeutral(it.Key.Scheme) {
-			group = it.Key.TimingKey()
-		}
+		group := it.Key.TimingKey()
 		if lead, ok := leaders[group]; ok {
 			if lead.release == nil {
 				lead.release = make(chan struct{})
@@ -275,15 +267,11 @@ func (e *Engine) runItems(ctx context.Context, name string, items []Item,
 			isp.SetAttrInt("index", int64(st.item.Index))
 			isp.SetAttr("bench", st.item.Key.Bench)
 			isp.SetAttr("scheme", st.item.Key.Scheme.String())
-			leaderRole, followerRole := "capture-leader", "replay-follower"
-			if !core.TimingNeutral(st.item.Key.Scheme) {
-				leaderRole, followerRole = "family-leader", "family-rider"
-			}
 			switch {
 			case st.release != nil:
-				isp.SetAttr("role", leaderRole)
+				isp.SetAttr("role", "capture-leader")
 			case st.leader != nil:
-				isp.SetAttr("role", followerRole)
+				isp.SetAttr("role", "replay-follower")
 				// The leader writes its span ID before release closes, so
 				// this read is ordered by the gate the follower waited on.
 				if id := st.leader.spanID; !id.IsZero() {

@@ -6,11 +6,11 @@
 // without redoing finished work, and streams results as JSON lines.
 //
 // The DAG encodes the capture-once/replay-many structure of the
-// simulator: for each (workload, machine) the timing-neutral schemes
-// share one cycle-accurate timing capture, so the first such item is the
-// group's leader and the remaining schemes only fan out (as cheap trace
-// replays) after the leader has captured. Schemes that perturb timing
-// (the PLB variants) are independent DAG roots.
+// simulator: the schemes of one simrun.TimingKey — (workload, machine,
+// trace channels, capture throttle) — share one cycle-accurate timing
+// capture, so the first such item is the group's leader and the remaining
+// schemes only fan out (as cheap trace replays) after the leader has
+// captured.
 //
 // cmd/dcgsweep drives the engine from the command line; internal/server
 // exposes it as the asynchronous /v1/sweeps API; internal/experiments

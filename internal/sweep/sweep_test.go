@@ -123,33 +123,25 @@ func TestEngineCapturesOncePerTimingGroup(t *testing.T) {
 	if !sum.Done || sum.Completed != 8 || sum.Failed != 0 {
 		t.Fatalf("summary %+v, want 8 completed / done", sum)
 	}
-	// 3 timing groups (one per benchmark) → 3 captures; none+dcg per
-	// benchmark = 1 capture + 1 replay each; plb-ext on gzip/mcf = fulls.
-	if captures.Load() != 3 {
-		t.Errorf("captures = %d, want 3 (one per benchmark)", captures.Load())
+	// 5 timing groups: none+dcg per benchmark = 1 capture + 1 replay
+	// each, and plb-ext on gzip and mcf one throttled capture each.
+	if captures.Load() != 5 {
+		t.Errorf("captures = %d, want 5 (one per benchmark, one per plb-ext item)", captures.Load())
 	}
 	if evals.Load() != 3 {
 		t.Errorf("replays = %d, want 3", evals.Load())
 	}
-	if fulls.Load() != 2 {
-		t.Errorf("full sims = %d, want 2 (plb-ext on gzip, mcf)", fulls.Load())
+	if fulls.Load() != 0 {
+		t.Errorf("full sims = %d, want 0", fulls.Load())
 	}
 }
 
-// TestEngineRunsOnePassPerTimingFamily: each benchmark's plb-ext and
-// dcg+plb items form one timing family. Its first item leads and runs
-// the full pass, and the rider waits for it and is served from the
-// executor's family level.
-func TestEngineRunsOnePassPerTimingFamily(t *testing.T) {
-	eng, fulls, _, _ := countingEngine()
-	full := eng.Exec.Full
-	eng.Exec.Full = func(ctx context.Context, k simrun.Key) (*core.Result, error) {
-		r, err := full(ctx, k)
-		rk := k
-		rk.Scheme = core.SchemePLBExt
-		r.Riders = []*core.Result{fakeResult(rk)}
-		return r, err
-	}
+// TestEngineRunsOneCapturePerThrottledTiming: each benchmark's plb-ext
+// and dcg+plb items share one TimingKey, under plb-ext's throttle. Its
+// first item leads and runs the capture, and the follower waits for it
+// and is evaluated on it.
+func TestEngineRunsOneCapturePerThrottledTiming(t *testing.T) {
+	eng, fulls, captures, _ := countingEngine()
 	spec := &Spec{Name: "families", Benchmarks: []string{"gzip", "mcf", "art"},
 		Schemes: []string{"dcg+plb", "plb-ext"}, MaxInsts: 1000}
 	dir := t.TempDir()
@@ -157,8 +149,11 @@ func TestEngineRunsOnePassPerTimingFamily(t *testing.T) {
 	if err != nil || !sum.Done {
 		t.Fatalf("summary %+v, err %v; want done", sum, err)
 	}
-	if n := fulls.Load(); n != 3 {
-		t.Errorf("full passes = %d, want 3 (one per benchmark's family)", n)
+	if n := captures.Load(); n != 3 {
+		t.Errorf("captures = %d, want 3 (one per benchmark's throttled timing)", n)
+	}
+	if n := fulls.Load(); n != 0 {
+		t.Errorf("full sims = %d, want 0", n)
 	}
 	_, recs, err := ReadManifest(dir)
 	if err != nil {
@@ -167,7 +162,7 @@ func TestEngineRunsOnePassPerTimingFamily(t *testing.T) {
 	for idx, rec := range recs {
 		want := "simulated"
 		if rec.Result.Scheme == "plb-ext" {
-			want = "cache"
+			want = "replayed"
 		}
 		if rec.Outcome != want {
 			t.Errorf("item %d (%s) served %q, want %q", idx, rec.Result.Scheme, rec.Outcome, want)
@@ -358,8 +353,8 @@ func TestResumeRerunsFailedItems(t *testing.T) {
 	if !sum2.Done || sum2.Completed != sum.Failed {
 		t.Fatalf("resume summary %+v, want %d completed and done", sum2, sum.Failed)
 	}
-	if captures.Load() != 1 {
-		t.Errorf("resume captured %d timings, want 1 (mcf only)", captures.Load())
+	if captures.Load() != 2 {
+		t.Errorf("resume captured %d timings, want 2 (mcf's unthrottled and plb-ext timings only)", captures.Load())
 	}
 	if st, _ := ReadStatus(dir); !st.Done || st.Failed != 0 || st.OK != st.Total {
 		t.Fatalf("status after healing resume: %+v", st)
@@ -457,11 +452,11 @@ func TestRetryRecovers(t *testing.T) {
 	eng.Retries = 2
 	eng.Backoff = time.Millisecond
 	var calls atomic.Int32
-	eng.Exec.Full = func(ctx context.Context, k simrun.Key) (*core.Result, error) {
+	eng.Exec.Capture = func(ctx context.Context, k simrun.Key) (*core.Result, *core.Timing, error) {
 		if calls.Add(1) == 1 {
-			return nil, errors.New("flaky")
+			return nil, nil, errors.New("flaky")
 		}
-		return fakeResult(k), nil
+		return fakeResult(k), &core.Timing{Benchmark: k.Bench}, nil
 	}
 	spec := &Spec{Name: "r", Benchmarks: []string{"gzip"}, Schemes: []string{"plb-orig"}, MaxInsts: 10}
 	sum, err := eng.Start(context.Background(), spec, "")
@@ -469,6 +464,6 @@ func TestRetryRecovers(t *testing.T) {
 		t.Fatalf("retrying run: sum=%+v err=%v", sum, err)
 	}
 	if calls.Load() != 2 {
-		t.Errorf("full ran %d times, want 2 (fail + retry)", calls.Load())
+		t.Errorf("capture ran %d times, want 2 (fail + retry)", calls.Load())
 	}
 }

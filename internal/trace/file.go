@@ -13,13 +13,16 @@ import (
 // followed by fixed-width little-endian records, one per dynamic
 // instruction. Traces let expensive workloads be captured once and
 // replayed deterministically (and make streams portable across machines).
+// Version 2 added the carried value, which the value-dependent gating
+// schemes read; version 1 records lack it, so the reader refuses them
+// rather than replay every value as zero.
 const (
 	traceMagic   = "DCGT"
-	traceVersion = 1
+	traceVersion = 2
 
 	// record layout: PC(8) Seq(8) Target(8) EA(8) Imm(8)
-	//                Op(1) Dst(1) Src1(1) Src2(1) Flags(1)
-	recordSize = 8*5 + 5
+	//                Op(1) Dst(1) Src1(1) Src2(1) Flags(1) Value(8)
+	recordSize = 8*6 + 5
 
 	flagTaken = 1 << 0
 )
@@ -66,6 +69,7 @@ func (t *Writer) Write(d DynInst) error {
 	if d.Taken {
 		buf[44] |= flagTaken
 	}
+	binary.LittleEndian.PutUint64(buf[45:], d.Value)
 	if _, err := t.w.Write(buf[:]); err != nil {
 		return err
 	}
@@ -119,8 +123,12 @@ func NewReader(r io.Reader) (*FileSource, error) {
 	if string(head[:len(traceMagic)]) != traceMagic {
 		return nil, fmt.Errorf("trace: bad magic %q", head[:len(traceMagic)])
 	}
-	if head[len(traceMagic)] != traceVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", head[len(traceMagic)])
+	switch v := head[len(traceMagic)]; {
+	case v == 1:
+		return nil, fmt.Errorf("trace: version 1 file: its records carry no instruction values, " +
+			"which the value-dependent schemes read; record the stream again")
+	case v != traceVersion:
+		return nil, fmt.Errorf("trace: unsupported version %d (reader speaks %d)", v, traceVersion)
 	}
 	nameLen := int(head[len(traceMagic)+1])
 	name := make([]byte, nameLen)
@@ -160,6 +168,7 @@ func (f *FileSource) Next() (DynInst, bool) {
 	d.Inst.Src1 = regFromByte(buf[42])
 	d.Inst.Src2 = regFromByte(buf[43])
 	d.Taken = buf[44]&flagTaken != 0
+	d.Value = binary.LittleEndian.Uint64(buf[45:])
 	if err := d.Inst.Validate(); err != nil {
 		f.err = fmt.Errorf("trace: %s record %d: %w", f.name, f.n, err)
 		return DynInst{}, false

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"dcg/internal/isa"
@@ -11,8 +12,9 @@ func sampleStream(n int) []DynInst {
 	out := make([]DynInst, 0, n)
 	for i := 0; i < n; i++ {
 		d := DynInst{
-			PC:  0x40_0000 + uint64(i*4),
-			Seq: uint64(i),
+			PC:    0x40_0000 + uint64(i*4),
+			Seq:   uint64(i),
+			Value: uint64(i) * 0x9e37_79b9_7f4a_7c15,
 			Inst: isa.Inst{
 				Op: isa.OpAddI, Dst: isa.IntReg(1 + i%20),
 				Src1: isa.IntReg(2), Src2: isa.NoReg, Imm: int64(i),
@@ -83,6 +85,12 @@ func TestTraceRejectsBadHeader(t *testing.T) {
 	}
 	if _, err := NewReader(bytes.NewReader([]byte("DCGT\x09\x00"))); err == nil {
 		t.Error("bad version accepted")
+	}
+	// A version-1 file's records have no value field: refused, naming
+	// the version and the missing values, rather than read with zeros.
+	if _, err := NewReader(bytes.NewReader([]byte("DCGT\x01\x01x"))); err == nil ||
+		!strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "no instruction values") {
+		t.Errorf("version-1 file: err = %v, want a refusal naming the version and the missing values", err)
 	}
 	if _, err := NewReader(bytes.NewReader([]byte("DC"))); err == nil {
 		t.Error("truncated header accepted")

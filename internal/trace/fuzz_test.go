@@ -36,11 +36,11 @@ func FuzzFileSource(f *testing.F) {
 		f.Fatal(err)
 	}
 	good := buf.Bytes()
-	const head, recordSize, opAt = 4 + 1 + 1 + len("gcc"), 45, 40
+	const head, recordSize, opAt = 4 + 1 + 1 + len("gcc"), 53, 40
 	f.Add(good)
 	f.Add(good[:len(good)-7])        // a truncated last record
 	f.Add(good[:head])               // a header alone
-	f.Add([]byte("DCGT\x01\xffgcc")) // a name longer than the file
+	f.Add([]byte("DCGT\x02\xffgcc")) // a name longer than the file
 	crafted := func(at int, b ...byte) []byte {
 		data := bytes.Clone(good)
 		copy(data[head+10*recordSize+at:], b)

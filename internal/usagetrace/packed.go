@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 
 	"dcg/internal/config"
 	"dcg/internal/cpu"
@@ -111,6 +112,40 @@ type Packed struct {
 	maxDPort int
 	maxBus   int
 	maxLatch int
+
+	// A throttled capture's view (Recorder.SetThrottle) keeps one
+	// LimitsSums per distinct Limits value, lim indexing the current one
+	// (-1 before the first, and in an unthrottled view), and limitRuns
+	// them in cycle order. The core caps result buses and latch slots at
+	// the width but not D-port use, so a throttled view, which has no
+	// bytes to re-read, builds the over-capacity D-port plane as it goes.
+	limits    []LimitsSums
+	lim       int
+	limitRuns []limitsRun
+	ports     int
+	overDPort []uint64
+}
+
+// LimitsSums is what a throttled capture's view sums over the cycles run
+// under one cpu.Limits value its throttle returned, for the tally of a
+// drain-aware scheme gating to those limits (gating.PackedTally's PLB
+// family): UnitOn[t] sums popcount(mask(pool t's limit) | busy), LatchOn
+// max(Limits.IssueWidth, BackLatch[s]) over the stages, DPortOn
+// max(Limits.DPorts, DPortUsed) and BusOn max(Limits.IssueWidth,
+// ResultBus). Each Sched form sums the cycle's minimum of that and the
+// mirrored DCG schedule (the AND, for the unit masks).
+type LimitsSums struct {
+	Limits                cpu.Limits
+	UnitOn, UnitSchedOn   [cpu.NumFUTypes]int64
+	LatchOn               int64
+	DPortOn, DPortSchedOn int64
+	BusOn, BusSchedOn     int64
+}
+
+// limitsRun starts a stretch of cycles under one limits entry.
+type limitsRun struct {
+	lim   int
+	start uint64
 }
 
 // fetchTailLen is how many trailing fetch counts a Packed keeps: enough
@@ -220,7 +255,7 @@ func decodePacked(data []byte, want uint64) (*Packed, *Reader, error) {
 // newPacked returns an empty view of a trace with the given latch stages
 // and channels, its planes not yet sized.
 func newPacked(stages int, latchValue bool) *Packed {
-	return &Packed{stages: stages, latchValue: latchValue, latchNZ: make([][]uint64, stages)}
+	return &Packed{stages: stages, latchValue: latchValue, latchNZ: make([][]uint64, stages), lim: -1}
 }
 
 // grow sizes every plane to words words and the occupancy column to
@@ -237,6 +272,9 @@ func (p *Packed) grow(words int) {
 	p.unitOverSched = resize(p.unitOverSched)
 	p.dportOverSched = resize(p.dportOverSched)
 	p.busOverSched = resize(p.busOverSched)
+	if p.overDPort != nil {
+		p.overDPort = resize(p.overDPort)
+	}
 	occ := make([]uint16, len(p.occ), words*64)
 	copy(occ, p.occ)
 	p.occ = occ
@@ -271,6 +309,9 @@ func (p *Packed) finish(data []byte) {
 	p.unitOverSched = trim(p.unitOverSched)
 	p.dportOverSched = trim(p.dportOverSched)
 	p.busOverSched = trim(p.busOverSched)
+	if p.overDPort != nil {
+		p.overDPort = trim(p.overDPort)
+	}
 	if cap(p.occ)-len(p.occ) >= 64 {
 		p.occ = append(make([]uint16, 0, len(p.occ)), p.occ...)
 	}
@@ -322,18 +363,22 @@ func (p *Packed) addCycle(m *schedMirror, u *cpu.Usage) {
 	}
 
 	busy := [cpu.NumFUTypes]uint32{u.IntALUBusy, u.IntMultBusy, u.FPALUBusy, u.FPMultBusy}
+	var sched [cpu.NumFUTypes]uint32
 	unitOver := false
 	for t := 0; t < int(cpu.NumFUTypes); t++ {
-		sched := m.fu[t][idx]
+		sched[t] = m.fu[t][idx]
 		m.fu[t][idx] = 0
-		p.schedUnitOn[t] += int64(bits.OnesCount32(sched))
+		p.schedUnitOn[t] += int64(bits.OnesCount32(sched[t]))
 		p.busyOr[t] |= busy[t]
-		if busy[t]&^sched != 0 {
+		if busy[t]&^sched[t] != 0 {
 			unitOver = true
 		}
 	}
 	if unitOver {
 		p.unitOverSched[w] |= bit
+	}
+	if p.lim >= 0 {
+		p.addLimited(&busy, &sched, dp, bs, u, c, 1)
 	}
 
 	p.maxDPort = max(p.maxDPort, u.DPortUsed)
@@ -379,6 +424,9 @@ func (p *Packed) addQuiet(u *cpu.Usage, n uint64) {
 			setRange(p.unitOverSched, lo, hi)
 		}
 	}
+	if p.lim >= 0 {
+		p.addLimited(&busy, &[cpu.NumFUTypes]uint32{}, 0, 0, u, lo, n)
+	}
 	if u.DPortUsed > 0 {
 		setRange(p.dportOverSched, lo, hi)
 	}
@@ -409,6 +457,46 @@ func (p *Packed) addQuiet(u *cpu.Usage, n uint64) {
 		p.occ = append(p.occ, occ)
 	}
 	p.cycles = hi
+}
+
+// setLimits makes l the limits of the cycles added next.
+func (p *Packed) setLimits(l cpu.Limits) {
+	if p.lim >= 0 && p.limits[p.lim].Limits == l {
+		return
+	}
+	p.lim = slices.IndexFunc(p.limits, func(s LimitsSums) bool { return s.Limits == l })
+	if p.lim < 0 {
+		p.lim = len(p.limits)
+		p.limits = append(p.limits, LimitsSums{Limits: l})
+	}
+	p.limitRuns = append(p.limitRuns, limitsRun{lim: p.lim, start: p.cycles})
+}
+
+// addLimited adds the n cycles from cycle lo, each with usage u, FU busy
+// masks busy and schedule slots sched, dp and bs, to the current limits'
+// sums and the over-capacity D-port plane.
+func (p *Packed) addLimited(busy, sched *[cpu.NumFUTypes]uint32, dp, bs int64, u *cpu.Usage, lo, n uint64) {
+	s := &p.limits[p.lim]
+	l := &s.Limits
+	k := int64(n)
+	enabled := [cpu.NumFUTypes]int{l.IntALU, l.IntMult, l.FPALU, l.FPMult}
+	for t, b := range busy {
+		on := maskN(enabled[t]) | b
+		s.UnitOn[t] += k * int64(bits.OnesCount32(on))
+		s.UnitSchedOn[t] += k * int64(bits.OnesCount32(on&sched[t]))
+	}
+	for _, v := range u.BackLatch {
+		s.LatchOn += k * int64(max(l.IssueWidth, v))
+	}
+	if u.DPortUsed > p.ports {
+		setRange(p.overDPort, lo, lo+n)
+	}
+	dports := int64(max(l.DPorts, u.DPortUsed))
+	s.DPortOn += k * dports
+	s.DPortSchedOn += k * min(dp, dports)
+	bus := int64(max(l.IssueWidth, u.ResultBus))
+	s.BusOn += k * bus
+	s.BusSchedOn += k * min(bs, bus)
 }
 
 // setRange sets bits [lo, hi) of plane, a word at a time.
@@ -547,6 +635,32 @@ func (p *Packed) IssueQueueFracSum(window int) float64 {
 	return sum
 }
 
+// Limits returns a throttled capture's per-limits sums, one entry per
+// distinct cpu.Limits value its throttle returned, in first-seen order;
+// nil for an unthrottled capture or a decoded trace, whose bytes carry no
+// limits. Callers must not mutate the entries.
+func (p *Packed) Limits() []LimitsSums { return p.limits }
+
+// IssueWidthFracSum returns a throttled capture's per-cycle issue-width
+// fraction, Limits.IssueWidth/width, summed in cycle order with one add
+// per cycle, so the result is bit-identical to the scalar accountant's
+// sum of a throttling scheme's issue-queue fraction (PLB's mode width
+// over the machine's).
+func (p *Packed) IssueWidthFracSum(width int) float64 {
+	var sum float64
+	for i, r := range p.limitRuns {
+		end := p.cycles
+		if i+1 < len(p.limitRuns) {
+			end = p.limitRuns[i+1].start
+		}
+		frac := float64(p.limits[r.lim].Limits.IssueWidth) / float64(width)
+		for range end - r.start {
+			sum += frac
+		}
+	}
+	return sum
+}
+
 // maskN mirrors gating's unit-mask construction: n low bits set,
 // saturating at the 32-bit mask width.
 func maskN(n int) uint32 {
@@ -559,9 +673,10 @@ func maskN(n int) uint32 {
 // The OverFull* planes are the violation predicates of ungated
 // structure classes: usage beyond capacity. Each returns nil when the
 // recorded maximum proves no such cycle exists — the invariant on any
-// trace the core captured, making them free in the common case — and
-// otherwise builds its plane from one pass over the encoded stream, or
-// fails when the view has none (a view-only capture).
+// trace the core captured but for D-ports, making them free in the
+// common case — and otherwise builds its plane from one pass over the
+// encoded stream, or fails when the view has none (a view-only capture).
+// A throttled view serves the D-port plane it built while capturing.
 
 // OverFullUnits returns the plane of cycles where some FU pool's busy
 // mask escaped even the all-enabled mask for the given pool sizes.
@@ -590,6 +705,9 @@ func (p *Packed) OverFullUnits(counts [cpu.NumFUTypes]int) ([]uint64, error) {
 func (p *Packed) OverFullDPorts(ports int) ([]uint64, error) {
 	if p.maxDPort <= ports {
 		return nil, nil
+	}
+	if p.overDPort != nil && ports == p.ports {
+		return p.overDPort, nil
 	}
 	return p.planeWhere("D-port", func(u *cpu.Usage) bool { return u.DPortUsed > ports })
 }

@@ -233,6 +233,10 @@ func validExtraChannel(name string) bool { return name == ChannelLatchValue }
 // packed kernel and never stored or re-read (Reader, EncodeGzip and
 // WriteTo refuse it). It is for a capture no store will persist.
 //
+// A view-only Recorder can also stand in front of the core's throttle
+// (SetThrottle), summing each cycle's usage under the Limits the throttle
+// last returned (Packed.Limits).
+//
 // The first fault, a cycle out of order or a field the Reader would
 // refuse, is latched, and Trace reports it, in either mode.
 type Recorder struct {
@@ -262,6 +266,8 @@ type Recorder struct {
 	// schedule mirror.
 	view   *Packed
 	mirror *schedMirror
+
+	throttle cpu.Throttle // nil for an unthrottled capture
 
 	err error
 }
@@ -331,6 +337,37 @@ func NewViewRecorder(name string, backLatchStages int, extra ...string) (*Record
 	return r, nil
 }
 
+// SetThrottle puts the Recorder in front of t, which must then be
+// installed as the core's throttle in t's place: each cycle's usage is
+// summed under the Limits t last returned, and its D-port use checked
+// against a machine of the given D-cache ports. A Recorder that encodes
+// bytes refuses a throttle, and so fails its capture, since the stream
+// could not carry the limits.
+func (r *Recorder) SetThrottle(t cpu.Throttle, ports int) {
+	if !r.viewOnly && r.err == nil {
+		r.err = errors.New("usagetrace: a throttled capture must be view-only: the stream has no field for its limits")
+	}
+	r.throttle = t
+	r.view.ports, r.view.overDPort = ports, make([]uint64, len(r.view.unitOverSched))
+}
+
+// Limits implements cpu.Throttle: the throttle's Limits, noted for the
+// cycles that follow.
+func (r *Recorder) Limits(cycle uint64, fb cpu.CycleFeedback) cpu.Limits {
+	l := r.throttle.Limits(cycle, fb)
+	r.view.setLimits(l)
+	return l
+}
+
+// QuietLimits implements cpu.QuietThrottle: the throttle's run, which
+// keeps the limits last returned; none when it takes no runs.
+func (r *Recorder) QuietLimits(cycle, n uint64) uint64 {
+	if q, ok := r.throttle.(cpu.QuietThrottle); ok {
+		return q.QuietLimits(cycle, n)
+	}
+	return 0
+}
+
 // OnIssue implements cpu.IssueListener: the event is buffered until the
 // cycle's usage vector closes the record. An FU grant the Reader would
 // refuse (a bad pool, or a unit or latency outside [0, MaxInt32]) fails
@@ -376,10 +413,13 @@ func (r *Recorder) OnQuiet(u *cpu.Usage, n uint64) {
 }
 
 // check refuses a usage vector the stream cannot record as it stands: a
-// cycle out of order, latch stages the trace does not declare, or a
-// window occupancy outside the view's 16 bits (config.MaxWindowSize).
+// cycle out of order, latch stages the trace does not declare, a window
+// occupancy outside the view's 16 bits (config.MaxWindowSize), or, in a
+// throttled capture, a cycle before the throttle's first Limits.
 func (r *Recorder) check(u *cpu.Usage) error {
 	switch {
+	case r.throttle != nil && r.view.lim < 0:
+		return fmt.Errorf("usagetrace: cycle %d arrived before the throttle's first limits", u.Cycle)
 	case u.Cycle != r.cycles:
 		return fmt.Errorf("usagetrace: non-contiguous cycle %d (expected %d)", u.Cycle, r.cycles)
 	case len(u.BackLatch) != r.stages:
