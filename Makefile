@@ -2,6 +2,9 @@
 #
 #   make check   - what CI runs: lint + full test suite under the race
 #                  detector (includes the server/simrun concurrency tests)
+#                  + the benchmark module's vet and tests
+#   make bench-check - go vet and go test in the benchmark module (bench/,
+#                  its own Go module, which a root go test never builds)
 #   make lint    - go vet + gofmt -l (fails on unformatted files) +
 #                  schemedoc -check (docs scheme tables match the registry)
 #   make test    - fast suite, no race detector
@@ -16,9 +19,9 @@
 
 GO ?= go
 
-.PHONY: check lint vet fmt-check schemedoc-check test race bench bench-json build serve sweep-smoke cluster-smoke
+.PHONY: check lint vet fmt-check schemedoc-check test race bench-check bench bench-json build serve sweep-smoke cluster-smoke
 
-check: lint race
+check: lint race bench-check
 
 lint: vet fmt-check schemedoc-check
 
@@ -40,6 +43,9 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Pinned to -cpu=1 so benchmark names stay suffix-free (comparable
 # against BENCH_baseline.json) and no number depends on the host's core

@@ -46,7 +46,7 @@ func main() {
 		traceOut    = flag.String("trace-out", "", "write pipeline telemetry as Chrome trace-event JSON (Perfetto-viewable); single -bench and -scheme")
 		traceCSV    = flag.String("trace-csv", "", "write pipeline telemetry as per-window CSV; single -bench and -scheme")
 		traceWindow = flag.Uint64("trace-window", obs.DefaultTraceWindow, "telemetry sample window in cycles")
-		spanOut     = flag.String("span-out", "", "write capture/replay/full-run spans as JSONL to this file (same span model as the service's /v1/traces)")
+		spanOut     = flag.String("span-out", "", "write capture/replay spans as JSONL to this file (same span model as the service's /v1/traces)")
 		spanSlowMS  = flag.Int("span-slow-ms", 0, "report spans slower than this many milliseconds on stderr (0 = off)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -60,8 +60,8 @@ func main() {
 		os.Exit(2)
 	}
 	// Span tracing (the batch CLI's view of the service's span model):
-	// one root span per benchmark, child spans per capture/replay/full
-	// run, exported as JSONL on exit. Off unless -span-out is given.
+	// one root span per benchmark, child spans per capture and replay,
+	// exported as JSONL on exit. Off unless -span-out is given.
 	var tracer *obs.Tracer
 	if *spanOut != "" {
 		tracer = obs.NewTracer(0)

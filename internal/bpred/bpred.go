@@ -419,11 +419,3 @@ func (p *Predictor) Train(u Update) {
 		p.RAS.Push(u.PC + 4)
 	}
 }
-
-// CondAccuracy returns the conditional-branch direction accuracy.
-func (p *Predictor) CondAccuracy() float64 {
-	if p.CondLookups == 0 {
-		return 0
-	}
-	return float64(p.CondCorrect) / float64(p.CondLookups)
-}

@@ -152,8 +152,8 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 // which share plb-ext's throttled TimingKey, over three benchmarks on two
 // workers, counting captures by TimingKey: each key's follower follows
 // its leader to the worker that holds the capture, so the job makes one
-// capture per key, never calls Full, and still writes results.jsonl
-// byte-identical to a single-node run's.
+// capture per key and still writes results.jsonl byte-identical to a
+// single-node run's.
 func TestFleetRunsOneCapturePerThrottledTiming(t *testing.T) {
 	spec := &sweep.Spec{Name: "families", Benchmarks: []string{"gzip", "mcf", "art"},
 		Schemes: []string{"dcg+plb", "plb-ext"}, MaxInsts: 3000, Warmup: 500}
@@ -164,7 +164,6 @@ func TestFleetRunsOneCapturePerThrottledTiming(t *testing.T) {
 	client := cluster.DirectClient{Hub: hub}
 	var mu sync.Mutex
 	captures := make(map[simrun.TimingKey]int)
-	var fulls atomic.Int32
 	var workers []*cluster.Worker
 	for i := 0; i < 2; i++ {
 		w := newFleetWorker(t, fmt.Sprintf("w%d", i), originURL, client)
@@ -174,11 +173,6 @@ func TestFleetRunsOneCapturePerThrottledTiming(t *testing.T) {
 			captures[k.TimingKey()]++
 			mu.Unlock()
 			return capture(ctx, k)
-		}
-		full := w.Exec.Full
-		w.Exec.Full = func(ctx context.Context, k simrun.Key) (*core.Result, error) {
-			fulls.Add(1)
-			return full(ctx, k)
 		}
 		workers = append(workers, w)
 	}
@@ -193,9 +187,6 @@ func TestFleetRunsOneCapturePerThrottledTiming(t *testing.T) {
 		if n != 1 || k.Throttle != core.SchemePLBExt {
 			t.Errorf("timing %s under %q ran %d captures, want 1 under plb-ext", k.Bench, k.Throttle, n)
 		}
-	}
-	if n := fulls.Load(); n != 0 {
-		t.Errorf("Full ran %d times, want 0", n)
 	}
 	got, err := cluster.ReadResults(dir)
 	if err != nil {
@@ -306,14 +297,17 @@ func TestFailureAccountingParity(t *testing.T) {
 	spec := &sweep.Spec{Name: "parity", Benchmarks: []string{"gzip", "mcf"},
 		Schemes: []string{"none"}, MaxInsts: 1000}
 	const retries = 2
-	// mcf always fails; gzip succeeds.
+	// mcf's capture always fails; gzip's succeeds.
 	newExec := func() *simrun.Exec {
-		return simrun.NewSingleLevelExec(0, func(ctx context.Context, k simrun.Key) (*core.Result, error) {
+		e := simrun.NewExec(0, 0)
+		e.Capture = func(ctx context.Context, k simrun.Key) (*core.Result, *core.Timing, error) {
 			if k.Bench == "mcf" {
-				return nil, errors.New("injected fault")
+				return nil, nil, errors.New("injected fault")
 			}
-			return &core.Result{Benchmark: k.Bench, Scheme: k.Scheme.String(), Cycles: k.Insts}, nil
-		})
+			return &core.Result{Benchmark: k.Bench, Scheme: k.Scheme.String(), Cycles: k.Insts},
+				&core.Timing{Benchmark: k.Bench}, nil
+		}
+		return e
 	}
 
 	engDir := t.TempDir()
@@ -386,7 +380,6 @@ func TestFleetResumeAcrossModes(t *testing.T) {
 
 	// Run single-node but cancel once the second timing capture starts:
 	// with one worker, the first capture group is checkpointed by then.
-	// (Timing-neutral schemes execute through Capture, never Full.)
 	dir := t.TempDir()
 	var captures atomic.Int32
 	ctx, cancel := context.WithCancel(context.Background())

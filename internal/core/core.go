@@ -457,8 +457,9 @@ func (s *Simulator) capture(ctx context.Context, name string, maxInsts uint64, t
 	if err != nil {
 		return nil, err
 	}
+	rec.SetDPorts(s.machine.DL1.Ports)
 	if th != nil {
-		rec.SetThrottle(th, s.machine.DL1.Ports)
+		rec.SetThrottle(th)
 		c.SetThrottle(rec)
 	}
 	c.SetObserver(rec)

@@ -185,6 +185,41 @@ func TestRunAndCaptureMatchesPlainRun(t *testing.T) {
 	}
 }
 
+// TestStoreDelayCapturesMatchLiveRuns: on a machine whose D-port use can
+// exceed its ports (stores delayed a cycle, config.StoreOneCycleDelay),
+// every registered scheme's RunAndCapture Result equals its live run, from
+// a view-only capture and from one with bytes: each capture builds the
+// over-capacity D-port plane the ungated schemes read from the live
+// usage, with no bytes to re-read.
+func TestStoreDelayCapturesMatchLiveRuns(t *testing.T) {
+	m := DefaultMachine()
+	m.StoreDelayPolicy = config.StoreOneCycleDelay
+	sim := NewSimulator(m)
+	sim.Warmup = 5_000
+	for _, bench := range []string{"bzip2", "gcc", "mcf"} {
+		for _, kind := range AllSchemes() {
+			live, err := sim.RunBenchmark(bench, kind, 20_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, viewOnly := range []bool{false, true} {
+				ctx := context.Background()
+				if viewOnly {
+					ctx = WithViewOnlyCapture(ctx)
+				}
+				res, _, err := sim.RunAndCapture(ctx, bench, kind, 20_000)
+				if err != nil {
+					t.Errorf("%s/%s view-only=%v: %v", bench, kind, viewOnly, err)
+					continue
+				}
+				if !reflect.DeepEqual(res, live) {
+					t.Errorf("%s/%s view-only=%v: the capture's Result differs from the live run's", bench, kind, viewOnly)
+				}
+			}
+		}
+	}
+}
+
 // TestRecordedViewMatchesDecode: the packed view a capture's Recorder
 // builds from the live core equals, in every field, the view ReadTrace
 // builds from the same bytes — on every benchmark, on the Table 1 and

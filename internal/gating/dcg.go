@@ -131,14 +131,6 @@ type DCGStats struct {
 	ControlToggles uint64
 }
 
-// TogglesPerCycle is the average control-bit transitions per cycle.
-func (s DCGStats) TogglesPerCycle() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.ControlToggles) / float64(s.Cycles)
-}
-
 // NewDCG builds the DCG controller for a configuration, gating everything
 // the paper gates.
 func NewDCG(cfg config.Config) *DCG {

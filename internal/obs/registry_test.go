@@ -172,7 +172,7 @@ func TestExpositionIsDeterministic(t *testing.T) {
 		v.With(route).Inc()
 	}
 	h := r.HistogramVec("det_seconds", "d", []float64{1, 10}, "mode")
-	h.With("full").Observe(0.5)
+	h.With("capture").Observe(0.5)
 	h.With("replay").Observe(2)
 
 	first := scrape(t, r)
@@ -204,7 +204,7 @@ func TestConcurrentObserveAndScrape(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				cv.With(src).Inc()
-				hv.With("full").Observe(float64(i) / perWriter)
+				hv.With("capture").Observe(float64(i) / perWriter)
 			}
 		}(w)
 	}
@@ -227,7 +227,7 @@ func TestConcurrentObserveAndScrape(t *testing.T) {
 	if !strings.Contains(out, want+"\n") {
 		t.Errorf("final exposition missing %q:\n%s", want, out)
 	}
-	wantH := fmt.Sprintf(`conc_dur_seconds_count{mode="full"} %d`, writers*perWriter)
+	wantH := fmt.Sprintf(`conc_dur_seconds_count{mode="capture"} %d`, writers*perWriter)
 	if !strings.Contains(out, wantH+"\n") {
 		t.Errorf("final exposition missing %q", wantH)
 	}

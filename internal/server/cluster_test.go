@@ -27,21 +27,29 @@ type clusterProgressView struct {
 }
 
 // startFleet runs n in-process workers against hub, each with its own
-// single-level executor that pauses briefly per item so tests can
-// observe the job mid-flight.
+// executor whose fake Capture and Evaluate seams pause for delay per item,
+// so tests can observe the job mid-flight.
 func startFleet(t *testing.T, hub *cluster.Hub, n int, delay time.Duration) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
+	result := func(k simrun.Key) *core.Result {
+		return &core.Result{Benchmark: k.Bench, Scheme: k.Scheme.String(), Cycles: k.Insts}
+	}
 	for i := 0; i < n; i++ {
-		exec := simrun.NewSingleLevelExec(0, func(ctx context.Context, k simrun.Key) (*core.Result, error) {
+		exec := simrun.NewExec(0, 0)
+		exec.Capture = func(ctx context.Context, k simrun.Key) (*core.Result, *core.Timing, error) {
 			select {
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			case <-time.After(delay):
 			}
-			return &core.Result{Benchmark: k.Bench, Scheme: k.Scheme.String(), Cycles: k.Insts}, nil
-		})
+			return result(k), &core.Timing{Benchmark: k.Bench}, nil
+		}
+		exec.Evaluate = func(k simrun.Key, _ *core.Timing) (*core.Result, error) {
+			time.Sleep(delay)
+			return result(k), nil
+		}
 		w := &cluster.Worker{
 			Name:   "w" + string(rune('0'+i)),
 			Client: cluster.DirectClient{Hub: hub},

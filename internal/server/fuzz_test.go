@@ -14,7 +14,8 @@ import (
 
 // FuzzRequestBodies serves arbitrary bodies to POST /v1/sim and POST
 // /v1/batch (the route byte's low bit picks one) through the handler, on
-// a server whose runner is the counting fake. The handlers must never
+// the production executor with fake Capture and Evaluate seams behind it
+// (countingRunner counts the captures). The handlers must never
 // panic; a fault in the body alone is the client's and never gets a 5xx
 // (a 504 is the deadline a body's timeout_ms asked for); a 200 decodes
 // as the documented response with no unknown field; and no batch runs,
@@ -61,7 +62,7 @@ func FuzzRequestBodies(f *testing.F) {
 	f.Add(byte(1), []byte(`{"benchmarks":`))
 
 	cr := &countingRunner{}
-	h := NewWithRunner(Config{MaxInsts: 100_000, Workers: 2}, cr.run).Handler()
+	h := newFakeServer(Config{MaxInsts: 100_000, Workers: 2}, cr.run).Handler()
 	f.Fuzz(func(t *testing.T, route byte, body []byte) {
 		path := "/v1/sim"
 		if route&1 != 0 {
@@ -79,7 +80,7 @@ func FuzzRequestBodies(f *testing.F) {
 			}
 		}
 		if n := cr.runs.Load() - runs; n > int64(maxItems) {
-			t.Fatalf("%s: one request ran %d items, past the %d pairs", path, n, maxItems)
+			t.Fatalf("%s: one request ran %d captures, past the %d pairs", path, n, maxItems)
 		}
 		if rec.Code != http.StatusOK {
 			return

@@ -113,7 +113,7 @@ type SimResponse struct {
 	GateViolations uint64 `json:"gate_violations"`
 
 	// Source is how the request was served: "simulated" (this request
-	// ran the full simulation), "replayed" (evaluated by replaying a
+	// ran the timing capture), "replayed" (evaluated by replaying a
 	// cached timing trace), "coalesced" (shared an identical in-flight
 	// run), "cache" (memoised result) or "store" (loaded from the
 	// persistent artifact store).

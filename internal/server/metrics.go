@@ -26,7 +26,7 @@ type instruments struct {
 	served *obs.CounterVec // dcgserve_sim_served_total{source}
 
 	// Simulation execution.
-	simsRun    *obs.Counter      // dcgserve_sims_run_total (full runs, captures, traces)
+	simsRun    *obs.Counter      // dcgserve_sims_run_total (captures, traces)
 	activeSims *obs.Gauge        // dcgserve_sims_inflight
 	simDur     *obs.HistogramVec // dcgserve_sim_duration_seconds{mode}
 
@@ -57,13 +57,13 @@ func (s *Server) newInstruments() *instruments {
 		errors: reg.Counter("dcgserve_request_errors_total",
 			"HTTP error responses written."),
 		served: reg.CounterVec("dcgserve_sim_served_total",
-			"Simulation lookups (one per /v1/sim call and per /v1/batch item) served, by source: simulated (full run), cache (result memo), coalesced (shared an in-flight run), replayed (cached timing trace), store (persistent artifact store).", "source"),
+			"Simulation lookups (one per /v1/sim call and per /v1/batch item) served, by source: simulated (a timing capture ran), cache (result memo), coalesced (shared an in-flight run), replayed (cached timing trace), store (persistent artifact store).", "source"),
 		simsRun: reg.Counter("dcgserve_sims_run_total",
-			"Cycle-accurate simulations executed (full runs, timing captures and /v1/trace runs)."),
+			"Cycle-accurate simulations executed (timing captures and /v1/trace runs)."),
 		activeSims: reg.Gauge("dcgserve_sims_inflight",
 			"Simulations executing right now."),
 		simDur: reg.HistogramVec("dcgserve_sim_duration_seconds",
-			"Simulation execution time in seconds, by mode: full, capture, replay.", nil, "mode"),
+			"Simulation execution time in seconds, by mode: capture, replay, trace.", nil, "mode"),
 		queueDepth: reg.Gauge("dcgserve_worker_queue_depth",
 			"Simulations waiting for a worker slot."),
 		queueWait: reg.Histogram("dcgserve_worker_wait_seconds",

@@ -119,7 +119,7 @@ func (e *exposition) checkHistogram(t *testing.T, family, labels string) {
 // parseable Prometheus text including the request-latency histogram and
 // the request, cache and simulation counters.
 func TestMetricsExposition(t *testing.T) {
-	s := NewWithRunner(Config{Workers: 2}, (&countingRunner{}).run)
+	s := newFakeServer(Config{Workers: 2}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -284,7 +284,7 @@ func TestServedAccountingInvariant(t *testing.T) {
 		t.Errorf("served cache=%v replayed=%v simulated=%v, want 1/1/2",
 			served("cache"), served("replayed"), served("simulated"))
 	}
-	if sims := e.values["dcgserve_sims_run_total"]; sims != 2 { // the capture + the PLB full run
+	if sims := e.values["dcgserve_sims_run_total"]; sims != 2 { // the unthrottled and the PLB capture
 		t.Errorf("dcgserve_sims_run_total = %v, want 2", sims)
 	}
 }
@@ -349,7 +349,7 @@ func TestMetricFamilies(t *testing.T) {
 // TestRequestIDHeader: every /v1 response carries X-Request-Id; a
 // caller-provided ID is preserved.
 func TestRequestIDHeader(t *testing.T) {
-	s := NewWithRunner(Config{}, (&countingRunner{}).run)
+	s := newFakeServer(Config{}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -465,7 +465,7 @@ func TestTraceEndpoint(t *testing.T) {
 
 // TestTraceDisabledByDefault: without EnableTrace the route is absent.
 func TestTraceDisabledByDefault(t *testing.T) {
-	s := NewWithRunner(Config{}, (&countingRunner{}).run)
+	s := newFakeServer(Config{}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -482,7 +482,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 // TestPprofGated: the profiling mux is mounted only on request.
 func TestPprofGated(t *testing.T) {
 	for _, enabled := range []bool{false, true} {
-		s := NewWithRunner(Config{EnablePprof: enabled}, (&countingRunner{}).run)
+		s := newFakeServer(Config{EnablePprof: enabled}, (&countingRunner{}).run)
 		ts := httptest.NewServer(s.Handler())
 		resp, err := ts.Client().Get(ts.URL + "/debug/pprof/")
 		if err != nil {
@@ -503,7 +503,7 @@ func TestPprofGated(t *testing.T) {
 // TestErrorsCounted: failed requests increment the error counter and the
 // exposition reflects it.
 func TestErrorsCounted(t *testing.T) {
-	s := NewWithRunner(Config{}, (&countingRunner{}).run)
+	s := newFakeServer(Config{}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

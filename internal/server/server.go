@@ -146,10 +146,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// RunFunc executes one simulation. Production uses the two-level
-// simrun.Exec; tests inject counting or blocking fakes via NewWithRunner.
-type RunFunc func(ctx context.Context, k simrun.Key) (*core.Result, error)
-
 // Server is the simulation service.
 type Server struct {
 	cfg  Config
@@ -174,14 +170,8 @@ func New(cfg Config) *Server {
 	return newServer(cfg, simrun.NewExec(cfg.CacheSize, cfg.TimingCacheSize))
 }
 
-// NewWithRunner builds a Server that executes every simulation through
-// run, with no timing-trace level. This is the test seam: fakes observe
-// exactly one run call per cache miss.
-func NewWithRunner(cfg Config, run RunFunc) *Server {
-	cfg = cfg.withDefaults()
-	return newServer(cfg, simrun.NewSingleLevelExec(cfg.CacheSize, run))
-}
-
+// newServer builds a Server over exec, wrapping its Capture and Evaluate
+// seams (instrument). cfg must already carry its defaults.
 func newServer(cfg Config, exec *simrun.Exec) *Server {
 	s := &Server{
 		cfg:        cfg,
@@ -200,9 +190,9 @@ func newServer(cfg Config, exec *simrun.Exec) *Server {
 		s.tracer.Register(s.m.reg)
 	}
 	if cfg.Store != nil {
-		// Attached after instrument() on purpose: store lookups happen
-		// inside the cache closures before the Full/Capture seams, so a
-		// store hit never waits on (or occupies) a worker slot.
+		// Store lookups happen inside the cache closures before the
+		// Capture seam, so a store hit never waits on (or occupies) a
+		// worker slot.
 		s.exec.Store = cfg.Store
 		cfg.Store.Register(s.m.reg)
 	}
@@ -250,49 +240,31 @@ func (s *Server) acquireWorker(ctx context.Context) (release func(), err error) 
 
 // instrument wraps the executor's simulation hooks with the bounded
 // worker pool, the activity counters, and per-mode duration histograms.
-// Only the expensive cycle-accurate passes (full runs and timing
-// captures) occupy a worker slot; trace replays are orders of magnitude
-// cheaper and are already bounded by the in-flight request count.
+// Only the expensive cycle-accurate passes (timing captures, and the
+// /v1/trace runs, which take a slot of their own) occupy a worker slot;
+// trace replays are orders of magnitude cheaper and are already bounded
+// by the in-flight request count.
 func (s *Server) instrument() {
-	if full := s.exec.Full; full != nil {
-		s.exec.Full = func(ctx context.Context, k simrun.Key) (*core.Result, error) {
-			release, err := s.acquireWorker(ctx)
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-			s.m.activeSims.Add(1)
-			defer s.m.activeSims.Add(-1)
-			s.m.simsRun.Inc()
-			start := time.Now()
-			res, err := full(ctx, k)
-			s.m.simDur.With("full").Observe(time.Since(start).Seconds())
-			return res, err
+	capture, eval := s.exec.Capture, s.exec.Evaluate
+	s.exec.Capture = func(ctx context.Context, k simrun.Key) (*core.Result, *core.Timing, error) {
+		release, err := s.acquireWorker(ctx)
+		if err != nil {
+			return nil, nil, err
 		}
+		defer release()
+		s.m.activeSims.Add(1)
+		defer s.m.activeSims.Add(-1)
+		s.m.simsRun.Inc()
+		start := time.Now()
+		res, tm, err := capture(ctx, k)
+		s.m.simDur.With("capture").Observe(time.Since(start).Seconds())
+		return res, tm, err
 	}
-	if capture := s.exec.Capture; capture != nil {
-		s.exec.Capture = func(ctx context.Context, k simrun.Key) (*core.Result, *core.Timing, error) {
-			release, err := s.acquireWorker(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			defer release()
-			s.m.activeSims.Add(1)
-			defer s.m.activeSims.Add(-1)
-			s.m.simsRun.Inc()
-			start := time.Now()
-			res, tm, err := capture(ctx, k)
-			s.m.simDur.With("capture").Observe(time.Since(start).Seconds())
-			return res, tm, err
-		}
-	}
-	if eval := s.exec.Evaluate; eval != nil {
-		s.exec.Evaluate = func(k simrun.Key, t *core.Timing) (*core.Result, error) {
-			start := time.Now()
-			res, err := eval(k, t)
-			s.m.simDur.With("replay").Observe(time.Since(start).Seconds())
-			return res, err
-		}
+	s.exec.Evaluate = func(k simrun.Key, t *core.Timing) (*core.Result, error) {
+		start := time.Now()
+		res, err := eval(k, t)
+		s.m.simDur.With("replay").Observe(time.Since(start).Seconds())
+		return res, err
 	}
 }
 

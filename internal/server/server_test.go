@@ -15,15 +15,40 @@ import (
 
 	"dcg/internal/core"
 	"dcg/internal/simrun"
+	"dcg/internal/store"
 	"dcg/internal/workload"
 )
 
-// fakeResult is what the injected runners return; only identity matters.
+// fakeResult is what the fake seams return; only identity matters.
 func fakeResult(k simrun.Key) *core.Result {
 	return &core.Result{Benchmark: k.Bench, Scheme: k.Scheme.String(), Cycles: 1234, Committed: k.Insts, IPC: 2.5}
 }
 
-// countingRunner counts executions and can block until released.
+// newFakeServer builds a Server on the production executor with fake
+// Capture and Evaluate seams: a capture calls run and returns its Result
+// with a Timing that holds no trace, and an evaluation returns
+// fakeResult. newServer wraps both exactly as it wraps New's, so every
+// cache level, the worker pool and the metrics are production's. A
+// trace-less Timing cannot be stored, so a test that sets Config.Store
+// captures only throttled (PLB) keys, whose timings never reach it.
+func newFakeServer(cfg Config, run func(ctx context.Context, k simrun.Key) (*core.Result, error)) *Server {
+	cfg = cfg.withDefaults()
+	exec := simrun.NewExec(cfg.CacheSize, cfg.TimingCacheSize)
+	exec.Capture = func(ctx context.Context, k simrun.Key) (*core.Result, *core.Timing, error) {
+		res, err := run(ctx, k)
+		if err != nil {
+			return nil, nil, err
+		}
+		return res, &core.Timing{Benchmark: k.Bench}, nil
+	}
+	exec.Evaluate = func(k simrun.Key, _ *core.Timing) (*core.Result, error) {
+		return fakeResult(k), nil
+	}
+	return newServer(cfg, exec)
+}
+
+// countingRunner is a fake capture: it counts executions and can block
+// until released.
 type countingRunner struct {
 	runs    atomic.Int64
 	release chan struct{} // nil: return immediately
@@ -43,19 +68,29 @@ func (c *countingRunner) run(ctx context.Context, k simrun.Key) (*core.Result, e
 
 func postSim(t *testing.T, ts *httptest.Server, req SimRequest) (*http.Response, SimResponse) {
 	t.Helper()
+	resp, out, err := trySim(ts, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, out
+}
+
+// trySim is postSim for a goroutine other than the test's, which must
+// report the error with t.Error.
+func trySim(ts *httptest.Server, req SimRequest) (*http.Response, SimResponse, error) {
 	body, _ := json.Marshal(req)
 	resp, err := ts.Client().Post(ts.URL+"/v1/sim", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return nil, SimResponse{}, err
 	}
 	defer resp.Body.Close()
 	var out SimResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatalf("bad response body: %v", err)
+			return nil, SimResponse{}, fmt.Errorf("bad response body: %w", err)
 		}
 	}
-	return resp, out
+	return resp, out, nil
 }
 
 // TestConcurrentIdenticalRequestsCoalesce is the acceptance test: 32+
@@ -63,7 +98,7 @@ func postSim(t *testing.T, ts *httptest.Server, req SimRequest) (*http.Response,
 // simulation, with every request getting the full result.
 func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	cr := &countingRunner{release: make(chan struct{})}
-	s := NewWithRunner(Config{Workers: 4}, cr.run)
+	s := newFakeServer(Config{Workers: 4}, cr.run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -115,7 +150,7 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 // answered from the memo.
 func TestCacheHitDoesNotResimulate(t *testing.T) {
 	cr := &countingRunner{}
-	s := NewWithRunner(Config{}, cr.run)
+	s := newFakeServer(Config{}, cr.run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -130,9 +165,13 @@ func TestCacheHitDoesNotResimulate(t *testing.T) {
 	if cr.runs.Load() != 1 {
 		t.Fatalf("repeat request re-simulated: %d runs", cr.runs.Load())
 	}
-	// A different key must miss.
-	if _, out := postSim(t, ts, SimRequest{Benchmark: "mcf", Scheme: "dcg", Insts: 10_000}); out.Source != "simulated" {
-		t.Fatalf("different scheme served from cache: source %q", out.Source)
+	// A different scheme misses the result memo and replays the captured
+	// timing: no second capture.
+	if _, out := postSim(t, ts, SimRequest{Benchmark: "mcf", Scheme: "dcg", Insts: 10_000}); out.Source != "replayed" {
+		t.Fatalf("different scheme: source %q, want replayed", out.Source)
+	}
+	if cr.runs.Load() != 1 {
+		t.Fatalf("a replayable scheme captured again: %d runs", cr.runs.Load())
 	}
 }
 
@@ -142,7 +181,7 @@ func TestCacheHitDoesNotResimulate(t *testing.T) {
 func TestRequestTimeoutReturns504(t *testing.T) {
 	cr := &countingRunner{release: make(chan struct{})} // never released
 	defer close(cr.release)
-	s := NewWithRunner(Config{}, cr.run)
+	s := newFakeServer(Config{}, cr.run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -153,7 +192,7 @@ func TestRequestTimeoutReturns504(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	s := NewWithRunner(Config{MaxInsts: 100_000}, (&countingRunner{}).run)
+	s := newFakeServer(Config{MaxInsts: 100_000}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -199,7 +238,7 @@ func TestBadRequests(t *testing.T) {
 
 func TestSimGetForm(t *testing.T) {
 	cr := &countingRunner{}
-	s := NewWithRunner(Config{}, cr.run)
+	s := newFakeServer(Config{}, cr.run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -222,7 +261,7 @@ func TestSimGetForm(t *testing.T) {
 
 func TestBatchFanOut(t *testing.T) {
 	cr := &countingRunner{}
-	s := NewWithRunner(Config{Workers: 2}, cr.run)
+	s := newFakeServer(Config{Workers: 2}, cr.run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -262,8 +301,165 @@ func TestBatchFanOut(t *testing.T) {
 			t.Errorf("result %d error = %q, want per-item failure", i, out.Results[i].Error)
 		}
 	}
-	if got := cr.runs.Load(); got != 4 {
-		t.Errorf("%d sims ran, want 4", got)
+	// One capture per benchmark; each benchmark's other scheme replays it,
+	// whether it found the timing cached or waited on its capture.
+	if got := cr.runs.Load(); got != 2 {
+		t.Errorf("%d captures ran, want 2", got)
+	}
+	simulated, replayed := s.m.served.With("simulated").Value(), s.m.served.With("replayed").Value()
+	if simulated != 2 || replayed != 2 || s.m.simDur.With("replay").Count() != 2 {
+		t.Errorf("served simulated=%d replayed=%d with %d evaluations, want 2/2/2",
+			simulated, replayed, s.m.simDur.With("replay").Count())
+	}
+}
+
+// TestCoalescedRequestOutlivesLeaderDeadline: a request that joined
+// another's capture at the timing level does not fail when that request's
+// short deadline ends the capture. The first (gcc dcg, timeout_ms 40)
+// answers 504; the second (gcc none, the default timeout) leads a fresh
+// capture and answers 200, simulated.
+func TestCoalescedRequestOutlivesLeaderDeadline(t *testing.T) {
+	joined := make(chan struct{})
+	var captures atomic.Int64
+	run := func(ctx context.Context, k simrun.Key) (*core.Result, error) {
+		if captures.Add(1) == 1 {
+			// The first capture outlives its deadline until the second
+			// request waits on it.
+			<-joined
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return fakeResult(k), nil
+	}
+	s := newFakeServer(Config{}, run)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	type answer struct {
+		status int
+		source string
+	}
+	post := func(req SimRequest, out chan<- answer) {
+		resp, body, err := trySim(ts, req)
+		if err != nil {
+			t.Error(err)
+			out <- answer{}
+			return
+		}
+		out <- answer{resp.StatusCode, body.Source}
+	}
+	first, second := make(chan answer, 1), make(chan answer, 1)
+	go post(SimRequest{Benchmark: "gcc", Scheme: "dcg", Insts: 300_000, TimeoutMs: 40}, first)
+	waitFor(t, "the first capture", func() bool { return captures.Load() == 1 })
+	go post(SimRequest{Benchmark: "gcc", Scheme: "none", Insts: 300_000}, second)
+	waitFor(t, "the second request to join it", func() bool { return s.exec.TimingStats().Coalesced == 1 })
+	close(joined)
+
+	if a := <-first; a.status != http.StatusGatewayTimeout {
+		t.Errorf("short-deadline request: status %d, want 504", a.status)
+	}
+	if a := <-second; a.status != http.StatusOK || a.source != "simulated" {
+		t.Errorf("joined request: status %d source %q, want 200 simulated", a.status, a.source)
+	}
+	if n := captures.Load(); n != 2 {
+		t.Errorf("%d captures, want 2", n)
+	}
+}
+
+// TestOnlyCapturesHoldWorkerSlots: while a blocked capture holds the one
+// worker slot, a replay of a captured timing, a repeat of a cached key and
+// a key the store holds all answer, with one simulation in flight, and a
+// second capture waits for the slot. Every captured key is a PLB
+// scheme's: a throttled timing never reaches the store, which could not
+// encode the fake seams' trace-less Timing.
+func TestOnlyCapturesHoldWorkerSlots(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := simrun.Key{Bench: "mcf", Scheme: core.SchemeNone, Insts: 10_000}
+	st.PutResult(context.Background(), stored, fakeResult(stored))
+	release := make(chan struct{})
+	var captures atomic.Int64
+	run := func(ctx context.Context, k simrun.Key) (*core.Result, error) {
+		captures.Add(1)
+		if k.Bench == "gcc" {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return fakeResult(k), nil
+	}
+	s := newFakeServer(Config{Workers: 1, Store: st}, run)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if _, out := postSim(t, ts, SimRequest{Benchmark: "gzip", Scheme: "plb-ext", Insts: 10_000}); out.Source != "simulated" {
+		t.Fatalf("seed capture: source %q", out.Source)
+	}
+	statuses := make(chan int, 2)
+	capture := func(bench string) {
+		resp, _, err := trySim(ts, SimRequest{Benchmark: bench, Scheme: "plb-orig", Insts: 10_000})
+		if err != nil {
+			t.Error(err)
+			statuses <- 0
+			return
+		}
+		statuses <- resp.StatusCode
+	}
+	go capture("gcc")
+	waitFor(t, "the blocked capture", func() bool { return s.m.activeSims.Value() == 1 })
+
+	for _, tc := range []struct {
+		req    SimRequest
+		source string
+	}{
+		{SimRequest{Benchmark: "gzip", Scheme: "dcg+plb", Insts: 10_000, TimeoutMs: 5_000}, "replayed"},
+		{SimRequest{Benchmark: "gzip", Scheme: "plb-ext", Insts: 10_000, TimeoutMs: 5_000}, "cache"},
+		{SimRequest{Benchmark: "mcf", Scheme: "none", Insts: 10_000, TimeoutMs: 5_000}, "store"},
+	} {
+		if resp, out := postSim(t, ts, tc.req); resp.StatusCode != http.StatusOK || out.Source != tc.source {
+			t.Errorf("%s %s with the slot held: status %d source %q, want 200 %s",
+				tc.req.Benchmark, tc.req.Scheme, resp.StatusCode, out.Source, tc.source)
+		}
+	}
+	mresp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflight := parseExposition(t, mresp.Body).values["dcgserve_sims_inflight"]
+	mresp.Body.Close()
+	if inflight != 1 {
+		t.Errorf("dcgserve_sims_inflight = %v with the slot held, want 1", inflight)
+	}
+
+	go capture("art")
+	waitFor(t, "the second capture to queue", func() bool { return s.m.queueDepth.Value() == 1 })
+	if n := captures.Load(); n != 2 {
+		t.Errorf("%d captures ran with the slot held, want 2 (the seed and the blocked one)", n)
+	}
+	close(release)
+	for range 2 {
+		if status := <-statuses; status != http.StatusOK {
+			t.Errorf("capture: status %d, want 200", status)
+		}
+	}
+	if n := captures.Load(); n != 3 {
+		t.Errorf("%d captures, want 3", n)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -273,7 +469,7 @@ func TestBatchFanOut(t *testing.T) {
 // bound passes it; its unknown benchmarks fail item by item.
 func TestRequestBounds(t *testing.T) {
 	cr := &countingRunner{}
-	s := NewWithRunner(Config{Workers: 2, EnableTrace: true}, cr.run)
+	s := newFakeServer(Config{Workers: 2, EnableTrace: true}, cr.run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -344,7 +540,7 @@ func TestBatchSuiteSelectors(t *testing.T) {
 }
 
 func TestHealthzAndDrain(t *testing.T) {
-	s := NewWithRunner(Config{}, (&countingRunner{}).run)
+	s := newFakeServer(Config{}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -374,7 +570,7 @@ func TestHealthzAndDrain(t *testing.T) {
 }
 
 func TestBenchmarksEndpoint(t *testing.T) {
-	s := NewWithRunner(Config{}, (&countingRunner{}).run)
+	s := newFakeServer(Config{}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -400,7 +596,7 @@ func TestBenchmarksEndpoint(t *testing.T) {
 // and channel requirements, so clients can validate sweep specs without
 // hardcoding the vocabulary.
 func TestSchemesEndpoint(t *testing.T) {
-	s := NewWithRunner(Config{}, (&countingRunner{}).run)
+	s := newFakeServer(Config{}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -489,9 +685,6 @@ func TestProductionServerRepliesFromTimingCache(t *testing.T) {
 		t.Errorf("timing counters wrong: captures=%d replays=%d cached=%d, want 2/2/2",
 			captures, replays, cached)
 	}
-	if full := s.m.simDur.With("full").Count(); full != 0 {
-		t.Errorf("%d full runs, want none", full)
-	}
 	if sims := s.m.simsRun.Value(); sims != 2 { // the unthrottled and the PLB capture
 		t.Errorf("sims_run = %d, want 2", sims)
 	}
@@ -501,7 +694,7 @@ func TestProductionServerRepliesFromTimingCache(t *testing.T) {
 // views that restated it (/metricz, its /stats alias and the expvar
 // mirror on /debug/vars) are gone.
 func TestMetricz(t *testing.T) {
-	s := NewWithRunner(Config{Workers: 3}, (&countingRunner{}).run)
+	s := newFakeServer(Config{Workers: 3}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -539,7 +732,7 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 		}
 		return fakeResult(k), nil
 	}
-	s := NewWithRunner(Config{Workers: workers}, run)
+	s := newFakeServer(Config{Workers: workers}, run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -592,7 +785,7 @@ func TestRealSimulationSmoke(t *testing.T) {
 }
 
 func TestTimeoutResolution(t *testing.T) {
-	s := NewWithRunner(Config{DefaultTimeout: time.Second}, (&countingRunner{}).run)
+	s := newFakeServer(Config{DefaultTimeout: time.Second}, (&countingRunner{}).run)
 	if d := s.timeout(&SimRequest{}); d != time.Second {
 		t.Errorf("default timeout = %v", d)
 	}
@@ -606,7 +799,7 @@ func TestTimeoutResolution(t *testing.T) {
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	s := NewWithRunner(Config{}, (&countingRunner{}).run)
+	s := newFakeServer(Config{}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

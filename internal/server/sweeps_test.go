@@ -83,7 +83,7 @@ const sweepSpecJSON = `{
 // resubmit over HTTP.
 func TestSweepAPIEndToEnd(t *testing.T) {
 	cr := &countingRunner{}
-	s := NewWithRunner(Config{Workers: 2, SweepDir: t.TempDir()}, cr.run)
+	s := newFakeServer(Config{Workers: 2, SweepDir: t.TempDir()}, cr.run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -105,8 +105,9 @@ func TestSweepAPIEndToEnd(t *testing.T) {
 	if final.Status == nil || final.Status.OK != 4 || !final.Status.Done {
 		t.Fatalf("progress wrong: %+v", final.Status)
 	}
-	if got := cr.runs.Load(); got != 4 {
-		t.Fatalf("job ran %d simulations, want 4", got)
+	// One capture per benchmark; each benchmark's second scheme replays it.
+	if got := cr.runs.Load(); got != 2 {
+		t.Fatalf("job ran %d captures, want 2", got)
 	}
 
 	// Results stream: one JSONL record per item, in index order.
@@ -156,8 +157,8 @@ func TestSweepAPIEndToEnd(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK || v2.ID != v.ID {
 		t.Fatalf("resubmit: status %d id %q, want 200 with the same id", resp2.StatusCode, v2.ID)
 	}
-	if got := cr.runs.Load(); got != 4 {
-		t.Fatalf("resubmit re-ran work: %d runs", got)
+	if got := cr.runs.Load(); got != 2 {
+		t.Fatalf("resubmit re-ran work: %d captures", got)
 	}
 
 	if resp, _ := getSweep(t, ts, "no-such-job"); resp.StatusCode != http.StatusNotFound {
@@ -169,7 +170,7 @@ func TestSweepAPIEndToEnd(t *testing.T) {
 // same spec resumes it from the manifest to completion.
 func TestSweepCancelThenResume(t *testing.T) {
 	cr := &countingRunner{release: make(chan struct{})}
-	s := NewWithRunner(Config{Workers: 2, SweepDir: t.TempDir()}, cr.run)
+	s := newFakeServer(Config{Workers: 2, SweepDir: t.TempDir()}, cr.run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -211,7 +212,7 @@ func TestSweepCancelThenResume(t *testing.T) {
 
 // TestSweepSubmitValidation: bad specs are rejected before any work.
 func TestSweepSubmitValidation(t *testing.T) {
-	s := NewWithRunner(Config{SweepDir: t.TempDir(), MaxInsts: 10_000}, (&countingRunner{}).run)
+	s := newFakeServer(Config{SweepDir: t.TempDir(), MaxInsts: 10_000}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -245,7 +246,7 @@ func TestSweepSubmitValidation(t *testing.T) {
 
 // TestSweepAPIDisabledWithoutDir: without SweepDir the routes are absent.
 func TestSweepAPIDisabledWithoutDir(t *testing.T) {
-	s := NewWithRunner(Config{}, (&countingRunner{}).run)
+	s := newFakeServer(Config{}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -264,7 +265,7 @@ func TestSweepAPIDisabledWithoutDir(t *testing.T) {
 func TestSweepJobSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	cr := &countingRunner{}
-	s1 := NewWithRunner(Config{Workers: 2, SweepDir: dir}, cr.run)
+	s1 := newFakeServer(Config{Workers: 2, SweepDir: dir}, cr.run)
 	ts1 := httptest.NewServer(s1.Handler())
 	_, v := postSweep(t, ts1, sweepSpecJSON)
 	final := waitSweepState(t, ts1, v.ID)
@@ -273,7 +274,7 @@ func TestSweepJobSurvivesRestart(t *testing.T) {
 	}
 	ts1.Close()
 
-	s2 := NewWithRunner(Config{Workers: 2, SweepDir: dir}, cr.run)
+	s2 := newFakeServer(Config{Workers: 2, SweepDir: dir}, cr.run)
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 
@@ -294,7 +295,7 @@ func TestSweepJobSurvivesRestart(t *testing.T) {
 	if res.StatusCode != http.StatusOK || len(strings.Split(strings.TrimSpace(body.String()), "\n")) != 4 {
 		t.Fatalf("restarted server results: status %d body %q", res.StatusCode, body.String())
 	}
-	if got := cr.runs.Load(); got != 4 {
-		t.Fatalf("restart re-ran work: %d runs", got)
+	if got := cr.runs.Load(); got != 2 {
+		t.Fatalf("restart re-ran work: %d captures", got)
 	}
 }

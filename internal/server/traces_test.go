@@ -208,7 +208,7 @@ func hasAttr(attrs []obs.Attr, key, value string) bool {
 // request's structured log lines, so logs and spans cross-reference.
 func TestTraceIDInLogs(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewWithRunner(Config{
+	s := newFakeServer(Config{
 		Tracer: obs.NewTracer(64),
 		Logger: slog.New(slog.NewJSONHandler(&buf, nil)),
 	}, (&countingRunner{}).run)
@@ -229,7 +229,7 @@ func TestTraceIDInLogs(t *testing.T) {
 // the request's spans join the caller's trace instead of starting a new
 // one.
 func TestTraceparentContinuation(t *testing.T) {
-	s := NewWithRunner(Config{Tracer: obs.NewTracer(64)}, (&countingRunner{}).run)
+	s := newFakeServer(Config{Tracer: obs.NewTracer(64)}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -258,7 +258,7 @@ func TestTraceparentContinuation(t *testing.T) {
 // TestTracesEndpointFormatsAndValidation: export formats and parameter
 // validation of /v1/traces, and its absence when tracing is off.
 func TestTracesEndpointFormatsAndValidation(t *testing.T) {
-	s := NewWithRunner(Config{Tracer: obs.NewTracer(64)}, (&countingRunner{}).run)
+	s := newFakeServer(Config{Tracer: obs.NewTracer(64)}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if resp, _ := postSim(t, ts, SimRequest{Benchmark: "gzip", Scheme: "dcg"}); resp.StatusCode != http.StatusOK {
@@ -306,7 +306,7 @@ func TestTracesEndpointFormatsAndValidation(t *testing.T) {
 	}
 
 	// Without a tracer the endpoint is not mounted.
-	off := NewWithRunner(Config{}, (&countingRunner{}).run)
+	off := newFakeServer(Config{}, (&countingRunner{}).run)
 	tsOff := httptest.NewServer(off.Handler())
 	defer tsOff.Close()
 	respOff, err := tsOff.Client().Get(tsOff.URL + "/v1/traces")
@@ -324,7 +324,7 @@ func TestTracesEndpointFormatsAndValidation(t *testing.T) {
 // /v1/sweeps/{id}/progress derives throughput from those item spans.
 func TestSweepJobTraceAndProgress(t *testing.T) {
 	cr := &countingRunner{}
-	s := NewWithRunner(Config{
+	s := newFakeServer(Config{
 		Workers:  2,
 		SweepDir: t.TempDir(),
 		Tracer:   obs.NewTracer(512),
@@ -367,8 +367,8 @@ func TestSweepJobTraceAndProgress(t *testing.T) {
 		t.Errorf("job root span = %q", root.Name)
 	}
 	names := spanNames(spans)
-	// 2 benchmarks x 2 schemes = 4 items; each ran the injected runner
-	// via simrun.lookup.
+	// 2 benchmarks x 2 schemes = 4 items, each resolved through
+	// simrun.lookup.
 	if names["sweep.item"] != 4 {
 		t.Errorf("sweep.item spans = %d, want 4; have %v", names["sweep.item"], names)
 	}

@@ -104,7 +104,7 @@ func TestBatchClientDisconnectCancelsItems(t *testing.T) {
 		canceled.Add(1)
 		return nil, ctx.Err()
 	}
-	s := NewWithRunner(Config{Workers: workers}, run)
+	s := newFakeServer(Config{Workers: workers}, run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -166,7 +166,7 @@ func TestBatchClientDisconnectCancelsItems(t *testing.T) {
 // TestHealthzReportsBuildInfo: the health probe's JSON body carries the
 // binary's build identity and flips to "draining" on Drain.
 func TestHealthzReportsBuildInfo(t *testing.T) {
-	s := NewWithRunner(Config{}, (&countingRunner{}).run)
+	s := newFakeServer(Config{}, (&countingRunner{}).run)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -3,6 +3,7 @@ package simrun
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 )
@@ -20,7 +21,7 @@ const (
 	OutcomeCoalesced
 	// OutcomeReplayed: the result was produced by replaying a cached
 	// timing trace instead of running the core timing simulation. Only
-	// the two-level Exec reports this.
+	// Exec reports this; a Cache alone never does.
 	OutcomeReplayed
 	// OutcomeStore: the result was loaded from the persistent artifact
 	// store (a prior process had computed it). No simulation and no
@@ -91,26 +92,37 @@ func NewCache[K comparable, V any](capacity int) *Cache[K, V] {
 }
 
 // Do returns the memoised value for key, executing fn at most once per
-// key across all concurrent callers. A caller that finds an identical run
-// in flight waits for it (or for its own context) instead of re-running.
-// Errors are returned to every waiter of the failed attempt but are not
-// cached: the next Do retries.
+// key at a time across all concurrent callers. A caller that finds an
+// identical run in flight waits for it (or for its own context) instead of
+// re-running and shares its outcome: the value, or the error, which is not
+// cached, so the next Do retries.
 //
-// The executing caller's context drives the run; if it is canceled, its
-// waiters receive the cancellation error and a later Do re-executes.
+// The executing caller's context drives the run, so a run can end because
+// that context did (context.Canceled or context.DeadlineExceeded). That
+// error belongs to the caller whose context it was: a waiter whose own
+// context is still live joins or leads a fresh run instead, so a short
+// deadline never fails a request that joined it with a longer one.
 func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func(context.Context) (V, error)) (V, Outcome, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return el.Value.(*entry[K, V]).val, OutcomeHit, nil
-	}
-	if f, ok := c.flight[key]; ok {
+	for {
+		c.mu.Lock()
+		if el, ok := c.entries[key]; ok {
+			c.order.MoveToFront(el)
+			c.mu.Unlock()
+			c.hits.Add(1)
+			return el.Value.(*entry[K, V]).val, OutcomeHit, nil
+		}
+		f, ok := c.flight[key]
+		if !ok {
+			break
+		}
 		c.mu.Unlock()
 		c.coalesced.Add(1)
 		select {
 		case <-f.done:
+			ended := errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)
+			if ended && ctx.Err() == nil {
+				continue
+			}
 			return f.val, OutcomeCoalesced, f.err
 		case <-ctx.Done():
 			var zero V

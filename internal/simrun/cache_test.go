@@ -257,6 +257,72 @@ func TestCoalescedWaiterHonoursItsOwnContext(t *testing.T) {
 	close(release)
 }
 
+// TestWaiterOutlivesLeaderDeadline: a run that ends because its leader's
+// context did fails the leader alone. A waiter whose own context is live
+// leads a fresh run and gets its value, so fn runs twice. A run's own
+// error still reaches its waiter, and fn runs once.
+func TestWaiterOutlivesLeaderDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fail func(ctx context.Context) error
+		runs int32
+	}{
+		{"leader deadline", func(ctx context.Context) error { <-ctx.Done(); return ctx.Err() }, 2},
+		{"run error", func(context.Context) error { return errors.New("boom") }, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCache[Key, *core.Result](0)
+			key := Key{Bench: "gcc", Scheme: core.SchemeNone, Insts: 300_000}
+			var runs atomic.Int32
+			joined := make(chan struct{})
+			fn := func(ctx context.Context) (*core.Result, error) {
+				if runs.Add(1) == 1 {
+					<-joined
+					return nil, tc.fail(ctx)
+				}
+				return fakeResult(key), nil
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			leader := make(chan error, 1)
+			go func() {
+				_, _, err := c.Do(ctx, key, fn)
+				leader <- err
+			}()
+			for runs.Load() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			type outcome struct {
+				res *core.Result
+				err error
+			}
+			waiter := make(chan outcome, 1)
+			go func() {
+				res, _, err := c.Do(context.Background(), key, fn)
+				waiter <- outcome{res, err}
+			}()
+			for c.Stats().Coalesced == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			close(joined)
+
+			lerr, w := <-leader, <-waiter
+			if lerr == nil {
+				t.Fatal("the leader's run succeeded")
+			}
+			if tc.runs == 2 && (w.err != nil || w.res == nil) {
+				t.Errorf("waiter: res=%v err=%v, want the fresh run's value", w.res, w.err)
+			}
+			if tc.runs == 1 && !errors.Is(w.err, lerr) {
+				t.Errorf("waiter: err=%v, want the run's %v", w.err, lerr)
+			}
+			if n := runs.Load(); n != tc.runs {
+				t.Errorf("fn ran %d times, want %d", n, tc.runs)
+			}
+		})
+	}
+}
+
 func TestConcurrentMixedKeys(t *testing.T) {
 	c := NewCache[Key, *core.Result](8)
 	keys := make([]Key, 24)

@@ -40,15 +40,18 @@ type Exec struct {
 	results *Cache[Key, *core.Result]
 	timings *Cache[TimingKey, *core.Timing]
 
-	// Full runs the complete simulation (timing + live scheme), the
-	// single-level executor's runner; the two-level executor never calls
-	// it, and NewExec installs none. Capture records a trace of the timing
-	// pass and returns it with the key's scheme evaluated on it; Evaluate
-	// evaluates a scheme on a trace. Exported as seams so tests can count
-	// or fake executions; NewExec installs the production implementations.
-	Full     func(ctx context.Context, k Key) (*core.Result, error)
+	// Capture records a trace of the timing pass and returns it with the
+	// key's scheme evaluated on it; Evaluate evaluates a scheme on a
+	// trace. Exported as seams so tests can count or fake executions and
+	// the server can wrap them in its worker pool; NewExec installs the
+	// production implementations.
 	Capture  func(ctx context.Context, k Key) (*core.Result, *core.Timing, error)
 	Evaluate func(k Key, t *core.Timing) (*core.Result, error)
+
+	// Full is read by nothing: the executor never calls it, and NewExec
+	// installs none. It stays only because the benchmark module's tracing
+	// executor assigns it; ROADMAP item M deletes it with that wrapper.
+	Full func(ctx context.Context, k Key) (*core.Result, error)
 
 	// Store is an optional persistent tier (internal/store) consulted
 	// underneath both in-memory levels: a result-cache miss first asks the
@@ -89,22 +92,12 @@ func NewExec(resultCap, timingCap int) *Exec {
 	}
 }
 
-// NewSingleLevelExec builds an executor with no timing cache: every miss
-// calls run. It preserves the old one-level behaviour for callers that
-// inject a custom runner (the server's test seam).
-func NewSingleLevelExec(resultCap int, run func(ctx context.Context, k Key) (*core.Result, error)) *Exec {
-	return &Exec{
-		results: NewCache[Key, *core.Result](resultCap),
-		Full:    run,
-	}
-}
-
 // Do returns the result for k, reusing every cache level. The outcome
 // reports how the call was served: OutcomeHit/OutcomeCoalesced from the
 // result cache, OutcomeReplayed when a cached or another request's
-// timing trace was evaluated, OutcomeMiss when a capture (or, in a
-// single-level executor, a full simulation) ran. A scheme the registry
-// does not know fails before any cache is consulted.
+// timing trace was evaluated, OutcomeStore when the persistent tier held
+// the result, OutcomeMiss when a capture ran. A scheme the registry does
+// not know fails before any cache is consulted.
 func (e *Exec) Do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 	// The lookup span covers the whole two-level resolution; its outcome
 	// attribute is the cache-lookup verdict (cache/coalesced/replayed/
@@ -132,24 +125,6 @@ func (e *Exec) Do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 
 // do is Do without the logging wrapper.
 func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
-	fromStore := false
-	if e.timings == nil {
-		res, out, err := e.results.Do(ctx, k, func(ctx context.Context) (*core.Result, error) {
-			if r, ok := e.storeResult(ctx, k); ok {
-				fromStore = true
-				return r, nil
-			}
-			r, err := e.runFull(ctx, k)
-			if err == nil && e.Store != nil {
-				e.Store.PutResult(ctx, k, r)
-			}
-			return r, err
-		})
-		if err == nil && out == OutcomeMiss && fromStore {
-			out = OutcomeStore
-		}
-		return res, out, err
-	}
 	// An unknown scheme would share a TimingKey with the neutral ones and
 	// fail the capture another request coalesced on.
 	if _, err := core.ParseScheme(string(k.Scheme)); err != nil {
@@ -162,7 +137,7 @@ func (e *Exec) do(ctx context.Context, k Key) (*core.Result, Outcome, error) {
 	if tk.Throttle != "" {
 		store = nil
 	}
-	replayed := false
+	fromStore, replayed := false, false
 	res, out, err := e.results.Do(ctx, k, func(ctx context.Context) (*core.Result, error) {
 		if r, ok := e.storeResult(ctx, k); ok {
 			fromStore = true
@@ -284,17 +259,6 @@ func traceBytes(t *core.Timing) int {
 	return t.Trace.SizeBytes()
 }
 
-// runFull runs Full under a sim.full span.
-func (e *Exec) runFull(ctx context.Context, k Key) (*core.Result, error) {
-	_, sp := obs.StartSpan(ctx, "sim.full")
-	sp.SetAttr("bench", k.Bench)
-	sp.SetAttr("scheme", k.Scheme.String())
-	r, err := e.Full(ctx, k)
-	sp.SetError(err)
-	sp.Finish()
-	return r, err
-}
-
 // storeResult consults the persistent tier for a finished result.
 func (e *Exec) storeResult(ctx context.Context, k Key) (*core.Result, bool) {
 	if e.Store == nil {
@@ -319,11 +283,5 @@ func (e *Exec) ResultStats() Stats { return e.results.Stats() }
 
 // TimingStats snapshots the timing-level cache counters. Misses count
 // core timing simulations actually executed; hits and coalesced count
-// evaluations that shared a previously captured trace. Zero-valued when
-// the executor is single-level.
-func (e *Exec) TimingStats() Stats {
-	if e.timings == nil {
-		return Stats{}
-	}
-	return e.timings.Stats()
-}
+// evaluations that shared a previously captured trace.
+func (e *Exec) TimingStats() Stats { return e.timings.Stats() }

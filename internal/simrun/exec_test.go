@@ -14,13 +14,9 @@ import (
 )
 
 // countingExec wires fake hooks that count executions per layer.
-func countingExec() (*Exec, *atomic.Int32, *atomic.Int32, *atomic.Int32) {
+func countingExec() (*Exec, *atomic.Int32, *atomic.Int32) {
 	e := NewExec(0, 0)
-	var fulls, captures, evals atomic.Int32
-	e.Full = func(ctx context.Context, k Key) (*core.Result, error) {
-		fulls.Add(1)
-		return fakeResult(k), nil
-	}
+	var captures, evals atomic.Int32
 	e.Capture = func(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {
 		captures.Add(1)
 		return fakeResult(k), &core.Timing{Benchmark: k.Bench}, nil
@@ -32,11 +28,11 @@ func countingExec() (*Exec, *atomic.Int32, *atomic.Int32, *atomic.Int32) {
 		}
 		return fakeResult(k), nil
 	}
-	return e, &fulls, &captures, &evals
+	return e, &captures, &evals
 }
 
 func TestExecSharesOneTimingAcrossNeutralSchemes(t *testing.T) {
-	e, fulls, captures, evals := countingExec()
+	e, captures, evals := countingExec()
 	base := Key{Bench: "gzip", Insts: 1000}
 
 	kinds := []core.SchemeKind{core.SchemeDCG, core.SchemeNone, core.SchemeOracle}
@@ -61,9 +57,6 @@ func TestExecSharesOneTimingAcrossNeutralSchemes(t *testing.T) {
 	if n := evals.Load(); n != int32(len(kinds)-1) {
 		t.Errorf("evaluate ran %d times, want %d", n, len(kinds)-1)
 	}
-	if n := fulls.Load(); n != 0 {
-		t.Errorf("full simulation ran %d times, want 0", n)
-	}
 	if st := e.TimingStats(); st.Misses != 1 || st.Hits != 2 {
 		t.Errorf("timing stats = %+v, want 1 miss / 2 hits", st)
 	}
@@ -85,15 +78,11 @@ func TestExecSharesOneTimingAcrossNeutralSchemes(t *testing.T) {
 // TestExecServesEverySchemeWithoutFull: the production executor serves
 // every registered scheme from captures, one per TimingKey — the
 // unthrottled usage-only and latchvalue ones, and one under each PLB
-// throttle — and never calls Full.
+// throttle.
 func TestExecServesEverySchemeWithoutFull(t *testing.T) {
 	e := NewExec(0, 0)
-	var fulls, captures atomic.Int32
+	var captures atomic.Int32
 	capture := e.Capture
-	e.Full = func(ctx context.Context, k Key) (*core.Result, error) {
-		fulls.Add(1)
-		return nil, errors.New("Full called")
-	}
 	e.Capture = func(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {
 		captures.Add(1)
 		return capture(ctx, k)
@@ -110,16 +99,13 @@ func TestExecServesEverySchemeWithoutFull(t *testing.T) {
 			t.Errorf("%v served a %s Result", kind, res.Scheme)
 		}
 	}
-	if n := fulls.Load(); n != 0 {
-		t.Errorf("Full ran %d times, want 0", n)
-	}
 	if n := captures.Load(); n != 4 || len(keys) != 4 {
 		t.Errorf("%d captures over %d timing keys, want 4 of each", n, len(keys))
 	}
 }
 
 func TestExecConcurrentNeutralSchemesOneCapture(t *testing.T) {
-	e, fulls, captures, _ := countingExec()
+	e, captures, _ := countingExec()
 	kinds := []core.SchemeKind{core.SchemeNone, core.SchemeDCG, core.SchemeOracle}
 	var wg sync.WaitGroup
 	for g := 0; g < 24; g++ {
@@ -136,13 +122,10 @@ func TestExecConcurrentNeutralSchemesOneCapture(t *testing.T) {
 	if n := captures.Load(); n != 1 {
 		t.Errorf("%d concurrent neutral requests executed %d captures, want 1", 24, n)
 	}
-	if fulls.Load() != 0 {
-		t.Error("a neutral scheme fell through to the full simulator")
-	}
 }
 
 func TestExecCaptureErrorsRetry(t *testing.T) {
-	e, _, captures, _ := countingExec()
+	e, captures, _ := countingExec()
 	boom := errors.New("boom")
 	fail := true
 	inner := e.Capture
@@ -161,27 +144,6 @@ func TestExecCaptureErrorsRetry(t *testing.T) {
 	res, out, err := e.Do(context.Background(), k)
 	if err != nil || res == nil || out != OutcomeMiss {
 		t.Fatalf("retry after failure: res=%v outcome=%v err=%v", res, out, err)
-	}
-}
-
-func TestSingleLevelExecUsesRunnerOnly(t *testing.T) {
-	var runs atomic.Int32
-	e := NewSingleLevelExec(0, func(ctx context.Context, k Key) (*core.Result, error) {
-		runs.Add(1)
-		return fakeResult(k), nil
-	})
-	k := Key{Bench: "gzip", Scheme: core.SchemeDCG, Insts: 100}
-	if _, out, err := e.Do(context.Background(), k); err != nil || out != OutcomeMiss {
-		t.Fatalf("first: outcome=%v err=%v", out, err)
-	}
-	if _, out, err := e.Do(context.Background(), k); err != nil || out != OutcomeHit {
-		t.Fatalf("second: outcome=%v err=%v", out, err)
-	}
-	if runs.Load() != 1 {
-		t.Errorf("runner ran %d times, want 1", runs.Load())
-	}
-	if st := e.TimingStats(); st != (Stats{}) {
-		t.Errorf("single-level exec reported timing stats %+v", st)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestExecFamilySequentialRequestsShareOnePass(t *testing.T) {
 		t.Fatalf("family timing keys %+v and %+v, want one key under plb-ext's throttle", a, b)
 	}
 	for _, first := range plbFamily {
-		e, fulls, captures, _ := countingExec()
+		e, captures, _ := countingExec()
 		second := plbFamily[0]
 		if first == second {
 			second = plbFamily[1]
@@ -52,9 +52,6 @@ func TestExecFamilySequentialRequestsShareOnePass(t *testing.T) {
 		if n := captures.Load(); n != 1 {
 			t.Errorf("%v first: %d captures, want 1", first, n)
 		}
-		if n := fulls.Load(); n != 0 {
-			t.Errorf("%v first: Full ran %d times, want 0", first, n)
-		}
 		if _, out, _ := e.Do(context.Background(), familyKey(second)); out != OutcomeHit {
 			t.Errorf("repeat of %v served %v, want a result-cache hit", second, out)
 		}
@@ -65,7 +62,7 @@ func TestExecFamilySequentialRequestsShareOnePass(t *testing.T) {
 // dcg+plb requests for one key runs exactly one capture; one request is
 // simulated and every other one coalesced or replayed.
 func TestExecFamilyConcurrentRequestsCoalesce(t *testing.T) {
-	e, fulls, captures, _ := countingExec()
+	e, captures, _ := countingExec()
 	started, release := make(chan struct{}), make(chan struct{})
 	capture := e.Capture
 	e.Capture = func(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {
@@ -102,9 +99,6 @@ func TestExecFamilyConcurrentRequestsCoalesce(t *testing.T) {
 	wg.Wait()
 	if n := captures.Load(); n != 1 {
 		t.Errorf("%d concurrent family requests ran %d captures, want 1", burst, n)
-	}
-	if n := fulls.Load(); n != 0 {
-		t.Errorf("Full ran %d times, want 0", n)
 	}
 	simulated := 0
 	for i, out := range outs {
@@ -151,7 +145,7 @@ func (r *recordingTier) PutResult(_ context.Context, k Key, res *core.Result) {
 // reaches GetTiming or PutTiming, and each member's Result is stored when
 // it is requested, not before; an unthrottled key reaches both.
 func TestExecFamilyStoresARiderOnlyWhenRequested(t *testing.T) {
-	e, _, captures, _ := countingExec()
+	e, captures, _ := countingExec()
 	tier := &recordingTier{puts: map[Key]*core.Result{}}
 	e.Store = tier
 	lead, rider := familyKey(core.SchemePLBExt), familyKey(core.SchemeDCGPLB)
@@ -186,15 +180,11 @@ func TestExecFamilyStoresARiderOnlyWhenRequested(t *testing.T) {
 
 // TestExecFamilyPassMatchesSingleLaneRuns drives the production Capture:
 // one throttled capture answers both members, each equal to its
-// single-lane live run, and Full never runs.
+// single-lane live run.
 func TestExecFamilyPassMatchesSingleLaneRuns(t *testing.T) {
 	e := NewExec(0, 0)
-	var fulls, captures atomic.Int32
-	full, capture := e.Full, e.Capture
-	e.Full = func(ctx context.Context, k Key) (*core.Result, error) {
-		fulls.Add(1)
-		return full(ctx, k)
-	}
+	var captures atomic.Int32
+	capture := e.Capture
 	e.Capture = func(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {
 		captures.Add(1)
 		return capture(ctx, k)
@@ -216,15 +206,12 @@ func TestExecFamilyPassMatchesSingleLaneRuns(t *testing.T) {
 	if n := captures.Load(); n != 1 {
 		t.Errorf("%d captures, want 1", n)
 	}
-	if n := fulls.Load(); n != 0 {
-		t.Errorf("Full ran %d times, want 0", n)
-	}
 }
 
 // TestExecFamilyPassErrorsRetry: a failed capture reaches its caller and
 // is not kept, so the next request for either member captures again.
 func TestExecFamilyPassErrorsRetry(t *testing.T) {
-	e, _, captures, _ := countingExec()
+	e, captures, _ := countingExec()
 	boom := errors.New("boom")
 	capture := e.Capture
 	e.Capture = func(ctx context.Context, k Key) (*core.Result, *core.Timing, error) {

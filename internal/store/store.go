@@ -65,18 +65,6 @@ const (
 // castagnoli is the CRC-32C table used for artifact checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// CorruptError reports an artifact that failed its integrity check. The
-// store logs it loudly and evicts the artifact; callers of the
-// PersistentTier interface only ever observe a cache miss.
-type CorruptError struct {
-	Path   string
-	Reason string
-}
-
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("store: corrupt artifact %s: %s", e.Path, e.Reason)
-}
-
 // Store is the on-disk artifact cache. All methods are safe for
 // concurrent use.
 type Store struct {
@@ -446,11 +434,11 @@ func (s *Store) writeError(path string, err error) {
 }
 
 // corrupt handles a failed integrity check: report loudly, count, and
-// evict the artifact so the next computation overwrites it.
+// evict the artifact so the next computation overwrites it. Callers of
+// the PersistentTier interface only ever observe a cache miss.
 func (s *Store) corrupt(path string, reason error) {
 	s.corruptions.Add(1)
 	s.misses.Add(1)
-	cerr := &CorruptError{Path: path, Reason: reason.Error()}
 	s.log.Error("store: corrupt artifact evicted (recomputing)", "path", path, "reason", reason.Error())
 	if fi, err := os.Stat(path); err == nil {
 		s.size.Add(-fi.Size())
@@ -458,7 +446,6 @@ func (s *Store) corrupt(path string, reason error) {
 	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		s.log.Warn("store: could not evict corrupt artifact", "path", path, "err", err)
 	}
-	_ = cerr // the typed error exists for tests and future surfacing
 }
 
 // touch refreshes the artifact's access time so LRU eviction sees the

@@ -131,15 +131,11 @@ func TestTimingRoundTrip(t *testing.T) {
 // replay could ever use.
 func TestCorruptionDetectedAndRecomputed(t *testing.T) {
 	ctx := context.Background()
-	// exec builds an Exec over s whose full runs are faked and whose
-	// captures are real; runs counts both.
+	// exec builds an Exec over s whose captures are real; runs counts
+	// them.
 	exec := func(s *store.Store, runs *atomic.Int32) *simrun.Exec {
 		e := simrun.NewExec(0, 0)
 		e.Store = s
-		e.Full = func(ctx context.Context, k simrun.Key) (*core.Result, error) {
-			runs.Add(1)
-			return &core.Result{Benchmark: k.Bench, Scheme: k.Scheme.String(), Cycles: 12345}, nil
-		}
 		capture := e.Capture
 		e.Capture = func(ctx context.Context, k simrun.Key) (*core.Result, *core.Timing, error) {
 			runs.Add(1)
@@ -175,7 +171,7 @@ func TestCorruptionDetectedAndRecomputed(t *testing.T) {
 					t.Fatalf("seed run: outcome=%v err=%v", out, err)
 				}
 				if runs.Load() != 1 {
-					t.Fatalf("seed ran %d full sims, want 1", runs.Load())
+					t.Fatalf("seed ran %d captures, want 1", runs.Load())
 				}
 				files := artifacts(t, dir)
 				if len(files) != 1 {
@@ -368,14 +364,10 @@ func TestEvictionSkippedWhenLockHeld(t *testing.T) {
 // timing artifacts without running any simulation.
 func TestExecStoreWarmRestart(t *testing.T) {
 	dir := t.TempDir()
-	var fulls, captures, evals atomic.Int32
+	var captures, evals atomic.Int32
 	newExec := func() *simrun.Exec {
 		e := simrun.NewExec(0, 0)
 		e.Store = open(t, dir, 0)
-		e.Full = func(ctx context.Context, k simrun.Key) (*core.Result, error) {
-			fulls.Add(1)
-			return simrun.Run(ctx, k)
-		}
 		e.Capture = func(ctx context.Context, k simrun.Key) (*core.Result, *core.Timing, error) {
 			captures.Add(1)
 			return simrun.Capture(ctx, k)
@@ -404,7 +396,6 @@ func TestExecStoreWarmRestart(t *testing.T) {
 	}
 
 	// "Restart": fresh executor, fresh in-memory caches, same directory.
-	fulls.Store(0)
 	captures.Store(0)
 	evals.Store(0)
 	e2 := newExec()
@@ -422,9 +413,9 @@ func TestExecStoreWarmRestart(t *testing.T) {
 			t.Errorf("%v: restart-served result differs from the original", sch)
 		}
 	}
-	if n := fulls.Load() + captures.Load() + evals.Load(); n != 0 {
-		t.Fatalf("restart re-executed %d simulation stages (fulls=%d captures=%d evals=%d), want 0",
-			n, fulls.Load(), captures.Load(), evals.Load())
+	if n := captures.Load() + evals.Load(); n != 0 {
+		t.Fatalf("restart re-executed %d simulation stages (captures=%d evals=%d), want 0",
+			n, captures.Load(), evals.Load())
 	}
 
 	// A scheme never requested before the restart still avoids the core:
@@ -626,13 +617,4 @@ func TestV2TimingArtifactAfterRunLengthBump(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeOldVersion(t, k, tm, 2)
-}
-
-// TestCorruptErrorMessage pins the error type's formatting so operators
-// can grep for it.
-func TestCorruptErrorMessage(t *testing.T) {
-	e := &store.CorruptError{Path: "/x/y.res", Reason: "CRC mismatch"}
-	if !strings.Contains(e.Error(), "corrupt artifact") || !strings.Contains(e.Error(), "/x/y.res") {
-		t.Errorf("unhelpful corruption error: %q", e.Error())
-	}
 }

@@ -29,13 +29,9 @@ func testSpec() *Spec {
 
 // countingEngine builds an engine over fake executor seams that count
 // invocations per layer.
-func countingEngine() (*Engine, *atomic.Int32, *atomic.Int32, *atomic.Int32) {
+func countingEngine() (*Engine, *atomic.Int32, *atomic.Int32) {
 	e := simrun.NewExec(0, 0)
-	var fulls, captures, evals atomic.Int32
-	e.Full = func(ctx context.Context, k simrun.Key) (*core.Result, error) {
-		fulls.Add(1)
-		return fakeResult(k), nil
-	}
+	var captures, evals atomic.Int32
 	e.Capture = func(ctx context.Context, k simrun.Key) (*core.Result, *core.Timing, error) {
 		captures.Add(1)
 		return fakeResult(k), &core.Timing{Benchmark: k.Bench}, nil
@@ -44,7 +40,7 @@ func countingEngine() (*Engine, *atomic.Int32, *atomic.Int32, *atomic.Int32) {
 		evals.Add(1)
 		return fakeResult(k), nil
 	}
-	return &Engine{Exec: e, Workers: 4}, &fulls, &captures, &evals
+	return &Engine{Exec: e, Workers: 4}, &captures, &evals
 }
 
 // fakeResult derives a deterministic result from the key so resumed and
@@ -115,7 +111,7 @@ func TestSpecValidation(t *testing.T) {
 }
 
 func TestEngineCapturesOncePerTimingGroup(t *testing.T) {
-	eng, fulls, captures, evals := countingEngine()
+	eng, captures, evals := countingEngine()
 	sum, err := eng.Start(context.Background(), testSpec(), "")
 	if err != nil {
 		t.Fatal(err)
@@ -131,9 +127,6 @@ func TestEngineCapturesOncePerTimingGroup(t *testing.T) {
 	if evals.Load() != 3 {
 		t.Errorf("replays = %d, want 3", evals.Load())
 	}
-	if fulls.Load() != 0 {
-		t.Errorf("full sims = %d, want 0", fulls.Load())
-	}
 }
 
 // TestEngineRunsOneCapturePerThrottledTiming: each benchmark's plb-ext
@@ -141,7 +134,7 @@ func TestEngineCapturesOncePerTimingGroup(t *testing.T) {
 // first item leads and runs the capture, and the follower waits for it
 // and is evaluated on it.
 func TestEngineRunsOneCapturePerThrottledTiming(t *testing.T) {
-	eng, fulls, captures, _ := countingEngine()
+	eng, captures, _ := countingEngine()
 	spec := &Spec{Name: "families", Benchmarks: []string{"gzip", "mcf", "art"},
 		Schemes: []string{"dcg+plb", "plb-ext"}, MaxInsts: 1000}
 	dir := t.TempDir()
@@ -151,9 +144,6 @@ func TestEngineRunsOneCapturePerThrottledTiming(t *testing.T) {
 	}
 	if n := captures.Load(); n != 3 {
 		t.Errorf("captures = %d, want 3 (one per benchmark's throttled timing)", n)
-	}
-	if n := fulls.Load(); n != 0 {
-		t.Errorf("full sims = %d, want 0", n)
 	}
 	_, recs, err := ReadManifest(dir)
 	if err != nil {
@@ -177,14 +167,6 @@ func interruptAfter(e *Engine, n int32) (context.Context, *atomic.Int32) {
 	inner := e.Exec.Evaluate
 	e.Exec.Evaluate = func(k simrun.Key, t *core.Timing) (*core.Result, error) {
 		r, err := inner(k, t)
-		if count.Add(1) >= n {
-			cancel()
-		}
-		return r, err
-	}
-	innerFull := e.Exec.Full
-	e.Exec.Full = func(ctx context.Context, k simrun.Key) (*core.Result, error) {
-		r, err := innerFull(ctx, k)
 		if count.Add(1) >= n {
 			cancel()
 		}
@@ -214,7 +196,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 
 	// Reference: uninterrupted run.
 	refDir := t.TempDir()
-	engRef, _, _, _ := countingEngine()
+	engRef, _, _ := countingEngine()
 	if _, err := engRef.Start(context.Background(), spec, refDir); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +212,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Interrupted run: cancel mid-flight.
 			dir := t.TempDir()
-			engA, _, _, _ := countingEngine()
+			engA, _, _ := countingEngine()
 			ctx, _ := interruptAfter(engA, 3)
 			sumA, err := engA.Start(ctx, spec, dir)
 			if !errors.Is(err, context.Canceled) {
@@ -249,7 +231,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 
 			// Resume with a FRESH engine: empty in-memory caches, so any
 			// redone item would hit the counting seams.
-			engB, fulls, captures, evals := countingEngine()
+			engB, captures, evals := countingEngine()
 			sumB, err := engB.Resume(context.Background(), dir)
 			if err != nil {
 				t.Fatal(err)
@@ -264,7 +246,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 			if sumB.Skipped+sumB.Completed != sumB.Total {
 				t.Errorf("skipped %d + completed %d != total %d", sumB.Skipped, sumB.Completed, sumB.Total)
 			}
-			executed := int(fulls.Load() + captures.Load() + evals.Load())
+			executed := int(captures.Load() + evals.Load())
 			if executed != sumB.Completed {
 				t.Errorf("resume executed %d simulations for %d pending items — completed work was redone",
 					executed, sumB.Completed)
@@ -312,7 +294,7 @@ func TestResumeRerunsFailedItems(t *testing.T) {
 	spec := testSpec()
 	dir := t.TempDir()
 
-	eng, _, _, _ := countingEngine()
+	eng, _, _ := countingEngine()
 	boom := errors.New("transient")
 	failing := map[string]bool{"mcf": true}
 	inner := eng.Exec.Capture
@@ -345,7 +327,7 @@ func TestResumeRerunsFailedItems(t *testing.T) {
 	}
 
 	// Heal the fault and resume: only the failed items re-run.
-	eng2, _, captures, _ := countingEngine()
+	eng2, captures, _ := countingEngine()
 	sum2, err := eng2.Resume(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +345,7 @@ func TestResumeRerunsFailedItems(t *testing.T) {
 
 func TestResumeRefusesEditedSpec(t *testing.T) {
 	dir := t.TempDir()
-	eng, _, _, _ := countingEngine()
+	eng, _, _ := countingEngine()
 	if _, err := eng.Start(context.Background(), testSpec(), dir); err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +362,7 @@ func TestResumeRefusesEditedSpec(t *testing.T) {
 
 func TestStartRefusesExistingManifest(t *testing.T) {
 	dir := t.TempDir()
-	eng, _, _, _ := countingEngine()
+	eng, _, _ := countingEngine()
 	if _, err := eng.Start(context.Background(), testSpec(), dir); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +373,7 @@ func TestStartRefusesExistingManifest(t *testing.T) {
 
 func TestManifestToleratesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	eng, _, _, _ := countingEngine()
+	eng, _, _ := countingEngine()
 	if _, err := eng.Start(context.Background(), testSpec(), dir); err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +405,7 @@ func TestManifestToleratesTornTail(t *testing.T) {
 }
 
 func TestRunKeysSchedulesLikePrefetch(t *testing.T) {
-	eng, fulls, captures, evals := countingEngine()
+	eng, captures, evals := countingEngine()
 	var keys []simrun.Key
 	for _, b := range []string{"gzip", "mcf"} {
 		for _, s := range []core.SchemeKind{core.SchemeNone, core.SchemeDCG, core.SchemeOracle} {
@@ -433,12 +415,12 @@ func TestRunKeysSchedulesLikePrefetch(t *testing.T) {
 	if err := eng.RunKeys(context.Background(), keys); err != nil {
 		t.Fatal(err)
 	}
-	if captures.Load() != 2 || evals.Load() != 4 || fulls.Load() != 0 {
-		t.Errorf("RunKeys executed captures=%d evals=%d fulls=%d, want 2/4/0",
-			captures.Load(), evals.Load(), fulls.Load())
+	if captures.Load() != 2 || evals.Load() != 4 {
+		t.Errorf("RunKeys executed captures=%d evals=%d, want 2/4",
+			captures.Load(), evals.Load())
 	}
 	// Errors surface as a first-error return.
-	engFail, _, _, _ := countingEngine()
+	engFail, _, _ := countingEngine()
 	engFail.Exec.Capture = func(ctx context.Context, k simrun.Key) (*core.Result, *core.Timing, error) {
 		return nil, nil, fmt.Errorf("no trace for %s", k.Bench)
 	}
@@ -448,7 +430,7 @@ func TestRunKeysSchedulesLikePrefetch(t *testing.T) {
 }
 
 func TestRetryRecovers(t *testing.T) {
-	eng, _, _, _ := countingEngine()
+	eng, _, _ := countingEngine()
 	eng.Retries = 2
 	eng.Backoff = time.Millisecond
 	var calls atomic.Int32

@@ -116,12 +116,19 @@ type Packed struct {
 	// A throttled capture's view (Recorder.SetThrottle) keeps one
 	// LimitsSums per distinct Limits value, lim indexing the current one
 	// (-1 before the first, and in an unthrottled view), and limitRuns
-	// them in cycle order. The core caps result buses and latch slots at
-	// the width but not D-port use, so a throttled view, which has no
-	// bytes to re-read, builds the over-capacity D-port plane as it goes.
+	// them in cycle order.
 	limits    []LimitsSums
 	lim       int
 	limitRuns []limitsRun
+
+	// The core caps result buses and latch slots at the width but not
+	// D-port use (a store delayed a cycle can land beside that cycle's
+	// loads), so a capture's view builds the over-capacity D-port plane
+	// as it goes: the Recorder hands it the machine's port count and the
+	// plane at the first cycle whose D-port use exceeds them, and every
+	// such cycle from then on sets its bit. A view that never exceeds
+	// them, and a decoded one, has neither, and a decode's plane re-reads
+	// the bytes.
 	ports     int
 	overDPort []uint64
 }
@@ -378,12 +385,15 @@ func (p *Packed) addCycle(m *schedMirror, u *cpu.Usage) {
 		p.unitOverSched[w] |= bit
 	}
 	if p.lim >= 0 {
-		p.addLimited(&busy, &sched, dp, bs, u, c, 1)
+		p.addLimited(&busy, &sched, dp, bs, u, 1)
 	}
 
 	p.maxDPort = max(p.maxDPort, u.DPortUsed)
 	if int64(u.DPortUsed) > dp {
 		p.dportOverSched[w] |= bit
+	}
+	if p.overDPort != nil && u.DPortUsed > p.ports {
+		p.overDPort[w] |= bit
 	}
 
 	p.maxBus = max(p.maxBus, u.ResultBus)
@@ -425,10 +435,13 @@ func (p *Packed) addQuiet(u *cpu.Usage, n uint64) {
 		}
 	}
 	if p.lim >= 0 {
-		p.addLimited(&busy, &[cpu.NumFUTypes]uint32{}, 0, 0, u, lo, n)
+		p.addLimited(&busy, &[cpu.NumFUTypes]uint32{}, 0, 0, u, n)
 	}
 	if u.DPortUsed > 0 {
 		setRange(p.dportOverSched, lo, hi)
+	}
+	if p.overDPort != nil && u.DPortUsed > p.ports {
+		setRange(p.overDPort, lo, hi)
 	}
 	p.maxDPort = max(p.maxDPort, u.DPortUsed)
 	if u.ResultBus > 0 {
@@ -472,10 +485,9 @@ func (p *Packed) setLimits(l cpu.Limits) {
 	p.limitRuns = append(p.limitRuns, limitsRun{lim: p.lim, start: p.cycles})
 }
 
-// addLimited adds the n cycles from cycle lo, each with usage u, FU busy
-// masks busy and schedule slots sched, dp and bs, to the current limits'
-// sums and the over-capacity D-port plane.
-func (p *Packed) addLimited(busy, sched *[cpu.NumFUTypes]uint32, dp, bs int64, u *cpu.Usage, lo, n uint64) {
+// addLimited adds n cycles, each with usage u, FU busy masks busy and
+// schedule slots sched, dp and bs, to the current limits' sums.
+func (p *Packed) addLimited(busy, sched *[cpu.NumFUTypes]uint32, dp, bs int64, u *cpu.Usage, n uint64) {
 	s := &p.limits[p.lim]
 	l := &s.Limits
 	k := int64(n)
@@ -487,9 +499,6 @@ func (p *Packed) addLimited(busy, sched *[cpu.NumFUTypes]uint32, dp, bs int64, u
 	}
 	for _, v := range u.BackLatch {
 		s.LatchOn += k * int64(max(l.IssueWidth, v))
-	}
-	if u.DPortUsed > p.ports {
-		setRange(p.overDPort, lo, lo+n)
 	}
 	dports := int64(max(l.DPorts, u.DPortUsed))
 	s.DPortOn += k * dports
@@ -676,7 +685,7 @@ func maskN(n int) uint32 {
 // trace the core captured but for D-ports, making them free in the
 // common case — and otherwise builds its plane from one pass over the
 // encoded stream, or fails when the view has none (a view-only capture).
-// A throttled view serves the D-port plane it built while capturing.
+// A capture's view serves the D-port plane it built while capturing.
 
 // OverFullUnits returns the plane of cycles where some FU pool's busy
 // mask escaped even the all-enabled mask for the given pool sizes.

@@ -24,9 +24,9 @@ func (l *listThrottle) QuietLimits(_, n uint64) uint64 { return n }
 // TestThrottledViewSumsByLimits: a view-only Recorder in front of a
 // throttle sums each cycle's usage, quiet runs included, under the Limits
 // the throttle last returned, keeps the limits in cycle order for the
-// issue-width fraction, and builds the over-capacity D-port plane; it
-// refuses a cycle before the throttle's first Limits, and a Recorder that
-// encodes bytes refuses a throttle.
+// issue-width fraction, and, told the machine's D-ports, builds the
+// over-capacity D-port plane; it refuses a cycle before the throttle's
+// first Limits, and a Recorder that encodes bytes refuses a throttle.
 func TestThrottledViewSumsByLimits(t *testing.T) {
 	narrow := cpu.Limits{IssueWidth: 4, DPorts: 1, IntALU: 2, IntMult: 1, FPALU: 1, FPMult: 1}
 	wide := cpu.Limits{IssueWidth: 8, DPorts: 2, IntALU: 6, IntMult: 2, FPALU: 4, FPMult: 4}
@@ -35,7 +35,8 @@ func TestThrottledViewSumsByLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.SetThrottle(th, 2)
+	rec.SetThrottle(th)
+	rec.SetDPorts(2)
 	usage := func(cycle uint64) *cpu.Usage {
 		return &cpu.Usage{Cycle: cycle, BackLatch: make([]int, 2)}
 	}
@@ -77,13 +78,13 @@ func TestThrottledViewSumsByLimits(t *testing.T) {
 	}
 
 	early, _ := NewViewRecorder("x", 2)
-	early.SetThrottle(th, 2)
+	early.SetThrottle(th)
 	early.OnCycle(usage(0))
 	if _, err := early.Trace(); err == nil || !strings.Contains(err.Error(), "first limits") {
 		t.Errorf("a cycle before the first Limits: err = %v", err)
 	}
 	encoding, _ := NewRecorder("x", 2)
-	encoding.SetThrottle(th, 2)
+	encoding.SetThrottle(th)
 	if _, err := encoding.Trace(); err == nil || !strings.Contains(err.Error(), "view-only") {
 		t.Errorf("a throttled Recorder that encodes bytes: err = %v", err)
 	}

@@ -269,6 +269,11 @@ type Recorder struct {
 
 	throttle cpu.Throttle // nil for an unthrottled capture
 
+	// ports is the machine's D-cache port count (SetDPorts), 0 when not
+	// given: the view gets it, with the over-capacity D-port plane, at
+	// the first cycle whose D-port use exceeds it.
+	ports int
+
 	err error
 }
 
@@ -339,17 +344,21 @@ func NewViewRecorder(name string, backLatchStages int, extra ...string) (*Record
 
 // SetThrottle puts the Recorder in front of t, which must then be
 // installed as the core's throttle in t's place: each cycle's usage is
-// summed under the Limits t last returned, and its D-port use checked
-// against a machine of the given D-cache ports. A Recorder that encodes
-// bytes refuses a throttle, and so fails its capture, since the stream
-// could not carry the limits.
-func (r *Recorder) SetThrottle(t cpu.Throttle, ports int) {
+// summed under the Limits t last returned. A Recorder that encodes bytes
+// refuses a throttle, and so fails its capture, since the stream could
+// not carry the limits.
+func (r *Recorder) SetThrottle(t cpu.Throttle) {
 	if !r.viewOnly && r.err == nil {
 		r.err = errors.New("usagetrace: a throttled capture must be view-only: the stream has no field for its limits")
 	}
 	r.throttle = t
-	r.view.ports, r.view.overDPort = ports, make([]uint64, len(r.view.unitOverSched))
 }
+
+// SetDPorts gives the Recorder the machine's D-cache port count, so its
+// view builds the over-capacity D-port plane from the live usage (the
+// core does not cap D-port use at the ports) and never needs the bytes
+// for it.
+func (r *Recorder) SetDPorts(ports int) { r.ports = ports }
 
 // Limits implements cpu.Throttle: the throttle's Limits, noted for the
 // cycles that follow.
@@ -399,6 +408,9 @@ func (r *Recorder) OnQuiet(u *cpu.Usage, n uint64) {
 		return
 	}
 	r.view.reserve(n)
+	if r.view.overDPort == nil && r.ports > 0 && u.DPortUsed > r.ports {
+		r.view.ports, r.view.overDPort = r.ports, make([]uint64, len(r.view.unitOverSched))
+	}
 	r.view.add(r.mirror, r.pending, u, n)
 	if r.viewOnly {
 		r.pending = r.pending[:0]

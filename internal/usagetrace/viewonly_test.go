@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,7 +27,9 @@ func (t tee) OnQuiet(u *cpu.Usage, n uint64) { t.a.OnQuiet(u, n); t.b.OnQuiet(u,
 // Table 1 and deep machines, usage-only and with the latchvalue channel,
 // with a Recorder and a view-only Recorder side by side on one core run.
 // The view-only trace has the same metadata and a packed view equal to
-// the other's in every field but the encoded stream, which it lacks.
+// the other's in every field but the encoded stream, which it lacks. No
+// cycle uses more D-ports than these machines have, so neither view
+// holds the over-capacity D-port plane.
 func TestViewOnlyRecorderMatchesRecorder(t *testing.T) {
 	for _, m := range []struct {
 		name string
@@ -57,6 +60,9 @@ func TestViewOnlyRecorderMatchesRecorder(t *testing.T) {
 				if pv.data != nil || pf.data == nil {
 					t.Fatalf("%s: view-only stream %d bytes, full stream %d bytes", label, len(pv.data), len(pf.data))
 				}
+				if pf.overDPort != nil {
+					t.Fatalf("%s: a view that never exceeds its D-ports holds their plane", label)
+				}
 				a, b := *pv, *pf
 				a.data, b.data = nil, nil
 				if !reflect.DeepEqual(a, b) {
@@ -67,8 +73,40 @@ func TestViewOnlyRecorderMatchesRecorder(t *testing.T) {
 	}
 }
 
+// TestStoreDelayViewBuildsDPortPlane: with stores delayed a cycle
+// (config.StoreOneCycleDelay) a delayed store can land beside a cycle's
+// loads and use more D-ports than the machine has. A Recorder told the
+// ports builds the over-capacity D-port plane from the live usage, so a
+// view-only trace serves it, equal to the one its bytes would give, and a
+// trace with bytes need not re-read them for it.
+func TestStoreDelayViewBuildsDPortPlane(t *testing.T) {
+	cfg := config.Default()
+	cfg.StoreDelayPolicy = config.StoreOneCycleDelay
+	ports := cfg.DL1.Ports
+	for _, bench := range []string{"bzip2", "gcc", "mcf"} {
+		full, view := recordBoth(t, cfg, bench, 20_000, nil)
+		pf, err := full.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pv, err := view.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pf.overDPort == nil || pf.ports != ports {
+			t.Fatalf("%s: no over-capacity D-port plane for %d ports (max use %d)", bench, ports, pf.maxDPort)
+		}
+		over, err := pv.OverFullDPorts(ports)
+		if err != nil || !slices.Equal(over, pf.overDPort) {
+			t.Errorf("%s: the view-only plane differs from the recorded one (err %v)", bench, err)
+		}
+		assertViewMatchesDecode(t, full)
+	}
+}
+
 // recordBoth runs bench for n instructions on cfg, after a short warm-up,
-// recording it with a Recorder and a view-only Recorder at once.
+// recording it with a Recorder and a view-only Recorder at once, each
+// told the machine's D-ports as a capture's is.
 func recordBoth(t *testing.T, cfg config.Config, bench string, n uint64, extra []string) (full, view *Trace) {
 	t.Helper()
 	prof, ok := workload.ByName(bench)
@@ -92,6 +130,8 @@ func recordBoth(t *testing.T, cfg config.Config, bench string, n uint64, extra [
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.SetDPorts(cfg.DL1.Ports)
+	b.SetDPorts(cfg.DL1.Ports)
 	c.SetObserver(tee{a, b})
 	c.SetIssueListener(tee{a, b})
 	if _, err := c.Run(0); err != nil {
